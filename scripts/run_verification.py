@@ -4,10 +4,11 @@ collect the JSON reports in one directory.
 Each job below is a plain `superharm` argument vector; running this
 script is equivalent to invoking the CLI by hand for every row.  Exit
 code is 0 when every job passes (window-limited twisted runs count as
-acceptable and are flagged CAPPED), 1 otherwise.
+acceptable and are flagged CAPPED), 1 otherwise; a CLI exit code outside
+the documented 0-3 counts as FAILED.
 
 Usage:
-    python3 scripts/run_verification.py [--out-dir reports] [--jobs N]
+    python3 scripts/run_verification.py [--out-dir reports]
 """
 
 from __future__ import annotations
@@ -26,18 +27,18 @@ class Job:
     argv: list
 
 
-def job_table(jobs: int) -> list:
+def job_table() -> list:
     rows = [
-        Job("brackets-all-variants", ["check-brackets", "--jobs", str(jobs)]),
-        Job("identities-all-variants", ["check-identities", "--jobs", str(jobs)]),
+        Job("brackets-all-variants", ["check-brackets"]),
+        Job("identities-all-variants", ["check-identities"]),
         Job("theorem1-gl23-grid", ["verify-theorem", "1", "--n", "2", "--m", "3",
-                                   "--lmax", "4", "--jobs", str(jobs)]),
+                                   "--lmax", "4"]),
         Job("theorem1-gl21-grid", ["verify-theorem", "1", "--n", "2", "--m", "1",
-                                   "--lmax", "4", "--jobs", str(jobs)]),
+                                   "--lmax", "4"]),
         Job("theorem3-even23-grid", ["verify-theorem", "3", "--n", "2", "--m", "3",
-                                     "--kmax", "6", "--jobs", str(jobs)]),
+                                     "--kmax", "6"]),
         Job("theorem4-odd23-grid", ["verify-theorem", "4", "--n", "2", "--m", "3",
-                                    "--kmax", "5", "--cap", "5", "--jobs", str(jobs)]),
+                                    "--kmax", "5", "--cap", "5"]),
         Job("basis-gl21-l1-lp1", ["harmonic-basis", "--scheme", "gl-natural",
                                   "--n", "2", "--m", "1", "--l", "1", "--lp", "1"]),
         Job("singular-gl23-l2-lp2", ["singular-vectors", "--scheme", "gl-natural",
@@ -58,15 +59,18 @@ def job_table(jobs: int) -> list:
     return rows
 
 
-def run(out_dir: Path, jobs: int) -> int:
+_STATUS = {0: "PASS", 1: "FAIL", 2: "CONFIG-ERROR", 3: "CAPPED"}
+
+
+def run(out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     worst = 0
-    for job in job_table(jobs):
+    for job in job_table():
         path = out_dir / f"{job.name}.json"
         code = cli_main(job.argv + ["--format", "json", "--out", str(path)])
-        status = {0: "PASS", 1: "FAIL", 2: "CONFIG-ERROR", 3: "CAPPED"}[code]
+        status = _STATUS.get(code, f"FAILED({code})")
         print(f"{status:<12} {job.name:<34} -> {path}")
-        if code in (1, 2):
+        if code not in (0, 3):
             worst = 1
     return worst
 
@@ -74,10 +78,8 @@ def run(out_dir: Path, jobs: int) -> int:
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", type=Path, default=Path("reports"))
-    parser.add_argument("--jobs", type=int, default=1)
     return parser.parse_args(argv)
 
 
 if __name__ == "__main__":
-    args = parse_args()
-    sys.exit(run(args.out_dir, args.jobs))
+    sys.exit(run(parse_args().out_dir))

@@ -12,9 +12,7 @@ from superharm.algebra import (
     enumerate_slice,
     grade,
     integrate_bosonic,
-    mul,
     parse_polynomial,
-    render_polynomial,
     theta,
     vartheta,
     x,

@@ -355,10 +355,6 @@ class SuperPolynomial:
         return " ".join(chunks)
 
 
-def mul(p: SuperPolynomial, q: SuperPolynomial) -> SuperPolynomial:
-    return p * q
-
-
 def derive(p: SuperPolynomial, v: VariableId) -> SuperPolynomial:
     """Partial derivative; fermionic derivatives use the signed Leibniz rule."""
     acc: dict[SuperMonomial, Fraction] = {}
@@ -474,6 +470,12 @@ class GradingScheme:
 
     def variables(self) -> list[VariableId]:
         return self.bosonic_variables() + self.fermionic_variables()
+
+    def params(self) -> dict:
+        """The numeric parameters as reported: n, m, plus n1, n2 when twisted."""
+        if self.is_twisted:
+            return {"n": self.n, "m": self.m, "n1": self.n1, "n2": self.n2}
+        return {"n": self.n, "m": self.m}
 
     def describe(self) -> str:
         if self.is_twisted:
@@ -651,10 +653,6 @@ def _slice_osp_even_natural(scheme, label, cap):
                 yield SuperMonomial(bm, fw)
 
 
-def _slice_osp_odd_natural(scheme, label, cap):
-    yield from _slice_osp_even_natural(scheme, label, cap)
-
-
 def _twisted_groups(scheme):
     n, n1, n2 = scheme.n, scheme.n1, scheme.n2
     neg_x = [x(i) for i in range(1, n1 + 1)]
@@ -712,7 +710,7 @@ _SLICE_GENERATORS = {
     SchemeKind.GL_TWISTED: _slice_gl_twisted_pairs,
     SchemeKind.OSP_EVEN_NATURAL: _slice_osp_even_natural,
     SchemeKind.OSP_EVEN_TWISTED: _slice_osp_even_twisted,
-    SchemeKind.OSP_ODD_NATURAL: _slice_osp_odd_natural,
+    SchemeKind.OSP_ODD_NATURAL: _slice_osp_even_natural,
     SchemeKind.OSP_ODD_TWISTED: _slice_osp_odd_twisted,
 }
 
@@ -720,10 +718,6 @@ _SLICE_GENERATORS = {
 # ===================================================================
 # text format
 # ===================================================================
-
-def render_polynomial(p: SuperPolynomial) -> str:
-    return p.render()
-
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>(?:x|y|th|vt)\d+)|(?P<op>[*^+-]))"
@@ -750,7 +744,7 @@ def _tokenize(text: str) -> list:
 
 
 def parse_polynomial(text: str) -> SuperPolynomial:
-    """Parse the render_polynomial format (sums of *-joined power factors)."""
+    """Parse the SuperPolynomial.render format (sums of *-joined power factors)."""
     toks = _tokenize(text)
     if not toks:
         raise ValueError("empty polynomial text")

@@ -24,7 +24,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -32,6 +31,7 @@ from .algebra import GradingScheme, Label, SchemeKind, enumerate_slice
 from .harmonic import (
     compare_bases,
     harmonic_kernel,
+    has_formula_basis,
     identity_report,
     singular_vectors,
     theorem_suite,
@@ -70,7 +70,6 @@ class JobConfig:
     theorem: Optional[str] = None
     fmt: str = "text"
     out: Optional[str] = None
-    jobs: int = 1
 
     # ---- validation (all before any computation) ----
 
@@ -84,16 +83,8 @@ class JobConfig:
             raise ConfigError("--scheme is required for this command")
         if self.n is None or self.m is None:
             raise ConfigError("--n and --m are required")
-        twisted = kind in (SchemeKind.GL_TWISTED, SchemeKind.OSP_EVEN_TWISTED,
-                           SchemeKind.OSP_ODD_TWISTED)
-        if twisted and (self.n1 is None or self.n2 is None):
-            raise ConfigError("twisted schemes need --n1 and --n2")
-        if not twisted and (self.n1 is not None or self.n2 is not None):
-            raise ConfigError("--n1/--n2 apply only to twisted schemes")
         try:
-            if twisted:
-                return GradingScheme(kind, self.n, self.m, self.n1, self.n2)
-            return GradingScheme(kind, self.n, self.m)
+            return GradingScheme(kind, self.n, self.m, self.n1, self.n2)
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
@@ -132,12 +123,10 @@ class JobConfig:
 
 def _config_from_args(args: argparse.Namespace) -> JobConfig:
     fields = ("scheme", "n", "m", "n1", "n2", "l", "lp", "k", "lmax",
-              "lpmax", "kmin", "kmax", "cap", "theorem", "fmt", "out", "jobs")
+              "lpmax", "kmin", "kmax", "cap", "theorem", "fmt", "out")
     values = {name: getattr(args, name, None) for name in fields}
     if values["fmt"] is None:
         values["fmt"] = "text"
-    if values["jobs"] is None:
-        values["jobs"] = 1
     return JobConfig(command=args.command, **values)
 
 
@@ -154,18 +143,17 @@ def _run_harmonic_basis(cfg: JobConfig) -> VerificationReport:
     report = VerificationReport(
         check="harmonic-basis",
         scheme=scheme.kind.value,
-        params=_scheme_params(scheme),
+        params=scheme.params(),
         label=label,
         cap=cap,
         dimensions={"slice": sl.dimension(), "kernel": kern.dimension()},
         vectors={"kernel": [v.render() for v in kern.vectors]},
     )
-    try:
-        formula = xu_basis(sl)
-    except ValueError:
+    if not has_formula_basis(scheme):
         report.explanation = ("no formula basis for this scheme; "
                               "kernel basis reported")
         return report
+    formula = xu_basis(sl)
     report.vectors["formula"] = [v.render() for v in formula.vectors]
     report.subreports.append(compare_bases(sl))
     report.consolidate_subreports()
@@ -182,7 +170,7 @@ def _run_singular_vectors(cfg: JobConfig) -> VerificationReport:
     report = VerificationReport(
         check="singular-vectors",
         scheme=scheme.kind.value,
-        params=_scheme_params(scheme),
+        params=scheme.params(),
         label=label,
         cap=cap,
         dimensions={"slice": sl.dimension(), "count": svs.count()},
@@ -215,7 +203,7 @@ def _run_verify_theorem(cfg: JobConfig) -> VerificationReport:
     labels = cfg.resolve_labels(scheme)
     cap = cfg.resolve_cap(scheme)
     try:
-        return theorem_suite(tid, scheme, labels, cap, jobs=cfg.jobs)
+        return theorem_suite(tid, scheme, labels, cap)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
@@ -242,11 +230,7 @@ def _run_scheme_suite(cfg: JobConfig, check: str, runner) -> VerificationReport:
         check=check,
         dimensions={"schemes": len(schemes)},
     )
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            report.subreports = list(pool.map(runner, schemes))
-    else:
-        report.subreports = [runner(s) for s in schemes]
+    report.subreports = [runner(s) for s in schemes]
     report.consolidate_subreports()
     n_fail = sum(1 for r in report.subreports if r.verdict is Verdict.FAIL)
     report.explanation = f"{len(schemes)} schemes checked, {n_fail} failed"
@@ -281,14 +265,6 @@ _RUNNERS = {
 }
 
 
-def _scheme_params(scheme: GradingScheme) -> dict:
-    params = {"n": scheme.n, "m": scheme.m}
-    if scheme.is_twisted:
-        params["n1"] = scheme.n1
-        params["n2"] = scheme.n2
-    return params
-
-
 # ===================================================================
 # argument parsing and entry point
 # ===================================================================
@@ -317,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", dest="fmt", choices=("text", "json"),
                         default="text")
         sp.add_argument("--out")
-        sp.add_argument("--jobs", type=int, default=1)
 
     for name, help_text in (
         ("harmonic-basis", "kernel basis of one graded slice, with the "
@@ -361,9 +336,6 @@ def _exit_code(report: VerificationReport) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     cfg = _config_from_args(args)
-    if cfg.jobs < 1:
-        print("superharm: --jobs must be at least 1", file=sys.stderr)
-        return 2
     started = time.monotonic()
     try:
         report = _RUNNERS[cfg.command](cfg)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -54,7 +53,15 @@ from .linalg import (
     rref,
     span_rank,
 )
-from .operators import DiffOperator, apply, compose, named_operator, t_series
+from .operators import (
+    DiffOperator,
+    IntegrationOperator,
+    apply,
+    compose,
+    filtration_measure,
+    named_operator,
+    xu_solve,
+)
 from .report import Verdict, VerificationReport
 from .representations import (
     NOT_A_WEIGHT_VECTOR,
@@ -161,78 +168,63 @@ def harmonic_kernel(sl: GradedSlice) -> HarmonicBasis:
     return HarmonicBasis(sl, tuple(vectors), BasisMethod.KERNEL)
 
 
-def _xu_gl_natural(sl: GradedSlice) -> List[SuperPolynomial]:
-    scheme = sl.scheme
-    out = []
-    for mono in sl.basis:
-        a1 = mono.exponent(x(1))
-        b1 = mono.exponent(y(1))
-        if a1 and b1:
-            continue
-        series = t_series("xu", scheme, alpha1=a1, beta1=b1)
-        out.append(series.apply(SuperPolynomial.monomial(mono)))
-    return out
+def has_formula_basis(scheme: GradingScheme) -> bool:
+    """Whether xu_basis has a closed formula for the scheme: the gl schemes
+    and the x0 ladders do, the even osp schemes do not."""
+    return scheme.is_gl or scheme.has_x0
 
 
-def _strip_variables(mono: SuperMonomial, drop) -> SuperMonomial:
-    return SuperMonomial.make(
-        [(v, e) for v, e in mono.bos if v not in drop], mono.ferm)
+def _series_solutions(scheme: GradingScheme, steps, seeds) -> List[SuperPolynomial]:
+    """xu_solve with t1 the derivative product `steps`, t2 = Delta - t1,
+    exact integration as t1's inverse and the scheme's filtration measure."""
+    t1 = DiffOperator.word(1, SuperMonomial.unit(), steps)
+    t2 = named_operator("DELTA", scheme) - t1
+    return xu_solve(t1, IntegrationOperator(steps), t2, seeds,
+                    measure=filtration_measure(t1, scheme))
 
 
-def _xu_gl_twisted(sl: GradedSlice) -> List[SuperPolynomial]:
-    scheme = sl.scheme
-    mid = scheme.n1 + 1
-    out = []
-    for mono in sl.basis:
-        k1 = mono.exponent(x(mid))
-        k2 = mono.exponent(y(mid))
-        if k1 and k2:
-            continue
-        seed = _strip_variables(mono, {x(mid), y(mid)})
-        series = t_series("t-k1k2", scheme, k1=k1, k2=k2)
-        out.append(series.apply(SuperPolynomial.monomial(seed)))
-    return out
+def _xu_gl(sl: GradedSlice) -> List[SuperPolynomial]:
+    """One series per slice monomial with x_c- or y_c-exponent zero, in the
+    column c = 1 (natural) or c = n1+1 (twisted), t1 = d_xc d_yc."""
+    c = sl.scheme.n1 + 1 if sl.scheme.is_twisted else 1
+    one = SuperPolynomial.one()
+    seeds = [(one, SuperPolynomial.monomial(mono)) for mono in sl.basis
+             if not (mono.exponent(x(c)) and mono.exponent(y(c)))]
+    return _series_solutions(sl.scheme, ((x(c), 1), (y(c), 1)), seeds)
 
 
 def _xu_osp_odd(sl: GradedSlice) -> List[SuperPolynomial]:
+    """The two-parity x0 series: seeds x0^iota times the even-scheme slice
+    of label k - iota, t1 = d_x0^2, t2 = 2 * (x0-free Delta)."""
     scheme = sl.scheme
-    k = sl.label
     even_kind = (SchemeKind.OSP_EVEN_NATURAL
                  if scheme.kind is SchemeKind.OSP_ODD_NATURAL
                  else SchemeKind.OSP_EVEN_TWISTED)
     even_scheme = GradingScheme(even_kind, scheme.n, scheme.m,
                                 scheme.n1, scheme.n2)
-    out = []
-    for iota in (0, 1):
-        label = k - iota
+    cap = sl.degree_cap if even_scheme.is_twisted else None
+    seeds = []
+    for h, iota in ((SuperPolynomial.one(), 0), (SuperPolynomial.variable(x0()), 1)):
+        label = sl.label - iota
         if even_kind is SchemeKind.OSP_EVEN_NATURAL and label < 0:
             continue
-        cap = sl.degree_cap if even_scheme.is_twisted else None
-        seeds = enumerate_slice(even_scheme, label, cap)
-        series = t_series("t-iota", scheme, iota=iota)
-        for mono in seeds.basis:
-            out.append(series.apply(SuperPolynomial.monomial(mono)))
-    return out
+        seeds.extend((h, SuperPolynomial.monomial(mono))
+                     for mono in enumerate_slice(even_scheme, label, cap).basis)
+    return _series_solutions(scheme, ((x0(), 2),), seeds)
 
 
 def xu_basis(sl: GradedSlice) -> HarmonicBasis:
-    """Harmonic basis from the explicit one-seed-per-monomial formulas.
+    """Harmonic basis from the explicit one-seed-per-monomial formulas,
+    each seed solved by xu_solve's alternating series.
 
-    Supported: the natural gl scheme (series over seeds with x1- or
-    y1-exponent zero), the twisted gl scheme (series over stripped seeds
-    in the n1+1 column), and both x0 ladders (the two-parity x0 series
-    over even-scheme slices).  The even osp schemes have no published
-    closed formula here and raise.
+    Supported: the natural gl scheme (seeds with x1- or y1-exponent zero),
+    the twisted gl scheme (the same in the n1+1 column), and both x0
+    ladders (the two-parity x0 series over even-scheme slices).  The even
+    osp schemes have no published closed formula here and raise.
     """
-    kind = sl.scheme.kind
-    if kind is SchemeKind.GL_NATURAL:
-        spanning = _xu_gl_natural(sl)
-    elif kind is SchemeKind.GL_TWISTED:
-        spanning = _xu_gl_twisted(sl)
-    elif sl.scheme.has_x0:
-        spanning = _xu_osp_odd(sl)
-    else:
+    if not has_formula_basis(sl.scheme):
         raise ValueError("no formula basis for the even osp schemes")
+    spanning = _xu_gl(sl) if sl.scheme.is_gl else _xu_osp_odd(sl)
     # reduce to an independent family, blockwise for tractability
     groups = _group_polys_by_weight([p for p in spanning if not p.is_zero()],
                                     sl.scheme)
@@ -405,14 +397,6 @@ def _expected_singular_count(scheme: GradingScheme, label: Label) -> Optional[in
 # cross-checks and decomposition reports
 # ===================================================================
 
-def _scheme_params(scheme: GradingScheme) -> dict:
-    params = {"n": scheme.n, "m": scheme.m}
-    if scheme.is_twisted:
-        params["n1"] = scheme.n1
-        params["n2"] = scheme.n2
-    return params
-
-
 def cross_check_irreducibility(
     scheme: GradingScheme, label: Label, degree_cap: Optional[int] = None
 ) -> VerificationReport:
@@ -433,7 +417,7 @@ def cross_check_irreducibility(
     report = VerificationReport(
         check="irreducibility-cross-check",
         scheme=scheme.kind.value,
-        params=_scheme_params(scheme),
+        params=scheme.params(),
         label=label,
         cap=degree_cap,
         dimensions={"slice": sl.dimension(), "singular_count": count},
@@ -553,7 +537,7 @@ def decomposition_report(
     report = VerificationReport(
         check="decomposition",
         scheme=scheme.kind.value,
-        params=_scheme_params(scheme),
+        params=scheme.params(),
         label=label,
         cap=degree_cap,
         dimensions={"window": window.dimension()},
@@ -722,7 +706,7 @@ def compare_bases(sl: GradedSlice) -> VerificationReport:
     report = VerificationReport(
         check="basis-comparison",
         scheme=scheme.kind.value,
-        params=_scheme_params(scheme),
+        params=scheme.params(),
         label=sl.label,
         cap=sl.degree_cap,
         dimensions={"kernel": kern.dimension(), "formula": xu.dimension()},
@@ -921,7 +905,7 @@ def identity_report(
     report = VerificationReport(
         check="operator-identities",
         scheme=scheme.kind.value,
-        params=_scheme_params(scheme),
+        params=scheme.params(),
         cap=degree_cap,
     )
     failures = []
@@ -962,15 +946,9 @@ def theorem_suite(
     scheme: GradingScheme,
     labels: Sequence[Label],
     degree_cap: Optional[int] = None,
-    *,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Aggregate irreducibility cross-checks and decomposition reports
-    over a grid of labels; one consolidated verdict.
-
-    Grid points are independent; jobs > 1 runs them on a thread pool.
-    Subreports are merged in label order either way, so the report is
-    deterministic."""
+    over a grid of labels, in label order; one consolidated verdict."""
     tid = str(theorem_id).upper()
     if not tid.startswith("T"):
         tid = "T" + tid
@@ -983,21 +961,15 @@ def theorem_suite(
     report = VerificationReport(
         check=f"theorem-suite-{tid}",
         scheme=scheme.kind.value,
-        params=_scheme_params(scheme),
+        params=scheme.params(),
         cap=degree_cap,
         dimensions={"labels": len(labels)},
     )
-    def label_reports(label):
-        return (cross_check_irreducibility(scheme, label, degree_cap),
-                decomposition_report(scheme, label, degree_cap))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(label_reports, labels))
-    else:
-        results = [label_reports(label) for label in labels]
-    for cross, decomp in results:
-        report.subreports.extend((cross, decomp))
+    for label in labels:
+        report.subreports.append(
+            cross_check_irreducibility(scheme, label, degree_cap))
+        report.subreports.append(
+            decomposition_report(scheme, label, degree_cap))
     report.consolidate_subreports()
     n_fail = sum(1 for r in report.subreports if r.verdict is Verdict.FAIL)
     n_cap = sum(1 for r in report.subreports

@@ -19,17 +19,14 @@ operator product d_w1 d_w2 ... d_wk.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from superharm.algebra import (
-    Family,
     GradingScheme,
     Scalar,
-    SchemeKind,
     SuperMonomial,
     SuperPolynomial,
     VariableId,
@@ -50,7 +47,7 @@ class FiltrationError(RuntimeError):
 
 
 class SeriesTerminationError(RuntimeError):
-    """A series applicator ran past its termination bound (internal logic bug)."""
+    """The series solver ran past its termination bound (internal logic bug)."""
 
 
 class OpWord(NamedTuple):
@@ -530,123 +527,6 @@ def im_operator(
 
 
 # ===================================================================
-# series applicators
-# ===================================================================
-
-class SeriesApplicator:
-    """A terminating operator series: captures immutable term data only.
-
-    step(i, g) returns the polynomial contribution of series index i given
-    the i-th residual g; residual(g) advances g by one series step.
-    """
-
-    def __init__(self, name: str, step: Callable, residual: DiffOperator):
-        self._name = name
-        self._step = step
-        self._residual = residual
-
-    def apply(self, p: SuperPolynomial) -> SuperPolynomial:
-        out = SuperPolynomial.zero()
-        g = p
-        bound = max(p.degree(), 0) + 1
-        i = 0
-        while not g.is_zero():
-            if i > bound:
-                raise SeriesTerminationError(
-                    f"{self._name}: series exceeded bound {bound}"
-                )
-            out = out + self._step(i, g)
-            g = self._residual.apply(g)
-            i += 1
-        return out
-
-    def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
-        return self.apply(p)
-
-
-def _mono_power(v: VariableId, e: int) -> SuperPolynomial:
-    if e == 0:
-        return SuperPolynomial.one()
-    return SuperPolynomial.monomial(SuperMonomial(((v, e),), ()))
-
-
-def t_series(kind: str, scheme: GradingScheme, **params) -> SeriesApplicator:
-    """Terminating series applicators.
-
-    kind "xu" (params alpha1, beta1): the natural-scheme kernel series
-        sum_i (-1)^i x1^i y1^i / prod_{r<=i} (alpha1+r)(beta1+r) * Dtilde^i,
-        Dtilde = Delta - d_x1 d_y1.
-    kind "t-k1k2" (params k1, k2): the twisted analogue seeded with
-        x_{n1+1}^(k1+i) y_{n1+1}^(k2+i) over the same denominators.
-    kind "t-iota" (params iota in {0,1}): the x0 ladder series
-        sum_i (-2)^i x0^(2i+iota)/(2i+iota)! * Delta^i with the x0-free Delta.
-    """
-    key = kind.strip().lower().replace("_", "-")
-    if key in ("xu", "xu-series"):
-        if scheme.kind != SchemeKind.GL_NATURAL:
-            raise ValueError("xu series needs the natural gl scheme")
-        a1, b1 = int(params.pop("alpha1")), int(params.pop("beta1"))
-        if params:
-            raise ValueError(f"unexpected params {sorted(params)}")
-        if a1 < 0 or b1 < 0:
-            raise ValueError("alpha1, beta1 must be non-negative")
-        delta = named_operator("DELTA", scheme)
-        txy = compose(DiffOperator.partial(x(1)), DiffOperator.partial(y(1)))
-        resid = delta - txy
-
-        def step(i, g, a1=a1, b1=b1):
-            den = 1
-            for rr in range(1, i + 1):
-                den *= (a1 + rr) * (b1 + rr)
-            c = Fraction((-1) ** i, den)
-            return (_mono_power(x(1), i) * _mono_power(y(1), i) * g).scale(c)
-
-        return SeriesApplicator("xu", step, resid)
-
-    if key in ("t-k1k2", "tk1k2"):
-        if scheme.kind not in (SchemeKind.GL_TWISTED, SchemeKind.OSP_EVEN_TWISTED):
-            raise ValueError("t-k1k2 needs a twisted x0-free scheme")
-        k1, k2 = int(params.pop("k1")), int(params.pop("k2"))
-        if params:
-            raise ValueError(f"unexpected params {sorted(params)}")
-        if k1 < 0 or k2 < 0:
-            raise ValueError("k1, k2 must be non-negative")
-        mid = scheme.n1 + 1
-        delta = _even_delta(scheme)
-        txy = compose(DiffOperator.partial(x(mid)), DiffOperator.partial(y(mid)))
-        resid = delta - txy
-
-        def step(i, g, k1=k1, k2=k2, mid=mid):
-            den = 1
-            for rr in range(1, i + 1):
-                den *= (k1 + rr) * (k2 + rr)
-            c = Fraction((-1) ** i, den)
-            return (
-                _mono_power(x(mid), k1 + i) * _mono_power(y(mid), k2 + i) * g
-            ).scale(c)
-
-        return SeriesApplicator("t-k1k2", step, resid)
-
-    if key in ("t-iota", "tiota"):
-        if not scheme.has_x0:
-            raise ValueError("t-iota needs an x0 scheme")
-        iota = int(params.pop("iota"))
-        if params:
-            raise ValueError(f"unexpected params {sorted(params)}")
-        if iota not in (0, 1):
-            raise ValueError("iota must be 0 or 1")
-        resid = _even_delta(scheme)
-
-        def step(i, g, iota=iota):
-            c = Fraction((-2) ** i, math.factorial(2 * i + iota))
-            return (_mono_power(x0(), 2 * i + iota) * g).scale(c)
-
-        return SeriesApplicator("t-iota", step, resid)
-
-    raise ValueError(f"unknown series kind {kind!r}")
-
-
-# ===================================================================
 # integration applicator + the kernel solver
 # ===================================================================
 
@@ -667,14 +547,27 @@ class IntegrationOperator:
         return self.apply(p)
 
 
-def _default_measure(t1: DiffOperator) -> Callable[[SuperPolynomial], int]:
+def filtration_measure(
+    t1: DiffOperator, scheme: Optional[GradingScheme] = None
+) -> Callable[[SuperPolynomial], int]:
+    """Twice the degree outside the variables t1 differentiates, plus, on a
+    twisted scheme, one per power of y_i (i <= n1) and of x_s (s > n2).
+
+    The second count is what the twisted Laplacian's -x_i d_y_i and
+    -y_s d_x_s atoms lower while they keep the degree.
+    """
     skip = t1.derivative_variables()
+    lowered: set[VariableId] = set()
+    if scheme is not None and scheme.is_twisted:
+        lowered.update(y(i) for i in range(1, scheme.n1 + 1))
+        lowered.update(x(s) for s in range(scheme.n2 + 1, scheme.n + 1))
 
     def measure(p: SuperPolynomial) -> int:
         best = -1
         for mono, _ in p.terms():
-            d = sum(e for v, e in mono.bos if v not in skip)
-            d += sum(1 for v in mono.ferm if v not in skip)
+            d = sum((3 if v in lowered else 2) * e
+                    for v, e in mono.bos if v not in skip)
+            d += sum(2 for v in mono.ferm if v not in skip)
             best = max(best, d)
         return best
 
@@ -693,11 +586,11 @@ def xu_solve(
 
     Every seed product must lie in ker t1; t1_inv must be a right inverse of
     t1 on the vectors it meets (checked); t2 must strictly lower the
-    filtration measure (checked; default measure: total degree ignoring the
-    variables t1 differentiates).
+    filtration measure (checked; default: filtration_measure(t1), the degree
+    ignoring the variables t1 differentiates).
     """
     if measure is None:
-        measure = _default_measure(t1)
+        measure = filtration_measure(t1)
     out = []
     for h, g in seeds:
         u = h * g
@@ -734,10 +627,6 @@ def xu_solve(
 # operator text format
 # ===================================================================
 
-def render_operator(op: DiffOperator) -> str:
-    return op.render()
-
-
 _OP_TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<dvar>d_(?:x|y|th|vt)\d+)"
     r"|(?P<name>(?:x|y|th|vt)\d+)|(?P<op>[*^+-]))"
@@ -745,7 +634,7 @@ _OP_TOKEN_RE = re.compile(
 
 
 def parse_operator(text: str) -> DiffOperator:
-    """Parse the render_operator format; factors compose left to right."""
+    """Parse the DiffOperator.render format; factors compose left to right."""
     pos = 0
     toks = []
     while pos < len(text):

@@ -502,13 +502,7 @@ def _osp_even_twisted_unit(scheme: GradingScheme, a: int, b: int) -> DiffOperato
     if fa == "x" and fb == "x":
         return _gl_twisted_x_block(scheme, i, j)
     if fa == "y" and fb == "y":
-        if i <= n2 and j <= n2:
-            return _atom(1, [y(i)], [y(j)])
-        if i <= n2 < j:
-            return _atom(-1, [y(i), y(j)], [])
-        if j <= n2 < i:
-            return _atom(1, [], [y(i), y(j)])
-        return _atom(-1, [y(j)], [y(i)]) + DiffOperator.scalar(-1 if i == j else 0)
+        return _gl_twisted_y_block(scheme, i, j)
     if fa == "x" and fb == "y":
         if i <= n1:
             return (_atom(1, [], [x(i), y(j)]) if j <= n2
@@ -642,7 +636,7 @@ def verify_homomorphism(rep: GradingScheme,
     report = VerificationReport(
         check="bracket-homomorphism",
         scheme=rep.kind.value,
-        params=_scheme_params(rep),
+        params=rep.params(),
         dimensions={"algebra_dimension": len(basis),
                     "pairs_checked": 0,
                     "sample_dimension": len(sample_polys)},
@@ -683,14 +677,6 @@ def verify_homomorphism(rep: GradingScheme,
     report.dimensions["pairs_checked"] = pairs
     report.explanation = "all %d ordered basis pairs agree in normal form" % pairs
     return report
-
-
-def _scheme_params(scheme: GradingScheme) -> dict:
-    params = {"n": scheme.n, "m": scheme.m}
-    if scheme.is_twisted:
-        params["n1"] = scheme.n1
-        params["n2"] = scheme.n2
-    return params
 
 
 def _first_order_atoms(scheme: GradingScheme) -> List[Tuple[VariableId, VariableId]]:
@@ -748,7 +734,7 @@ def osp_stabilizer_check(scheme: GradingScheme) -> VerificationReport:
     report = VerificationReport(
         check="osp-stabilizer",
         scheme=scheme.kind.value,
-        params=_scheme_params(scheme),
+        params=scheme.params(),
         dimensions={
             "atom_count": len(atoms),
             "kernel_dimension": kernel_dim,

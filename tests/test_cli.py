@@ -116,11 +116,6 @@ def test_exit_two_on_config_error(capsys):
                        capsys)
     assert code == 2  # twisted suite without --cap
 
-    code, _, err = run(["harmonic-basis", "--scheme", "gl-natural", "--n", "2",
-                        "--m", "1", "--l", "1", "--lp", "1", "--jobs", "0"],
-                       capsys)
-    assert code == 2
-
 
 def test_exit_three_on_window_limited(capsys):
     code, out, _ = run(["verify-theorem", "2", "--n", "4", "--m", "1",
@@ -158,6 +153,21 @@ def test_harmonic_basis_without_formula(capsys):
     assert code == 0
     assert "no formula basis" in out
     assert "formula (" not in out
+
+
+def test_harmonic_basis_internal_error_is_not_a_pass(monkeypatch, capsys):
+    import superharm.harmonic as hm
+
+    def broken(vectors):
+        raise ValueError("expected a weight-homogeneous vector: injected")
+
+    monkeypatch.setattr(hm, "independent_subset", broken)
+    code, out, err = run(["harmonic-basis", "--scheme", "gl-natural",
+                          "--n", "2", "--m", "1", "--l", "1", "--lp", "1"],
+                         capsys)
+    assert code != 0
+    assert "[PASS]" not in out
+    assert "injected" in err
 
 
 def test_singular_vector_payload(capsys):
@@ -212,15 +222,6 @@ def test_json_deterministic(tmp_path, capsys):
     payload = json.loads(outputs[0])
     assert payload["schema"] == "superharm-report/1"
     assert isinstance(payload["elapsed_ms"], int)
-
-
-def test_jobs_do_not_change_the_report(capsys):
-    argv = ["verify-theorem", "1", "--n", "2", "--m", "1", "--lmax", "1",
-            "--format", "json"]
-    code1, out1, _ = run(argv, capsys)
-    code2, out2, _ = run(argv + ["--jobs", "3"], capsys)
-    assert code1 == code2 == 0
-    assert _normalized_json(out1) == _normalized_json(out2)
 
 
 def test_out_file_silences_stdout(tmp_path, capsys):

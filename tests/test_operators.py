@@ -23,13 +23,12 @@ from superharm.operators import (
     OpWord,
     apply,
     compose,
+    filtration_measure,
     im_operator,
     named_operator,
     op_power,
     parse_operator,
-    render_operator,
     super_commutator,
-    t_series,
     xu_solve,
 )
 
@@ -164,7 +163,7 @@ def test_super_jacobi(a, b, c, pa, pb):
 @given(operators)
 @settings(max_examples=60, deadline=None)
 def test_operator_render_parse_roundtrip(op):
-    assert parse_operator(render_operator(op)) == op
+    assert parse_operator(op.render()) == op
 
 
 def test_parse_operator_reorders_factors():
@@ -352,56 +351,74 @@ def test_im_parameter_validation():
 
 
 # ===================================================================
-# series applicators
+# the formula-basis series: t1 a derivative product, t2 = Delta - t1
 # ===================================================================
 
+def series_parts(scheme, steps):
+    t1 = DiffOperator.word(1, SuperMonomial.unit(), steps)
+    return t1, IntegrationOperator(steps), named_operator("DELTA", scheme) - t1
+
+
+X0_LADDER = [(x0(), 2)]
+TWISTED_COLUMN = [(x(2), 1), (y(2), 1)]  # the n1+1 column of TW4113
+ONE = SuperPolynomial.one()
+
+
 def test_t_iota_on_harmonic_input():
-    T0 = t_series("t-iota", ODD21, iota=0)
-    assert T0.apply(P(x(1))) == P(x(1))
+    t1, inv, t2 = series_parts(ODD21, X0_LADDER)
+    assert xu_solve(t1, inv, t2, [(ONE, P(x(1)))]) == [P(x(1))]
 
 
 def test_t_iota_example_values():
     # T1(1) = x0; T0(x1 y1) = x1 y1 - x0^2 (Delta(x1y1) = 1, next step 0)
-    T1 = t_series("t-iota", ODD21, iota=1)
-    assert T1.apply(SuperPolynomial.one()) == P(x0())
-    T0 = t_series("t-iota", ODD21, iota=0)
-    got = T0.apply(P(x(1)) * P(y(1)))
-    assert got == parse_polynomial("x1*y1 - x0^2")
+    t1, inv, t2 = series_parts(ODD21, X0_LADDER)
+    got = xu_solve(t1, inv, t2, [(P(x0()), ONE), (ONE, P(x(1)) * P(y(1)))])
+    assert got == [P(x0()), parse_polynomial("x1*y1 - x0^2")]
     delta = named_operator("DELTA", ODD21)
-    assert delta.apply(got).is_zero()
+    assert delta.apply(got[1]).is_zero()
 
 
 def test_t_k1k2_trivial():
-    T = t_series("t-k1k2", TW4113, k1=0, k2=0)
-    assert T.apply(SuperPolynomial.one()) == SuperPolynomial.one()
+    t1, inv, t2 = series_parts(TW4113, TWISTED_COLUMN)
+    measure = filtration_measure(t1, TW4113)
+    assert xu_solve(t1, inv, t2, [(ONE, ONE)], measure=measure) == [ONE]
+
+
+TWISTED_SEED = [(P(x(2)), P(y(1)) * P(theta(1)))]  # no x2/y2 content in g
 
 
 def test_t_k1k2_annihilates():
-    delta = named_operator("DELTA", TW4113)
-    T = t_series("t-k1k2", TW4113, k1=1, k2=0)
-    seed = P(y(1)) * P(theta(1))  # no x2/y2 content
-    out = T.apply(seed)
-    assert delta.apply(out).is_zero()
+    t1, inv, t2 = series_parts(TW4113, TWISTED_COLUMN)
+    out, = xu_solve(t1, inv, t2, TWISTED_SEED,
+                    measure=filtration_measure(t1, TW4113))
+    assert out.coefficient(SuperMonomial.make([(x(2), 1), (y(1), 1)], [theta(1)])) == 1
+    assert named_operator("DELTA", TW4113).apply(out).is_zero()
+
+
+def test_t_k1k2_needs_the_scheme_measure():
+    # -x1 d_y1 keeps the degree: the step x2*y1*th1 -> x1*x2^2*y2*th1/2
+    # lowers the scheme measure but not the plain degree outside x2, y2
+    t1, inv, t2 = series_parts(TW4113, TWISTED_COLUMN)
+    with pytest.raises(FiltrationError, match="measure"):
+        xu_solve(t1, inv, t2, TWISTED_SEED)
+
+
+def test_t_k1k2_rejects_a_raising_t2():
+    # y1 d_x1 runs the twisted atom x1 d_y1 backwards: degree kept, the
+    # scheme measure raised
+    t1, inv, _ = series_parts(TW4113, TWISTED_COLUMN)
+    bad_t2 = DiffOperator.word(1, SuperMonomial.make([(y(1), 1)]), [(x(1), 1)])
+    with pytest.raises(FiltrationError, match="measure"):
+        xu_solve(t1, inv, bad_t2, [(P(x(2)), P(x(1)))],
+                 measure=filtration_measure(t1, TW4113))
 
 
 def test_xu_series_annihilates():
-    delta = named_operator("DELTA", GL21)
-    T = t_series("xu", GL21, alpha1=1, beta1=0)
+    t1, inv, t2 = series_parts(GL21, [(x(1), 1), (y(1), 1)])
     seed = P(x(1)) * P(theta(1)) * P(vartheta(1))
-    out = T.apply(seed)
+    out, = xu_solve(t1, inv, t2, [(ONE, seed)])
     assert out.coefficient(seed.monomials()[0]) == 1
-    assert delta.apply(out).is_zero()
-
-
-def test_t_series_rejects_bad_params():
-    with pytest.raises(ValueError):
-        t_series("xu", TW4113, alpha1=0, beta1=0)
-    with pytest.raises(ValueError):
-        t_series("t-iota", ODD21, iota=2)
-    with pytest.raises(ValueError):
-        t_series("t-iota", ODD21, iota=0, extra=1)
-    with pytest.raises(ValueError):
-        t_series("bogus", GL21)
+    assert named_operator("DELTA", GL21).apply(out).is_zero()
 
 
 # ===================================================================
