@@ -4,8 +4,9 @@ collect the JSON reports in one directory.
 Each job below is a plain `superharm` argument vector; running this
 script is equivalent to invoking the CLI by hand for every row.  Exit
 code is 0 when every job passes (window-limited twisted runs count as
-acceptable and are flagged CAPPED), 1 otherwise; a CLI exit code outside
-the documented 0-3 counts as FAILED.
+acceptable and are flagged CAPPED), 1 otherwise; an internal error
+(exit 4) prints as INTERNAL, and a CLI exit code outside the documented
+0-4 counts as FAILED.
 
 Usage:
     python3 scripts/run_verification.py [--out-dir reports]
@@ -59,7 +60,7 @@ def job_table() -> list:
     return rows
 
 
-_STATUS = {0: "PASS", 1: "FAIL", 2: "CONFIG-ERROR", 3: "CAPPED"}
+_STATUS = {0: "PASS", 1: "FAIL", 2: "CONFIG-ERROR", 3: "CAPPED", 4: "INTERNAL"}
 
 
 def run(out_dir: Path) -> int:

@@ -11,7 +11,8 @@ Subcommands map one-to-one onto the verification entry points:
 
 Exit codes: 0 all PASS, 1 any FAIL, 2 configuration error,
 3 INCONCLUSIVE_CAP (every check inside the window passed but a cap was
-the binding constraint — kept distinct so CI can treat it separately).
+the binding constraint — kept distinct so CI can treat it separately),
+4 internal error (an engine invariant broke; never a verdict).
 
 Reports are emitted as text or as JSON with a versioned top-level
 "schema" key; identical configurations produce byte-identical JSON up
@@ -38,7 +39,7 @@ from .harmonic import (
     xu_basis,
 )
 from .linalg import MatrixBudgetError
-from .report import Verdict, VerificationReport
+from .report import InternalError, Verdict, VerificationReport
 from .representations import osp_stabilizer_check, verify_homomorphism
 
 SCHEMA = "superharm-report/1"
@@ -155,7 +156,7 @@ def _run_harmonic_basis(cfg: JobConfig) -> VerificationReport:
         return report
     formula = xu_basis(sl)
     report.vectors["formula"] = [v.render() for v in formula.vectors]
-    report.subreports.append(compare_bases(sl))
+    report.subreports.append(compare_bases(formula, kern))
     report.consolidate_subreports()
     report.explanation = "kernel and formula bases computed and compared"
     return report
@@ -347,6 +348,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"superharm: computation exceeds SUPERHARM_MAX_CELLS: {err}",
               file=sys.stderr)
         return 2
+    except InternalError as err:
+        print(f"superharm: internal error: {err}", file=sys.stderr)
+        return 4
     report.elapsed_ms = int((time.monotonic() - started) * 1000)
     _emit(report, cfg)
     return _exit_code(report)

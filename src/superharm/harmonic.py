@@ -62,7 +62,7 @@ from .operators import (
     named_operator,
     xu_solve,
 )
-from .report import Verdict, VerificationReport
+from .report import InternalError, Verdict, VerificationReport
 from .representations import (
     NOT_A_WEIGHT_VECTOR,
     AlgebraElement,
@@ -81,47 +81,57 @@ class NonNilpotentError(RuntimeError):
 # weights of monomials (the blocking key)
 # ===================================================================
 
+def _integral(values: Sequence[Fraction], what: str) -> Tuple[int, ...]:
+    for v in values:
+        if v.denominator != 1:
+            raise InternalError(f"non-integral {what} {v} in the weight table")
+    return tuple(int(v) for v in values)
+
+
 @functools.lru_cache(maxsize=None)
 def _weight_table(scheme: GradingScheme):
+    """(vacuum weight, per-variable steps, per-monomial memo), all integral."""
     base = weight_of(SuperPolynomial.one(), scheme)
     steps = {}
     for v in scheme.variables():
         wv = weight_of(SuperPolynomial.variable(v), scheme)
-        steps[v] = tuple(a - b for a, b in zip(wv, base))
-    return base, steps
+        steps[v] = _integral([a - b for a, b in zip(wv, base)],
+                             f"step of {v.name()}")
+    return _integral(base, "vacuum weight"), steps, {}
 
 
-def monomial_weight(mono: SuperMonomial, scheme: GradingScheme) -> Tuple[Fraction, ...]:
+def monomial_weight(mono: SuperMonomial, scheme: GradingScheme) -> Tuple[int, ...]:
     """Weight of a monomial under the scheme's Cartan action.
 
     Diagonal Cartan operators act on each monomial by a scalar that is
     affine in the exponents, so the weight is the vacuum weight plus the
     per-variable increments.
     """
-    base, steps = _weight_table(scheme)
-    acc = list(base)
-    for v, e in mono.bos:
-        sv = steps[v]
-        for i in range(len(acc)):
-            acc[i] += e * sv[i]
-    for v in mono.ferm:
-        sv = steps[v]
-        for i in range(len(acc)):
-            acc[i] += sv[i]
-    return tuple(acc)
+    base, steps, memo = _weight_table(scheme)
+    weight = memo.get(mono)
+    if weight is None:
+        acc = list(base)
+        for v, e in mono.bos:
+            for i, s in enumerate(steps[v]):
+                acc[i] += e * s
+        for v in mono.ferm:
+            for i, s in enumerate(steps[v]):
+                acc[i] += s
+        weight = memo[mono] = tuple(acc)
+    return weight
 
 
-def _weight_fn(scheme: GradingScheme) -> Callable[[SuperMonomial], Tuple[Fraction, ...]]:
+def _weight_fn(scheme: GradingScheme) -> Callable[[SuperMonomial], Tuple[int, ...]]:
     return lambda mono: monomial_weight(mono, scheme)
 
 
 def _group_polys_by_weight(polys: Sequence[SuperPolynomial], scheme: GradingScheme):
     """Group weight-homogeneous polynomials; raises if one is mixed."""
-    groups: Dict[Tuple[Fraction, ...], List[SuperPolynomial]] = {}
+    groups: Dict[Tuple[int, ...], List[SuperPolynomial]] = {}
     for p in polys:
         wts = {monomial_weight(m, scheme) for m in p.monomials()}
         if len(wts) != 1:
-            raise ValueError("expected a weight-homogeneous vector: " + p.render())
+            raise InternalError("expected a weight-homogeneous vector: " + p.render())
         groups.setdefault(wts.pop(), []).append(p)
     return groups
 
@@ -578,7 +588,7 @@ def decomposition_report(
 
     # ---- blockwise independence + spanning ----
     groups = _group_polys_by_weight(candidates, scheme)
-    window_blocks: Dict[Tuple[Fraction, ...], List[SuperMonomial]] = {}
+    window_blocks: Dict[Tuple[int, ...], List[SuperMonomial]] = {}
     for mono in window.basis:
         window_blocks.setdefault(monomial_weight(mono, scheme), []).append(mono)
     independent = True
@@ -692,16 +702,18 @@ def _window_intersection_dimension(
     return sum(1 for row in red if not any(row[:n_out]))
 
 
-def compare_bases(sl: GradedSlice) -> VerificationReport:
-    """span(xu_basis) == span(harmonic_kernel), with window semantics.
+def compare_bases(xu: HarmonicBasis, kern: HarmonicBasis) -> VerificationReport:
+    """span(xu) == span(kern) for a formula basis and a kernel basis of the
+    same slice, with window semantics.
 
     On complete slices this is plain span equality.  On capped slices
     the formula vectors may extend beyond the window, so the check is:
     every kernel vector lies in the formula span, and the formula span
     meets the window in exactly the kernel dimension.
     """
-    xu = xu_basis(sl)
-    kern = harmonic_kernel(sl)
+    if xu.slice != kern.slice:
+        raise InternalError("compare_bases needs two bases of the same slice")
+    sl = xu.slice
     scheme = sl.scheme
     report = VerificationReport(
         check="basis-comparison",

@@ -1,9 +1,14 @@
-"""Exact linear algebra over Fraction, plus polynomial-space helpers.
+"""Exact linear algebra over the rationals, plus polynomial-space helpers.
 
-Everything is dense and hand-rolled: row reduction with exact pivots, no
-magnitude heuristics.  The matrices that show up here are small once the
-caller blocks by a conserved quantity (grading label or Cartan weight), so
-there is no sparse machinery.
+Matrices come in and go out as rows of Fraction, but elimination runs on
+Python ints: each row is scaled to coprime integers by clearing its
+denominators, eliminated fraction-free (row <- a*row - b*pivot_row with
+a, b divided by their gcd, then by the row's content gcd; cf. Bareiss,
+Math. Comp. 22, 1968), and divided by its pivot once at the end.  The
+reduced echelon form is unique, so the result is exactly the one plain
+Fraction elimination gives.  Everything is dense: the matrices that show
+up here are small once the caller blocks by a conserved quantity (grading
+label or Cartan weight).
 
 SUPERHARM_MAX_CELLS (environment) caps the number of cells in any single
 dense matrix; exceeding it raises MatrixBudgetError instead of truncating.
@@ -13,9 +18,11 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Hashable, Optional, Sequence
 
 from superharm.algebra import SuperMonomial, SuperPolynomial
+from superharm.report import InternalError
 
 
 class MatrixBudgetError(RuntimeError):
@@ -40,30 +47,50 @@ def _check_budget(nrows: int, ncols: int) -> None:
 # plain matrices (lists of Fraction rows)
 # ===================================================================
 
+_ZERO = Fraction(0)
+
+
+def _integer_row(row: Sequence[Fraction]) -> list[int]:
+    """The row times the lcm of its denominators, divided by its content:
+    coprime integers spanning the same line."""
+    den = 1
+    for v in row:
+        if v.denominator != 1:
+            den = lcm(den, v.denominator)
+    ints = [v.numerator * (den // v.denominator) for v in row]
+    g = gcd(*ints)
+    return [a // g for a in ints] if g > 1 else ints
+
+
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indexes)."""
-    work = [list(map(Fraction, r)) for r in rows]
+    work = [_integer_row(r) for r in rows]
     if work:
         _check_budget(len(work), len(work[0]))
     pivots: list[int] = []
     r = 0
     ncols = len(work[0]) if work else 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
-        pv = work[r][c]
-        work[r] = [v / pv for v in work[r]]
+        prow = work[r]
+        pv = prow[c]
         for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+            f = work[i][c]
+            if i != r and f:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                row = [a * u - b * w for u, w in zip(work[i], prow)]
+                g = gcd(*row)
+                work[i] = [u // g for u in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return work[:r], pivots
+    return [[Fraction(u, work[i][c]) if u else _ZERO for u in work[i]]
+            for i, c in enumerate(pivots)], pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -237,7 +264,7 @@ def kernel_basis_polys(
             q = op.apply(SuperPolynomial.monomial(m))
             for om in q.monomials():
                 if block_key(om) != k:
-                    raise ValueError(
+                    raise InternalError(
                         "block_key is not conserved by the operator "
                         f"({m.render()} -> {om.render()})"
                     )

@@ -19,6 +19,11 @@ from enum import Enum
 from typing import Iterable, Optional
 
 
+class InternalError(RuntimeError):
+    """An invariant of the engine broke: a bug, not a mathematical FAIL and
+    not a configuration error (exit code 4)."""
+
+
 class Verdict(Enum):
     PASS = "PASS"
     FAIL = "FAIL"

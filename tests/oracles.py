@@ -148,3 +148,28 @@ def oracle_slice(scheme: GradingScheme, label, cap):
         ),
         key=lambda m: m.sort_key(),
     )
+
+
+def oracle_rref(rows):
+    """Reduced row echelon form by plain Fraction elimination; returns
+    (nonzero rows, pivot column indexes)."""
+    work = [list(map(Fraction, r)) for r in rows]
+    pivots: list[int] = []
+    r = 0
+    ncols = len(work[0]) if work else 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        pv = work[r][c]
+        work[r] = [v / pv for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work[:r], pivots

@@ -26,6 +26,7 @@ from superharm.harmonic import (
     irreducibility_predicate,
     singular_vectors,
     theorem_suite,
+    xu_basis,
 )
 from superharm.linalg import in_span, span_rank
 from superharm.operators import apply, named_operator, op_power, super_commutator
@@ -45,6 +46,10 @@ EV21 = GradingScheme(SchemeKind.OSP_EVEN_NATURAL, 2, 1)
 EV23 = GradingScheme(SchemeKind.OSP_EVEN_NATURAL, 2, 3)
 ODD21 = GradingScheme(SchemeKind.OSP_ODD_NATURAL, 2, 1)
 ODD23 = GradingScheme(SchemeKind.OSP_ODD_NATURAL, 2, 3)
+
+
+def compare(sl):
+    return compare_bases(xu_basis(sl), harmonic_kernel(sl))
 
 
 def variant_grid():
@@ -131,15 +136,15 @@ def test_criterion_05_formula_basis_equals_kernel():
     for scheme in (GL23, GL21):
         for l in range(5):
             for lp in range(5):
-                report = compare_bases(enumerate_slice(scheme, (l, lp)))
+                report = compare(enumerate_slice(scheme, (l, lp)))
                 assert report.verdict is Verdict.PASS, (scheme.describe(), l, lp)
     region = [(l, lp) for l in range(-2, 3) for lp in range(-2, 3)
               if l + lp <= 0]
     for label in region:
-        report = compare_bases(enumerate_slice(TW4113, label, 6))
+        report = compare(enumerate_slice(TW4113, label, 6))
         assert report.verdict is Verdict.PASS, label
     for k in range(5):
-        report = compare_bases(enumerate_slice(ODD21, k, k))
+        report = compare(enumerate_slice(ODD21, k, k))
         assert report.verdict is Verdict.PASS, k
 
 

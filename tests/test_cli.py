@@ -5,6 +5,7 @@ import pytest
 
 from superharm.cli import JobConfig, ConfigError, build_parser, main
 from superharm.algebra import GradingScheme, SchemeKind
+from superharm.report import InternalError
 
 
 def run(argv, capsys):
@@ -159,14 +160,15 @@ def test_harmonic_basis_internal_error_is_not_a_pass(monkeypatch, capsys):
     import superharm.harmonic as hm
 
     def broken(vectors):
-        raise ValueError("expected a weight-homogeneous vector: injected")
+        raise InternalError("expected a weight-homogeneous vector: injected")
 
     monkeypatch.setattr(hm, "independent_subset", broken)
     code, out, err = run(["harmonic-basis", "--scheme", "gl-natural",
                           "--n", "2", "--m", "1", "--l", "1", "--lp", "1"],
                          capsys)
-    assert code != 0
+    assert code == 4
     assert "[PASS]" not in out
+    assert "superharm: internal error: " in err
     assert "injected" in err
 
 

@@ -33,7 +33,7 @@ from superharm.harmonic import (
 )
 from superharm.linalg import in_span, span_rank
 from superharm.operators import DiffOperator, apply, im_operator, named_operator, op_power
-from superharm.report import Verdict
+from superharm.report import InternalError, Verdict
 from superharm.representations import NOT_A_WEIGHT_VECTOR, positive_generators, weight_of
 
 P = SuperPolynomial.variable
@@ -84,19 +84,59 @@ def test_kernel_vectors_are_weight_vectors():
         assert weight_of(v, GL21) is not NOT_A_WEIGHT_VECTOR
 
 
+@pytest.mark.parametrize("scheme,label,cap", [
+    (GL21, (1, 1), None),
+    (TW4113, (0, -1), 3),
+    (EV21, 2, None),
+    (GradingScheme(SchemeKind.OSP_EVEN_TWISTED, 4, 1, 1, 3), 0, 2),
+    (ODD21, 2, 2),
+    (GradingScheme(SchemeKind.OSP_ODD_TWISTED, 4, 1, 1, 3), 1, 2),
+])
+def test_monomial_weight_matches_weight_of(scheme, label, cap):
+    basis = enumerate_slice(scheme, label, cap).basis
+    assert basis
+    for mono in basis:
+        wt = monomial_weight(mono, scheme)
+        assert wt == weight_of(SuperPolynomial.monomial(mono), scheme)
+        assert all(type(c) is int for c in wt)
+        assert monomial_weight(mono, scheme) is wt  # memoized
+
+
+def test_non_integral_weight_table_is_an_internal_error(monkeypatch):
+    import superharm.harmonic as hm
+
+    monkeypatch.setattr(hm, "weight_of", lambda p, scheme: (Fraction(1, 2),))
+    hm._weight_table.cache_clear()
+    try:
+        with pytest.raises(InternalError, match="non-integral"):
+            monomial_weight(SuperMonomial.unit(), GL11)
+    finally:
+        hm._weight_table.cache_clear()
+
+
 # ===================================================================
 # formula bases
 # ===================================================================
 
+def compare(sl):
+    return compare_bases(xu_basis(sl), harmonic_kernel(sl))
+
+
 def test_xu_matches_kernel_gl_natural():
-    rep = compare_bases(enumerate_slice(GL21, (1, 1)))
+    rep = compare(enumerate_slice(GL21, (1, 1)))
     assert rep.verdict is Verdict.PASS
     assert rep.dimensions == {"kernel": 8, "formula": 8}
 
 
 @pytest.mark.parametrize("label", [(1, 1), (2, 1), (0, 2)])
 def test_xu_matches_kernel_more_labels(label):
-    assert compare_bases(enumerate_slice(GL23, label)).verdict is Verdict.PASS
+    assert compare(enumerate_slice(GL23, label)).verdict is Verdict.PASS
+
+
+def test_compare_bases_needs_one_slice():
+    with pytest.raises(InternalError):
+        compare_bases(xu_basis(enumerate_slice(GL21, (1, 1))),
+                      harmonic_kernel(enumerate_slice(GL21, (2, 1))))
 
 
 def test_xu_seed_values():
@@ -114,13 +154,13 @@ def test_xu_even_osp_rejected():
 
 
 def test_xu_capped_twisted_window():
-    rep = compare_bases(enumerate_slice(TW4113, (0, 0), 4))
+    rep = compare(enumerate_slice(TW4113, (0, 0), 4))
     assert rep.verdict is Verdict.PASS
     assert rep.dimensions == {"kernel": 34, "formula": 42, "formula_window": 34}
 
 
 def test_xu_odd_scheme():
-    rep = compare_bases(enumerate_slice(ODD21, 2, 2))
+    rep = compare(enumerate_slice(ODD21, 2, 2))
     assert rep.verdict is Verdict.PASS
     assert rep.dimensions == {"kernel": 25, "formula": 25}
 

@@ -27,6 +27,9 @@ from superharm.linalg import (
     spans_equal,
 )
 from superharm.operators import named_operator
+from superharm.report import InternalError
+
+from oracles import oracle_rref
 
 F = Fraction
 
@@ -72,6 +75,73 @@ def test_nullspace_annihilates(mat):
     for v in nullspace(mat, 3):
         for row in mat:
             assert sum(a * b for a, b in zip(row, v)) == 0
+
+
+rationals = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 6)),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Up to 6x7 rational matrices; some rows are zero or combinations of
+    earlier rows, so rank-deficient cases are common."""
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(("free", "zero", "combination")))
+        if kind == "zero":
+            rows.append([F(0)] * ncols)
+        elif kind == "combination" and rows:
+            coeffs = draw(st.lists(rationals, min_size=len(rows),
+                                   max_size=len(rows)))
+            rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)), F(0))
+                         for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(rationals, min_size=ncols,
+                                      max_size=ncols)))
+    return rows
+
+
+@given(rational_matrices())
+@settings(max_examples=300)
+def test_rref_matches_fraction_oracle(mat):
+    red, pivots = rref(mat)
+    want_red, want_pivots = oracle_rref(mat)
+    assert pivots == want_pivots
+    assert red == want_red
+    assert all(isinstance(v, Fraction) for row in red for v in row)
+
+
+@given(rational_matrices(), st.data())
+@settings(max_examples=200)
+def test_nullspace_and_solve_match_fraction_oracle(mat, data):
+    ncols = len(mat[0])
+    red, pivots = oracle_rref(mat)
+    free = [c for c in range(ncols) if c not in pivots]
+    want_null = []
+    for fc in free:
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        want_null.append(v)
+    assert nullspace(mat, ncols) == want_null
+
+    rhs = data.draw(st.lists(rationals, min_size=len(mat), max_size=len(mat)))
+    aug_red, aug_pivots = oracle_rref([r + [b] for r, b in zip(mat, rhs)])
+    got = solve(mat, rhs)
+    if ncols in aug_pivots:
+        assert got is None
+        return
+    want = [F(0)] * ncols
+    for row, pc in zip(aug_red, aug_pivots):
+        want[pc] = row[ncols]
+    assert got == want
+    for row, b in zip(mat, rhs):
+        assert sum(a * v for a, v in zip(row, got)) == b
 
 
 def polys(*texts):
@@ -133,5 +203,5 @@ def test_blocked_kernel_rejects_bad_key():
     sch = GradingScheme(SchemeKind.GL_NATURAL, 2, 1)
     delta = named_operator("DELTA", sch)
     sl = enumerate_slice(sch, (1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalError):
         kernel_basis_polys(delta, list(sl.basis), block_key=lambda m: m.degree())
