@@ -49,8 +49,6 @@ from .linalg import (
     independent_subset,
     joint_kernel_basis_polys,
     kernel_basis_polys,
-    poly_matrix,
-    rref,
     span_rank,
 )
 from .operators import (
@@ -72,7 +70,7 @@ from .representations import (
 )
 
 
-class NonNilpotentError(RuntimeError):
+class NonNilpotentError(InternalError):
     """Delta iteration exceeded its guard; the operator is not locally
     nilpotent on the given input (or the guard is wrong)."""
 
@@ -159,10 +157,10 @@ def _check_harmonic_invariants(sl: GradedSlice, vectors: Sequence[SuperPolynomia
     delta = named_operator("DELTA", sl.scheme)
     for v in vectors:
         if not apply(delta, v).is_zero():
-            raise AssertionError("harmonic basis vector not annihilated: " + v.render())
+            raise InternalError("harmonic basis vector not annihilated: " + v.render())
     for block in _group_polys_by_weight(vectors, sl.scheme).values():
         if span_rank(block) != len(block):
-            raise AssertionError("harmonic basis vectors are dependent")
+            raise InternalError("harmonic basis vectors are dependent")
 
 
 def harmonic_kernel(sl: GradedSlice) -> HarmonicBasis:
@@ -295,16 +293,16 @@ def singular_vectors(
         v = v.scale(1 / lead_coeff)
         wt = weight_of(v, rep_scheme)
         if wt is NOT_A_WEIGHT_VECTOR:
-            raise AssertionError("solver produced a non-weight vector")
+            raise InternalError("solver produced a non-weight vector")
         # independent re-verification, straight operator application
         for op in ops:
             if not apply(op, v).is_zero():
-                raise AssertionError("solver produced a non-singular vector")
+                raise InternalError("solver produced a non-singular vector")
         entries.append((wt, v))
     entries.sort(key=lambda e: (e[0], e[1].terms()[0][0].sort_key()))
     for i in range(1, len(entries)):
         if entries[i - 1][1] == entries[i][1]:
-            raise AssertionError("duplicate singular vectors reported")
+            raise InternalError("duplicate singular vectors reported")
     return SingularVectorSet(sl, tuple(entries))
 
 
@@ -440,7 +438,7 @@ def cross_check_irreducibility(
         report.dimensions["expected_count"] = expected
     if sl.complete:
         if expected is None:  # unreachable: incomplete slices only
-            raise AssertionError("no exact count for a complete slice")
+            raise InternalError("no exact count for a complete slice")
         if count == expected:
             report.verdict = Verdict.PASS
             report.explanation = f"exact count {count} matches the lemma"
@@ -688,18 +686,13 @@ def _window_intersection_dimension(
 ) -> int:
     """dim(span(polys) ∩ span(window monomials)), exact.
 
-    Echelonize with the out-of-window columns first; the rows supported
-    entirely inside the window form a basis of the intersection.
+    Dropping the window monomials is a linear map on span(polys) whose
+    kernel is exactly the intersection, so its dimension is the rank lost.
     """
-    if not polys:
-        return 0
     window = set(window_monos)
-    rows, monos = poly_matrix(list(polys))
-    order = sorted(range(len(monos)), key=lambda j: (monos[j] in window, j))
-    shuffled = [[r[j] for j in order] for r in rows]
-    red, _ = rref(shuffled)
-    n_out = sum(1 for j in order if monos[j] not in window)
-    return sum(1 for row in red if not any(row[:n_out]))
+    outside = [SuperPolynomial({m: c for m, c in p.terms() if m not in window})
+               for p in polys]
+    return span_rank(polys) - span_rank(outside)
 
 
 def compare_bases(xu: HarmonicBasis, kern: HarmonicBasis) -> VerificationReport:

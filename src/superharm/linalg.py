@@ -1,6 +1,14 @@
 """Exact linear algebra over the rationals, plus polynomial-space helpers.
 
-Matrices come in and go out as rows of Fraction, but elimination runs on
+There is one elimination, `rref`; every other question is a rank or a
+null space over it.  `rank` counts the rows of the echelon form,
+`span_rank` is the rank of the coefficient rows of some polynomials,
+`in_span` compares two span ranks, `independent_subset` returns the pivot
+columns of the matrix whose columns are the polynomials, and both kernels
+take the null space of the stacked, transposed coefficient matrices of the
+operator images.
+
+Matrices come in and go out as rows of Fraction, but `rref` eliminates on
 Python ints: each row is scaled to coprime integers by clearing its
 denominators, eliminated fraction-free (row <- a*row - b*pivot_row with
 a, b divided by their gcd, then by the row's content gcd; cf. Bareiss,
@@ -112,21 +120,6 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fract
     return basis
 
 
-def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
-    """One solution of M v = rhs (free variables set to 0), or None."""
-    if not rows:
-        return [] if all(b == 0 for b in rhs) else None
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    v = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        if pc == ncols:  # pivot in the augmented column: inconsistent
-            return None
-        v[pc] = red[i][ncols]
-    return v
-
-
 # ===================================================================
 # polynomial spans
 # ===================================================================
@@ -135,20 +128,14 @@ def poly_matrix(
     polys: Sequence[SuperPolynomial],
 ) -> tuple[list[list[Fraction]], list[SuperMonomial]]:
     """Coefficient rows over the union of monomials (deterministic column order)."""
-    cols: dict[SuperMonomial, int] = {}
-    monos: list[SuperMonomial] = []
-    for p in polys:
-        for m in p.monomials():
-            if m not in cols:
-                cols[m] = 0
-                monos.append(m)
-    monos.sort(key=lambda m: m.sort_key())
+    terms = [p.terms() for p in polys]
+    monos = sorted({m for t in terms for m, _ in t}, key=lambda m: m.sort_key())
     index = {m: j for j, m in enumerate(monos)}
     _check_budget(max(len(polys), 1), max(len(monos), 1))
     rows = []
-    for p in polys:
-        row = [Fraction(0)] * len(monos)
-        for m, c in p.terms():
+    for t in terms:
+        row = [_ZERO] * len(monos)
+        for m, c in t:
             row[index[m]] = c
         rows.append(row)
     return rows, monos
@@ -168,70 +155,39 @@ def in_span(target: SuperPolynomial, basis: Sequence[SuperPolynomial]) -> bool:
     return span_rank(list(basis)) == span_rank(list(basis) + [target])
 
 
-def coordinates(
-    target: SuperPolynomial, basis: Sequence[SuperPolynomial]
-) -> Optional[list[Fraction]]:
-    """Coefficients c with sum c_i basis_i = target, or None."""
-    rows, monos = poly_matrix(list(basis) + [target])
-    index = {m: j for j, m in enumerate(monos)}
-    # columns are basis elements, rows are monomials
-    mat = [[rows[i][j] for i in range(len(basis))] for j in range(len(monos))]
-    rhs = [target.coefficient(m) for m in monos]
-    return solve(mat, rhs)
-
-
-def spans_equal(
-    a: Sequence[SuperPolynomial], b: Sequence[SuperPolynomial]
-) -> bool:
-    ra, rb = span_rank(a), span_rank(b)
-    return ra == rb == span_rank(list(a) + list(b))
-
-
 def independent_subset(polys: Sequence[SuperPolynomial]) -> list[int]:
-    """Indexes of a maximal linearly independent subfamily (greedy, stable)."""
-    chosen: list[int] = []
-    kept: list[SuperPolynomial] = []
-    r = 0
-    for i, p in enumerate(polys):
-        if p.is_zero():
-            continue
-        cand = kept + [p]
-        rr = span_rank(cand)
-        if rr > r:
-            chosen.append(i)
-            kept = cand
-            r = rr
-    return chosen
+    """Indexes of a maximal linearly independent subfamily (greedy, stable):
+    the pivot columns of the matrix whose columns are the polynomials."""
+    rows, _ = poly_matrix(polys)
+    return rref(list(zip(*rows)))[1]
 
 
 # ===================================================================
 # kernels of linear operators on monomial spans
 # ===================================================================
 
-def _kernel_block(
-    images: Sequence[SuperPolynomial], monos: Sequence[SuperMonomial]
+def _kernel(
+    image_lists: Sequence[Sequence[SuperPolynomial]],
+    monos: Sequence[SuperMonomial],
 ) -> list[SuperPolynomial]:
-    out_monos: list[SuperMonomial] = []
-    seen = set()
-    for q in images:
-        for m in q.monomials():
-            if m not in seen:
-                seen.add(m)
-                out_monos.append(m)
-    out_monos.sort(key=lambda m: m.sort_key())
-    _check_budget(max(len(out_monos), 1), len(monos))
-    mat = [
-        [images[i].coefficient(o) for i in range(len(monos))] for o in out_monos
-    ]
-    vecs = nullspace(mat, len(monos))
-    out = []
-    for v in vecs:
-        acc = {}
-        for c, m in zip(v, monos):
-            if c:
-                acc[m] = c
-        out.append(SuperPolynomial(acc))
-    return out
+    """Basis of the joint kernel on span(monos) of the linear maps sending
+    monos[i] to images[i], one list of images per map."""
+    stacked: list[Sequence[Fraction]] = []
+    for images in image_lists:
+        rows, _ = poly_matrix(images)
+        stacked.extend(zip(*rows))
+    return [SuperPolynomial({m: c for c, m in zip(v, monos) if c})
+            for v in nullspace(stacked, len(monos))]
+
+
+def _blocks(
+    monos: Sequence[SuperMonomial],
+    block_key: Optional[Callable[[SuperMonomial], Hashable]],
+) -> dict[Hashable, list[SuperMonomial]]:
+    blocks: dict[Hashable, list[SuperMonomial]] = {}
+    for m in monos:
+        blocks.setdefault(None if block_key is None else block_key(m), []).append(m)
+    return blocks
 
 
 def kernel_basis_polys(
@@ -245,31 +201,20 @@ def kernel_basis_polys(
     it must be conserved by op (checked on every image); the kernel then
     splits blockwise, which is the main performance lever.
     """
-    if block_key is None:
-        images = [op.apply(SuperPolynomial.monomial(m)) for m in monos]
-        return _kernel_block(images, monos)
-    blocks: dict[Hashable, list[SuperMonomial]] = {}
-    order: list[Hashable] = []
-    for m in monos:
-        k = block_key(m)
-        if k not in blocks:
-            blocks[k] = []
-            order.append(k)
-        blocks[k].append(m)
     out: list[SuperPolynomial] = []
-    for k in order:
-        sub = blocks[k]
+    for k, sub in _blocks(monos, block_key).items():
         images = []
         for m in sub:
             q = op.apply(SuperPolynomial.monomial(m))
-            for om in q.monomials():
-                if block_key(om) != k:
-                    raise InternalError(
-                        "block_key is not conserved by the operator "
-                        f"({m.render()} -> {om.render()})"
-                    )
+            if block_key is not None:
+                for om in q.monomials():
+                    if block_key(om) != k:
+                        raise InternalError(
+                            "block_key is not conserved by the operator "
+                            f"({m.render()} -> {om.render()})"
+                        )
             images.append(q)
-        out.extend(_kernel_block(images, sub))
+        out.extend(_kernel([images], sub))
     return out
 
 
@@ -284,40 +229,9 @@ def joint_kernel_basis_polys(
     under root-vector action): the joint kernel then splits over input
     blocks even though the operators do not preserve the key.
     """
-    if block_key is None:
-        groups = {None: list(monos)}
-        order = [None]
-    else:
-        groups = {}
-        order = []
-        for m in monos:
-            k = block_key(m)
-            if k not in groups:
-                groups[k] = []
-                order.append(k)
-            groups[k].append(m)
     out: list[SuperPolynomial] = []
-    for k in order:
-        sub = groups[k]
-        stacked: list[list[Fraction]] = []
-        for op in ops:
-            images = [op.apply(SuperPolynomial.monomial(m)) for m in sub]
-            out_monos: list[SuperMonomial] = []
-            seen = set()
-            for q in images:
-                for m in q.monomials():
-                    if m not in seen:
-                        seen.add(m)
-                        out_monos.append(m)
-            out_monos.sort(key=lambda m: m.sort_key())
-            for o in out_monos:
-                stacked.append([q.coefficient(o) for q in images])
-        _check_budget(max(len(stacked), 1), len(sub))
-        vecs = nullspace(stacked, len(sub))
-        for v in vecs:
-            acc = {}
-            for c, m in zip(v, sub):
-                if c:
-                    acc[m] = c
-            out.append(SuperPolynomial(acc))
+    for sub in _blocks(monos, block_key).values():
+        out.extend(_kernel(
+            [[op.apply(SuperPolynomial.monomial(m)) for m in sub] for op in ops],
+            sub))
     return out

@@ -40,13 +40,14 @@ from superharm.algebra import (
     x0,
     y,
 )
+from superharm.report import InternalError
 
 
-class FiltrationError(RuntimeError):
+class FiltrationError(InternalError):
     """The solver's series failed to strictly lower the filtration measure."""
 
 
-class SeriesTerminationError(RuntimeError):
+class SeriesTerminationError(InternalError):
     """The series solver ran past its termination bound (internal logic bug)."""
 
 

@@ -2,7 +2,10 @@
 
 Everything here works from first principles on explicit factor sequences,
 deliberately avoiding the package's canonical-form shortcuts, so that a bug
-in the engine's sign bookkeeping cannot hide in the oracle too.
+in the engine's sign bookkeeping cannot hide in the oracle too.  The linear
+algebra oracles are the engine's earlier algorithms: plain Fraction
+elimination, one span rank per member for the independent subset, and a
+column-shuffled elimination for the window intersection.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from superharm.algebra import (
     VariableId,
     x0,
 )
+from superharm.linalg import poly_matrix, rref, span_rank
 
 
 def sort_sign(word):
@@ -173,3 +177,38 @@ def oracle_rref(rows):
         if r == len(work):
             break
     return work[:r], pivots
+
+
+def oracle_independent_subset(polys):
+    """Indexes of a maximal linearly independent subfamily (greedy, stable):
+    one span rank per member."""
+    chosen: list[int] = []
+    kept: list[SuperPolynomial] = []
+    r = 0
+    for i, p in enumerate(polys):
+        if p.is_zero():
+            continue
+        cand = kept + [p]
+        rr = span_rank(cand)
+        if rr > r:
+            chosen.append(i)
+            kept = cand
+            r = rr
+    return chosen
+
+
+def oracle_window_intersection_dimension(polys, window_monos):
+    """dim(span(polys) ∩ span(window monomials)), exact.
+
+    Echelonize with the out-of-window columns first; the rows supported
+    entirely inside the window form a basis of the intersection.
+    """
+    if not polys:
+        return 0
+    window = set(window_monos)
+    rows, monos = poly_matrix(list(polys))
+    order = sorted(range(len(monos)), key=lambda j: (monos[j] in window, j))
+    shuffled = [[r[j] for j in order] for r in rows]
+    red, _ = rref(shuffled)
+    n_out = sum(1 for j in order if monos[j] not in window)
+    return sum(1 for row in red if not any(row[:n_out]))

@@ -5,6 +5,7 @@ import pytest
 
 from superharm.cli import JobConfig, ConfigError, build_parser, main
 from superharm.algebra import GradingScheme, SchemeKind
+from superharm.operators import FiltrationError
 from superharm.report import InternalError
 
 
@@ -168,6 +169,22 @@ def test_harmonic_basis_internal_error_is_not_a_pass(monkeypatch, capsys):
                          capsys)
     assert code == 4
     assert "[PASS]" not in out
+    assert "superharm: internal error: " in err
+    assert "injected" in err
+
+
+def test_harmonic_basis_solver_failure_exits_four(monkeypatch, capsys):
+    import superharm.harmonic as hm
+
+    def broken(*args, **kwargs):
+        raise FiltrationError("xu_solve: injected")
+
+    monkeypatch.setattr(hm, "xu_solve", broken)
+    code, out, err = run(["harmonic-basis", "--scheme", "gl-natural",
+                          "--n", "2", "--m", "1", "--l", "1", "--lp", "1"],
+                         capsys)
+    assert code == 4
+    assert out == ""
     assert "superharm: internal error: " in err
     assert "injected" in err
 

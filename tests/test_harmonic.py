@@ -18,6 +18,7 @@ from superharm.algebra import (
 )
 from superharm.harmonic import (
     BasisMethod,
+    _weight_fn,
     NonNilpotentError,
     compare_bases,
     cross_check_irreducibility,
@@ -31,7 +32,12 @@ from superharm.harmonic import (
     theorem_suite,
     xu_basis,
 )
-from superharm.linalg import in_span, span_rank
+from superharm.linalg import (
+    in_span,
+    joint_kernel_basis_polys,
+    kernel_basis_polys,
+    span_rank,
+)
 from superharm.operators import DiffOperator, apply, im_operator, named_operator, op_power
 from superharm.report import InternalError, Verdict
 from superharm.representations import NOT_A_WEIGHT_VECTOR, positive_generators, weight_of
@@ -84,14 +90,18 @@ def test_kernel_vectors_are_weight_vectors():
         assert weight_of(v, GL21) is not NOT_A_WEIGHT_VECTOR
 
 
-@pytest.mark.parametrize("scheme,label,cap", [
+# one small slice per scheme kind, the twisted ones capped
+ONE_SLICE_PER_KIND = [
     (GL21, (1, 1), None),
     (TW4113, (0, -1), 3),
     (EV21, 2, None),
     (GradingScheme(SchemeKind.OSP_EVEN_TWISTED, 4, 1, 1, 3), 0, 2),
     (ODD21, 2, 2),
     (GradingScheme(SchemeKind.OSP_ODD_TWISTED, 4, 1, 1, 3), 1, 2),
-])
+]
+
+
+@pytest.mark.parametrize("scheme,label,cap", ONE_SLICE_PER_KIND)
 def test_monomial_weight_matches_weight_of(scheme, label, cap):
     basis = enumerate_slice(scheme, label, cap).basis
     assert basis
@@ -100,6 +110,16 @@ def test_monomial_weight_matches_weight_of(scheme, label, cap):
         assert wt == weight_of(SuperPolynomial.monomial(mono), scheme)
         assert all(type(c) is int for c in wt)
         assert monomial_weight(mono, scheme) is wt  # memoized
+
+
+@pytest.mark.parametrize("scheme,label,cap", ONE_SLICE_PER_KIND)
+def test_joint_kernel_of_one_operator_is_the_kernel(scheme, label, cap):
+    monos = list(enumerate_slice(scheme, label, cap).basis)
+    delta = named_operator("DELTA", scheme)
+    key = _weight_fn(scheme)
+    kern = kernel_basis_polys(delta, monos, key)
+    assert kern
+    assert joint_kernel_basis_polys([delta], monos, key) == kern
 
 
 def test_non_integral_weight_table_is_an_internal_error(monkeypatch):

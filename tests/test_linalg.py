@@ -12,24 +12,25 @@ from superharm.algebra import (
     parse_polynomial,
 )
 from superharm.algebra import x as algx, y as algy
+from superharm.harmonic import _window_intersection_dimension
 from superharm.linalg import (
     MatrixBudgetError,
-    coordinates,
     in_span,
     independent_subset,
     kernel_basis_polys,
     nullspace,
-    poly_matrix,
     rank,
     rref,
-    solve,
     span_rank,
-    spans_equal,
 )
 from superharm.operators import named_operator
 from superharm.report import InternalError
 
-from oracles import oracle_rref
+from oracles import (
+    oracle_independent_subset,
+    oracle_rref,
+    oracle_window_intersection_dimension,
+)
 
 F = Fraction
 
@@ -48,12 +49,6 @@ def test_rank_and_nullspace():
     for v in null:
         for row in mat:
             assert sum(a * b for a, b in zip(row, v)) == 0
-
-
-def test_solve_consistent_and_not():
-    mat = [[F(1), F(1)], [F(0), F(1)]]
-    assert solve(mat, [F(3), F(1)]) == [F(2), F(1)]
-    assert solve([[F(1), F(1)], [F(1), F(1)]], [F(0), F(1)]) is None
 
 
 matrices = st.lists(
@@ -115,9 +110,9 @@ def test_rref_matches_fraction_oracle(mat):
     assert all(isinstance(v, Fraction) for row in red for v in row)
 
 
-@given(rational_matrices(), st.data())
+@given(rational_matrices())
 @settings(max_examples=200)
-def test_nullspace_and_solve_match_fraction_oracle(mat, data):
+def test_nullspace_matches_fraction_oracle(mat):
     ncols = len(mat[0])
     red, pivots = oracle_rref(mat)
     free = [c for c in range(ncols) if c not in pivots]
@@ -130,19 +125,6 @@ def test_nullspace_and_solve_match_fraction_oracle(mat, data):
         want_null.append(v)
     assert nullspace(mat, ncols) == want_null
 
-    rhs = data.draw(st.lists(rationals, min_size=len(mat), max_size=len(mat)))
-    aug_red, aug_pivots = oracle_rref([r + [b] for r, b in zip(mat, rhs)])
-    got = solve(mat, rhs)
-    if ncols in aug_pivots:
-        assert got is None
-        return
-    want = [F(0)] * ncols
-    for row, pc in zip(aug_red, aug_pivots):
-        want[pc] = row[ncols]
-    assert got == want
-    for row, b in zip(mat, rhs):
-        assert sum(a * v for a, v in zip(row, got)) == b
-
 
 def polys(*texts):
     return [parse_polynomial(t) for t in texts]
@@ -150,28 +132,62 @@ def polys(*texts):
 
 def test_span_helpers():
     a = polys("x1 + y1", "x1 - y1")
+    b = polys("x1", "y1")
     assert span_rank(a) == 2
     assert in_span(parse_polynomial("x1"), a)
     assert not in_span(parse_polynomial("x2"), a)
-    assert spans_equal(a, polys("x1", "y1"))
-    assert not spans_equal(a, polys("x1"))
-
-
-def test_coordinates_roundtrip():
-    basis = polys("x1 + th1*vt1", "y1", "x1 - y1")
-    target = parse_polynomial("2*x1 + 3*y1 + th1*vt1")
-    coords = coordinates(target, basis)
-    assert coords is not None
-    rebuilt = SuperPolynomial.zero()
-    for c, b in zip(coords, basis):
-        rebuilt = rebuilt + b.scale(c)
-    assert rebuilt == target
-    assert coordinates(parse_polynomial("x2"), basis) is None
+    assert span_rank(a) == span_rank(b) == span_rank(a + b)
+    assert span_rank(polys("x1")) != span_rank(a)
 
 
 def test_independent_subset_stable():
     fam = polys("x1", "2*x1", "y1", "x1 + y1")
     assert independent_subset(fam) == [0, 2]
+
+
+MONOMIALS = [parse_polynomial(t).monomials()[0] for t in (
+    "1", "x1", "x2", "y1", "x1^2", "x1*y1", "th1", "vt1", "th1*vt1", "x2*th1")]
+
+
+@st.composite
+def poly_families(draw):
+    """Up to 7 polynomials over a fixed pool of monomials; some members are
+    zero, scalar multiples of an earlier one, or combinations of earlier
+    ones, so dependent families are common."""
+    family: list[SuperPolynomial] = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(("free", "zero", "multiple", "combination")))
+        if kind == "zero":
+            family.append(SuperPolynomial.zero())
+        elif kind == "multiple" and family:
+            base = draw(st.sampled_from(family))
+            family.append(base.scale(draw(rationals)))
+        elif kind == "combination" and family:
+            acc = SuperPolynomial.zero()
+            for p in family:
+                acc = acc + p.scale(draw(rationals))
+            family.append(acc)
+        else:
+            support = draw(st.lists(st.sampled_from(MONOMIALS), min_size=1,
+                                    max_size=4, unique=True))
+            family.append(SuperPolynomial(
+                {m: draw(rationals) for m in support}))
+    return family
+
+
+@given(poly_families())
+@settings(max_examples=300)
+def test_independent_subset_matches_greedy_oracle(family):
+    assert independent_subset(family) == oracle_independent_subset(family)
+
+
+@given(poly_families(),
+       st.lists(st.sampled_from(MONOMIALS), max_size=len(MONOMIALS),
+                unique=True))
+@settings(max_examples=300)
+def test_window_intersection_matches_shuffled_rref_oracle(family, window):
+    assert _window_intersection_dimension(family, window) == \
+        oracle_window_intersection_dimension(family, window)
 
 
 def test_budget_guard(monkeypatch):
@@ -196,7 +212,7 @@ def test_blocked_kernel_matches_unblocked():
             m.exponent(algx(i)) - m.exponent(algy(i)) for i in (1, 2)
         ),
     )
-    assert spans_equal(plain, blocked)
+    assert span_rank(plain) == span_rank(blocked) == span_rank(plain + blocked)
 
 
 def test_blocked_kernel_rejects_bad_key():
