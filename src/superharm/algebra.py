@@ -256,6 +256,10 @@ class SuperPolynomial:
     def terms(self) -> list[tuple[SuperMonomial, Fraction]]:
         return sorted(self._terms.items(), key=lambda t: t[0].sort_key())
 
+    def items(self):
+        """The (monomial, coefficient) pairs in no particular order."""
+        return self._terms.items()
+
     def monomials(self) -> list[SuperMonomial]:
         return [m for m, _ in self.terms()]
 

@@ -128,7 +128,7 @@ def poly_matrix(
     polys: Sequence[SuperPolynomial],
 ) -> tuple[list[list[Fraction]], list[SuperMonomial]]:
     """Coefficient rows over the union of monomials (deterministic column order)."""
-    terms = [p.terms() for p in polys]
+    terms = [p.items() for p in polys]
     monos = sorted({m for t in terms for m, _ in t}, key=lambda m: m.sort_key())
     index = {m: j for j, m in enumerate(monos)}
     _check_budget(max(len(polys), 1), max(len(monos), 1))

@@ -15,6 +15,14 @@ forms.
 The fermionic derivative word is stored in the canonical ascending order
 and is applied right to left (last entry first), exactly like reading the
 operator product d_w1 d_w2 ... d_wk.
+
+`DiffOperator.apply` acts atom by atom on each input monomial directly: it
+pops the fermionic derivatives right to left, with the Koszul sign (-1)^pos
+for hopping over the pos odd factors before each one, lowers every bosonic
+exponent a by e with the falling factorial a!/(a-e)! (zero when a < e), and
+takes one signed monomial product with the multiplier.  The integer sign
+times falling factorial scales the two Fraction coefficients, so no
+intermediate polynomial is built and the result stays exact.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ from superharm.algebra import (
     SuperMonomial,
     SuperPolynomial,
     VariableId,
-    derive,
     integrate_bosonic,
     merge_signed,
     parse_variable,
@@ -77,6 +84,41 @@ class OpWord(NamedTuple):
 
 
 _IDENTITY_WORD = OpWord(SuperMonomial.unit(), (), ())
+
+
+def _act(w: OpWord, m: SuperMonomial) -> Optional[tuple[int, SuperMonomial]]:
+    """One atom (coefficient aside) on one monomial: (k, image monomial) with
+    k the integer sign times falling factorial, or None when the image is 0."""
+    k = 1
+    ferm = m.ferm
+    if w.dferm:
+        ferm = list(ferm)
+        for v in reversed(w.dferm):  # rightmost derivative acts first
+            if v not in ferm:
+                return None
+            pos = ferm.index(v)  # it hops over pos earlier odd factors
+            if pos % 2:
+                k = -k
+            del ferm[pos]
+        ferm = tuple(ferm)
+    bos = m.bos
+    if w.dbos:
+        exps = dict(bos)
+        for v, e in w.dbos:
+            a = exps.get(v, 0)
+            if a < e:
+                return None
+            k *= math.perm(a, e)
+            if a == e:
+                del exps[v]
+            else:
+                exps[v] = a - e
+        bos = tuple(exps.items())  # no key added, so still sorted
+    prod = w.mult.mul(SuperMonomial(bos, ferm))
+    if prod is None:
+        return None
+    sign, mono = prod
+    return sign * k, mono
 
 
 class DiffOperator:
@@ -197,24 +239,15 @@ class DiffOperator:
     # ---- action ----
 
     def apply(self, p: SuperPolynomial) -> SuperPolynomial:
-        out = SuperPolynomial.zero()
-        for w, c in self._atoms.items():
-            g = p
-            for v in reversed(w.dferm):  # rightmost derivative acts first
-                g = derive(g, v)
-                if g.is_zero():
-                    break
-            if g.is_zero():
-                continue
-            for v, e in w.dbos:
-                for _ in range(e):
-                    g = derive(g, v)
-                    if g.is_zero():
-                        break
-            if g.is_zero():
-                continue
-            out = out + (SuperPolynomial.monomial(w.mult, c) * g)
-        return out
+        acc: dict[SuperMonomial, Fraction] = {}
+        terms = p.items()
+        for w, cw in self._atoms.items():
+            for m, c in terms:
+                hit = _act(w, m)
+                if hit is not None:
+                    k, mono = hit
+                    acc[mono] = acc.get(mono, 0) + c * cw * k
+        return SuperPolynomial(acc)
 
     def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
         return self.apply(p)
@@ -317,7 +350,7 @@ def compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
                     for v, e in wb.dbos:
                         db[v] = db.get(v, 0) + e
                     word = OpWord(mono, tuple(sorted(db.items())), dword)
-                    coeff = base * wcoeff * fsign * msign * dsign
+                    coeff = base * (wcoeff * fsign * msign * dsign)
                     acc[word] = acc.get(word, Fraction(0)) + coeff
     return DiffOperator(acc)
 

@@ -292,28 +292,34 @@ def _element_row(elem: AlgebraElement, keys: Sequence[Tuple[int, int]]) -> List[
 
 @functools.lru_cache(maxsize=None)
 def _osp_span_data(space: AlgebraSpace):
+    """The keys the osp basis touches, and its reduced echelon rows in pivot
+    order, each stored sparsely as (pivot key, {key: nonzero value})."""
     basis = osp_basis(space)
     keys = sorted({k for e in basis for k, _ in e.terms()})
-    key_index = {k: i for i, k in enumerate(keys)}
     red, pivots = rref([_element_row(e, keys) for e in basis])
-    return key_index, red, pivots
+    rows = [(keys[pc], {k: v for k, v in zip(keys, row) if v})
+            for row, pc in zip(red, pivots)]
+    return frozenset(keys), rows
 
 
 def is_orthosymplectic(elem: AlgebraElement) -> bool:
     """Exact span-membership test against the osp basis."""
     if elem.space.family is AlgebraFamily.GL:
         raise ValueError("membership test is for osp ambient spaces")
-    key_index, red, pivots = _osp_span_data(elem.space)
-    vec = [Fraction(0)] * len(key_index)
-    for k, c in elem.terms():
-        if k not in key_index:
-            return False
-        vec[key_index[k]] = c
-    for row, pc in zip(red, pivots):
-        if vec[pc]:
-            f = vec[pc]
-            vec = [a - f * b for a, b in zip(vec, row)]
-    return not any(vec)
+    keys, rows = _osp_span_data(elem.space)
+    vec = dict(elem._terms)
+    if not keys.issuperset(vec):
+        return False
+    for pk, row in rows:
+        f = vec.get(pk)
+        if f:
+            for k, v in row.items():
+                r = vec.get(k, 0) - f * v
+                if r:
+                    vec[k] = r
+                else:
+                    del vec[k]
+    return not vec
 
 
 def algebra_basis(scheme: GradingScheme) -> List[AlgebraElement]:

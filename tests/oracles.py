@@ -5,7 +5,10 @@ deliberately avoiding the package's canonical-form shortcuts, so that a bug
 in the engine's sign bookkeeping cannot hide in the oracle too.  The linear
 algebra oracles are the engine's earlier algorithms: plain Fraction
 elimination, one span rank per member for the independent subset, and a
-column-shuffled elimination for the window intersection.
+column-shuffled elimination for the window intersection.  The operator
+action is the earlier one built on `derive`, one derivative step and one
+intermediate polynomial at a time, and osp membership is the earlier dense
+reduction.
 """
 
 from __future__ import annotations
@@ -20,9 +23,11 @@ from superharm.algebra import (
     SuperMonomial,
     SuperPolynomial,
     VariableId,
+    derive,
     x0,
 )
 from superharm.linalg import poly_matrix, rref, span_rank
+from superharm.representations import AlgebraFamily, osp_basis
 
 
 def sort_sign(word):
@@ -212,3 +217,54 @@ def oracle_window_intersection_dimension(polys, window_monos):
     red, _ = rref(shuffled)
     n_out = sum(1 for j in order if monos[j] not in window)
     return sum(1 for row in red if not any(row[:n_out]))
+
+
+def oracle_apply(op, p: SuperPolynomial) -> SuperPolynomial:
+    """DiffOperator action by repeated `derive`, atom by atom."""
+    out = SuperPolynomial.zero()
+    for w, c in op._atoms.items():
+        g = p
+        for v in reversed(w.dferm):  # rightmost derivative acts first
+            g = derive(g, v)
+            if g.is_zero():
+                break
+        if g.is_zero():
+            continue
+        for v, e in w.dbos:
+            for _ in range(e):
+                g = derive(g, v)
+                if g.is_zero():
+                    break
+        if g.is_zero():
+            continue
+        out = out + (SuperPolynomial.monomial(w.mult, c) * g)
+    return out
+
+
+def _element_row(elem, keys):
+    return [elem.coefficient(a, b) for a, b in keys]
+
+
+def _osp_span_data(space):
+    basis = osp_basis(space)
+    keys = sorted({k for e in basis for k, _ in e.terms()})
+    key_index = {k: i for i, k in enumerate(keys)}
+    red, pivots = rref([_element_row(e, keys) for e in basis])
+    return key_index, red, pivots
+
+
+def oracle_is_orthosymplectic(elem) -> bool:
+    """Dense span-membership test against the osp basis."""
+    if elem.space.family is AlgebraFamily.GL:
+        raise ValueError("membership test is for osp ambient spaces")
+    key_index, red, pivots = _osp_span_data(elem.space)
+    vec = [Fraction(0)] * len(key_index)
+    for k, c in elem.terms():
+        if k not in key_index:
+            return False
+        vec[key_index[k]] = c
+    for row, pc in zip(red, pivots):
+        if vec[pc]:
+            f = vec[pc]
+            vec = [a - f * b for a, b in zip(vec, row)]
+    return not any(vec)

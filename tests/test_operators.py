@@ -9,6 +9,7 @@ from superharm.algebra import (
     SchemeKind,
     SuperMonomial,
     SuperPolynomial,
+    enumerate_slice,
     parse_polynomial,
     theta,
     vartheta,
@@ -31,6 +32,7 @@ from superharm.operators import (
     super_commutator,
     xu_solve,
 )
+from superharm.representations import algebra_space, matrix_unit, rep_operator
 
 P = SuperPolynomial.variable
 GL21 = GradingScheme(SchemeKind.GL_NATURAL, 2, 1)
@@ -158,6 +160,107 @@ def test_super_jacobi(a, b, c, pa, pb):
     sign = -1 if pa and pb else 1
     rhs = rhs + super_commutator(bh, super_commutator(ah, c)).scale(sign)
     assert lhs == rhs
+
+
+# ===================================================================
+# the per-monomial action against the derive oracle
+# ===================================================================
+
+ORACLE_BOS = [x0(), x(1), x(2), y(1), y(2)]
+ORACLE_FERM = [theta(1), theta(2), vartheta(1), vartheta(2)]
+
+oracle_monomials = st.builds(
+    lambda bos, ferm: SuperMonomial.make(bos.items(), ferm),
+    st.dictionaries(st.sampled_from(ORACLE_BOS), st.integers(1, 3), max_size=3),
+    st.sets(st.sampled_from(ORACLE_FERM), max_size=3),
+)
+
+# non-integer rationals, so that a coefficient product cannot hide in ints
+rationals = st.builds(
+    Fraction, st.integers(-7, 7).filter(bool), st.sampled_from([2, 3, 5, 7])
+).filter(lambda c: c.denominator != 1)
+
+multi_term_polys = st.dictionaries(
+    oracle_monomials, rationals, min_size=2, max_size=4
+).map(SuperPolynomial)
+
+# powers up to 4 exceed the input exponents (at most 3) and must give zero;
+# words of length 2 over four generators hit and miss an input word of up
+# to three; multipliers with fermions repeat one of the result's at times
+oracle_atoms = st.builds(
+    lambda m, db, df, c: DiffOperator({OpWord(m, db, df): c}),
+    oracle_monomials,
+    st.dictionaries(st.sampled_from(ORACLE_BOS), st.integers(1, 4), max_size=2)
+    .map(lambda d: tuple(sorted(d.items()))),
+    st.lists(st.sampled_from(ORACLE_FERM), unique=True, min_size=0, max_size=2)
+    .map(lambda l: tuple(sorted(l))),
+    rationals,
+)
+
+oracle_operators = st.lists(oracle_atoms, min_size=1, max_size=3).map(
+    lambda ops: sum(ops, DiffOperator.zero())
+)
+
+
+@given(oracle_operators, multi_term_polys)
+@settings(max_examples=300, deadline=None)
+def test_apply_matches_derive_oracle(op, p):
+    assert op.apply(p) == oracles.oracle_apply(op, p)
+
+
+@pytest.mark.parametrize("atom,p,want", [
+    # bosonic power above the exponent: zero
+    (DiffOperator.partial(x(1), 3), "x1^2*y1", "0"),
+    # falling factorial, not a power: d_x0^2 x0^3 = 6 x0
+    (DiffOperator.partial(x0(), 2), "x0^3", "6*x0"),
+    # length-2 word that hits: d_th1 d_vt1 (th1 th2 vt1) = d_th1 (th1 th2) = th2
+    (DiffOperator.word(1, SuperMonomial.unit(), (), (theta(1), vartheta(1))),
+     "th1*th2*vt1", "th2"),
+    # the Koszul sign of the second pop: d_th2 d_vt1 (th1 th2 vt1) = -th1
+    (DiffOperator.word(1, SuperMonomial.unit(), (), (theta(2), vartheta(1))),
+     "th1*th2*vt1", "-th1"),
+    # length-2 word that misses
+    (DiffOperator.word(1, SuperMonomial.unit(), (), (theta(1), vartheta(2))),
+     "th1*vt1", "0"),
+    # multiplier repeating a fermion of the result: zero product
+    (DiffOperator.word(1, SuperMonomial((), (theta(1),)), ((y(1), 1),), ()),
+     "y1*th1", "0"),
+])
+def test_apply_edge_cases(atom, p, want):
+    q = parse_polynomial(p)
+    assert atom.apply(q) == parse_polynomial(want)
+    assert oracles.oracle_apply(atom, q) == parse_polynomial(want)
+
+
+ORACLE_SLICES = [
+    (GL23, (1, 2), None),
+    (TW4113, (1, -1), 3),
+    (GradingScheme(SchemeKind.OSP_EVEN_NATURAL, 2, 1), 3, None),
+    (GradingScheme(SchemeKind.OSP_EVEN_TWISTED, 4, 1, 1, 3), 0, 3),
+    (ODD21, 3, 3),
+    (ODDTW311, 1, 3),
+]
+
+NAMES = ["DELTA", "ETA", "DELTA_BAR", "ETA_BAR", "DELTA_CHECK", "ETA_CHECK",
+         "FLAT", "FLAT_PRIME"]
+
+
+@pytest.mark.parametrize("scheme,label,cap", ORACLE_SLICES)
+def test_named_and_unit_operators_match_derive_oracle(scheme, label, cap):
+    ops = [named_operator(name, scheme) for name in NAMES
+           if scheme.is_twisted or not name.startswith("FLAT")]
+    space = algebra_space(scheme)
+    ops += [rep_operator(matrix_unit(space, a, b), scheme)
+            for a in space.indices() for b in space.indices()]
+    basis = enumerate_slice(scheme, label, cap).basis
+    assert basis
+    mixed = sum((SuperPolynomial.monomial(m, Fraction(1, i + 2))
+                 for i, m in enumerate(basis)), SuperPolynomial.zero())
+    for op in ops:
+        for m in basis:
+            p = SuperPolynomial.monomial(m)
+            assert op.apply(p) == oracles.oracle_apply(op, p)
+        assert op.apply(mixed) == oracles.oracle_apply(op, mixed)
 
 
 @given(operators)

@@ -44,6 +44,8 @@ from superharm.representations import (
 )
 from superharm.report import Verdict
 
+import oracles
+
 P = SuperPolynomial.variable
 GL11 = GradingScheme(SchemeKind.GL_NATURAL, 1, 1)
 GL21 = GradingScheme(SchemeKind.GL_NATURAL, 2, 1)
@@ -175,6 +177,36 @@ def test_osp_membership():
         assert is_orthosymplectic(e)
     assert not is_orthosymplectic(E(sp, 1, 1))  # E[1,1] alone is not in osp
     assert is_orthosymplectic(E(sp, 1, 1) - E(sp, 3, 3))
+
+
+OSP_SPACES = [algebra_space(EV21), algebra_space(ODD21)]
+
+osp_rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def osp_combinations(draw):
+    """(random rational combination of the osp basis elements of one space,
+    one random matrix unit of the same ambient space)."""
+    sp = draw(st.sampled_from(OSP_SPACES))
+    basis = osp_basis(sp)
+    coeffs = draw(st.lists(osp_rationals, min_size=len(basis), max_size=len(basis)))
+    comb = AlgebraElement.zero(sp)
+    for e, c in zip(basis, coeffs):
+        comb = comb + e.scale(c)
+    a = draw(st.sampled_from(list(sp.indices())))
+    b = draw(st.sampled_from(list(sp.indices())))
+    return comb, E(sp, a, b)
+
+
+@given(osp_combinations())
+@settings(max_examples=120, deadline=None)
+def test_osp_membership_matches_dense_oracle(data):
+    comb, unit = data
+    assert is_orthosymplectic(comb)
+    assert oracles.oracle_is_orthosymplectic(comb)
+    off = comb + unit
+    assert is_orthosymplectic(off) == oracles.oracle_is_orthosymplectic(off)
 
 
 def test_osp_bracket_closure_sample():
