@@ -8,6 +8,12 @@ acceptable and are flagged CAPPED), 1 otherwise; an internal error
 (exit 4) prints as INTERNAL, and a CLI exit code outside the documented
 0-4 counts as FAILED.
 
+Every report is also compared with the SHA-256 pinned for its job in
+scripts/table_digests.json (computed with elapsed_ms removed, the only
+field that changes between runs).  A report that differs, or a job with
+no pin, prints DIGEST-MISMATCH and makes the exit code 1.
+scripts/pin_table_digests.py writes the pins.
+
 Usage:
     python3 scripts/run_verification.py [--out-dir reports]
 """
@@ -15,11 +21,15 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from superharm.cli import main as cli_main
+
+DIGESTS = Path(__file__).resolve().with_name("table_digests.json")
 
 
 @dataclass(frozen=True)
@@ -63,16 +73,31 @@ def job_table() -> list:
 _STATUS = {0: "PASS", 1: "FAIL", 2: "CONFIG-ERROR", 3: "CAPPED", 4: "INTERNAL"}
 
 
+def report_digest(text: str) -> str:
+    """SHA-256 of a JSON report with elapsed_ms removed."""
+    payload = json.loads(text)
+    payload.pop("elapsed_ms", None)
+    return hashlib.sha256((json.dumps(payload, indent=2) + "\n").encode()).hexdigest()
+
+
 def run(out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
+    pinned = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     worst = 0
     for job in job_table():
         path = out_dir / f"{job.name}.json"
+        path.unlink(missing_ok=True)  # a failed job must not leave an old report
         code = cli_main(job.argv + ["--format", "json", "--out", str(path)])
         status = _STATUS.get(code, f"FAILED({code})")
         print(f"{status:<12} {job.name:<34} -> {path}")
         if code not in (0, 3):
             worst = 1
+        if path.exists():
+            digest = report_digest(path.read_text())
+            if digest != pinned.get(job.name):
+                print(f"DIGEST-MISMATCH {job.name}: {digest} != pinned "
+                      f"{pinned.get(job.name)}")
+                worst = 1
     return worst
 
 

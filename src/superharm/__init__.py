@@ -8,11 +8,8 @@ from superharm.algebra import (
     SuperMonomial,
     SuperPolynomial,
     VariableId,
-    derive,
     enumerate_slice,
-    grade,
     integrate_bosonic,
-    parse_polynomial,
     theta,
     vartheta,
     x,
@@ -32,10 +29,8 @@ from superharm.harmonic import (
 )
 from superharm.operators import (
     DiffOperator,
-    apply,
     compose,
     named_operator,
-    op_power,
     super_commutator,
 )
 from superharm.report import Verdict, VerificationReport

@@ -15,7 +15,6 @@ term.  All arithmetic is exact; there is no floating point anywhere.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
@@ -81,25 +80,6 @@ def theta(r: int) -> VariableId:
 
 def vartheta(r: int) -> VariableId:
     return VariableId(Family.VARTHETA, r)
-
-
-_VAR_RE = re.compile(r"^(x|y|th|vt)(\d+)$")
-
-
-def parse_variable(name: str) -> VariableId:
-    mo = _VAR_RE.match(name)
-    if mo is None:
-        raise ValueError(f"not a variable name: {name!r}")
-    prefix, idx = mo.group(1), int(mo.group(2))
-    if prefix == "x":
-        return x(idx)
-    if prefix == "y":
-        if idx < 1:
-            raise ValueError(f"bad variable index in {name!r}")
-        return y(idx)
-    if idx < 1:
-        raise ValueError(f"bad variable index in {name!r}")
-    return theta(idx) if prefix == "th" else vartheta(idx)
 
 
 def merge_signed(
@@ -233,10 +213,6 @@ class SuperPolynomial:
         return SuperPolynomial({SuperMonomial.unit(): Fraction(1)})
 
     @staticmethod
-    def scalar(c: Scalar) -> "SuperPolynomial":
-        return SuperPolynomial({SuperMonomial.unit(): Fraction(c)})
-
-    @staticmethod
     def monomial(m: SuperMonomial, c: Scalar = 1) -> "SuperPolynomial":
         return SuperPolynomial({m: Fraction(c)})
 
@@ -259,9 +235,6 @@ class SuperPolynomial:
     def items(self):
         """The (monomial, coefficient) pairs in no particular order."""
         return self._terms.items()
-
-    def monomials(self) -> list[SuperMonomial]:
-        return [m for m, _ in self.terms()]
 
     def coefficient(self, m: SuperMonomial) -> Fraction:
         return self._terms.get(m, Fraction(0))
@@ -359,33 +332,8 @@ class SuperPolynomial:
         return " ".join(chunks)
 
 
-def derive(p: SuperPolynomial, v: VariableId) -> SuperPolynomial:
-    """Partial derivative; fermionic derivatives use the signed Leibniz rule."""
-    acc: dict[SuperMonomial, Fraction] = {}
-    if not v.fermionic:
-        for m, c in p._terms.items():
-            e = m.exponent(v)
-            if e == 0:
-                continue
-            bos = tuple(
-                (w, ee - 1) if w == v else (w, ee) for w, ee in m.bos if not (w == v and ee == 1)
-            )
-            bos = tuple((w, ee) for w, ee in bos if ee)
-            nm = SuperMonomial(bos, m.ferm)
-            acc[nm] = acc.get(nm, Fraction(0)) + c * e
-        return SuperPolynomial(acc)
-    for m, c in p._terms.items():
-        if v not in m.ferm:
-            continue
-        pos = m.ferm.index(v)  # derivative hops over pos earlier odd factors
-        sign = -1 if pos % 2 else 1
-        nm = SuperMonomial(m.bos, m.ferm[:pos] + m.ferm[pos + 1:])
-        acc[nm] = acc.get(nm, Fraction(0)) + c * sign
-    return SuperPolynomial(acc)
-
-
 def integrate_bosonic(p: SuperPolynomial, v: VariableId) -> SuperPolynomial:
-    """Right inverse of derive(., v): x^a -> x^(a+1)/(a+1)."""
+    """Right inverse of the partial derivative d_v: x^a -> x^(a+1)/(a+1)."""
     if v.fermionic:
         raise ValueError(f"cannot integrate fermionic variable {v.name()}")
     acc: dict[SuperMonomial, Fraction] = {}
@@ -485,65 +433,6 @@ class GradingScheme:
         if self.is_twisted:
             return f"{self.kind.value}(n={self.n},m={self.m},n1={self.n1},n2={self.n2})"
         return f"{self.kind.value}(n={self.n},m={self.m})"
-
-
-def _check_universe(m: SuperMonomial, scheme: GradingScheme) -> None:
-    for v in m.variables():
-        if v.family == Family.X0:
-            if not scheme.has_x0:
-                raise ValueError(f"{v.name()} illegal for {scheme.describe()}")
-        elif v.family in (Family.X, Family.Y):
-            if not (1 <= v.index <= scheme.n):
-                raise ValueError(f"{v.name()} out of range for {scheme.describe()}")
-        else:
-            if not (1 <= v.index <= scheme.m):
-                raise ValueError(f"{v.name()} out of range for {scheme.describe()}")
-
-
-def _twisted_bidegree(m: SuperMonomial, scheme: GradingScheme) -> tuple[int, int]:
-    n1, n2 = scheme.n1, scheme.n2
-    l = lp = 0
-    for v, e in m.bos:
-        if v.family == Family.X:
-            l += e if v.index > n1 else -e
-        elif v.family == Family.Y:
-            lp += e if v.index <= n2 else -e
-    for v in m.ferm:
-        if v.family == Family.THETA:
-            l += 1
-        else:
-            lp += 1
-    return l, lp
-
-
-def grade(mono: SuperMonomial, scheme: GradingScheme) -> Label:
-    """Grading label of a monomial: a pair for gl schemes, an integer for osp."""
-    _check_universe(mono, scheme)
-    kind = scheme.kind
-    if kind == SchemeKind.GL_NATURAL:
-        l = lp = 0
-        for v, e in mono.bos:
-            if v.family == Family.X:
-                l += e
-            else:
-                lp += e
-        for v in mono.ferm:
-            if v.family == Family.THETA:
-                l += 1
-            else:
-                lp += 1
-        return (l, lp)
-    if kind == SchemeKind.GL_TWISTED:
-        return _twisted_bidegree(mono, scheme)
-    if kind == SchemeKind.OSP_EVEN_NATURAL or kind == SchemeKind.OSP_ODD_NATURAL:
-        return mono.degree()
-    # twisted osp labels: x0 (if present) counts +1 per power
-    e0 = mono.exponent(x0()) if scheme.has_x0 else 0
-    if e0:
-        bos = tuple((v, e) for v, e in mono.bos if v.family != Family.X0)
-        mono = SuperMonomial(bos, mono.ferm)
-    l, lp = _twisted_bidegree(mono, scheme)
-    return e0 + l + lp
 
 
 # ===================================================================
@@ -717,95 +606,3 @@ _SLICE_GENERATORS = {
     SchemeKind.OSP_ODD_NATURAL: _slice_osp_even_natural,
     SchemeKind.OSP_ODD_TWISTED: _slice_osp_odd_twisted,
 }
-
-
-# ===================================================================
-# text format
-# ===================================================================
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>(?:x|y|th|vt)\d+)|(?P<op>[*^+-]))"
-)
-
-
-def _tokenize(text: str) -> list:
-    pos = 0
-    out = []
-    while pos < len(text):
-        mo = _TOKEN_RE.match(text, pos)
-        if mo is None:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"cannot parse polynomial at: {text[pos:]!r}")
-        if mo.group("num") is not None:
-            out.append(("num", Fraction(mo.group("num"))))
-        elif mo.group("name") is not None:
-            out.append(("var", parse_variable(mo.group("name"))))
-        else:
-            out.append(("op", mo.group("op")))
-        pos = mo.end()
-    return out
-
-
-def parse_polynomial(text: str) -> SuperPolynomial:
-    """Parse the SuperPolynomial.render format (sums of *-joined power factors)."""
-    toks = _tokenize(text)
-    if not toks:
-        raise ValueError("empty polynomial text")
-    total = SuperPolynomial.zero()
-    i = 0
-    sign = 1
-    # leading sign
-    while i < len(toks) and toks[i] == ("op", "-"):
-        sign = -sign
-        i += 1
-    term = SuperPolynomial.scalar(sign)
-    expect_factor = True
-    while i < len(toks):
-        kind, val = toks[i]
-        if kind == "op" and val in "+-" and not expect_factor:
-            total = total + term
-            sign = 1 if val == "+" else -1
-            i += 1
-            while i < len(toks) and toks[i][0] == "op" and toks[i][1] in "+-":
-                if toks[i][1] == "-":
-                    sign = -sign
-                i += 1
-            term = SuperPolynomial.scalar(sign)
-            expect_factor = True
-            continue
-        if kind == "op" and val == "*":
-            i += 1
-            expect_factor = True
-            continue
-        if kind == "num":
-            term = term * val
-            i += 1
-            expect_factor = False
-            continue
-        if kind == "var":
-            v = val
-            exp = 1
-            if i + 2 < len(toks) and toks[i + 1] == ("op", "^") and toks[i + 2][0] == "num":
-                frac = toks[i + 2][1]
-                if frac.denominator != 1:
-                    raise ValueError("fractional exponent")
-                exp = int(frac)
-                i += 2
-            if v.fermionic:
-                if exp > 1:
-                    term = SuperPolynomial.zero()
-                elif exp == 1:
-                    term = term * SuperPolynomial.variable(v)
-            else:
-                if exp:
-                    term = term * SuperPolynomial.monomial(
-                        SuperMonomial(((v, exp),), ())
-                    )
-            i += 1
-            expect_factor = False
-            continue
-        raise ValueError(f"unexpected token {toks[i]!r}")
-    if expect_factor:
-        raise ValueError("dangling operator at end of polynomial text")
-    return total + term

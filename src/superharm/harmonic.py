@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -54,25 +53,19 @@ from .linalg import (
 from .operators import (
     DiffOperator,
     IntegrationOperator,
-    apply,
     compose,
     filtration_measure,
     named_operator,
+    super_commutator,
     xu_solve,
 )
 from .report import InternalError, Verdict, VerificationReport
 from .representations import (
     NOT_A_WEIGHT_VECTOR,
-    AlgebraElement,
     positive_generators,
     rep_operator,
     weight_of,
 )
-
-
-class NonNilpotentError(InternalError):
-    """Delta iteration exceeded its guard; the operator is not locally
-    nilpotent on the given input (or the guard is wrong)."""
 
 
 # ===================================================================
@@ -127,7 +120,7 @@ def _group_polys_by_weight(polys: Sequence[SuperPolynomial], scheme: GradingSche
     """Group weight-homogeneous polynomials; raises if one is mixed."""
     groups: Dict[Tuple[int, ...], List[SuperPolynomial]] = {}
     for p in polys:
-        wts = {monomial_weight(m, scheme) for m in p.monomials()}
+        wts = {monomial_weight(m, scheme) for m, _ in p.items()}
         if len(wts) != 1:
             raise InternalError("expected a weight-homogeneous vector: " + p.render())
         groups.setdefault(wts.pop(), []).append(p)
@@ -138,16 +131,10 @@ def _group_polys_by_weight(polys: Sequence[SuperPolynomial], scheme: GradingSche
 # harmonic bases
 # ===================================================================
 
-class BasisMethod(Enum):
-    KERNEL = "kernel"
-    XU_FORMULA = "xu-formula"
-
-
 @dataclass(frozen=True)
 class HarmonicBasis:
     slice: GradedSlice
     vectors: Tuple[SuperPolynomial, ...]
-    method: BasisMethod
 
     def dimension(self) -> int:
         return len(self.vectors)
@@ -156,7 +143,7 @@ class HarmonicBasis:
 def _check_harmonic_invariants(sl: GradedSlice, vectors: Sequence[SuperPolynomial]):
     delta = named_operator("DELTA", sl.scheme)
     for v in vectors:
-        if not apply(delta, v).is_zero():
+        if not delta.apply(v).is_zero():
             raise InternalError("harmonic basis vector not annihilated: " + v.render())
     for block in _group_polys_by_weight(vectors, sl.scheme).values():
         if span_rank(block) != len(block):
@@ -173,7 +160,7 @@ def harmonic_kernel(sl: GradedSlice) -> HarmonicBasis:
     delta = named_operator("DELTA", sl.scheme)
     vectors = kernel_basis_polys(delta, sl.basis, block_key=_weight_fn(sl.scheme))
     _check_harmonic_invariants(sl, vectors)
-    return HarmonicBasis(sl, tuple(vectors), BasisMethod.KERNEL)
+    return HarmonicBasis(sl, tuple(vectors))
 
 
 def has_formula_basis(scheme: GradingScheme) -> bool:
@@ -241,7 +228,7 @@ def xu_basis(sl: GradedSlice) -> HarmonicBasis:
         block = groups[wt]
         vectors.extend(block[i] for i in independent_subset(block))
     _check_harmonic_invariants(sl, vectors)
-    return HarmonicBasis(sl, tuple(vectors), BasisMethod.XU_FORMULA)
+    return HarmonicBasis(sl, tuple(vectors))
 
 
 # ===================================================================
@@ -264,39 +251,29 @@ class SingularVectorSet:
         return [p for _, p in self.entries]
 
 
-def singular_vectors(
-    sl: GradedSlice,
-    rep: Optional[GradingScheme] = None,
-    *,
-    harmonic: bool = True,
-    generators: Optional[Sequence[AlgebraElement]] = None,
-) -> SingularVectorSet:
-    """All weight vectors in the slice span annihilated by every positive
-    generator, up to scalar (leading coefficient normalized to 1).
+def singular_vectors(sl: GradedSlice) -> SingularVectorSet:
+    """All weight vectors in the harmonic part of the slice span annihilated
+    by every positive generator, up to scalar (leading coefficient
+    normalized to 1).
 
-    With harmonic=True (the default) Delta is adjoined to the annihilation
-    system, so the search runs inside H rather than the full slice — this
-    is the counting convention of the uniqueness lemmas.  A custom
-    generator family (e.g. the even-part positive generators) replaces
-    the scheme's full positive set when given.
+    Delta is adjoined to the annihilation system, so the search runs
+    inside H rather than the full slice: this is the counting convention
+    of the uniqueness lemmas.
     """
     scheme = sl.scheme
-    rep_scheme = rep if rep is not None else scheme
-    gens = list(generators) if generators is not None else positive_generators(rep_scheme)
-    ops = [rep_operator(g, rep_scheme) for g in gens]
-    if harmonic:
-        ops.append(named_operator("DELTA", scheme))
+    ops = [rep_operator(g, scheme) for g in positive_generators(scheme)]
+    ops.append(named_operator("DELTA", scheme))
     found = joint_kernel_basis_polys(ops, sl.basis, block_key=_weight_fn(scheme))
     entries = []
     for v in found:
         lead_mono, lead_coeff = v.terms()[0]
         v = v.scale(1 / lead_coeff)
-        wt = weight_of(v, rep_scheme)
+        wt = weight_of(v, scheme)
         if wt is NOT_A_WEIGHT_VECTOR:
             raise InternalError("solver produced a non-weight vector")
         # independent re-verification, straight operator application
         for op in ops:
-            if not apply(op, v).is_zero():
+            if not op.apply(v).is_zero():
                 raise InternalError("solver produced a non-singular vector")
         entries.append((wt, v))
     entries.sort(key=lambda e: (e[0], e[1].terms()[0][0].sort_key()))
@@ -517,7 +494,7 @@ def _summand_cap(scheme: GradingScheme, label: Label,
 
 def _eta_power(eta: DiffOperator, p: SuperPolynomial, i: int) -> SuperPolynomial:
     for _ in range(i):
-        p = apply(eta, p)
+        p = eta.apply(p)
     return p
 
 
@@ -610,7 +587,7 @@ def decomposition_report(
         step1 = _step_label(scheme, label, 1)
         sub_cap = _summand_cap(scheme, step1, degree_cap)
         sub = enumerate_slice(scheme, step1, sub_cap)
-        eta_image = [apply(eta, SuperPolynomial.monomial(u)) for u in sub.basis]
+        eta_image = [eta.apply(SuperPolynomial.monomial(u)) for u in sub.basis]
         eta_groups = _group_polys_by_weight(
             [q for q in eta_image if not q.is_zero()], scheme)
         h_groups = _group_polys_by_weight(
@@ -654,32 +631,8 @@ def decomposition_report(
 
 
 # ===================================================================
-# kappa and basis comparison
+# basis comparison
 # ===================================================================
-
-def kappa(u: SuperPolynomial, scheme: GradingScheme) -> int:
-    """The unique k with Delta^k(u) != 0 and Delta^(k+1)(u) = 0.
-
-    Guarded: every variant's Delta strictly decreases an explicit
-    monovariant bounded by twice the total degree, so the iteration is
-    aborted (NonNilpotentError) beyond that bound.
-    """
-    if u.is_zero():
-        raise ValueError("kappa of the zero vector is undefined")
-    delta = named_operator("DELTA", scheme)
-    bound = 2 * max(u.degree(), 0) + 2
-    k = 0
-    cur = u
-    while True:
-        nxt = apply(delta, cur)
-        if nxt.is_zero():
-            return k
-        k += 1
-        cur = nxt
-        if k > bound:
-            raise NonNilpotentError(
-                f"Delta^k(u) still nonzero at k = {k} > guard {bound}")
-
 
 def _window_intersection_dimension(
     polys: Sequence[SuperPolynomial], window_monos: Sequence[SuperMonomial]
@@ -690,7 +643,7 @@ def _window_intersection_dimension(
     kernel is exactly the intersection, so its dimension is the rank lost.
     """
     window = set(window_monos)
-    outside = [SuperPolynomial({m: c for m, c in p.terms() if m not in window})
+    outside = [SuperPolynomial({m: c for m, c in p.items() if m not in window})
                for p in polys]
     return span_rank(polys) - span_rank(outside)
 
@@ -813,7 +766,7 @@ def _commutator_identities(scheme: GradingScheme):
                      + _number_operator(bosonic))
         out.append((
             "ladder pair",
-            compose(delta, eta) - compose(eta, delta),
+            super_commutator(delta, eta),
             one.scale(shift) + inner.scale(4),
         ))
     return out
@@ -846,10 +799,10 @@ def _fermionic_ladder_scalars(scheme: GradingScheme) -> Tuple[int, List[str]]:
             for f in kern:
                 powers = [f]
                 for _ in range(s - r):
-                    powers.append(apply(e_check, powers[-1]))
+                    powers.append(e_check.apply(powers[-1]))
                 for ell in range(1, s - r + 1):
                     want = powers[ell - 1].scale(ell * (ell + r - s))
-                    if apply(d_check, powers[ell]) != want:
+                    if d_check.apply(powers[ell]) != want:
                         failures.append(
                             "fermionic ladder scalar wrong at bidegree "
                             f"({a},{b}), power {ell}")
@@ -889,11 +842,11 @@ def _harmonic_ladder_scalars(
     checked, failures = 0, []
     for label in labels:
         for f in harmonic_kernel(enumerate_slice(source, label, cap)).vectors:
-            powers = [f, apply(eta, f)]
-            powers.append(apply(eta, powers[-1]))
+            powers = [f, eta.apply(f)]
+            powers.append(eta.apply(powers[-1]))
             for l1 in (1, 2):
                 want = powers[l1 - 1].scale(scalar(label, l1))
-                if apply(delta, powers[l1]) != want:
+                if delta.apply(powers[l1]) != want:
                     failures.append(
                         f"harmonic ladder scalar wrong at label {label}, "
                         f"power {l1}")

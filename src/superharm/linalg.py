@@ -207,7 +207,7 @@ def kernel_basis_polys(
         for m in sub:
             q = op.apply(SuperPolynomial.monomial(m))
             if block_key is not None:
-                for om in q.monomials():
+                for om, _ in q.items():
                     if block_key(om) != k:
                         raise InternalError(
                             "block_key is not conserved by the operator "

@@ -28,7 +28,6 @@ intermediate polynomial is built and the result stays exact.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -40,7 +39,6 @@ from superharm.algebra import (
     VariableId,
     integrate_bosonic,
     merge_signed,
-    parse_variable,
     theta,
     vartheta,
     x,
@@ -148,7 +146,7 @@ class DiffOperator:
         if isinstance(p, SuperMonomial):
             return DiffOperator({OpWord(p, (), ()): Fraction(1)})
         return DiffOperator(
-            {OpWord(m, (), ()): c for m, c in p.terms()}
+            {OpWord(m, (), ()): c for m, c in p.items()}
         )
 
     @staticmethod
@@ -248,9 +246,6 @@ class DiffOperator:
                     k, mono = hit
                     acc[mono] = acc.get(mono, 0) + c * cw * k
         return SuperPolynomial(acc)
-
-    def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
-        return self.apply(p)
 
     # ---- rendering ----
 
@@ -355,13 +350,6 @@ def compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
     return DiffOperator(acc)
 
 
-def op_power(a: DiffOperator, k: int) -> DiffOperator:
-    out = DiffOperator.identity()
-    for _ in range(k):
-        out = compose(out, a)
-    return out
-
-
 def super_commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
     """[a, b] = ab - (-1)^{|a||b|} ba, extended bilinearly over parity parts."""
     out = DiffOperator.zero()
@@ -376,10 +364,6 @@ def super_commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
             sign = -1 if pa and pb else 1
             out = out + compose(aa, bb) - compose(bb, aa).scale(sign)
     return out
-
-
-def apply(op: DiffOperator, p: SuperPolynomial) -> SuperPolynomial:
-    return op.apply(p)
 
 
 # ===================================================================
@@ -510,57 +494,6 @@ def named_operator(name: str, scheme: GradingScheme) -> DiffOperator:
 
 
 # ===================================================================
-# the interpolation operator
-# ===================================================================
-
-def im_operator(
-    l1: int, l2: int, r: int, s: int, l: int, n: int, *, m: Optional[int] = None
-) -> DiffOperator:
-    """Mixing operator: an exact polynomial in eta_bar and eta_check.
-
-    The coefficients follow the recursion
-        a_{p+1}/a_p = (l-p)(p+s-r-l) / ((p+1)(n+l1+l2+p))
-    seeded at a_0 = prod_{i=1}^{l+1} i*(i+n+l1+l2-1); the operator is
-        a_0 eta_check^l + sum_p a_{p+1} eta_bar^(p+1) eta_check^(l-p-1).
-
-    `m` sets the fermionic width of eta_check; on the inputs this operator
-    is designed for, theta/vartheta pairs outside (r, s) act as zero, so the
-    default m = s-1 reproduces the intended action.
-    """
-    if not (0 <= r < s):
-        raise ValueError("need 0 <= r < s")
-    if m is None:
-        m = max(s - 1, 1)
-    if s > m + 1:
-        raise ValueError("need s <= m+1")
-    if not (0 <= l <= s - r - 1):
-        raise ValueError("need 0 <= l <= s-r-1")
-    if l1 < 0 or l2 < 0:
-        raise ValueError("need l1, l2 >= 0")
-    if n < 1:
-        raise ValueError("need n >= 1")
-
-    coeffs = [Fraction(1)]
-    a = Fraction(1)
-    for i2 in range(1, l + 2):
-        a *= i2 * (i2 + n + l1 + l2 - 1)
-    coeffs[0] = a
-    for p in range(0, l):
-        num = (l - p) * (p + s - r - l)
-        den = (p + 1) * (n + l1 + l2 + p)
-        a = a * num / den
-        coeffs.append(a)
-
-    eb = _eta_bar_natural(n)
-    ec = _eta_check(m)
-    out = op_power(ec, l).scale(coeffs[0])
-    for p in range(0, l):
-        term = compose(op_power(eb, p + 1), op_power(ec, l - p - 1))
-        out = out + term.scale(coeffs[p + 1])
-    return out
-
-
-# ===================================================================
 # integration applicator + the kernel solver
 # ===================================================================
 
@@ -576,9 +509,6 @@ class IntegrationOperator:
             for _ in range(e):
                 out = integrate_bosonic(out, v)
         return out
-
-    def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
-        return self.apply(p)
 
 
 def filtration_measure(
@@ -598,7 +528,7 @@ def filtration_measure(
 
     def measure(p: SuperPolynomial) -> int:
         best = -1
-        for mono, _ in p.terms():
+        for mono, _ in p.items():
             d = sum((3 if v in lowered else 2) * e
                     for v, e in mono.bos if v not in skip)
             d += sum(2 for v in mono.ferm if v not in skip)
@@ -655,103 +585,3 @@ def xu_solve(
             raise FiltrationError("xu_solve output not annihilated; bad seeds")
         out.append(total)
     return out
-
-
-# ===================================================================
-# operator text format
-# ===================================================================
-
-_OP_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<dvar>d_(?:x|y|th|vt)\d+)"
-    r"|(?P<name>(?:x|y|th|vt)\d+)|(?P<op>[*^+-]))"
-)
-
-
-def parse_operator(text: str) -> DiffOperator:
-    """Parse the DiffOperator.render format; factors compose left to right."""
-    pos = 0
-    toks = []
-    while pos < len(text):
-        mo = _OP_TOKEN_RE.match(text, pos)
-        if mo is None:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"cannot parse operator at: {text[pos:]!r}")
-        if mo.group("num") is not None:
-            toks.append(("num", Fraction(mo.group("num"))))
-        elif mo.group("dvar") is not None:
-            toks.append(("dvar", parse_variable(mo.group("dvar")[2:])))
-        elif mo.group("name") is not None:
-            toks.append(("var", parse_variable(mo.group("name"))))
-        else:
-            toks.append(("op", mo.group("op")))
-        pos = mo.end()
-    if not toks:
-        raise ValueError("empty operator text")
-
-    total = DiffOperator.zero()
-    i = 0
-
-    def read_term(i, sign):
-        term = DiffOperator.scalar(sign)
-        expect_factor = True
-        while i < len(toks):
-            kind, val = toks[i]
-            if kind == "op" and val in "+-" and not expect_factor:
-                break
-            if kind == "op" and val == "*":
-                i += 1
-                expect_factor = True
-                continue
-            if kind == "num":
-                term = term.scale(val)
-                i += 1
-                expect_factor = False
-                continue
-            if kind in ("var", "dvar"):
-                exp = 1
-                if (
-                    i + 2 < len(toks)
-                    and toks[i + 1] == ("op", "^")
-                    and toks[i + 2][0] == "num"
-                ):
-                    frac = toks[i + 2][1]
-                    if frac.denominator != 1:
-                        raise ValueError("fractional exponent")
-                    exp = int(frac)
-                    i += 2
-                if kind == "var":
-                    factor = DiffOperator.multiplier(
-                        SuperPolynomial.variable(val)
-                    )
-                    fac = DiffOperator.identity()
-                    for _ in range(exp):
-                        fac = compose(fac, factor)
-                else:
-                    fac = DiffOperator.partial(val, exp)
-                term = compose(term, fac)
-                i += 1
-                expect_factor = False
-                continue
-            raise ValueError(f"unexpected token {toks[i]!r}")
-        if expect_factor:
-            raise ValueError("dangling operator in operator text")
-        return i, term
-
-    sign = 1
-    while i < len(toks) and toks[i][0] == "op" and toks[i][1] in "+-":
-        if toks[i][1] == "-":
-            sign = -sign
-        i += 1
-    i, term = read_term(i, sign)
-    total = total + term
-    while i < len(toks):
-        assert toks[i][0] == "op" and toks[i][1] in "+-"
-        sign = 1
-        while i < len(toks) and toks[i][0] == "op" and toks[i][1] in "+-":
-            if toks[i][1] == "-":
-                sign = -sign
-            i += 1
-        i, term = read_term(i, sign)
-        total = total + term
-    return total

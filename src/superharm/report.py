@@ -60,10 +60,6 @@ class VerificationReport:
     subreports: list = field(default_factory=list)
     elapsed_ms: Optional[int] = None
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict is Verdict.PASS
-
     def consolidate_subreports(self) -> None:
         """Fold subreport verdicts into this report (FAIL dominates)."""
         verdicts = [r.verdict for r in self.subreports] + [self.verdict]

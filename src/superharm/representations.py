@@ -29,10 +29,9 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
-    GradedSlice,
     GradingScheme,
     SchemeKind,
     SuperMonomial,
@@ -45,7 +44,7 @@ from .algebra import (
     y,
 )
 from .linalg import nullspace, poly_matrix, rank, rref
-from .operators import DiffOperator, apply, compose, named_operator
+from .operators import DiffOperator, compose, named_operator
 from .report import Verdict, VerificationReport
 
 Scalar = Union[int, Fraction]
@@ -149,13 +148,6 @@ class AlgebraElement:
               for a, b in self._terms}
         return ps.pop() if len(ps) == 1 else None
 
-    def parity_part(self, par: int) -> "AlgebraElement":
-        sp = self.space
-        return AlgebraElement(sp, {
-            (a, b): c for (a, b), c in self._terms.items()
-            if (sp.index_parity(a) ^ sp.index_parity(b)) == par
-        })
-
     # ---- arithmetic ----
 
     def _require_same_space(self, other: "AlgebraElement") -> None:
@@ -202,10 +194,6 @@ class AlgebraElement:
 
     def __repr__(self) -> str:
         return f"AlgebraElement({self.render()})"
-
-
-def matrix_unit(space: AlgebraSpace, a: int, b: int) -> AlgebraElement:
-    return AlgebraElement.unit(space, a, b)
 
 
 def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
@@ -331,13 +319,13 @@ def algebra_basis(scheme: GradingScheme) -> List[AlgebraElement]:
     return osp_basis(space)
 
 
-def positive_generators(scheme: GradingScheme, *, even_only: bool = False) -> List[AlgebraElement]:
+def positive_generators(scheme: GradingScheme) -> List[AlgebraElement]:
     """Positive-root generators (a generating set, not a root basis).
 
     For gl(n|m): strictly upper-triangular units of both even blocks plus
-    (unless even_only) all odd units E[i, n+r].  For osp: the standard
-    positive combinations of the even part plus (unless even_only) the
-    two odd nm-families; the odd variant appends its column-0 family.
+    all odd units E[i, n+r].  For osp: the standard positive combinations
+    of the even part plus the two odd nm-families; the odd variant appends
+    its column-0 family.
     """
     space = algebra_space(scheme)
     n, m = space.n, space.m
@@ -350,10 +338,9 @@ def positive_generators(scheme: GradingScheme, *, even_only: bool = False) -> Li
         for r in range(1, m + 1):
             for s in range(r + 1, m + 1):
                 gens.append(E(n + r, n + s))
-        if not even_only:
-            for i in range(1, n + 1):
-                for r in range(1, m + 1):
-                    gens.append(E(i, n + r))
+        for i in range(1, n + 1):
+            for r in range(1, m + 1):
+                gens.append(E(i, n + r))
         return gens
     xi, yi, th, vt = _osp_index_maps(space)
     for i in range(1, n + 1):
@@ -366,16 +353,15 @@ def positive_generators(scheme: GradingScheme, *, even_only: bool = False) -> Li
     for r in range(1, m + 1):
         for s in range(r, m + 1):
             gens.append(E(th(r), vt(s)) + E(th(s), vt(r)))
-    if not even_only:
+    for i in range(1, n + 1):
+        for r in range(1, m + 1):
+            gens.append(E(xi(i), th(r)) - E(vt(r), yi(i)))
+            gens.append(E(xi(i), vt(r)) + E(th(r), yi(i)))
+    if space.family is AlgebraFamily.OSP_ODD:
         for i in range(1, n + 1):
-            for r in range(1, m + 1):
-                gens.append(E(xi(i), th(r)) - E(vt(r), yi(i)))
-                gens.append(E(xi(i), vt(r)) + E(th(r), yi(i)))
-        if space.family is AlgebraFamily.OSP_ODD:
-            for i in range(1, n + 1):
-                gens.append(E(0, yi(i)) - E(xi(i), 0))
-            for r in range(1, m + 1):
-                gens.append(E(0, vt(r)) + E(th(r), 0))
+            gens.append(E(0, yi(i)) - E(xi(i), 0))
+        for r in range(1, m + 1):
+            gens.append(E(0, vt(r)) + E(th(r), 0))
     return gens
 
 
@@ -613,7 +599,7 @@ def weight_of(p: SuperPolynomial, scheme: GradingScheme):
     lead_mono, lead_coeff = p.terms()[0]
     weight: List[Fraction] = []
     for h in cartan_basis(scheme):
-        q = apply(rep_operator(h, scheme), p)
+        q = rep_operator(h, scheme).apply(p)
         lam = q.coefficient(lead_mono) / lead_coeff
         if q != p.scale(lam):
             return NOT_A_WEIGHT_VECTOR
@@ -625,19 +611,14 @@ def weight_of(p: SuperPolynomial, scheme: GradingScheme):
 # checkers
 # ===================================================================
 
-def verify_homomorphism(rep: GradingScheme,
-                        sample: Optional[GradedSlice] = None) -> VerificationReport:
+def verify_homomorphism(rep: GradingScheme) -> VerificationReport:
     """Check rho([a,b]) = rho(a)rho(b) - (-1)^{|a||b|} rho(b)rho(a) for
     every ordered pair of algebra basis elements, as an exact equality of
-    normal-form operators.  With a sample slice, both sides are also
-    applied to every slice monomial (a second, independent route through
-    the composition engine).  For osp the bracket is additionally checked
-    to stay inside the osp span."""
+    normal-form operators.  For osp the bracket is additionally checked
+    to stay inside the osp span.  "sample_dimension" stays in the report
+    as a constant 0 so that the report format does not change."""
     basis = algebra_basis(rep)
     space = algebra_space(rep)
-    sample_polys = []
-    if sample is not None:
-        sample_polys = [SuperPolynomial.monomial(u) for u in sample.basis]
     ops = [rep_operator(e, rep) for e in basis]
     report = VerificationReport(
         check="bracket-homomorphism",
@@ -645,7 +626,7 @@ def verify_homomorphism(rep: GradingScheme,
         params=rep.params(),
         dimensions={"algebra_dimension": len(basis),
                     "pairs_checked": 0,
-                    "sample_dimension": len(sample_polys)},
+                    "sample_dimension": 0},
     )
     closure_checked = space.family is not AlgebraFamily.GL
     pairs = 0
@@ -672,14 +653,6 @@ def verify_homomorphism(rep: GradingScheme,
                                       % (eu.render(), ev.render()))
                 report.dimensions["pairs_checked"] = pairs
                 return report
-            for w in sample_polys:
-                if apply(lhs, w) != apply(rhs, w):
-                    report.verdict = Verdict.FAIL
-                    report.explanation = (
-                        "application mismatch at a=%s, b=%s on %s"
-                        % (eu.render(), ev.render(), w.render()))
-                    report.dimensions["pairs_checked"] = pairs
-                    return report
     report.dimensions["pairs_checked"] = pairs
     report.explanation = "all %d ordered basis pairs agree in normal form" % pairs
     return report
@@ -717,11 +690,11 @@ def osp_stabilizer_check(scheme: GradingScheme) -> VerificationReport:
             "stabilizer characterization requires a natural osp scheme; "
             "twisted variants realize eta as an operator, not a polynomial")
     space = algebra_space(scheme)
-    eta_poly = apply(named_operator("ETA", scheme), SuperPolynomial.one())
+    eta_poly = named_operator("ETA", scheme).apply(SuperPolynomial.one())
     atoms = _first_order_atoms(scheme)
     atom_index = {a: i for i, a in enumerate(atoms)}
     atom_ops = [_atom(1, [u], [v]) for u, v in atoms]
-    images = [apply(op, eta_poly) for op in atom_ops]
+    images = [op.apply(eta_poly) for op in atom_ops]
     img_rows, _ = poly_matrix(images)
     # kernel of c -> sum_i c_i T_i(eta): null space of the transposed matrix
     transposed = [list(col) for col in zip(*img_rows)]

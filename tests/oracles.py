@@ -1,4 +1,6 @@
-"""Slow, independent reference implementations used to cross-check the engine.
+"""Slow, independent reference implementations used to cross-check the engine,
+plus the test-only helpers: the polynomial text parser and the paper's
+closed-form mixing operator.
 
 Everything here works from first principles on explicit factor sequences,
 deliberately avoiding the package's canonical-form shortcuts, so that a bug
@@ -6,15 +8,17 @@ in the engine's sign bookkeeping cannot hide in the oracle too.  The linear
 algebra oracles are the engine's earlier algorithms: plain Fraction
 elimination, one span rank per member for the independent subset, and a
 column-shuffled elimination for the window intersection.  The operator
-action is the earlier one built on `derive`, one derivative step and one
-intermediate polynomial at a time, and osp membership is the earlier dense
-reduction.
+action `oracle_apply` runs on `oracle_derive`, one Leibniz derivative step
+and one intermediate polynomial at a time, and osp membership is the
+earlier dense reduction.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
+from typing import Optional
 
 from superharm.algebra import (
     Family,
@@ -23,10 +27,13 @@ from superharm.algebra import (
     SuperMonomial,
     SuperPolynomial,
     VariableId,
-    derive,
-    x0,
+    theta,
+    vartheta,
+    x,
+    y,
 )
 from superharm.linalg import poly_matrix, rref, span_rank
+from superharm.operators import DiffOperator, compose, named_operator
 from superharm.representations import AlgebraFamily, osp_basis
 
 
@@ -220,19 +227,19 @@ def oracle_window_intersection_dimension(polys, window_monos):
 
 
 def oracle_apply(op, p: SuperPolynomial) -> SuperPolynomial:
-    """DiffOperator action by repeated `derive`, atom by atom."""
+    """DiffOperator action by repeated `oracle_derive`, atom by atom."""
     out = SuperPolynomial.zero()
     for w, c in op._atoms.items():
         g = p
         for v in reversed(w.dferm):  # rightmost derivative acts first
-            g = derive(g, v)
+            g = oracle_derive(g, v)
             if g.is_zero():
                 break
         if g.is_zero():
             continue
         for v, e in w.dbos:
             for _ in range(e):
-                g = derive(g, v)
+                g = oracle_derive(g, v)
                 if g.is_zero():
                     break
         if g.is_zero():
@@ -268,3 +275,169 @@ def oracle_is_orthosymplectic(elem) -> bool:
             f = vec[pc]
             vec = [a - f * b for a, b in zip(vec, row)]
     return not any(vec)
+
+
+# ===================================================================
+# test-only helpers
+# ===================================================================
+
+def op_power(a: DiffOperator, k: int) -> DiffOperator:
+    out = DiffOperator.identity()
+    for _ in range(k):
+        out = compose(out, a)
+    return out
+
+
+def im_operator(
+    l1: int, l2: int, r: int, s: int, l: int, n: int, *, m: Optional[int] = None
+) -> DiffOperator:
+    """Mixing operator: an exact polynomial in eta_bar and eta_check.
+
+    The coefficients follow the recursion
+        a_{p+1}/a_p = (l-p)(p+s-r-l) / ((p+1)(n+l1+l2+p))
+    seeded at a_0 = prod_{i=1}^{l+1} i*(i+n+l1+l2-1); the operator is
+        a_0 eta_check^l + sum_p a_{p+1} eta_bar^(p+1) eta_check^(l-p-1).
+
+    `m` sets the fermionic width of eta_check; on the inputs this operator
+    is designed for, theta/vartheta pairs outside (r, s) act as zero, so the
+    default m = s-1 reproduces the intended action.
+    """
+    if not (0 <= r < s):
+        raise ValueError("need 0 <= r < s")
+    if m is None:
+        m = max(s - 1, 1)
+    if s > m + 1:
+        raise ValueError("need s <= m+1")
+    if not (0 <= l <= s - r - 1):
+        raise ValueError("need 0 <= l <= s-r-1")
+    if l1 < 0 or l2 < 0:
+        raise ValueError("need l1, l2 >= 0")
+    if n < 1:
+        raise ValueError("need n >= 1")
+
+    coeffs = [Fraction(1)]
+    a = Fraction(1)
+    for i2 in range(1, l + 2):
+        a *= i2 * (i2 + n + l1 + l2 - 1)
+    coeffs[0] = a
+    for p in range(0, l):
+        num = (l - p) * (p + s - r - l)
+        den = (p + 1) * (n + l1 + l2 + p)
+        a = a * num / den
+        coeffs.append(a)
+
+    scheme = GradingScheme(SchemeKind.GL_NATURAL, n, m)
+    eb = named_operator("ETA_BAR", scheme)
+    ec = named_operator("ETA_CHECK", scheme)
+    out = op_power(ec, l).scale(coeffs[0])
+    for p in range(0, l):
+        term = compose(op_power(eb, p + 1), op_power(ec, l - p - 1))
+        out = out + term.scale(coeffs[p + 1])
+    return out
+
+
+_VAR_RE = re.compile(r"^(x|y|th|vt)(\d+)$")
+
+
+def parse_variable(name: str) -> VariableId:
+    mo = _VAR_RE.match(name)
+    if mo is None:
+        raise ValueError(f"not a variable name: {name!r}")
+    prefix, idx = mo.group(1), int(mo.group(2))
+    if prefix == "x":
+        return x(idx)
+    if prefix == "y":
+        if idx < 1:
+            raise ValueError(f"bad variable index in {name!r}")
+        return y(idx)
+    if idx < 1:
+        raise ValueError(f"bad variable index in {name!r}")
+    return theta(idx) if prefix == "th" else vartheta(idx)
+
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>(?:x|y|th|vt)\d+)|(?P<op>[*^+-]))"
+)
+
+
+def _tokenize(text: str) -> list:
+    pos = 0
+    out = []
+    while pos < len(text):
+        mo = _TOKEN_RE.match(text, pos)
+        if mo is None:
+            if text[pos:].strip() == "":
+                break
+            raise ValueError(f"cannot parse polynomial at: {text[pos:]!r}")
+        if mo.group("num") is not None:
+            out.append(("num", Fraction(mo.group("num"))))
+        elif mo.group("name") is not None:
+            out.append(("var", parse_variable(mo.group("name"))))
+        else:
+            out.append(("op", mo.group("op")))
+        pos = mo.end()
+    return out
+
+
+def parse_polynomial(text: str) -> SuperPolynomial:
+    """Parse the SuperPolynomial.render format (sums of *-joined power factors)."""
+    toks = _tokenize(text)
+    if not toks:
+        raise ValueError("empty polynomial text")
+    total = SuperPolynomial.zero()
+    i = 0
+    sign = 1
+    # leading sign
+    while i < len(toks) and toks[i] == ("op", "-"):
+        sign = -sign
+        i += 1
+    term = SuperPolynomial.monomial(SuperMonomial.unit(), sign)
+    expect_factor = True
+    while i < len(toks):
+        kind, val = toks[i]
+        if kind == "op" and val in "+-" and not expect_factor:
+            total = total + term
+            sign = 1 if val == "+" else -1
+            i += 1
+            while i < len(toks) and toks[i][0] == "op" and toks[i][1] in "+-":
+                if toks[i][1] == "-":
+                    sign = -sign
+                i += 1
+            term = SuperPolynomial.monomial(SuperMonomial.unit(), sign)
+            expect_factor = True
+            continue
+        if kind == "op" and val == "*":
+            i += 1
+            expect_factor = True
+            continue
+        if kind == "num":
+            term = term * val
+            i += 1
+            expect_factor = False
+            continue
+        if kind == "var":
+            v = val
+            exp = 1
+            if i + 2 < len(toks) and toks[i + 1] == ("op", "^") and toks[i + 2][0] == "num":
+                frac = toks[i + 2][1]
+                if frac.denominator != 1:
+                    raise ValueError("fractional exponent")
+                exp = int(frac)
+                i += 2
+            if v.fermionic:
+                if exp > 1:
+                    term = SuperPolynomial.zero()
+                elif exp == 1:
+                    term = term * SuperPolynomial.variable(v)
+            else:
+                if exp:
+                    term = term * SuperPolynomial.monomial(
+                        SuperMonomial(((v, exp),), ())
+                    )
+            i += 1
+            expect_factor = False
+            continue
+        raise ValueError(f"unexpected token {toks[i]!r}")
+    if expect_factor:
+        raise ValueError("dangling operator at end of polynomial text")
+    return total + term

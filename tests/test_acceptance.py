@@ -29,7 +29,7 @@ from superharm.harmonic import (
     xu_basis,
 )
 from superharm.linalg import in_span, span_rank
-from superharm.operators import apply, named_operator, op_power, super_commutator
+from superharm.operators import named_operator, super_commutator
 from superharm.report import Verdict
 from superharm.representations import (
     algebra_basis,
@@ -37,6 +37,8 @@ from superharm.representations import (
     rep_operator,
     verify_homomorphism,
 )
+
+from oracles import op_power
 
 P = SuperPolynomial.variable
 GL21 = GradingScheme(SchemeKind.GL_NATURAL, 2, 1)
@@ -94,11 +96,10 @@ def test_criterion_03_eta_invariance():
                 assert super_commutator(rep, eta_op).is_zero(), \
                     (scheme.describe(), xi.render())
         else:
-            eta_poly = apply(named_operator("ETA", scheme),
-                             SuperPolynomial.one())
+            eta_poly = named_operator("ETA", scheme).apply(SuperPolynomial.one())
             for xi in basis:
                 rep = rep_operator(xi, scheme)
-                assert apply(rep, eta_poly).is_zero(), \
+                assert rep.apply(eta_poly).is_zero(), \
                     (scheme.describe(), xi.render())
 
 
@@ -175,7 +176,7 @@ def test_criterion_07_odd_osp_unique_singular_and_ladder_independence():
         basis = harmonic_kernel(enumerate_slice(ODD23, k, k)).vectors
         for power in range(0, 4 - k + 1):
             ladder = op_power(eta, power)
-            family.extend(apply(ladder, g) for g in basis)
+            family.extend(ladder.apply(g) for g in basis)
     assert all(not v.is_zero() for v in family)
     groups = _group_polys_by_weight(family, ODD23)
     assert all(span_rank(block) == len(block) for block in groups.values())
@@ -199,7 +200,7 @@ def _twisted_singular_family(label, cap):
                     if (seed_l + l1, seed_lp + l1) != (l, lp):
                         continue
                     seed = bpow(x(i), a) * bpow(y(j), b) * P(vartheta(1))
-                    v = apply(ladder, seed)
+                    v = ladder.apply(seed)
                     if not v.is_zero():
                         out.append(v)
     return out
@@ -233,11 +234,11 @@ def test_criterion_09_stabilizer_characterization():
 def test_criterion_10_eta_square_witness():
     eta = named_operator("ETA", GL23)
     delta = named_operator("DELTA", GL23)
-    eta_sq = apply(op_power(eta, 2), SuperPolynomial.one())
-    assert apply(delta, eta_sq).is_zero()
+    eta_sq = op_power(eta, 2).apply(SuperPolynomial.one())
+    assert delta.apply(eta_sq).is_zero()
     harmonics = list(harmonic_kernel(enumerate_slice(GL23, (2, 2))).vectors)
     assert in_span(eta_sq, harmonics)
-    eta_image = [apply(eta, SuperPolynomial.monomial(u))
+    eta_image = [eta.apply(SuperPolynomial.monomial(u))
                  for u in enumerate_slice(GL23, (1, 1)).basis]
     assert in_span(eta_sq, [q for q in eta_image if not q.is_zero()])
     report = cross_check_irreducibility(GL23, (2, 2))

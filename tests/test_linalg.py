@@ -9,7 +9,6 @@ from superharm.algebra import (
     SchemeKind,
     SuperPolynomial,
     enumerate_slice,
-    parse_polynomial,
 )
 from superharm.algebra import x as algx, y as algy
 from superharm.harmonic import _window_intersection_dimension
@@ -30,6 +29,7 @@ from oracles import (
     oracle_independent_subset,
     oracle_rref,
     oracle_window_intersection_dimension,
+    parse_polynomial,
 )
 
 F = Fraction
@@ -145,7 +145,7 @@ def test_independent_subset_stable():
     assert independent_subset(fam) == [0, 2]
 
 
-MONOMIALS = [parse_polynomial(t).monomials()[0] for t in (
+MONOMIALS = [parse_polynomial(t).terms()[0][0] for t in (
     "1", "x1", "x2", "y1", "x1^2", "x1*y1", "th1", "vt1", "th1*vt1", "x2*th1")]
 
 
