@@ -101,6 +101,8 @@ class JobConfig:
                 return [(self.l, self.lp)]
             if self.lmax is not None:
                 lpmax = self.lmax if self.lpmax is None else self.lpmax
+                if min(self.lmax, lpmax) < 0:
+                    raise ConfigError("empty label grid: --lmax/--lpmax < 0")
                 return [(a, b) for a in range(self.lmax + 1)
                         for b in range(lpmax + 1)]
             raise ConfigError("gl schemes need --l/--lp or --lmax")
@@ -112,8 +114,17 @@ class JobConfig:
                 raise ConfigError("give either --k or --kmin/--kmax")
             return [self.k]
         if self.kmax is not None:
+            if (self.kmin or 0) > self.kmax:
+                raise ConfigError("empty label grid: --kmin > --kmax")
             return list(range(self.kmin or 0, self.kmax + 1))
         raise ConfigError("osp schemes need --k or --kmax")
+
+    def resolve_label(self, scheme: GradingScheme) -> Label:
+        """The one label of a single-slice command (--l/--lp or --k)."""
+        if any(v is not None for v in (self.lmax, self.lpmax, self.kmin, self.kmax)):
+            raise ConfigError(f"{self.command} runs one slice: give --l/--lp "
+                              "or --k, not --lmax/--lpmax/--kmin/--kmax")
+        return self.resolve_labels(scheme)[0]
 
     def resolve_cap(self, scheme: GradingScheme) -> Optional[int]:
         if (scheme.is_twisted or scheme.has_x0) and self.cap is None:
@@ -137,7 +148,7 @@ def _config_from_args(args: argparse.Namespace) -> JobConfig:
 
 def _run_harmonic_basis(cfg: JobConfig) -> VerificationReport:
     scheme = cfg.resolve_scheme()
-    label = cfg.resolve_labels(scheme)[0]
+    label = cfg.resolve_label(scheme)
     cap = cfg.resolve_cap(scheme)
     sl = enumerate_slice(scheme, label, cap)
     kern = harmonic_kernel(sl)
@@ -164,7 +175,7 @@ def _run_harmonic_basis(cfg: JobConfig) -> VerificationReport:
 
 def _run_singular_vectors(cfg: JobConfig) -> VerificationReport:
     scheme = cfg.resolve_scheme()
-    label = cfg.resolve_labels(scheme)[0]
+    label = cfg.resolve_label(scheme)
     cap = cfg.resolve_cap(scheme)
     sl = enumerate_slice(scheme, label, cap)
     svs = singular_vectors(sl)

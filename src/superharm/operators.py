@@ -12,6 +12,11 @@ words walk through fermionic multiplier words with the Clifford relation
 d_p m = delta_pm - m d_p.  Equality of operators is equality of normal
 forms.
 
+`twist` maps an operator through the Weyl-algebra automorphism of a
+twisted scheme (v -> d_v, d_v -> -v on the swapped bosonic variables); the
+twisted representations and their Laplace operators are the twists of the
+natural ones.
+
 The fermionic derivative word is stored in the canonical ascending order
 and is applied right to left (last entry first), exactly like reading the
 operator product d_w1 d_w2 ... d_wk.
@@ -37,6 +42,7 @@ from superharm.algebra import (
     SuperMonomial,
     SuperPolynomial,
     VariableId,
+    _twisted_groups,
     integrate_bosonic,
     merge_signed,
     theta,
@@ -366,6 +372,32 @@ def super_commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
     return out
 
 
+def twist(op: DiffOperator, scheme: GradingScheme) -> DiffOperator:
+    """Image of op under the Weyl-algebra automorphism of a twisted scheme:
+    v -> d_v and d_v -> -v for v in x_1..x_{n1} and y_{n2+1}..y_n; every
+    other variable (x0 and the fermions included) is fixed.
+
+    An atom m * u * d_w * d, with u and d_w its swapped multipliers and
+    derivatives, maps to (-1)^deg(w) m * d_u * w * d; one compose per atom
+    normal-orders d_u past w.
+    """
+    neg_x, _, _, neg_y = _twisted_groups(scheme)
+    swapped = set(neg_x + neg_y)
+    out = DiffOperator.zero()
+    for w, c in op._atoms.items():
+        to_derive = [(v, e) for v, e in w.mult.bos if v in swapped]
+        to_multiply = [(v, e) for v, e in w.dbos if v in swapped]
+        sign = -1 if sum(e for _, e in to_multiply) % 2 else 1
+        kept = tuple((v, e) for v, e in w.mult.bos if v not in swapped)
+        left = DiffOperator.word(c * sign, SuperMonomial(kept, w.mult.ferm),
+                                 to_derive, ())
+        right = DiffOperator.word(
+            1, SuperMonomial(tuple(to_multiply), ()),
+            [(v, e) for v, e in w.dbos if v not in swapped], w.dferm)
+        out = out + compose(left, right)
+    return out
+
+
 # ===================================================================
 # named operators
 # ===================================================================
@@ -398,28 +430,6 @@ def _eta_bar_natural(n: int) -> DiffOperator:
     return out
 
 
-def _delta_bar_twisted(n: int, n1: int, n2: int) -> DiffOperator:
-    out = DiffOperator.zero()
-    for i in range(1, n1 + 1):
-        out = out - DiffOperator.word(1, SuperMonomial(((x(i), 1),), ()), ((y(i), 1),), ())
-    for r in range(n1 + 1, n2 + 1):
-        out = out + DiffOperator.word(1, SuperMonomial.unit(), ((x(r), 1), (y(r), 1)), ())
-    for s in range(n2 + 1, n + 1):
-        out = out - DiffOperator.word(1, SuperMonomial(((y(s), 1),), ()), ((x(s), 1),), ())
-    return out
-
-
-def _eta_bar_twisted(n: int, n1: int, n2: int) -> DiffOperator:
-    out = DiffOperator.zero()
-    for i in range(1, n1 + 1):
-        out = out + DiffOperator.word(1, SuperMonomial(((y(i), 1),), ()), ((x(i), 1),), ())
-    for r in range(n1 + 1, n2 + 1):
-        out = out + DiffOperator.multiplier(SuperMonomial(((x(r), 1), (y(r), 1)), ()))
-    for s in range(n2 + 1, n + 1):
-        out = out + DiffOperator.word(1, SuperMonomial(((x(s), 1),), ()), ((y(s), 1),), ())
-    return out
-
-
 def _flat(scheme: GradingScheme) -> DiffOperator:
     out = DiffOperator.zero()
     for r in range(scheme.n1 + 1, scheme.n + 1):
@@ -438,29 +448,14 @@ def _flat_prime(scheme: GradingScheme) -> DiffOperator:
     return out
 
 
-def _even_delta(scheme: GradingScheme) -> DiffOperator:
-    """The x0-free Laplace operator underlying a scheme."""
-    if scheme.is_twisted:
-        bar = _delta_bar_twisted(scheme.n, scheme.n1, scheme.n2)
-    else:
-        bar = _delta_bar_natural(scheme.n)
-    return bar + _delta_check(scheme.m)
-
-
-def _even_eta(scheme: GradingScheme) -> DiffOperator:
-    if scheme.is_twisted:
-        bar = _eta_bar_twisted(scheme.n, scheme.n1, scheme.n2)
-    else:
-        bar = _eta_bar_natural(scheme.n)
-    return bar + _eta_check(scheme.m)
-
-
 def named_operator(name: str, scheme: GradingScheme) -> DiffOperator:
     """Build one of the distinguished operators for a scheme.
 
     Names (case-insensitive): DELTA, ETA, DELTA_BAR, ETA_BAR, DELTA_CHECK,
     ETA_CHECK, FLAT, FLAT_PRIME.  For the x0 schemes DELTA/ETA are the
-    ladder versions d_x0^2 + 2*Delta and x0^2 + 2*eta.
+    ladder versions d_x0^2 + 2*Delta and x0^2 + 2*eta.  On a twisted scheme
+    DELTA, ETA and their bar parts are the twists of the natural ones; the
+    check parts involve only fermions, which the twist fixes.
     """
     key = name.strip().upper()
     if key in ("FLAT", "FLAT_PRIME") and not scheme.is_twisted:
@@ -474,23 +469,21 @@ def named_operator(name: str, scheme: GradingScheme) -> DiffOperator:
     if key == "ETA_CHECK":
         return _eta_check(scheme.m)
     if key == "DELTA_BAR":
-        if scheme.is_twisted:
-            return _delta_bar_twisted(scheme.n, scheme.n1, scheme.n2)
-        return _delta_bar_natural(scheme.n)
-    if key == "ETA_BAR":
-        if scheme.is_twisted:
-            return _eta_bar_twisted(scheme.n, scheme.n1, scheme.n2)
-        return _eta_bar_natural(scheme.n)
-    if key == "DELTA":
+        op = _delta_bar_natural(scheme.n)
+    elif key == "ETA_BAR":
+        op = _eta_bar_natural(scheme.n)
+    elif key == "DELTA":
+        op = _delta_bar_natural(scheme.n) + _delta_check(scheme.m)
         if scheme.has_x0:
-            return DiffOperator.partial(x0(), 2) + _even_delta(scheme).scale(2)
-        return _even_delta(scheme)
-    if key == "ETA":
+            op = DiffOperator.partial(x0(), 2) + op.scale(2)
+    elif key == "ETA":
+        op = _eta_bar_natural(scheme.n) + _eta_check(scheme.m)
         if scheme.has_x0:
             x0sq = DiffOperator.multiplier(SuperMonomial(((x0(), 2),), ()))
-            return x0sq + _even_eta(scheme).scale(2)
-        return _even_eta(scheme)
-    raise ValueError(f"unknown operator name {name!r}")
+            op = x0sq + op.scale(2)
+    else:
+        raise ValueError(f"unknown operator name {name!r}")
+    return twist(op, scheme) if scheme.is_twisted else op
 
 
 # ===================================================================

@@ -10,12 +10,13 @@ Three matrix superalgebras act on the polynomial algebra:
 * ``osp(2n+1|2m)``       — same with one extra even index 0.
 
 Each grading scheme of the algebra module carries a representation of the
-matching superalgebra by differential operators: the natural variants act
-by first-order operators, the twisted variants are obtained by swapping
-multiplication and differentiation on the twisted index blocks, which
+matching superalgebra by differential operators.  The natural variants act
+by first-order operators; the tables below give the natural image of every
+matrix unit.  A twisted variant maps each unit to the image of its natural
+operator under the automorphism sigma of `operators.twist`, which swaps
+multiplication and differentiation on x_1..x_{n1} and y_{n2+1}..y_n and so
 trades first-order atoms for products of two multipliers or two
-derivatives.  The tables below give the image of every matrix unit;
-arbitrary elements extend linearly.
+derivatives.  Arbitrary elements extend linearly.
 
 The module also provides the positive-root generators and diagonal Cartan
 basis used for weights and singular vectors, plus two self-contained
@@ -44,8 +45,8 @@ from .algebra import (
     y,
 )
 from .linalg import nullspace, poly_matrix, rank, rref
-from .operators import DiffOperator, compose, named_operator
-from .report import Verdict, VerificationReport
+from .operators import DiffOperator, compose, named_operator, twist
+from .report import InternalError, Verdict, VerificationReport
 
 Scalar = Union[int, Fraction]
 
@@ -411,53 +412,6 @@ def _gl_natural_unit(scheme: GradingScheme, a: int, b: int) -> DiffOperator:
     return _atom(1, [theta(r)], [theta(s)]) + _atom(-1, [vartheta(s)], [vartheta(r)])
 
 
-def _gl_twisted_x_block(scheme: GradingScheme, i: int, j: int) -> DiffOperator:
-    # twisted x-side: multiplication and differentiation swap on 1..n1
-    n1 = scheme.n1
-    if i <= n1 and j <= n1:
-        return _atom(-1, [x(j)], [x(i)]) + (DiffOperator.scalar(-1) if i == j
-                                            else DiffOperator.zero())
-    if i <= n1 < j:
-        return _atom(1, [], [x(i), x(j)])
-    if j <= n1 < i:
-        return _atom(-1, [x(i), x(j)], [])
-    return _atom(1, [x(i)], [x(j)])
-
-
-def _gl_twisted_y_block(scheme: GradingScheme, k: int, l: int) -> DiffOperator:
-    # twisted y-side: the swap happens on n2+1..n instead
-    n2 = scheme.n2
-    if k <= n2 and l <= n2:
-        return _atom(1, [y(k)], [y(l)])
-    if k <= n2 < l:
-        return _atom(-1, [y(k), y(l)], [])
-    if l <= n2 < k:
-        return _atom(1, [], [y(k), y(l)])
-    return _atom(-1, [y(l)], [y(k)]) + DiffOperator.scalar(-1 if k == l else 0)
-
-
-def _gl_twisted_unit(scheme: GradingScheme, a: int, b: int) -> DiffOperator:
-    n, n1, n2 = scheme.n, scheme.n1, scheme.n2
-    if a <= n and b <= n:
-        return _gl_twisted_x_block(scheme, a, b) - _gl_twisted_y_block(scheme, b, a)
-    if a <= n < b:
-        i, r = a, b - n
-        if i <= n1:
-            return _atom(1, [], [x(i), theta(r)]) + _atom(-1, [vartheta(r)], [y(i)])
-        if i <= n2:
-            return _atom(1, [x(i)], [theta(r)]) + _atom(-1, [vartheta(r)], [y(i)])
-        return _atom(1, [x(i)], [theta(r)]) + _atom(1, [y(i), vartheta(r)], [])
-    if b <= n < a:
-        r, i = a - n, b
-        if i <= n1:
-            return _atom(-1, [x(i), theta(r)], []) + _atom(1, [y(i)], [vartheta(r)])
-        if i <= n2:
-            return _atom(1, [theta(r)], [x(i)]) + _atom(1, [y(i)], [vartheta(r)])
-        return _atom(1, [theta(r)], [x(i)]) + _atom(1, [], [y(i), vartheta(r)])
-    r, s = a - n, b - n
-    return _atom(1, [theta(r)], [theta(s)]) + _atom(-1, [vartheta(s)], [vartheta(r)])
-
-
 def _osp_ambient_variable(scheme: GradingScheme, a: int) -> VariableId:
     n, m = scheme.n, scheme.m
     if a == 0:
@@ -477,91 +431,11 @@ def _osp_natural_unit(scheme: GradingScheme, a: int, b: int) -> DiffOperator:
     return _atom(1, [za], [zb])
 
 
-def _osp_even_twisted_unit(scheme: GradingScheme, a: int, b: int) -> DiffOperator:
-    n, m, n1, n2 = scheme.n, scheme.m, scheme.n1, scheme.n2
-
-    def classify(c: int) -> Tuple[str, int]:
-        if c <= n:
-            return "x", c
-        if c <= 2 * n:
-            return "y", c - n
-        if c <= 2 * n + m:
-            return "th", c - 2 * n
-        return "vt", c - 2 * n - m
-
-    fa, i = classify(a)
-    fb, j = classify(b)
-    if fa == "x" and fb == "x":
-        return _gl_twisted_x_block(scheme, i, j)
-    if fa == "y" and fb == "y":
-        return _gl_twisted_y_block(scheme, i, j)
-    if fa == "x" and fb == "y":
-        if i <= n1:
-            return (_atom(1, [], [x(i), y(j)]) if j <= n2
-                    else _atom(-1, [y(j)], [x(i)]))
-        return (_atom(1, [x(i)], [y(j)]) if j <= n2
-                else _atom(-1, [x(i), y(j)], []))
-    if fa == "y" and fb == "x":
-        if j <= n1:
-            return (_atom(-1, [x(j), y(i)], []) if i <= n2
-                    else _atom(-1, [x(j)], [y(i)]))
-        return (_atom(1, [y(i)], [x(j)]) if i <= n2
-                else _atom(1, [], [x(j), y(i)]))
-    if fa == "x" and fb in ("th", "vt"):
-        f = theta(j) if fb == "th" else vartheta(j)
-        return _atom(1, [], [x(i), f]) if i <= n1 else _atom(1, [x(i)], [f])
-    if fa in ("th", "vt") and fb == "x":
-        f = theta(i) if fa == "th" else vartheta(i)
-        return _atom(-1, [x(j), f], []) if j <= n1 else _atom(1, [f], [x(j)])
-    if fa == "y" and fb in ("th", "vt"):
-        f = theta(j) if fb == "th" else vartheta(j)
-        return _atom(1, [y(i)], [f]) if i <= n2 else _atom(1, [], [y(i), f])
-    if fa in ("th", "vt") and fb == "y":
-        f = theta(i) if fa == "th" else vartheta(i)
-        return _atom(1, [f], [y(j)]) if j <= n2 else _atom(-1, [y(j), f], [])
-    # fermionic block: untouched by the twist
-    fva = theta(i) if fa == "th" else vartheta(i)
-    fvb = theta(j) if fb == "th" else vartheta(j)
-    return _atom(1, [fva], [fvb])
-
-
-def _osp_odd_twisted_unit(scheme: GradingScheme, a: int, b: int) -> DiffOperator:
-    n, m, n1, n2 = scheme.n, scheme.m, scheme.n1, scheme.n2
-    if a == 0 and b == 0:
-        return _atom(1, [x0()], [x0()])
-    if a == 0:
-        if b <= n:
-            return (_atom(-1, [x0(), x(b)], []) if b <= n1
-                    else _atom(1, [x0()], [x(b)]))
-        if b <= 2 * n:
-            i = b - n
-            return (_atom(1, [x0()], [y(i)]) if i <= n2
-                    else _atom(-1, [x0(), y(i)], []))
-        return _atom(1, [x0()], [_osp_ambient_variable(scheme, b)])
-    if b == 0:
-        if a <= n:
-            return (_atom(1, [], [x(a), x0()]) if a <= n1
-                    else _atom(1, [x(a)], [x0()]))
-        if a <= 2 * n:
-            i = a - n
-            return (_atom(1, [y(i)], [x0()]) if i <= n2
-                    else _atom(1, [], [y(i), x0()]))
-        return _atom(1, [_osp_ambient_variable(scheme, a)], [x0()])
-    return _osp_even_twisted_unit(scheme, a, b)
-
-
 @functools.lru_cache(maxsize=None)
 def _unit_operator(scheme: GradingScheme, a: int, b: int) -> DiffOperator:
-    kind = scheme.kind
-    if kind is SchemeKind.GL_NATURAL:
-        return _gl_natural_unit(scheme, a, b)
-    if kind is SchemeKind.GL_TWISTED:
-        return _gl_twisted_unit(scheme, a, b)
-    if kind in (SchemeKind.OSP_EVEN_NATURAL, SchemeKind.OSP_ODD_NATURAL):
-        return _osp_natural_unit(scheme, a, b)
-    if kind is SchemeKind.OSP_EVEN_TWISTED:
-        return _osp_even_twisted_unit(scheme, a, b)
-    return _osp_odd_twisted_unit(scheme, a, b)
+    natural = _gl_natural_unit if scheme.is_gl else _osp_natural_unit
+    op = natural(scheme, a, b)
+    return twist(op, scheme) if scheme.is_twisted else op
 
 
 def rep_operator(elem: AlgebraElement, scheme: GradingScheme) -> DiffOperator:
@@ -671,7 +545,7 @@ def _operator_atom_row(op: DiffOperator,
         mvars = w.mult.variables()
         dvars = tuple(v for v, e in w.dbos for _ in range(e)) + w.dferm
         if len(mvars) != 1 or len(dvars) != 1 or w.mult.degree() != 1:
-            raise ValueError("operator is not first order: " + op.render())
+            raise InternalError("operator is not first order: " + op.render())
         row[atom_index[(mvars[0], dvars[0])]] = c
     return row
 

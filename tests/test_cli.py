@@ -4,8 +4,8 @@ import re
 import pytest
 
 from superharm.cli import JobConfig, ConfigError, build_parser, main
-from superharm.algebra import GradingScheme, SchemeKind
-from superharm.operators import FiltrationError
+from superharm.algebra import GradingScheme, SchemeKind, x
+from superharm.operators import DiffOperator, FiltrationError
 from superharm.report import InternalError
 
 
@@ -56,6 +56,9 @@ def test_config_label_grids():
     (JobConfig(command="x", k=1, kmax=2), SchemeKind.OSP_EVEN_NATURAL),
     (JobConfig(command="x"), SchemeKind.GL_NATURAL),             # no labels
     (JobConfig(command="x", l=1), SchemeKind.GL_NATURAL),        # l without lp
+    (JobConfig(command="x", lmax=-1), SchemeKind.GL_NATURAL),    # empty grid
+    (JobConfig(command="x", lmax=1, lpmax=-1), SchemeKind.GL_NATURAL),
+    (JobConfig(command="x", kmin=4, kmax=2), SchemeKind.OSP_EVEN_NATURAL),
 ])
 def test_config_label_errors(cfg, scheme_kind):
     scheme = GradingScheme(scheme_kind, 2, 1)
@@ -117,6 +120,27 @@ def test_exit_two_on_config_error(capsys):
                         "--n1", "1", "--n2", "3", "--l", "0", "--lp", "0"],
                        capsys)
     assert code == 2  # twisted suite without --cap
+
+    code, out, err = run(["verify-theorem", "3", "--n", "2", "--m", "3",
+                          "--kmin", "4", "--kmax", "2"], capsys)
+    assert code == 2  # empty label grid
+    assert "[PASS]" not in out
+    assert "empty label grid" in err
+
+
+@pytest.mark.parametrize("command", ["harmonic-basis", "singular-vectors"])
+@pytest.mark.parametrize("scheme,grid", [
+    ("gl-natural", ["--lmax", "2"]),
+    ("gl-natural", ["--l", "1", "--lp", "1", "--lpmax", "2"]),
+    ("osp-even-natural", ["--kmax", "2"]),
+    ("osp-even-natural", ["--kmin", "3", "--kmax", "1"]),
+])
+def test_single_slice_commands_reject_grids(command, scheme, grid, capsys):
+    code, out, err = run([command, "--scheme", scheme, "--n", "2", "--m", "1",
+                          *grid], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"superharm: {command} runs one slice" in err
 
 
 def test_exit_three_on_window_limited(capsys):
@@ -212,6 +236,28 @@ def test_check_identities_single_scheme(capsys):
                         "--n", "1", "--m", "1"], capsys)
     assert code == 0
     assert "operator identities" in out
+
+
+def test_stabilizer_internal_error_exits_four(monkeypatch, capsys):
+    import superharm.representations as reps
+
+    original = reps._osp_natural_unit
+
+    def second_order(scheme, a, b):
+        if (a, b) == (1, 1):
+            return DiffOperator.partial(x(1), 2)
+        return original(scheme, a, b)
+
+    reps._unit_operator.cache_clear()
+    monkeypatch.setattr(reps, "_osp_natural_unit", second_order)
+    try:
+        code, out, err = run(["stabilizer", "--scheme", "osp-even-natural",
+                              "--n", "2", "--m", "1"], capsys)
+    finally:
+        reps._unit_operator.cache_clear()
+    assert code == 4
+    assert out == ""
+    assert "superharm: internal error: operator is not first order" in err
 
 
 def test_stabilizer_subcommand(capsys):

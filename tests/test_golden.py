@@ -5,6 +5,11 @@ run-dependent `elapsed_ms` field removed, must match tests/golden/<name>.json
 byte for byte.  The capped gl-twisted and osp-odd cases are the only tier-1
 runs of the capped branch of `compare_bases` (the window intersection).
 
+tests/golden/twisted_operators.txt pins the normal form of every twisted
+operator: one rendered line per matrix unit and per named operator, for the
+three twisted kinds on three shapes.  The (5|1, n1=2, n2=5) shape has
+n1 > 1 and n2 = n, which the CLI grids never reach.
+
 Regenerate the files from a checkout whose reports are trusted with
 `PYTHONPATH=src python tests/test_golden.py`.
 """
@@ -14,7 +19,10 @@ from pathlib import Path
 
 import pytest
 
+from superharm.algebra import GradingScheme, SchemeKind
 from superharm.cli import main
+from superharm.operators import named_operator
+from superharm.representations import AlgebraElement, algebra_space, rep_operator
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -62,6 +70,34 @@ def test_report_matches_golden(name, tmp_path):
     assert report_json(CASES[name], tmp_path / "report.json") == want
 
 
+TWISTED_OPERATORS = GOLDEN_DIR / "twisted_operators.txt"
+TWISTED_SHAPES = [(4, 1, 1, 3), (4, 2, 1, 3), (5, 1, 2, 5)]  # (n, m, n1, n2)
+NAMED = ["DELTA", "ETA", "DELTA_BAR", "ETA_BAR", "DELTA_CHECK", "ETA_CHECK",
+         "FLAT", "FLAT_PRIME"]
+
+
+def twisted_operators_text() -> str:
+    """One `<scheme> <unit or name> = <normal form>` line per operator."""
+    lines = []
+    for kind in (SchemeKind.GL_TWISTED, SchemeKind.OSP_EVEN_TWISTED,
+                 SchemeKind.OSP_ODD_TWISTED):
+        for shape in TWISTED_SHAPES:
+            scheme = GradingScheme(kind, *shape)
+            space = algebra_space(scheme)
+            for a in space.indices():
+                for b in space.indices():
+                    op = rep_operator(AlgebraElement.unit(space, a, b), scheme)
+                    lines.append(f"{scheme.describe()} E[{a},{b}] = {op.render()}")
+            for name in NAMED:
+                op = named_operator(name, scheme)
+                lines.append(f"{scheme.describe()} {name} = {op.render()}")
+    return "\n".join(lines) + "\n"
+
+
+def test_twisted_operators_match_golden():
+    assert twisted_operators_text() == TWISTED_OPERATORS.read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -71,3 +107,5 @@ if __name__ == "__main__":
             text = report_json(argv, Path(tmp) / "report.json")
             (GOLDEN_DIR / f"{name}.json").write_text(text)
             print(name)
+    TWISTED_OPERATORS.write_text(twisted_operators_text())
+    print(TWISTED_OPERATORS.stem)

@@ -25,6 +25,7 @@ from superharm.operators import (
     filtration_measure,
     named_operator,
     super_commutator,
+    twist,
     xu_solve,
 )
 from superharm.representations import AlgebraElement, algebra_space, rep_operator
@@ -268,6 +269,58 @@ def test_compose_reorders_factors():
                    DiffOperator.multiplier(P(x(1)))) == one + x1_dx1
     assert compose(DiffOperator.partial(theta(1)),
                    DiffOperator.multiplier(P(theta(1)))) == one - th1_dth1
+
+
+# ===================================================================
+# the twist automorphism
+# ===================================================================
+
+# x1 and y4 are swapped; x0, x2, y1 and the fermions are fixed
+TWIST_SCHEME = GradingScheme(SchemeKind.OSP_ODD_TWISTED, 4, 1, 1, 3)
+TWIST_FIXED = [x0(), x(2), y(1), theta(1), vartheta(1)]
+TWIST_ALL = [x(1), y(4)] + TWIST_FIXED
+
+
+def _at_most_once_fermionic(vs):
+    ferm = [v for v in vs if v.fermionic]
+    return len(set(ferm)) == len(ferm)
+
+
+def order2_operators(variables):
+    """Sums of up to three atoms with at most two multiplier factors and at
+    most two derivatives, over `variables`, with non-integer coefficients."""
+    words = st.lists(st.sampled_from(variables), max_size=2).filter(
+        _at_most_once_fermionic)
+
+    def atom(mult, der, c):
+        bos = lambda vs: [(v, vs.count(v)) for v in set(vs) if not v.fermionic]
+        ferm = lambda vs: sorted(v for v in vs if v.fermionic)
+        return DiffOperator.word(c, SuperMonomial.make(bos(mult), ferm(mult)),
+                                 bos(der), ferm(der))
+
+    return st.lists(st.builds(atom, words, words, rationals),
+                    min_size=1, max_size=3).map(
+        lambda ops: sum(ops, DiffOperator.zero()))
+
+
+@given(order2_operators(TWIST_ALL), order2_operators(TWIST_ALL))
+@settings(max_examples=150, deadline=None)
+def test_twist_is_an_algebra_automorphism(a, b):
+    s = TWIST_SCHEME
+    assert twist(compose(a, b), s) == compose(twist(a, s), twist(b, s))
+
+
+@given(order2_operators(TWIST_FIXED))
+@settings(max_examples=50, deadline=None)
+def test_twist_fixes_unswapped_variables(op):
+    assert twist(op, TWIST_SCHEME) == op
+
+
+def test_twist_examples():
+    assert twist(DiffOperator.multiplier(P(x(1))), TWIST_SCHEME) == \
+        DiffOperator.partial(x(1))
+    assert twist(DiffOperator.partial(y(4)), TWIST_SCHEME) == \
+        DiffOperator.multiplier(P(y(4))).scale(-1)
 
 
 # ===================================================================
