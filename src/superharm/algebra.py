@@ -10,6 +10,11 @@ the fermionic factors appear in the fixed order
 
 and any reordering sign is pushed into the coefficient of the enclosing
 term.  All arithmetic is exact; there is no floating point anywhere.
+
+`LinearCombination` is the one place where coefficients live: a sparse
+map from a key to a nonzero rational with the linear structure, equality
+and rendering.  `SuperPolynomial` (keyed by monomials), the operators'
+`DiffOperator` and the algebra elements' `AlgebraElement` subclass it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
 # ===================================================================
@@ -188,19 +193,109 @@ class SuperMonomial(NamedTuple):
 
 
 # ===================================================================
-# polynomials
+# linear combinations
 # ===================================================================
 
 Scalar = Union[int, Fraction]
 
 
-class SuperPolynomial:
-    """Sparse polynomial: canonical monomial -> nonzero Fraction."""
+class LinearCombination:
+    """Sparse rational linear combination: key -> nonzero coefficient.
+
+    The one implementation of the linear structure that polynomials,
+    operators and algebra elements share.  Each subclass sets the sort key
+    of its keys (`key_order`) and how one key renders (`key_render`; a key
+    rendering as "1" prints as the bare coefficient).
+    """
 
     __slots__ = ("_terms",)
+    key_order: Callable
+    key_render: Callable
 
-    def __init__(self, terms: Optional[dict[SuperMonomial, Fraction]] = None):
-        self._terms = {m: c for m, c in (terms or {}).items() if c != 0}
+    def __init__(self, terms: Optional[dict] = None):
+        self._terms = {k: c for k, c in (terms or {}).items() if c != 0}
+
+    def _like(self, terms: dict):
+        """A combination of the same kind with the given terms."""
+        return type(self)(terms)
+
+    # ---- inspection ----
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def items(self):
+        """The (key, coefficient) pairs in no particular order."""
+        return self._terms.items()
+
+    def terms(self) -> list:
+        """The (key, coefficient) pairs in key order."""
+        key = self.key_order
+        return sorted(self._terms.items(), key=lambda t: key(t[0]))
+
+    def coefficient(self, key) -> Fraction:
+        return self._terms.get(key, Fraction(0))
+
+    # ---- linear structure ----
+
+    def __add__(self, other):
+        acc = dict(self._terms)
+        for k, c in other._terms.items():
+            acc[k] = acc.get(k, 0) + c
+        return self._like(acc)
+
+    def __sub__(self, other):
+        acc = dict(self._terms)
+        for k, c in other._terms.items():
+            acc[k] = acc.get(k, 0) - c
+        return self._like(acc)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self._terms.items()})
+
+    def scale(self, c: Scalar):
+        c = Fraction(c)
+        return self._like({k: c * v for k, v in self._terms.items()})
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.render()})"
+
+    def render(self) -> str:
+        if not self._terms:
+            return "0"
+        chunks: list[str] = []
+        for k, c in self.terms():
+            body = self.key_render(k)
+            mag = abs(c)
+            if body == "1":
+                body = str(mag)
+            elif mag != 1:
+                body = f"{mag}*{body}"
+            if not chunks:
+                chunks.append(body if c > 0 else f"-{body}")
+            else:
+                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(chunks)
+
+
+# ===================================================================
+# polynomials
+# ===================================================================
+
+class SuperPolynomial(LinearCombination):
+    """Sparse polynomial: canonical monomial -> nonzero Fraction."""
+
+    __slots__ = ()
+    key_order = staticmethod(SuperMonomial.sort_key)
+    key_render = staticmethod(SuperMonomial.render)
 
     # ---- constructors ----
 
@@ -224,62 +319,9 @@ class SuperPolynomial:
             m = SuperMonomial(((v, 1),), ())
         return SuperPolynomial({m: Fraction(1)})
 
-    # ---- inspection ----
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self) -> list[tuple[SuperMonomial, Fraction]]:
-        return sorted(self._terms.items(), key=lambda t: t[0].sort_key())
-
-    def items(self):
-        """The (monomial, coefficient) pairs in no particular order."""
-        return self._terms.items()
-
-    def coefficient(self, m: SuperMonomial) -> Fraction:
-        return self._terms.get(m, Fraction(0))
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(m.degree() for m in self._terms)
-
-    def parity(self) -> Optional[int]:
-        """0 or 1 when parity-homogeneous, None when mixed or zero-ambiguous."""
-        if not self._terms:
-            return None
-        ps = {m.parity() for m in self._terms}
-        return ps.pop() if len(ps) == 1 else None
-
-    def variables(self) -> set[VariableId]:
-        out: set[VariableId] = set()
-        for m in self._terms:
-            out.update(m.variables())
-        return out
-
-    # ---- arithmetic ----
-
-    def __add__(self, other: "SuperPolynomial") -> "SuperPolynomial":
-        acc = dict(self._terms)
-        for m, c in other._terms.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
-        return SuperPolynomial(acc)
-
-    def __sub__(self, other: "SuperPolynomial") -> "SuperPolynomial":
-        acc = dict(self._terms)
-        for m, c in other._terms.items():
-            acc[m] = acc.get(m, Fraction(0)) - c
-        return SuperPolynomial(acc)
-
-    def __neg__(self) -> "SuperPolynomial":
-        return SuperPolynomial({m: -c for m, c in self._terms.items()})
-
-    def scale(self, c: Scalar) -> "SuperPolynomial":
-        c = Fraction(c)
-        if c == 0:
-            return SuperPolynomial.zero()
-        return SuperPolynomial({m: c * v for m, v in self._terms.items()})
+        return max((m.degree() for m in self._terms), default=-1)
 
     def __mul__(self, other) -> "SuperPolynomial":
         if isinstance(other, (int, Fraction)):
@@ -291,45 +333,8 @@ class SuperPolynomial:
                 if prod is None:
                     continue
                 sign, m = prod
-                acc[m] = acc.get(m, Fraction(0)) + sign * c1 * c2
+                acc[m] = acc.get(m, 0) + sign * c1 * c2
         return SuperPolynomial(acc)
-
-    def __rmul__(self, other) -> "SuperPolynomial":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SuperPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self) -> str:
-        return f"SuperPolynomial({self.render()})"
-
-    # ---- rendering ----
-
-    def render(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for m, c in self.terms():
-            mono = m.render()
-            mag = abs(c)
-            if mono == "1":
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(chunks)
 
 
 def integrate_bosonic(p: SuperPolynomial, v: VariableId) -> SuperPolynomial:
@@ -342,7 +347,7 @@ def integrate_bosonic(p: SuperPolynomial, v: VariableId) -> SuperPolynomial:
         bos = dict(m.bos)
         bos[v] = e + 1
         nm = SuperMonomial(tuple(sorted(bos.items())), m.ferm)
-        acc[nm] = acc.get(nm, Fraction(0)) + c / (e + 1)
+        acc[nm] = acc.get(nm, 0) + c / (e + 1)
     return SuperPolynomial(acc)
 
 

@@ -90,6 +90,11 @@ class JobConfig:
             raise ConfigError(str(err)) from err
 
     def resolve_labels(self, scheme: GradingScheme) -> List[Label]:
+        def nonnegative(flags: str, *values: int) -> None:
+            # a natural slice of negative label is empty: checks pass vacuously
+            if not scheme.is_twisted and min(values) < 0:
+                raise ConfigError(f"{flags} must be >= 0 on {scheme.kind.value}")
+
         if scheme.is_gl:
             if self.k is not None or self.kmin is not None or self.kmax is not None:
                 raise ConfigError("--k/--kmin/--kmax apply only to osp schemes")
@@ -98,6 +103,7 @@ class JobConfig:
                     raise ConfigError("--l and --lp go together")
                 if self.lmax is not None or self.lpmax is not None:
                     raise ConfigError("give either --l/--lp or --lmax/--lpmax")
+                nonnegative("--l and --lp", self.l, self.lp)
                 return [(self.l, self.lp)]
             if self.lmax is not None:
                 lpmax = self.lmax if self.lpmax is None else self.lpmax
@@ -112,8 +118,10 @@ class JobConfig:
         if self.k is not None:
             if self.kmin is not None or self.kmax is not None:
                 raise ConfigError("give either --k or --kmin/--kmax")
+            nonnegative("--k", self.k)
             return [self.k]
         if self.kmax is not None:
+            nonnegative("--kmin", self.kmin or 0)
             if (self.kmin or 0) > self.kmax:
                 raise ConfigError("empty label grid: --kmin > --kmax")
             return list(range(self.kmin or 0, self.kmax + 1))

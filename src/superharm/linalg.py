@@ -127,9 +127,10 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fract
 def poly_matrix(
     polys: Sequence[SuperPolynomial],
 ) -> tuple[list[list[Fraction]], list[SuperMonomial]]:
-    """Coefficient rows over the union of monomials (deterministic column order)."""
+    """Coefficient rows over the union of monomials, columns in first-seen
+    order: no caller's rank, null space or pivot set depends on it."""
     terms = [p.items() for p in polys]
-    monos = sorted({m for t in terms for m, _ in t}, key=lambda m: m.sort_key())
+    monos = list(dict.fromkeys(m for t in terms for m, _ in t))
     index = {m: j for j, m in enumerate(monos)}
     _check_budget(max(len(polys), 1), max(len(monos), 1))
     rows = []

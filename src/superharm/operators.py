@@ -4,7 +4,9 @@ An operator is a sum of normal-ordered atoms
 
     coeff * (multiplier monomial) * (bosonic derivatives) * (fermionic derivatives)
 
-with all multiplications to the left of all derivatives.  Composition
+with all multiplications to the left of all derivatives: an
+`algebra.LinearCombination` keyed by the atoms' words (`OpWord`), which
+holds the coefficients and the linear structure.  Composition
 re-normal-orders the junction where the left factor's derivatives meet the
 right factor's multipliers: bosonic pairs expand by the Weyl relation
 d^a x^b = sum_k C(a,k) b!/(b-k)! x^(b-k) d^(a-k), fermionic derivative
@@ -38,6 +40,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from superharm.algebra import (
     GradingScheme,
+    LinearCombination,
     Scalar,
     SuperMonomial,
     SuperPolynomial,
@@ -125,13 +128,12 @@ def _act(w: OpWord, m: SuperMonomial) -> Optional[tuple[int, SuperMonomial]]:
     return sign * k, mono
 
 
-class DiffOperator:
+class DiffOperator(LinearCombination):
     """Normal-ordered operator: OpWord -> nonzero Fraction."""
 
-    __slots__ = ("_atoms",)
-
-    def __init__(self, atoms: Optional[dict[OpWord, Fraction]] = None):
-        self._atoms = {w: c for w, c in (atoms or {}).items() if c != 0}
+    __slots__ = ()
+    key_order = staticmethod(OpWord.sort_key)
+    key_render = staticmethod(OpWord.render)
 
     # ---- constructors ----
 
@@ -151,9 +153,7 @@ class DiffOperator:
     def multiplier(p: Union[SuperPolynomial, SuperMonomial]) -> "DiffOperator":
         if isinstance(p, SuperMonomial):
             return DiffOperator({OpWord(p, (), ()): Fraction(1)})
-        return DiffOperator(
-            {OpWord(m, (), ()): c for m, c in p.items()}
-        )
+        return DiffOperator({OpWord(m, (), ()): c for m, c in p.items()})
 
     @staticmethod
     def partial(v: VariableId, exp: int = 1) -> "DiffOperator":
@@ -182,97 +182,33 @@ class DiffOperator:
 
     # ---- inspection ----
 
-    def is_zero(self) -> bool:
-        return not self._atoms
-
     def atoms(self) -> list[tuple[OpWord, Fraction]]:
-        return sorted(self._atoms.items(), key=lambda a: a[0].sort_key())
-
-    def parity(self) -> Optional[int]:
-        if not self._atoms:
-            return None
-        ps = {w.parity() for w in self._atoms}
-        return ps.pop() if len(ps) == 1 else None
+        return self.terms()
 
     def parity_part(self, par: int) -> "DiffOperator":
         return DiffOperator(
-            {w: c for w, c in self._atoms.items() if w.parity() == par}
+            {w: c for w, c in self._terms.items() if w.parity() == par}
         )
 
     def derivative_variables(self) -> set[VariableId]:
         out: set[VariableId] = set()
-        for w in self._atoms:
+        for w in self._terms:
             out.update(v for v, _ in w.dbos)
             out.update(w.dferm)
         return out
-
-    # ---- linear structure ----
-
-    def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        acc = dict(self._atoms)
-        for w, c in other._atoms.items():
-            acc[w] = acc.get(w, Fraction(0)) + c
-        return DiffOperator(acc)
-
-    def __sub__(self, other: "DiffOperator") -> "DiffOperator":
-        acc = dict(self._atoms)
-        for w, c in other._atoms.items():
-            acc[w] = acc.get(w, Fraction(0)) - c
-        return DiffOperator(acc)
-
-    def __neg__(self) -> "DiffOperator":
-        return DiffOperator({w: -c for w, c in self._atoms.items()})
-
-    def scale(self, c: Scalar) -> "DiffOperator":
-        c = Fraction(c)
-        if c == 0:
-            return DiffOperator.zero()
-        return DiffOperator({w: c * v for w, v in self._atoms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffOperator):
-            return NotImplemented
-        return self._atoms == other._atoms
-
-    def __hash__(self):
-        return hash(frozenset(self._atoms.items()))
-
-    def __repr__(self):
-        return f"DiffOperator({self.render()})"
 
     # ---- action ----
 
     def apply(self, p: SuperPolynomial) -> SuperPolynomial:
         acc: dict[SuperMonomial, Fraction] = {}
         terms = p.items()
-        for w, cw in self._atoms.items():
+        for w, cw in self._terms.items():
             for m, c in terms:
                 hit = _act(w, m)
                 if hit is not None:
                     k, mono = hit
                     acc[mono] = acc.get(mono, 0) + c * cw * k
         return SuperPolynomial(acc)
-
-    # ---- rendering ----
-
-    def render(self) -> str:
-        if not self._atoms:
-            return "0"
-        chunks = []
-        for w, c in self.atoms():
-            body = w.render()
-            mag = abs(c)
-            if body == "1":
-                piece = str(mag)
-            elif mag == 1:
-                piece = body
-            else:
-                piece = f"{mag}*{body}"
-            if not chunks:
-                chunks.append(piece if c > 0 else f"-{piece}")
-            else:
-                chunks.append(f"+ {piece}" if c > 0 else f"- {piece}")
-        return " ".join(chunks)
 
 
 # ===================================================================
@@ -332,8 +268,8 @@ def _clifford_cross(dword, mword):
 def compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
     """Normal-ordered product a∘b (a acts after b)."""
     acc: dict[OpWord, Fraction] = {}
-    for wa, ca in a._atoms.items():
-        for wb, cb in b._atoms.items():
+    for wa, ca in a._terms.items():
+        for wb, cb in b._terms.items():
             base = ca * cb
             ferm_terms = _clifford_cross(wa.dferm, wb.mult.ferm)
             bos_terms = _weyl_cross(wa.dbos, wb.mult.bos)
@@ -352,7 +288,7 @@ def compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
                         db[v] = db.get(v, 0) + e
                     word = OpWord(mono, tuple(sorted(db.items())), dword)
                     coeff = base * (wcoeff * fsign * msign * dsign)
-                    acc[word] = acc.get(word, Fraction(0)) + coeff
+                    acc[word] = acc.get(word, 0) + coeff
     return DiffOperator(acc)
 
 
@@ -384,7 +320,7 @@ def twist(op: DiffOperator, scheme: GradingScheme) -> DiffOperator:
     neg_x, _, _, neg_y = _twisted_groups(scheme)
     swapped = set(neg_x + neg_y)
     out = DiffOperator.zero()
-    for w, c in op._atoms.items():
+    for w, c in op._terms.items():
         to_derive = [(v, e) for v, e in w.mult.bos if v in swapped]
         to_multiply = [(v, e) for v, e in w.dbos if v in swapped]
         sign = -1 if sum(e for _, e in to_multiply) % 2 else 1

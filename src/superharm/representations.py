@@ -16,7 +16,8 @@ matrix unit.  A twisted variant maps each unit to the image of its natural
 operator under the automorphism sigma of `operators.twist`, which swaps
 multiplication and differentiation on x_1..x_{n1} and y_{n2+1}..y_n and so
 trades first-order atoms for products of two multipliers or two
-derivatives.  Arbitrary elements extend linearly.
+derivatives.  Arbitrary elements extend linearly: an `AlgebraElement` is
+an `algebra.LinearCombination` of the matrix units, keyed by (a, b).
 
 The module also provides the positive-root generators and diagonal Cartan
 basis used for weights and singular vectors, plus two self-contained
@@ -30,10 +31,12 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
     GradingScheme,
+    LinearCombination,
+    Scalar,
     SchemeKind,
     SuperMonomial,
     SuperPolynomial,
@@ -47,8 +50,6 @@ from .algebra import (
 from .linalg import nullspace, poly_matrix, rank, rref
 from .operators import DiffOperator, compose, named_operator, twist
 from .report import InternalError, Verdict, VerificationReport
-
-Scalar = Union[int, Fraction]
 
 
 # ===================================================================
@@ -108,14 +109,20 @@ def algebra_space(scheme: GradingScheme) -> AlgebraSpace:
     return AlgebraSpace(fam, scheme.n, scheme.m)
 
 
-class AlgebraElement:
-    """Finite rational combination of matrix units in a fixed space."""
+class AlgebraElement(LinearCombination):
+    """Finite rational combination of matrix units E[a,b], keyed by (a, b),
+    in a fixed space; only elements of the same space combine or compare."""
 
-    __slots__ = ("space", "_terms")
+    __slots__ = ("space",)
+    key_order = staticmethod(lambda k: k)
+    key_render = staticmethod(lambda k: f"E[{k[0]},{k[1]}]")
 
     def __init__(self, space: AlgebraSpace, terms: Dict[Tuple[int, int], Fraction]):
+        super().__init__(terms)
         self.space = space
-        self._terms = {k: v for k, v in terms.items() if v}
+
+    def _like(self, terms):
+        return AlgebraElement(self.space, terms)
 
     # ---- constructors ----
 
@@ -130,17 +137,6 @@ class AlgebraElement:
             raise ValueError(f"matrix unit E[{a},{b}] out of range")
         return AlgebraElement(space, {(a, b): Fraction(1)})
 
-    # ---- inspection ----
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self) -> List[Tuple[Tuple[int, int], Fraction]]:
-        return sorted(self._terms.items())
-
-    def coefficient(self, a: int, b: int) -> Fraction:
-        return self._terms.get((a, b), Fraction(0))
-
     def parity(self) -> Optional[int]:
         """0/1 when homogeneous, None for mixed or zero."""
         if not self._terms:
@@ -149,28 +145,17 @@ class AlgebraElement:
               for a, b in self._terms}
         return ps.pop() if len(ps) == 1 else None
 
-    # ---- arithmetic ----
-
     def _require_same_space(self, other: "AlgebraElement") -> None:
         if self.space != other.space:
             raise ValueError("algebra elements live in different spaces")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._require_same_space(other)
-        acc = dict(self._terms)
-        for k, c in other._terms.items():
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return AlgebraElement(self.space, acc)
+        return super().__add__(other)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "AlgebraElement":
-        return self.scale(-1)
-
-    def scale(self, c: Scalar) -> "AlgebraElement":
-        c = Fraction(c)
-        return AlgebraElement(self.space, {k: c * v for k, v in self._terms.items()})
+        self._require_same_space(other)
+        return super().__sub__(other)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AlgebraElement)
@@ -178,23 +163,6 @@ class AlgebraElement:
 
     def __hash__(self) -> int:
         return hash((self.space, frozenset(self._terms.items())))
-
-    def render(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: List[str] = []
-        for (a, b), c in self.terms():
-            body = f"E[{a},{b}]"
-            mag = abs(c)
-            piece = body if mag == 1 else f"{mag}*{body}"
-            if not parts:
-                parts.append(piece if c > 0 else f"-{piece}")
-            else:
-                parts.append(("+ " if c > 0 else "- ") + piece)
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"AlgebraElement({self.render()})"
 
 
 def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
@@ -211,10 +179,10 @@ def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
             pv = sp.index_parity(c) ^ sp.index_parity(d)
             coeff = cu * cv
             if b == c:
-                acc[(a, d)] = acc.get((a, d), Fraction(0)) + coeff
+                acc[(a, d)] = acc.get((a, d), 0) + coeff
             if d == a:
                 sgn = -1 if (pu and pv) else 1
-                acc[(c, b)] = acc.get((c, b), Fraction(0)) - sgn * coeff
+                acc[(c, b)] = acc.get((c, b), 0) - sgn * coeff
     return AlgebraElement(sp, acc)
 
 
@@ -275,17 +243,13 @@ def osp_basis(space: AlgebraSpace) -> List[AlgebraElement]:
     return basis
 
 
-def _element_row(elem: AlgebraElement, keys: Sequence[Tuple[int, int]]) -> List[Fraction]:
-    return [elem.coefficient(a, b) for a, b in keys]
-
-
 @functools.lru_cache(maxsize=None)
 def _osp_span_data(space: AlgebraSpace):
     """The keys the osp basis touches, and its reduced echelon rows in pivot
     order, each stored sparsely as (pivot key, {key: nonzero value})."""
     basis = osp_basis(space)
     keys = sorted({k for e in basis for k, _ in e.terms()})
-    red, pivots = rref([_element_row(e, keys) for e in basis])
+    red, pivots = rref([[e.coefficient(k) for k in keys] for e in basis])
     rows = [(keys[pc], {k: v for k, v in zip(keys, row) if v})
             for row, pc in zip(red, pivots)]
     return frozenset(keys), rows
@@ -540,8 +504,8 @@ def _first_order_atoms(scheme: GradingScheme) -> List[Tuple[VariableId, Variable
 def _operator_atom_row(op: DiffOperator,
                        atom_index: Dict[Tuple[VariableId, VariableId], int]
                        ) -> List[Fraction]:
-    row = [Fraction(0)] * len(atom_index)
-    for w, c in op.atoms():
+    row = [0] * len(atom_index)
+    for w, c in op.items():
         mvars = w.mult.variables()
         dvars = tuple(v for v, e in w.dbos for _ in range(e)) + w.dferm
         if len(mvars) != 1 or len(dvars) != 1 or w.mult.degree() != 1:

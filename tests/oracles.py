@@ -229,7 +229,7 @@ def oracle_window_intersection_dimension(polys, window_monos):
 def oracle_apply(op, p: SuperPolynomial) -> SuperPolynomial:
     """DiffOperator action by repeated `oracle_derive`, atom by atom."""
     out = SuperPolynomial.zero()
-    for w, c in op._atoms.items():
+    for w, c in op._terms.items():
         g = p
         for v in reversed(w.dferm):  # rightmost derivative acts first
             g = oracle_derive(g, v)
@@ -249,7 +249,7 @@ def oracle_apply(op, p: SuperPolynomial) -> SuperPolynomial:
 
 
 def _element_row(elem, keys):
-    return [elem.coefficient(a, b) for a, b in keys]
+    return [elem.coefficient(k) for k in keys]
 
 
 def _osp_span_data(space):

@@ -47,6 +47,12 @@ def test_config_label_grids():
     assert JobConfig(command="x", k=3).resolve_labels(ev) == [3]
     assert JobConfig(command="x", kmin=1, kmax=3).resolve_labels(ev) == [1, 2, 3]
     assert JobConfig(command="x", kmax=2).resolve_labels(ev) == [0, 1, 2]
+    # twisted slices of negative label are not empty
+    tw = GradingScheme(SchemeKind.GL_TWISTED, 4, 1, 1, 3)
+    assert JobConfig(command="x", l=-1, lp=0).resolve_labels(tw) == [(-1, 0)]
+    ev_tw = GradingScheme(SchemeKind.OSP_EVEN_TWISTED, 4, 1, 1, 3)
+    assert JobConfig(command="x", k=-2).resolve_labels(ev_tw) == [-2]
+    assert JobConfig(command="x", kmin=-1, kmax=0).resolve_labels(ev_tw) == [-1, 0]
 
 
 @pytest.mark.parametrize("cfg,scheme_kind", [
@@ -59,6 +65,13 @@ def test_config_label_grids():
     (JobConfig(command="x", lmax=-1), SchemeKind.GL_NATURAL),    # empty grid
     (JobConfig(command="x", lmax=1, lpmax=-1), SchemeKind.GL_NATURAL),
     (JobConfig(command="x", kmin=4, kmax=2), SchemeKind.OSP_EVEN_NATURAL),
+    # a natural slice of negative label is empty
+    (JobConfig(command="x", l=-1, lp=0), SchemeKind.GL_NATURAL),
+    (JobConfig(command="x", l=0, lp=-3), SchemeKind.GL_NATURAL),
+    (JobConfig(command="x", k=-1), SchemeKind.OSP_EVEN_NATURAL),
+    (JobConfig(command="x", k=-2), SchemeKind.OSP_ODD_NATURAL),
+    (JobConfig(command="x", kmin=-1, kmax=2), SchemeKind.OSP_EVEN_NATURAL),
+    (JobConfig(command="x", kmin=-1, kmax=2), SchemeKind.OSP_ODD_NATURAL),
 ])
 def test_config_label_errors(cfg, scheme_kind):
     scheme = GradingScheme(scheme_kind, 2, 1)
@@ -141,6 +154,23 @@ def test_single_slice_commands_reject_grids(command, scheme, grid, capsys):
     assert code == 2
     assert out == ""
     assert f"superharm: {command} runs one slice" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["harmonic-basis", "--scheme", "gl-natural", "--n", "2", "--m", "1",
+     "--l", "-1", "--lp", "0"],
+    ["singular-vectors", "--scheme", "gl-natural", "--n", "2", "--m", "1",
+     "--l", "0", "--lp", "-3"],
+    ["harmonic-basis", "--scheme", "osp-even-natural", "--n", "2", "--m", "1",
+     "--k", "-1"],
+    ["singular-vectors", "--scheme", "osp-odd-natural", "--n", "2", "--m", "1",
+     "--k", "-2", "--cap", "3"],
+])
+def test_negative_natural_label_is_a_config_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "must be >= 0" in err
 
 
 def test_exit_three_on_window_limited(capsys):

@@ -98,10 +98,22 @@ def test_bracket_cartan_action():
 def test_element_arithmetic_and_render():
     e = E(GL_SP, 1, 2).scale(2) - E(GL_SP, 2, 1)
     assert e.render() == "2*E[1,2] - E[2,1]"
-    assert e.coefficient(1, 2) == 2
+    assert e.coefficient((1, 2)) == 2
     assert (e - e).is_zero()
     assert e.parity() == 0
     assert (E(GL_SP, 1, 3) + E(GL_SP, 1, 2)).parity() is None
+
+
+def test_elements_of_different_spaces_do_not_combine():
+    other = AlgebraSpace(AlgebraFamily.GL, 1, 2)
+    u, v = E(GL_SP, 1, 2), E(other, 1, 2)
+    with pytest.raises(ValueError):
+        u + v
+    with pytest.raises(ValueError):
+        u - v
+    assert u != v
+    assert u == E(GL_SP, 1, 2)
+    assert AlgebraElement.zero(GL_SP) != AlgebraElement.zero(other)
 
 
 def test_unit_out_of_range():
@@ -155,7 +167,7 @@ def test_osp_basis_is_independent():
     sp = algebra_space(EV21)
     basis = osp_basis(sp)
     keys = sorted({k for e in basis for k, _ in e.terms()})
-    rows = [[e.coefficient(a, b) for a, b in keys] for e in basis]
+    rows = [[e.coefficient(k) for k in keys] for e in basis]
     from superharm.linalg import rank
 
     assert rank(rows) == len(basis)

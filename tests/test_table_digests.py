@@ -1,0 +1,37 @@
+"""Four jobs of the verification table, checked against their pinned digests.
+
+`scripts/run_verification.py` compares all 24 table reports with
+`scripts/table_digests.json`; it takes about half a minute, so it is not part
+of the default test run.  These four cheap jobs (a harmonic basis, a
+singular-vector slice, a stabilizer check and the identity checks) cover the
+report paths a refactor of the arithmetic most easily moves, in well under a
+second.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from superharm.cli import main
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+sys.path.insert(0, str(SCRIPTS))
+
+import run_verification  # noqa: E402
+
+JOBS = {job.name: job for job in run_verification.job_table()}
+PINNED = json.loads((SCRIPTS / "table_digests.json").read_text())
+
+
+@pytest.mark.parametrize("name", [
+    "basis-gl21-l1-lp1",
+    "singular-gl23-l2-lp2",
+    "stabilizer-even21",
+    "identities-all-variants",
+])
+def test_table_report_matches_pinned_digest(name, tmp_path):
+    out = tmp_path / f"{name}.json"
+    assert main(JOBS[name].argv + ["--format", "json", "--out", str(out)]) == 0
+    assert run_verification.report_digest(out.read_text()) == PINNED[name]
