@@ -134,10 +134,17 @@ class JobConfig:
                               "or --k, not --lmax/--lpmax/--kmin/--kmax")
         return self.resolve_labels(scheme)[0]
 
-    def resolve_cap(self, scheme: GradingScheme) -> Optional[int]:
+    def resolve_cap(self, scheme: GradingScheme,
+                    labels: Sequence[Label]) -> Optional[int]:
         if (scheme.is_twisted or scheme.has_x0) and self.cap is None:
             raise ConfigError(
                 f"--cap is required for {scheme.kind.value} (infinite slices)")
+        if self.cap is not None and not scheme.is_twisted:
+            # a natural slice lies in the label's degree: a lower cap empties it
+            degree = max(k if isinstance(k, int) else sum(k) for k in labels)
+            if self.cap < degree:
+                raise ConfigError(f"--cap {self.cap} is below the label degree "
+                                  f"{degree} on {scheme.kind.value}")
         return self.cap
 
 
@@ -157,7 +164,7 @@ def _config_from_args(args: argparse.Namespace) -> JobConfig:
 def _run_harmonic_basis(cfg: JobConfig) -> VerificationReport:
     scheme = cfg.resolve_scheme()
     label = cfg.resolve_label(scheme)
-    cap = cfg.resolve_cap(scheme)
+    cap = cfg.resolve_cap(scheme, [label])
     sl = enumerate_slice(scheme, label, cap)
     kern = harmonic_kernel(sl)
     report = VerificationReport(
@@ -184,7 +191,7 @@ def _run_harmonic_basis(cfg: JobConfig) -> VerificationReport:
 def _run_singular_vectors(cfg: JobConfig) -> VerificationReport:
     scheme = cfg.resolve_scheme()
     label = cfg.resolve_label(scheme)
-    cap = cfg.resolve_cap(scheme)
+    cap = cfg.resolve_cap(scheme, [label])
     sl = enumerate_slice(scheme, label, cap)
     svs = singular_vectors(sl)
     report = VerificationReport(
@@ -221,7 +228,7 @@ def _run_verify_theorem(cfg: JobConfig) -> VerificationReport:
                           f"{'twisted' if wants_twisted else 'natural'} variant")
     scheme = cfg.resolve_scheme(default_kind=table[tid])
     labels = cfg.resolve_labels(scheme)
-    cap = cfg.resolve_cap(scheme)
+    cap = cfg.resolve_cap(scheme, labels)
     try:
         return theorem_suite(tid, scheme, labels, cap)
     except ValueError as err:

@@ -360,22 +360,12 @@ def irreducibility_predicate(scheme: GradingScheme, label: Label) -> Irreducibil
 
 
 def _expected_singular_count(scheme: GradingScheme, label: Label) -> Optional[int]:
-    """Exact singular-vector count in H per the uniqueness lemmas; None
-    when the lemma only bounds the count below (capped twisted search)."""
-    kind = scheme.kind
-    n, m = scheme.n, scheme.m
-    if kind is SchemeKind.GL_NATURAL:
-        l, lp = label
-        c = m + 1 - n
-        return 2 if (l <= c and lp <= c and l + lp > c) else 1
-    if kind is SchemeKind.OSP_EVEN_NATURAL:
-        k = int(label)
-        c = m + 1 - n
-        return 2 if c < k <= 2 * c else 1
-    if kind in (SchemeKind.OSP_ODD_NATURAL, SchemeKind.OSP_ODD_TWISTED):
+    """Exact singular-vector count in H per the uniqueness lemmas: 1 when the
+    irreducibility criterion holds, else 2, or None on a twisted scheme,
+    where the lemma only bounds the count below (capped twisted search)."""
+    if irreducibility_predicate(scheme, label).holds:
         return 1
-    # twisted gl / twisted even osp: unique iff the predicate holds
-    return 1 if irreducibility_predicate(scheme, label).holds else None
+    return None if scheme.is_twisted else 2
 
 
 # ===================================================================

@@ -19,10 +19,11 @@ trades first-order atoms for products of two multipliers or two
 derivatives.  Arbitrary elements extend linearly: an `AlgebraElement` is
 an `algebra.LinearCombination` of the matrix units, keyed by (a, b).
 
-The module also provides the positive-root generators and diagonal Cartan
-basis used for weights and singular vectors, plus two self-contained
-checkers: an exhaustive bracket-homomorphism verification and the
-stabilizer characterization of osp.
+The Cartan basis and the positive-root generators used for weights and
+singular vectors are read off the algebra basis, with the roots ordered
+by eps_1 > ... > eps_n > delta_1 > ... > delta_m.  The module also provides
+two self-contained checkers: an exhaustive bracket-homomorphism
+verification and the stabilizer characterization of osp.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .algebra import (
     theta,
     vartheta,
     x,
-    x0,
     y,
 )
 from .linalg import nullspace, poly_matrix, rank, rref
@@ -74,19 +74,22 @@ class AlgebraSpace:
         if self.n < 1 or self.m < 1:
             raise ValueError("need n >= 1 and m >= 1")
 
-    def indices(self) -> range:
+    def _bounds(self) -> Tuple[int, int, int]:
+        """(first index, last index, last even index)."""
         if self.family is AlgebraFamily.GL:
-            return range(1, self.n + self.m + 1)
-        if self.family is AlgebraFamily.OSP_EVEN:
-            return range(1, 2 * self.n + 2 * self.m + 1)
-        return range(0, 2 * self.n + 2 * self.m + 1)
+            return 1, self.n + self.m, self.n
+        low = 0 if self.family is AlgebraFamily.OSP_ODD else 1
+        return low, 2 * (self.n + self.m), 2 * self.n
+
+    def indices(self) -> range:
+        low, top, _ = self._bounds()
+        return range(low, top + 1)
 
     def index_parity(self, a: int) -> int:
-        if a not in self.indices():
+        low, top, last_even = self._bounds()
+        if not low <= a <= top:
             raise ValueError(f"index {a} out of range for {self.family.value}")
-        if self.family is AlgebraFamily.GL:
-            return int(a > self.n)
-        return int(a > 2 * self.n) if a else 0
+        return int(a > last_even)
 
     def lie_dimension(self) -> int:
         """Dimension of the superalgebra itself (not the ambient gl)."""
@@ -190,15 +193,6 @@ def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
 # osp bases inside the ambient gl
 # ===================================================================
 
-def _osp_index_maps(space: AlgebraSpace):
-    n, m = space.n, space.m
-    xi = lambda i: i
-    yi = lambda i: n + i
-    th = lambda r: 2 * n + r
-    vt = lambda r: 2 * n + m + r
-    return xi, yi, th, vt
-
-
 def osp_basis(space: AlgebraSpace) -> List[AlgebraElement]:
     """Basis of osp inside the ambient gl matrix space.
 
@@ -210,7 +204,10 @@ def osp_basis(space: AlgebraSpace) -> List[AlgebraElement]:
     if space.family is AlgebraFamily.GL:
         raise ValueError("osp basis requested for a gl space")
     n, m = space.n, space.m
-    xi, yi, th, vt = _osp_index_maps(space)
+    xi = lambda i: i
+    yi = lambda i: n + i
+    th = lambda r: 2 * n + r
+    vt = lambda r: 2 * n + m + r
     E = lambda a, b: AlgebraElement.unit(space, a, b)
     basis: List[AlgebraElement] = []
     for i in range(1, n + 1):
@@ -284,63 +281,36 @@ def algebra_basis(scheme: GradingScheme) -> List[AlgebraElement]:
     return osp_basis(space)
 
 
-def positive_generators(scheme: GradingScheme) -> List[AlgebraElement]:
-    """Positive-root generators (a generating set, not a root basis).
-
-    For gl(n|m): strictly upper-triangular units of both even blocks plus
-    all odd units E[i, n+r].  For osp: the standard positive combinations
-    of the even part plus the two odd nm-families; the odd variant appends
-    its column-0 family.
-    """
-    space = algebra_space(scheme)
-    n, m = space.n, space.m
-    E = lambda a, b: AlgebraElement.unit(space, a, b)
-    gens: List[AlgebraElement] = []
-    if space.family is AlgebraFamily.GL:
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                gens.append(E(i, j))
-        for r in range(1, m + 1):
-            for s in range(r + 1, m + 1):
-                gens.append(E(n + r, n + s))
-        for i in range(1, n + 1):
-            for r in range(1, m + 1):
-                gens.append(E(i, n + r))
-        return gens
-    xi, yi, th, vt = _osp_index_maps(space)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            gens.append(E(xi(i), xi(j)) - E(yi(j), yi(i)))
-            gens.append(E(xi(i), yi(j)) - E(xi(j), yi(i)))
-    for r in range(1, m + 1):
-        for s in range(r + 1, m + 1):
-            gens.append(E(th(r), th(s)) - E(vt(s), vt(r)))
-    for r in range(1, m + 1):
-        for s in range(r, m + 1):
-            gens.append(E(th(r), vt(s)) + E(th(s), vt(r)))
-    for i in range(1, n + 1):
-        for r in range(1, m + 1):
-            gens.append(E(xi(i), th(r)) - E(vt(r), yi(i)))
-            gens.append(E(xi(i), vt(r)) + E(th(r), yi(i)))
-    if space.family is AlgebraFamily.OSP_ODD:
-        for i in range(1, n + 1):
-            gens.append(E(0, yi(i)) - E(xi(i), 0))
-        for r in range(1, m + 1):
-            gens.append(E(0, vt(r)) + E(th(r), 0))
-    return gens
+@functools.lru_cache(maxsize=None)
+def cartan_basis(scheme: GradingScheme) -> Tuple[AlgebraElement, ...]:
+    """The diagonal basis elements, in basis order: eps_1..eps_n, then
+    delta_1..delta_m."""
+    return tuple(e for e in algebra_basis(scheme)
+                 if all(a == b for (a, b), _ in e.items()))
 
 
-def cartan_basis(scheme: GradingScheme) -> List[AlgebraElement]:
-    """Diagonal Cartan basis, in eps_1..eps_n, eps'_1..eps'_m order."""
-    space = algebra_space(scheme)
-    n, m = space.n, space.m
-    E = lambda a, b: AlgebraElement.unit(space, a, b)
-    if space.family is AlgebraFamily.GL:
-        return [E(a, a) for a in range(1, n + m + 1)]
-    xi, yi, th, vt = _osp_index_maps(space)
-    out = [E(xi(i), xi(i)) - E(yi(i), yi(i)) for i in range(1, n + 1)]
-    out += [E(th(r), th(r)) - E(vt(r), vt(r)) for r in range(1, m + 1)]
-    return out
+def _root(h: AlgebraElement, g: AlgebraElement) -> Fraction:
+    """The scalar alpha with [h, g] = alpha * g."""
+    key, c = next(iter(g.items()))
+    br = bracket(h, g)
+    alpha = Fraction(br.coefficient(key), c)
+    if br != g.scale(alpha):
+        raise InternalError(f"{g.render()} is not a root vector")
+    return alpha
+
+
+@functools.lru_cache(maxsize=None)
+def positive_generators(scheme: GradingScheme) -> Tuple[AlgebraElement, ...]:
+    """The basis elements whose root is positive: the first nonzero entry
+    of (alpha(h) for h in cartan_basis) is positive, which orders the
+    roots by eps_1 > ... > eps_n > delta_1 > ... > delta_m."""
+    hs = cartan_basis(scheme)
+    gens = []
+    for g in algebra_basis(scheme):
+        root = [_root(h, g) for h in hs]
+        if next((a for a in root if a), 0) > 0:
+            gens.append(g)
+    return tuple(gens)
 
 
 # ===================================================================
@@ -377,16 +347,9 @@ def _gl_natural_unit(scheme: GradingScheme, a: int, b: int) -> DiffOperator:
 
 
 def _osp_ambient_variable(scheme: GradingScheme, a: int) -> VariableId:
-    n, m = scheme.n, scheme.m
-    if a == 0:
-        return x0()
-    if a <= n:
-        return x(a)
-    if a <= 2 * n:
-        return y(a - n)
-    if a <= 2 * n + m:
-        return theta(a - 2 * n)
-    return vartheta(a - 2 * n - m)
+    """The variable of ambient index a: the indices 0 (x0, odd kinds only),
+    1..n, n+1..2n, 2n+1..2n+m, 2n+m+1..2n+2m follow `scheme.variables()`."""
+    return scheme.variables()[a if scheme.has_x0 else a - 1]
 
 
 def _osp_natural_unit(scheme: GradingScheme, a: int, b: int) -> DiffOperator:
@@ -474,8 +437,10 @@ def verify_homomorphism(rep: GradingScheme) -> VerificationReport:
             pv = ev.parity()
             br = bracket(eu, ev)
             lhs = rep_operator(br, rep)
-            sign = -1 if (pu and pv) else 1
-            rhs = compose(ru, rv) - compose(rv, ru).scale(sign)
+            if pu and pv:
+                rhs = compose(ru, rv) + compose(rv, ru)
+            else:
+                rhs = compose(ru, rv) - compose(rv, ru)
             pairs += 1
             if lhs != rhs:
                 report.verdict = Verdict.FAIL

@@ -82,10 +82,10 @@ def test_config_label_errors(cfg, scheme_kind):
 def test_config_cap_required_for_infinite_slices():
     tw = GradingScheme(SchemeKind.GL_TWISTED, 4, 1, 1, 3)
     with pytest.raises(ConfigError):
-        JobConfig(command="x").resolve_cap(tw)
-    assert JobConfig(command="x", cap=4).resolve_cap(tw) == 4
+        JobConfig(command="x").resolve_cap(tw, [(0, 0)])
+    assert JobConfig(command="x", cap=4).resolve_cap(tw, [(0, 0)]) == 4
     gl = GradingScheme(SchemeKind.GL_NATURAL, 2, 1)
-    assert JobConfig(command="x").resolve_cap(gl) is None
+    assert JobConfig(command="x").resolve_cap(gl, [(1, 1)]) is None
 
 
 def test_parser_rejects_unknown_scheme():
@@ -171,6 +171,23 @@ def test_negative_natural_label_is_a_config_error(argv, capsys):
     assert code == 2
     assert out == ""
     assert "must be >= 0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["harmonic-basis", "--scheme", "gl-natural", "--n", "2", "--m", "1",
+     "--l", "1", "--lp", "1", "--cap", "0"],
+    ["singular-vectors", "--scheme", "gl-natural", "--n", "2", "--m", "1",
+     "--l", "2", "--lp", "2", "--cap", "1"],
+    ["harmonic-basis", "--scheme", "osp-odd-natural", "--n", "2", "--m", "1",
+     "--k", "3", "--cap", "1"],
+    ["verify-theorem", "1", "--n", "2", "--m", "1", "--l", "1", "--lp", "1",
+     "--cap", "0"],
+])
+def test_cap_below_natural_label_degree_is_a_config_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "is below the label degree" in err
 
 
 def test_exit_three_on_window_limited(capsys):

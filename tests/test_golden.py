@@ -3,12 +3,17 @@
 Each case is one CLI argument vector; its JSON report, with the
 run-dependent `elapsed_ms` field removed, must match tests/golden/<name>.json
 byte for byte.  The capped gl-twisted and osp-odd cases are the only tier-1
-runs of the capped branch of `compare_bases` (the window intersection).
+runs of the capped branch of `compare_bases` (the window intersection), and
+the two osp singular-vectors cases the only tier-1 pins of osp singular
+vectors.
 
 tests/golden/twisted_operators.txt pins the normal form of every twisted
 operator: one rendered line per matrix unit and per named operator, for the
 three twisted kinds on three shapes.  The (5|1, n1=2, n2=5) shape has
 n1 > 1 and n2 = n, which the CLI grids never reach.
+
+tests/golden/root_data.txt pins the root data of gl, osp-even and osp-odd on
+four shapes: the Cartan basis in order, then the sorted positive generators.
 
 Regenerate the files from a checkout whose reports are trusted with
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -22,7 +27,13 @@ import pytest
 from superharm.algebra import GradingScheme, SchemeKind
 from superharm.cli import main
 from superharm.operators import named_operator
-from superharm.representations import AlgebraElement, algebra_space, rep_operator
+from superharm.representations import (
+    AlgebraElement,
+    algebra_space,
+    cartan_basis,
+    positive_generators,
+    rep_operator,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -54,6 +65,12 @@ CASES = {
         "stabilizer", "--scheme", "osp-odd-natural", "--n", "2", "--m", "1"],
     "stabilizer-osp-even-natural-23": [
         "stabilizer", "--scheme", "osp-even-natural", "--n", "2", "--m", "3"],
+    "singular-osp-even-natural-23-k3": [
+        "singular-vectors", "--scheme", "osp-even-natural", "--n", "2",
+        "--m", "3", "--k", "3"],
+    "singular-osp-odd-natural-21-k2-cap2": [
+        "singular-vectors", "--scheme", "osp-odd-natural", "--n", "2",
+        "--m", "1", "--k", "2", "--cap", "2"],
 }
 
 
@@ -98,6 +115,29 @@ def test_twisted_operators_match_golden():
     assert twisted_operators_text() == TWISTED_OPERATORS.read_text()
 
 
+ROOT_DATA = GOLDEN_DIR / "root_data.txt"
+ROOT_DATA_SHAPES = [(1, 1), (2, 1), (2, 3), (4, 2)]  # (n, m)
+
+
+def root_data_text() -> str:
+    """`<family>(n|m) cartan <element>` lines in basis order, then one
+    `<family>(n|m) positive <element>` line per generator, sorted."""
+    lines = []
+    for kind in (SchemeKind.GL_NATURAL, SchemeKind.OSP_EVEN_NATURAL,
+                 SchemeKind.OSP_ODD_NATURAL):
+        for n, m in ROOT_DATA_SHAPES:
+            scheme = GradingScheme(kind, n, m)
+            tag = f"{algebra_space(scheme).family.value}({n}|{m})"
+            lines.extend(f"{tag} cartan {h.render()}" for h in cartan_basis(scheme))
+            lines.extend(sorted(f"{tag} positive {g.render()}"
+                                for g in positive_generators(scheme)))
+    return "\n".join(lines) + "\n"
+
+
+def test_root_data_matches_golden():
+    assert root_data_text() == ROOT_DATA.read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -109,3 +149,5 @@ if __name__ == "__main__":
             print(name)
     TWISTED_OPERATORS.write_text(twisted_operators_text())
     print(TWISTED_OPERATORS.stem)
+    ROOT_DATA.write_text(root_data_text())
+    print(ROOT_DATA.stem)

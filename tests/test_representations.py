@@ -24,6 +24,7 @@ from superharm.representations import (
     algebra_basis,
     algebra_space,
     bracket,
+    cartan_basis,
     is_orthosymplectic,
     osp_basis,
     osp_stabilizer_check,
@@ -365,6 +366,16 @@ def test_positive_generator_counts():
     evens = even_positive_generators(ODD21)
     assert len(evens) == 5
     assert E(odd_space, 0, 3) - E(odd_space, 1, 0) in evens
+    # every kind: positive and negative roots pair up around the Cartan part
+    natural = (SchemeKind.GL_NATURAL, SchemeKind.OSP_EVEN_NATURAL,
+               SchemeKind.OSP_ODD_NATURAL)
+    schemes = [GradingScheme(kind, n, m) for kind in natural
+               for n, m in ((1, 1), (2, 1), (2, 3), (4, 2))]
+    schemes += [GradingScheme(kind, 4, 2, 1, 3) for kind in SchemeKind
+                if kind not in natural]
+    for scheme in schemes:
+        assert (2 * len(positive_generators(scheme)) + len(cartan_basis(scheme))
+                == algebra_space(scheme).lie_dimension())
 
 
 def test_cartan_weights_natural():
