@@ -303,8 +303,9 @@ def super_commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
             bb = b.parity_part(pb)
             if bb.is_zero():
                 continue
-            sign = -1 if pa and pb else 1
-            out = out + compose(aa, bb) - compose(bb, aa).scale(sign)
+            ba = compose(bb, aa)
+            out = out + compose(aa, bb)
+            out = out + ba if pa and pb else out - ba
     return out
 
 

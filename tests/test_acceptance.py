@@ -6,6 +6,10 @@ fixed parameter grid; 4-8 verify the classification theorems (counts,
 decompositions, bases) at desk scale; 9-10 are the structural witnesses.
 """
 
+import json
+import sys
+from pathlib import Path
+
 from superharm.algebra import (
     GradingScheme,
     SchemeKind,
@@ -16,6 +20,7 @@ from superharm.algebra import (
     x,
     y,
 )
+from superharm.cli import main
 from superharm.harmonic import (
     _group_polys_by_weight,
     compare_bases,
@@ -35,10 +40,16 @@ from superharm.representations import (
     algebra_basis,
     osp_stabilizer_check,
     rep_operator,
-    verify_homomorphism,
 )
 
 from oracles import op_power
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+sys.path.insert(0, str(SCRIPTS))
+
+import run_verification  # noqa: E402
+
+TABLE_DIGESTS = json.loads((SCRIPTS / "table_digests.json").read_text())
 
 P = SuperPolynomial.variable
 GL21 = GradingScheme(SchemeKind.GL_NATURAL, 2, 1)
@@ -73,10 +84,23 @@ def bpow(v, e):
         else SuperPolynomial.one()
 
 
-def test_criterion_01_bracket_homomorphism():
-    for scheme in variant_grid():
-        report = verify_homomorphism(scheme)
-        assert report.verdict is Verdict.PASS, scheme.describe()
+def test_criterion_01_bracket_homomorphism(tmp_path):
+    # one run of the CLI grid (the same schemes as variant_grid), checked
+    # per scheme and, byte for byte, against the verification table's pin
+    out = tmp_path / "brackets.json"
+    assert main(["check-brackets", "--format", "json", "--out", str(out)]) == 0
+    text = out.read_text()
+    subreports = json.loads(text)["subreports"]
+    schemes = variant_grid()
+    assert [(r["scheme"], r["params"]) for r in subreports] == \
+        [(s.kind.value, s.params()) for s in schemes]
+    for scheme, report in zip(schemes, subreports):
+        dims = report["dimensions"]
+        assert report["verdict"] == "PASS", scheme.describe()
+        assert dims["algebra_dimension"] == len(algebra_basis(scheme))
+        assert dims["pairs_checked"] == dims["algebra_dimension"] ** 2
+    assert run_verification.report_digest(text) == \
+        TABLE_DIGESTS["brackets-all-variants"]
 
 
 def test_criterion_02_operator_identities():

@@ -325,25 +325,101 @@ def test_homomorphism_all_variants(scheme):
     assert report.dimensions["pairs_checked"] == len(algebra_basis(scheme)) ** 2
 
 
-def test_homomorphism_detects_corruption(monkeypatch):
-    import superharm.representations as reps
+MISMATCH = ("normal-form mismatch at a=%s, b=%s: rho([a,b]) - "
+            "(rho(a)rho(b) -+ rho(b)rho(a)) = %s")
+RHO_E11 = "x1*d_x1 - y1*d_y1"
 
+
+def _wrong_brackets(reps, monkeypatch, pairs):
+    """Make `bracket` return [e_a, e_b] + E[1,1] for each ordered pair
+    (a, b) of GL11 basis indices in pairs."""
+    basis = algebra_basis(GL11)
+    original = reps.bracket
+
+    def wrong(u, v):
+        got = original(u, v)
+        if (basis.index(u), basis.index(v)) in pairs:
+            return got + E(u.space, 1, 1)
+        return got
+
+    monkeypatch.setattr(reps, "bracket", wrong)
+
+
+def _negated_unit_e12(reps, monkeypatch):
     original = reps._gl_natural_unit
 
     def corrupted(scheme, a, b):
         got = original(scheme, a, b)
-        if (a, b) == (1, 2):
-            return got.scale(-1)
-        return got
+        return got.scale(-1) if (a, b) == (1, 2) else got
+
+    monkeypatch.setattr(reps, "_gl_natural_unit", corrupted)
+
+
+# GL11 basis: 0 = E[1,1], 1 = E[1,2], 2 = E[2,1], 3 = E[2,2].  Each
+# expected report is the one a loop over ordered pairs in row-major order
+# gives when it stops at the first failing pair: that pair is named, and
+# pairs_checked is its row-major index + 1.
+@pytest.mark.parametrize("corrupt, pairs_checked, explanation", [
+    pytest.param(lambda r, mp: _wrong_brackets(r, mp, {(2, 0)}), 9,
+                 MISMATCH % ("E[2,1]", "E[1,1]", RHO_E11), id="lower-2-0"),
+    pytest.param(lambda r, mp: _wrong_brackets(r, mp, {(2, 0), (1, 3)}), 8,
+                 MISMATCH % ("E[1,2]", "E[2,2]", RHO_E11),
+                 id="lower-2-0-upper-1-3"),
+    pytest.param(lambda r, mp: _wrong_brackets(r, mp, {(3, 0), (1, 2)}), 7,
+                 MISMATCH % ("E[1,2]", "E[2,1]", RHO_E11),
+                 id="lower-3-0-upper-1-2"),
+    pytest.param(lambda r, mp: _wrong_brackets(r, mp, {(3, 0), (2, 1)}), 10,
+                 MISMATCH % ("E[2,1]", "E[1,2]", RHO_E11),
+                 id="lower-3-0-lower-2-1"),
+    pytest.param(lambda r, mp: _wrong_brackets(r, mp, {(3, 2), (3, 1)}), 14,
+                 MISMATCH % ("E[2,2]", "E[1,2]", RHO_E11),
+                 id="lower-3-2-lower-3-1"),
+    pytest.param(_negated_unit_e12, 7,
+                 MISMATCH % ("E[1,2]", "E[2,1]", "2*x1*d_x1 - 2*y1*d_y1 + "
+                             "2*th1*d_th1 - 2*vt1*d_vt1"),
+                 id="unit-e12-negated"),
+])
+def test_homomorphism_failure_report(monkeypatch, corrupt, pairs_checked,
+                                     explanation):
+    import superharm.representations as reps
 
     reps._unit_operator.cache_clear()
-    monkeypatch.setattr(reps, "_gl_natural_unit", corrupted)
+    corrupt(reps, monkeypatch)
     try:
         report = verify_homomorphism(GL11)
-        assert report.verdict is Verdict.FAIL
-        assert "mismatch" in report.explanation
     finally:
         reps._unit_operator.cache_clear()
+    assert report.verdict is Verdict.FAIL
+    assert report.explanation == explanation
+    assert report.dimensions == {"algebra_dimension": 4,
+                                 "pairs_checked": pairs_checked,
+                                 "sample_dimension": 0}
+
+
+@pytest.mark.parametrize("scheme", [GL11, ODD11], ids=["gl11", "odd11"])
+def test_homomorphism_builds_each_product_once(monkeypatch, scheme):
+    import superharm.representations as reps
+
+    calls = {"compose": 0, "bracket": 0, "rep_operator": 0}
+
+    def counted(name):
+        original = getattr(reps, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(reps, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    n = len(algebra_basis(scheme))
+    report = verify_homomorphism(scheme)
+    assert report.verdict is Verdict.PASS
+    assert report.dimensions["pairs_checked"] == n * n
+    assert calls["compose"] == n * n
+    assert calls["bracket"] == n * n
+    assert calls["rep_operator"] == n + n * n
 
 
 # ===================================================================
