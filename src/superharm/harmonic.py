@@ -64,6 +64,7 @@ from .representations import (
     NOT_A_WEIGHT_VECTOR,
     positive_generators,
     rep_operator,
+    simple_generators,
     weight_of,
 )
 
@@ -259,11 +260,21 @@ def singular_vectors(sl: GradedSlice) -> SingularVectorSet:
     Delta is adjoined to the annihilation system, so the search runs
     inside H rather than the full slice: this is the counting convention
     of the uniqueness lemmas.
+
+    The solve uses only the simple root vectors and Delta.  The simple root
+    vectors generate n+ (`simple_generators` checks exactly that their
+    iterated brackets span every positive generator) and rho is a
+    homomorphism, so their joint kernel with Delta is the same space as the
+    joint kernel of all of n+ and Delta.  Every vector found is still
+    re-verified against every positive generator and Delta.
     """
     scheme = sl.scheme
-    ops = [rep_operator(g, scheme) for g in positive_generators(scheme)]
-    ops.append(named_operator("DELTA", scheme))
-    found = joint_kernel_basis_polys(ops, sl.basis, block_key=_weight_fn(scheme))
+    op_of = {g: rep_operator(g, scheme) for g in positive_generators(scheme)}
+    delta = named_operator("DELTA", scheme)
+    found = joint_kernel_basis_polys(
+        [*(op_of[g] for g in simple_generators(scheme)), delta],
+        sl.basis, block_key=_weight_fn(scheme))
+    ops = [*op_of.values(), delta]
     entries = []
     for v in found:
         lead_mono, lead_coeff = v.terms()[0]
@@ -271,7 +282,7 @@ def singular_vectors(sl: GradedSlice) -> SingularVectorSet:
         wt = weight_of(v, scheme)
         if wt is NOT_A_WEIGHT_VECTOR:
             raise InternalError("solver produced a non-weight vector")
-        # independent re-verification, straight operator application
+        # re-verification against all of n+ and Delta by direct application
         for op in ops:
             if not op.apply(v).is_zero():
                 raise InternalError("solver produced a non-singular vector")
@@ -495,11 +506,13 @@ def decomposition_report(
 
     Candidates are eta^i images of the stepped harmonic bases.  On
     complete slices the check is exact: candidates must be independent
-    and span the slice.  On capped slices the harmonic bases are drawn
-    from an enlarged internal window (cap + 2 * i_max) and the candidates
-    must be independent (exact vectors, so dependence is a definite FAIL)
-    and must span the degree-capped window; a spanning shortfall at the
-    window boundary is INCONCLUSIVE_CAP.
+    and span the slice; since they lie in the slice (a candidate outside
+    it is an internal error), they span it when each weight block holds
+    as many of them as it has monomials.  On capped slices the harmonic
+    bases are drawn from an enlarged internal window (cap + 2 * i_max) and
+    the candidates must be independent (exact vectors, so dependence is a
+    definite FAIL) and must span the degree-capped window; a spanning
+    shortfall at the window boundary is INCONCLUSIVE_CAP.
 
     The theorem hypothesis is reported, never assumed: when it fails the
     same computation runs and the report records whether the direct sum
@@ -562,7 +575,13 @@ def decomposition_report(
         if span_rank(block) != len(block):
             independent = False
             break
-    if independent:
+    if independent and window.complete:
+        inside = set(window.basis)
+        if any(u not in inside for p in candidates for u, _ in p.items()):
+            raise InternalError("an eta-power candidate leaves the complete slice")
+        spanning = all(len(groups.get(wt, [])) == len(monos)
+                       for wt, monos in window_blocks.items())
+    elif independent:
         for wt, monos in window_blocks.items():
             block = groups.get(wt, [])
             want = [SuperPolynomial.monomial(u) for u in monos]

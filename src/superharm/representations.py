@@ -21,7 +21,8 @@ an `algebra.LinearCombination` of the matrix units, keyed by (a, b).
 
 The Cartan basis and the positive-root generators used for weights and
 singular vectors are read off the algebra basis, with the roots ordered
-by eps_1 > ... > eps_n > delta_1 > ... > delta_m.  The module also provides
+by eps_1 > ... > eps_n > delta_1 > ... > delta_m; the simple root vectors
+among them are checked to generate all positive ones.  The module also provides
 two self-contained checkers: an exhaustive bracket-homomorphism
 verification, which forms each product of two basis operators once and
 checks both ordered pairs from it, and the stabilizer characterization of
@@ -242,13 +243,20 @@ def osp_basis(space: AlgebraSpace) -> List[AlgebraElement]:
     return basis
 
 
+def _element_rows(elems: Sequence[AlgebraElement]
+                  ) -> Tuple[List[List[Fraction]], List[Tuple[int, int]]]:
+    """Coefficient rows of the elements over the sorted union of their keys,
+    and those keys."""
+    keys = sorted({k for e in elems for k, _ in e.items()})
+    return [[e.coefficient(k) for k in keys] for e in elems], keys
+
+
 @functools.lru_cache(maxsize=None)
 def _osp_span_data(space: AlgebraSpace):
     """The keys the osp basis touches, and its reduced echelon rows in pivot
     order, each stored sparsely as (pivot key, {key: nonzero value})."""
-    basis = osp_basis(space)
-    keys = sorted({k for e in basis for k, _ in e.terms()})
-    red, pivots = rref([[e.coefficient(k) for k in keys] for e in basis])
+    dense, keys = _element_rows(osp_basis(space))
+    red, pivots = rref(dense)
     rows = [(keys[pc], {k: v for k, v in zip(keys, row) if v})
             for row, pc in zip(red, pivots)]
     return frozenset(keys), rows
@@ -302,17 +310,68 @@ def _root(h: AlgebraElement, g: AlgebraElement) -> Fraction:
 
 
 @functools.lru_cache(maxsize=None)
-def positive_generators(scheme: GradingScheme) -> Tuple[AlgebraElement, ...]:
-    """The basis elements whose root is positive: the first nonzero entry
-    of (alpha(h) for h in cartan_basis) is positive, which orders the
-    roots by eps_1 > ... > eps_n > delta_1 > ... > delta_m."""
+def _positive_roots(scheme: GradingScheme
+                    ) -> Tuple[Tuple[AlgebraElement, Tuple[Fraction, ...]], ...]:
+    """(g, root of g) for the basis elements whose root is positive: the
+    first nonzero entry of (alpha(h) for h in cartan_basis) is positive,
+    which orders the roots by eps_1 > ... > eps_n > delta_1 > ... > delta_m."""
     hs = cartan_basis(scheme)
-    gens = []
+    out = []
     for g in algebra_basis(scheme):
-        root = [_root(h, g) for h in hs]
+        root = tuple(_root(h, g) for h in hs)
         if next((a for a in root if a), 0) > 0:
-            gens.append(g)
-    return tuple(gens)
+            out.append((g, root))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def positive_generators(scheme: GradingScheme) -> Tuple[AlgebraElement, ...]:
+    """The basis elements whose root is positive, in basis order."""
+    return tuple(g for g, _ in _positive_roots(scheme))
+
+
+def _require_generates(simple: Sequence[AlgebraElement],
+                       positive: Sequence[AlgebraElement]) -> None:
+    """Raise InternalError unless the iterated brackets of `simple` span
+    every element of `positive`.
+
+    The brackets are collected level by level, [s, b] for s in `simple` and
+    b in the previous level, keeping one bracket per support; n+ is
+    nilpotent and there are finitely many supports, so the levels run out.
+    Every kept element is an iterated bracket, so dropping repeats can only
+    make the check fail, never pass wrongly.
+    """
+    seen = {frozenset(k for k, _ in s.items()) for s in simple}
+    collected = list(simple)
+    level = list(simple)
+    while level:
+        nxt = []
+        for s in simple:
+            for b in level:
+                br = bracket(s, b)
+                support = frozenset(k for k, _ in br.items())
+                if support and support not in seen:
+                    seen.add(support)
+                    nxt.append(br)
+        collected.extend(nxt)
+        level = nxt
+    spanned = rank(_element_rows(collected)[0])
+    if rank(_element_rows([*collected, *positive])[0]) != spanned:
+        raise InternalError("the simple root vectors do not generate n+")
+
+
+@functools.lru_cache(maxsize=None)
+def simple_generators(scheme: GradingScheme) -> Tuple[AlgebraElement, ...]:
+    """The positive generators whose root is not the sum of two positive
+    roots (one root may be taken twice), in basis order: the simple root
+    vectors, which generate n+ (Kac, Adv. Math. 26, 1977).  That they do is
+    checked exactly on every new scheme by `_require_generates`."""
+    pos = _positive_roots(scheme)
+    sums = {tuple(a + b for a, b in zip(r1, r2))
+            for i, (_, r1) in enumerate(pos) for _, r2 in pos[i:]}
+    simple = tuple(g for g, r in pos if r not in sums)
+    _require_generates(simple, positive_generators(scheme))
+    return simple
 
 
 # ===================================================================

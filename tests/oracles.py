@@ -9,8 +9,9 @@ algebra oracles are the engine's earlier algorithms: plain Fraction
 elimination, one span rank per member for the independent subset, and a
 column-shuffled elimination for the window intersection.  The operator
 action `oracle_apply` runs on `oracle_derive`, one Leibniz derivative step
-and one intermediate polynomial at a time, and osp membership is the
-earlier dense reduction.
+and one intermediate polynomial at a time, osp membership is the earlier
+dense reduction, and `oracle_singular_vectors` is the earlier singular
+solve on every positive generator rather than the simple root vectors.
 """
 
 from __future__ import annotations
@@ -32,9 +33,15 @@ from superharm.algebra import (
     x,
     y,
 )
-from superharm.linalg import poly_matrix, rref, span_rank
+from superharm.harmonic import _weight_fn
+from superharm.linalg import joint_kernel_basis_polys, poly_matrix, rref, span_rank
 from superharm.operators import DiffOperator, compose, named_operator
-from superharm.representations import AlgebraFamily, osp_basis
+from superharm.representations import (
+    AlgebraFamily,
+    osp_basis,
+    positive_generators,
+    rep_operator,
+)
 
 
 def sort_sign(word):
@@ -275,6 +282,19 @@ def oracle_is_orthosymplectic(elem) -> bool:
             f = vec[pc]
             vec = [a - f * b for a, b in zip(vec, row)]
     return not any(vec)
+
+
+def oracle_singular_vectors(sl, generators=None, *, harmonic=True):
+    """The joint kernel on the slice of the given generators (default: every
+    positive generator) and, when harmonic, Delta; each vector scaled to
+    leading coefficient 1, in solver order."""
+    if generators is None:
+        generators = positive_generators(sl.scheme)
+    ops = [rep_operator(g, sl.scheme) for g in generators]
+    if harmonic:
+        ops.append(named_operator("DELTA", sl.scheme))
+    found = joint_kernel_basis_polys(ops, sl.basis, block_key=_weight_fn(sl.scheme))
+    return [v.scale(1 / v.terms()[0][1]) for v in found]
 
 
 # ===================================================================

@@ -260,6 +260,24 @@ def test_harmonic_basis_solver_failure_exits_four(monkeypatch, capsys):
     assert "injected" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["singular-vectors", "--scheme", "gl-natural", "--n", "2", "--m", "3",
+     "--l", "1", "--lp", "0"],
+    ["verify-theorem", "1", "--n", "2", "--m", "3", "--l", "1", "--lp", "0"],
+])
+def test_a_solve_on_part_of_n_plus_exits_four(argv, monkeypatch, capsys):
+    import superharm.harmonic as hm
+    from superharm.representations import positive_generators
+
+    # E[1,2] alone kills th1, th2 and th3, which E[2,3], E[3,4] and E[4,5] do not
+    monkeypatch.setattr(hm, "simple_generators",
+                        lambda scheme: positive_generators(scheme)[:1])
+    code, out, err = run(argv, capsys)
+    assert code == 4
+    assert "[PASS]" not in out and "[FAIL]" not in out
+    assert "superharm: internal error: solver produced a non-singular vector" in err
+
+
 def test_singular_vector_payload(capsys):
     code, out, _ = run(["singular-vectors", "--scheme", "gl-natural",
                         "--n", "2", "--m", "3", "--l", "1", "--lp", "0",

@@ -14,6 +14,9 @@ n1 > 1 and n2 = n, which the CLI grids never reach.
 
 tests/golden/root_data.txt pins the root data of gl, osp-even and osp-odd on
 four shapes: the Cartan basis in order, then the sorted positive generators.
+tests/golden/simple_generators.txt pins the simple root vectors that the
+singular-vector solve uses, on the same shapes and on the three twisted kinds
+at (4|1, n1=1, n2=3).
 
 Regenerate the files from a checkout whose reports are trusted with
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -33,6 +36,7 @@ from superharm.representations import (
     cartan_basis,
     positive_generators,
     rep_operator,
+    simple_generators,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -138,6 +142,31 @@ def test_root_data_matches_golden():
     assert root_data_text() == ROOT_DATA.read_text()
 
 
+SIMPLE_GENERATORS = GOLDEN_DIR / "simple_generators.txt"
+
+
+def simple_generators_text() -> str:
+    """`<scheme> <simple count> of <positive count>: <element>; ...` lines."""
+    schemes = [GradingScheme(kind, n, m)
+               for kind in (SchemeKind.GL_NATURAL, SchemeKind.OSP_EVEN_NATURAL,
+                            SchemeKind.OSP_ODD_NATURAL)
+               for n, m in ROOT_DATA_SHAPES]
+    schemes += [GradingScheme(kind, 4, 1, 1, 3)
+                for kind in (SchemeKind.GL_TWISTED, SchemeKind.OSP_EVEN_TWISTED,
+                             SchemeKind.OSP_ODD_TWISTED)]
+    lines = []
+    for scheme in schemes:
+        simple = simple_generators(scheme)
+        lines.append(f"{scheme.describe()} {len(simple)} of "
+                     f"{len(positive_generators(scheme))}: "
+                     + "; ".join(g.render() for g in simple))
+    return "\n".join(lines) + "\n"
+
+
+def test_simple_generators_match_golden():
+    assert simple_generators_text() == SIMPLE_GENERATORS.read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -151,3 +180,5 @@ if __name__ == "__main__":
     print(TWISTED_OPERATORS.stem)
     ROOT_DATA.write_text(root_data_text())
     print(ROOT_DATA.stem)
+    SIMPLE_GENERATORS.write_text(simple_generators_text())
+    print(SIMPLE_GENERATORS.stem)

@@ -39,11 +39,11 @@ from superharm.report import InternalError, Verdict
 from superharm.representations import (
     NOT_A_WEIGHT_VECTOR,
     positive_generators,
-    rep_operator,
+    simple_generators,
     weight_of,
 )
 
-from oracles import im_operator, op_power, parse_polynomial
+from oracles import im_operator, op_power, oracle_singular_vectors, parse_polynomial
 
 P = SuperPolynomial.variable
 GL11 = GradingScheme(SchemeKind.GL_NATURAL, 1, 1)
@@ -56,6 +56,8 @@ EV11 = GradingScheme(SchemeKind.OSP_EVEN_NATURAL, 1, 1)
 EV21 = GradingScheme(SchemeKind.OSP_EVEN_NATURAL, 2, 1)
 EV23 = GradingScheme(SchemeKind.OSP_EVEN_NATURAL, 2, 3)
 ODD21 = GradingScheme(SchemeKind.OSP_ODD_NATURAL, 2, 1)
+EVTW4113 = GradingScheme(SchemeKind.OSP_EVEN_TWISTED, 4, 1, 1, 3)
+ODDTW4113 = GradingScheme(SchemeKind.OSP_ODD_TWISTED, 4, 1, 1, 3)
 
 
 def bpow(v, e):
@@ -209,20 +211,10 @@ def test_two_singular_vectors():
     assert eta.apply(P(x(1))) in set(svs.polys())
 
 
-def joint_kernel(sl, generators, *, harmonic):
-    """The joint kernel of the given generators (and Delta when harmonic)
-    on the slice, each vector scaled to leading coefficient 1."""
-    ops = [rep_operator(g, sl.scheme) for g in generators]
-    if harmonic:
-        ops.append(named_operator("DELTA", sl.scheme))
-    found = joint_kernel_basis_polys(ops, sl.basis, block_key=_weight_fn(sl.scheme))
-    return [v.scale(1 / v.terms()[0][1]) for v in found]
-
-
 def test_full_slice_singular_includes_eta():
     sl = enumerate_slice(GL23, (1, 1))
     inside_h = singular_vectors(sl)
-    whole = joint_kernel(sl, positive_generators(GL23), harmonic=False)
+    whole = oracle_singular_vectors(sl, harmonic=False)
     assert inside_h.count() == 1
     assert len(whole) == 2
     eta_vec = named_operator("ETA", GL23).apply(SuperPolynomial.one())
@@ -233,6 +225,36 @@ def test_full_slice_singular_includes_eta():
 def test_even_osp_singular():
     svs = singular_vectors(enumerate_slice(EV21, 1))
     assert [v.render() for v in svs.polys()] == ["x1"]
+
+
+@pytest.mark.parametrize("scheme,label,cap", [
+    (GL23, (2, 1), None),
+    (TW4113, (1, 0), 3),
+    (EV23, 3, None),
+    (EVTW4113, 0, 3),
+    (ODD21, 2, 2),
+    (ODDTW4113, 0, 3),
+])
+def test_simple_root_solve_matches_the_all_generators_oracle(scheme, label, cap):
+    sl = enumerate_slice(scheme, label, cap)
+    rendered = lambda polys: sorted(p.render() for p in polys)
+    assert rendered(singular_vectors(sl).polys()) == rendered(oracle_singular_vectors(sl))
+    # without Delta too: on the whole slice the simple root vectors kill
+    # exactly what n+ kills
+    simple = simple_generators(scheme)
+    assert (rendered(oracle_singular_vectors(sl, simple, harmonic=False))
+            == rendered(oracle_singular_vectors(sl, harmonic=False)))
+
+
+def test_a_vector_only_a_subset_of_n_plus_kills_is_an_internal_error(monkeypatch):
+    import superharm.harmonic as hm
+
+    one = positive_generators(GL23)[:1]
+    sl = enumerate_slice(GL23, (1, 0))
+    assert len(oracle_singular_vectors(sl, one)) > len(oracle_singular_vectors(sl))
+    monkeypatch.setattr(hm, "simple_generators", lambda scheme: one)
+    with pytest.raises(InternalError, match="non-singular"):
+        singular_vectors(sl)
 
 
 # ===================================================================
@@ -281,7 +303,7 @@ def formula_family(l, lp, require_regular=False):
 def test_even_part_singular_family_matches_solver(label, count):
     sl = enumerate_slice(GL23, label)
     evens = [g for g in positive_generators(GL23) if g.parity() == 0]
-    svs = joint_kernel(sl, evens, harmonic=True)
+    svs = oracle_singular_vectors(sl, evens)
     fam = formula_family(*label)
     assert len(svs) == count
     assert len(fam) == count
@@ -388,6 +410,28 @@ def test_decomposition_with_hypothesis():
         "direct sum verified: 120 + 20 with total 140 = window 140"
 
 
+def test_decomposition_missing_summand_fails_on_a_complete_slice(monkeypatch):
+    import superharm.harmonic as hm
+
+    original = hm._eta_power
+    monkeypatch.setattr(hm, "_eta_power", lambda eta, p, i: (
+        SuperPolynomial.zero() if i else original(eta, p, i)))
+    rep = decomposition_report(GL23, (4, 1))
+    assert rep.verdict is Verdict.FAIL
+    assert rep.dimensions["summands"] == [120, 0]
+    assert rep.explanation == "candidates do not span the complete slice"
+
+
+def test_decomposition_candidate_outside_the_slice_is_an_internal_error(monkeypatch):
+    import superharm.harmonic as hm
+
+    original = hm._eta_power
+    monkeypatch.setattr(hm, "_eta_power",
+                        lambda eta, p, i: original(eta, p, i) * P(x(1)))
+    with pytest.raises(InternalError, match="leaves the complete slice"):
+        decomposition_report(GL23, (4, 1))
+
+
 def test_decomposition_failure_witness():
     rep = decomposition_report(GL23, (2, 2))
     assert rep.verdict is Verdict.PASS
@@ -440,9 +484,6 @@ def test_eta_square_overlap_witness():
 # ===================================================================
 # operator identities
 # ===================================================================
-
-EVTW4113 = GradingScheme(SchemeKind.OSP_EVEN_TWISTED, 4, 1, 1, 3)
-ODDTW4113 = GradingScheme(SchemeKind.OSP_ODD_TWISTED, 4, 1, 1, 3)
 
 
 @pytest.mark.parametrize("scheme", [

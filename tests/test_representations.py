@@ -30,10 +30,11 @@ from superharm.representations import (
     osp_stabilizer_check,
     positive_generators,
     rep_operator,
+    simple_generators,
     verify_homomorphism,
     weight_of,
 )
-from superharm.report import Verdict
+from superharm.report import InternalError, Verdict
 
 import oracles
 from oracles import parse_polynomial
@@ -51,6 +52,7 @@ EVTW4113 = GradingScheme(SchemeKind.OSP_EVEN_TWISTED, 4, 1, 1, 3)
 EVTW3113 = GradingScheme(SchemeKind.OSP_EVEN_TWISTED, 3, 1, 1, 3)
 ODD11 = GradingScheme(SchemeKind.OSP_ODD_NATURAL, 1, 1)
 ODD21 = GradingScheme(SchemeKind.OSP_ODD_NATURAL, 2, 1)
+ODD23 = GradingScheme(SchemeKind.OSP_ODD_NATURAL, 2, 3)
 ODDTW3113 = GradingScheme(SchemeKind.OSP_ODD_TWISTED, 3, 1, 1, 3)
 
 GL_SP = AlgebraSpace(AlgebraFamily.GL, 2, 1)
@@ -452,6 +454,32 @@ def test_positive_generator_counts():
     for scheme in schemes:
         assert (2 * len(positive_generators(scheme)) + len(cartan_basis(scheme))
                 == algebra_space(scheme).lie_dimension())
+
+
+@pytest.mark.parametrize("scheme", [GL23, EV23, ODD23, TW4113])
+def test_dropping_a_simple_root_vector_fails_the_span_check(scheme):
+    import superharm.representations as reps
+
+    simple = simple_generators(scheme)
+    positive = positive_generators(scheme)
+    reps._require_generates(simple, positive)
+    for i in range(len(simple)):
+        with pytest.raises(InternalError, match="do not generate"):
+            reps._require_generates(simple[:i] + simple[i + 1:], positive)
+
+
+def test_simple_generators_raise_when_the_span_check_loses_one(monkeypatch):
+    import superharm.representations as reps
+
+    original = reps._require_generates
+    monkeypatch.setattr(reps, "_require_generates",
+                        lambda simple, positive: original(simple[1:], positive))
+    reps.simple_generators.cache_clear()
+    try:
+        with pytest.raises(InternalError, match="do not generate"):
+            reps.simple_generators(EV23)
+    finally:
+        reps.simple_generators.cache_clear()
 
 
 def test_cartan_weights_natural():
