@@ -1,10 +1,11 @@
 """Exact supercommutative polynomial algebra.
 
-Ground ring is Q (stdlib Fraction).  Variables come in five families:
-bosonic x0, x1..xn, y1..yn and fermionic th1..thm ("theta"), vt1..vtm
-("vartheta").  Fermionic generators square to zero and anticommute;
-everything else commutes.  Monomials are kept in a canonical form where
-the fermionic factors appear in the fixed order
+Ground ring is Q: an integral coefficient is a plain int, any other a
+stdlib Fraction.  Variables come in five families: bosonic x0, x1..xn,
+y1..yn and fermionic th1..thm ("theta"), vt1..vtm ("vartheta").
+Fermionic generators square to zero and anticommute; everything else
+commutes.  Monomials are kept in a canonical form where the fermionic
+factors appear in the fixed order
 
     th1 < ... < thm < vt1 < ... < vtm
 
@@ -13,8 +14,13 @@ term.  All arithmetic is exact; there is no floating point anywhere.
 
 `LinearCombination` is the one place where coefficients live: a sparse
 map from a key to a nonzero rational with the linear structure, equality
-and rendering.  `SuperPolynomial` (keyed by monomials), the operators'
-`DiffOperator` and the algebra elements' `AlgebraElement` subclass it.
+and rendering.  It keeps every coefficient in one canonical form, an int
+when the value is integral and a Fraction only otherwise, so the integral
+arithmetic that dominates here runs on Python ints.  A division of two
+coefficients therefore builds its Fraction from numerator and
+denominator: `a / b` on ints would give a float.  `SuperPolynomial`
+(keyed by monomials), the operators' `DiffOperator` and the algebra
+elements' `AlgebraElement` subclass it.
 """
 
 from __future__ import annotations
@@ -199,8 +205,19 @@ class SuperMonomial(NamedTuple):
 Scalar = Union[int, Fraction]
 
 
+def exact_scalar(c: Scalar) -> Scalar:
+    """c in canonical coefficient form (an int when integral); TypeError on
+    anything that is not an int or a Fraction, a float above all."""
+    if isinstance(c, int):
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+
+
 class LinearCombination:
-    """Sparse rational linear combination: key -> nonzero coefficient.
+    """Sparse rational linear combination: key -> nonzero coefficient, an
+    int when integral and a Fraction otherwise.
 
     The one implementation of the linear structure that polynomials,
     operators and algebra elements share.  Each subclass sets the sort key
@@ -213,7 +230,9 @@ class LinearCombination:
     key_render: Callable
 
     def __init__(self, terms: Optional[dict] = None):
-        self._terms = {k: c for k, c in (terms or {}).items() if c != 0}
+        self._terms = {k: c if type(c) is int or c.denominator != 1
+                       else c.numerator
+                       for k, c in (terms or {}).items() if c}
 
     def _like(self, terms: dict):
         """A combination of the same kind with the given terms."""
@@ -233,8 +252,8 @@ class LinearCombination:
         key = self.key_order
         return sorted(self._terms.items(), key=lambda t: key(t[0]))
 
-    def coefficient(self, key) -> Fraction:
-        return self._terms.get(key, Fraction(0))
+    def coefficient(self, key) -> Scalar:
+        return self._terms.get(key, 0)
 
     # ---- linear structure ----
 
@@ -254,7 +273,7 @@ class LinearCombination:
         return self._like({k: -c for k, c in self._terms.items()})
 
     def scale(self, c: Scalar):
-        c = Fraction(c)
+        c = exact_scalar(c)
         return self._like({k: c * v for k, v in self._terms.items()})
 
     def __eq__(self, other) -> bool:
@@ -291,7 +310,7 @@ class LinearCombination:
 # ===================================================================
 
 class SuperPolynomial(LinearCombination):
-    """Sparse polynomial: canonical monomial -> nonzero Fraction."""
+    """Sparse polynomial: canonical monomial -> nonzero coefficient."""
 
     __slots__ = ()
     key_order = staticmethod(SuperMonomial.sort_key)
@@ -305,11 +324,11 @@ class SuperPolynomial(LinearCombination):
 
     @staticmethod
     def one() -> "SuperPolynomial":
-        return SuperPolynomial({SuperMonomial.unit(): Fraction(1)})
+        return SuperPolynomial({SuperMonomial.unit(): 1})
 
     @staticmethod
     def monomial(m: SuperMonomial, c: Scalar = 1) -> "SuperPolynomial":
-        return SuperPolynomial({m: Fraction(c)})
+        return SuperPolynomial({m: exact_scalar(c)})
 
     @staticmethod
     def variable(v: VariableId) -> "SuperPolynomial":
@@ -317,7 +336,7 @@ class SuperPolynomial(LinearCombination):
             m = SuperMonomial((), (v,))
         else:
             m = SuperMonomial(((v, 1),), ())
-        return SuperPolynomial({m: Fraction(1)})
+        return SuperPolynomial({m: 1})
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -326,7 +345,7 @@ class SuperPolynomial(LinearCombination):
     def __mul__(self, other) -> "SuperPolynomial":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        acc: dict[SuperMonomial, Fraction] = {}
+        acc: dict[SuperMonomial, Scalar] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 prod = m1.mul(m2)
@@ -341,13 +360,13 @@ def integrate_bosonic(p: SuperPolynomial, v: VariableId) -> SuperPolynomial:
     """Right inverse of the partial derivative d_v: x^a -> x^(a+1)/(a+1)."""
     if v.fermionic:
         raise ValueError(f"cannot integrate fermionic variable {v.name()}")
-    acc: dict[SuperMonomial, Fraction] = {}
+    acc: dict[SuperMonomial, Scalar] = {}
     for m, c in p._terms.items():
         e = m.exponent(v)
         bos = dict(m.bos)
         bos[v] = e + 1
         nm = SuperMonomial(tuple(sorted(bos.items())), m.ferm)
-        acc[nm] = acc.get(nm, 0) + c / (e + 1)
+        acc[nm] = acc.get(nm, 0) + Fraction(c, e + 1)
     return SuperPolynomial(acc)
 
 

@@ -278,7 +278,7 @@ def singular_vectors(sl: GradedSlice) -> SingularVectorSet:
     entries = []
     for v in found:
         lead_mono, lead_coeff = v.terms()[0]
-        v = v.scale(1 / lead_coeff)
+        v = v.scale(Fraction(1, lead_coeff))
         wt = weight_of(v, scheme)
         if wt is NOT_A_WEIGHT_VECTOR:
             raise InternalError("solver produced a non-weight vector")

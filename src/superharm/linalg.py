@@ -8,15 +8,17 @@ columns of the matrix whose columns are the polynomials, and both kernels
 take the null space of the stacked, transposed coefficient matrices of the
 operator images.
 
-Matrices come in and go out as rows of Fraction, but `rref` eliminates on
-Python ints: each row is scaled to coprime integers by clearing its
-denominators, eliminated fraction-free (row <- a*row - b*pivot_row with
+Matrices come in as rows of ints and Fractions (the polynomial helpers
+hand over the coefficients as stored: ints unless a value is not
+integral), and `rref` eliminates on Python ints: each row is scaled to
+coprime integers by clearing its denominators (an all-int row only by its
+content gcd), eliminated fraction-free (row <- a*row - b*pivot_row with
 a, b divided by their gcd, then by the row's content gcd; cf. Bareiss,
-Math. Comp. 22, 1968), and divided by its pivot once at the end.  The
-reduced echelon form is unique, so the result is exactly the one plain
-Fraction elimination gives.  Everything is dense: the matrices that show
-up here are small once the caller blocks by a conserved quantity (grading
-label or Cartan weight).
+Math. Comp. 22, 1968), and divided by its pivot once at the end, so it
+returns rows of Fraction.  The reduced echelon form is unique, so the
+result is exactly the one plain Fraction elimination gives.  Everything
+is dense: the matrices that show up here are small once the caller blocks
+by a conserved quantity (grading label or Cartan weight).
 
 SUPERHARM_MAX_CELLS (environment) caps the number of cells in any single
 dense matrix; exceeding it raises MatrixBudgetError instead of truncating.
@@ -29,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Hashable, Optional, Sequence
 
-from superharm.algebra import SuperMonomial, SuperPolynomial
+from superharm.algebra import Scalar, SuperMonomial, SuperPolynomial
 from superharm.report import InternalError
 
 
@@ -52,25 +54,26 @@ def _check_budget(nrows: int, ncols: int) -> None:
 
 
 # ===================================================================
-# plain matrices (lists of Fraction rows)
+# plain matrices (lists of rows of ints and Fractions)
 # ===================================================================
 
 _ZERO = Fraction(0)
 
 
-def _integer_row(row: Sequence[Fraction]) -> list[int]:
+def _integer_row(row: Sequence[Scalar]) -> Sequence[int]:
     """The row times the lcm of its denominators, divided by its content:
-    coprime integers spanning the same line."""
-    den = 1
-    for v in row:
-        if v.denominator != 1:
-            den = lcm(den, v.denominator)
-    ints = [v.numerator * (den // v.denominator) for v in row]
-    g = gcd(*ints)
-    return [a // g for a in ints] if g > 1 else ints
+    coprime integers spanning the same line.  An all-int row is only
+    divided by its content (and returned as it is when that is 1; `rref`
+    never writes into a row)."""
+    dens = [v.denominator for v in row if type(v) is not int]
+    if dens:
+        den = lcm(*dens)
+        row = [v.numerator * (den // v.denominator) for v in row]
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indexes)."""
     work = [_integer_row(r) for r in rows]
     if work:
@@ -101,21 +104,23 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
             for i, c in enumerate(pivots)], pivots
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
+def rank(rows: Sequence[Sequence[Scalar]]) -> int:
     return len(rref(rows)[0])
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {v : M v = 0} for the matrix with the given rows."""
+def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scalar]]:
+    """Basis of {v : M v = 0} for the matrix with the given rows, entries
+    in canonical coefficient form (an int when integral)."""
     red, pivots = rref(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [0] * ncols
+        v[fc] = 1
         for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
+            u = red[i][fc]
+            v[pc] = -u.numerator if u.denominator == 1 else -u
         basis.append(v)
     return basis
 
@@ -126,7 +131,7 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fract
 
 def poly_matrix(
     polys: Sequence[SuperPolynomial],
-) -> tuple[list[list[Fraction]], list[SuperMonomial]]:
+) -> tuple[list[list[Scalar]], list[SuperMonomial]]:
     """Coefficient rows over the union of monomials, columns in first-seen
     order: no caller's rank, null space or pivot set depends on it."""
     terms = [p.items() for p in polys]
@@ -135,7 +140,7 @@ def poly_matrix(
     _check_budget(max(len(polys), 1), max(len(monos), 1))
     rows = []
     for t in terms:
-        row = [_ZERO] * len(monos)
+        row = [0] * len(monos)
         for m, c in t:
             row[index[m]] = c
         rows.append(row)
@@ -173,7 +178,7 @@ def _kernel(
 ) -> list[SuperPolynomial]:
     """Basis of the joint kernel on span(monos) of the linear maps sending
     monos[i] to images[i], one list of images per map."""
-    stacked: list[Sequence[Fraction]] = []
+    stacked: list[Sequence[Scalar]] = []
     for images in image_lists:
         rows, _ = poly_matrix(images)
         stacked.extend(zip(*rows))

@@ -28,14 +28,14 @@ pops the fermionic derivatives right to left, with the Koszul sign (-1)^pos
 for hopping over the pos odd factors before each one, lowers every bosonic
 exponent a by e with the falling factorial a!/(a-e)! (zero when a < e), and
 takes one signed monomial product with the multiplier.  The integer sign
-times falling factorial scales the two Fraction coefficients, so no
-intermediate polynomial is built and the result stays exact.
+times falling factorial scales the term's and the atom's coefficients
+(ints unless a value is not integral), so no intermediate polynomial is
+built and the result stays exact.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from superharm.algebra import (
@@ -46,6 +46,7 @@ from superharm.algebra import (
     SuperPolynomial,
     VariableId,
     _twisted_groups,
+    exact_scalar,
     integrate_bosonic,
     merge_signed,
     theta,
@@ -129,7 +130,7 @@ def _act(w: OpWord, m: SuperMonomial) -> Optional[tuple[int, SuperMonomial]]:
 
 
 class DiffOperator(LinearCombination):
-    """Normal-ordered operator: OpWord -> nonzero Fraction."""
+    """Normal-ordered operator: OpWord -> nonzero coefficient."""
 
     __slots__ = ()
     key_order = staticmethod(OpWord.sort_key)
@@ -143,7 +144,7 @@ class DiffOperator(LinearCombination):
 
     @staticmethod
     def scalar(c: Scalar) -> "DiffOperator":
-        return DiffOperator({_IDENTITY_WORD: Fraction(c)})
+        return DiffOperator({_IDENTITY_WORD: exact_scalar(c)})
 
     @staticmethod
     def identity() -> "DiffOperator":
@@ -152,7 +153,7 @@ class DiffOperator(LinearCombination):
     @staticmethod
     def multiplier(p: Union[SuperPolynomial, SuperMonomial]) -> "DiffOperator":
         if isinstance(p, SuperMonomial):
-            return DiffOperator({OpWord(p, (), ()): Fraction(1)})
+            return DiffOperator({OpWord(p, (), ()): 1})
         return DiffOperator({OpWord(m, (), ()): c for m, c in p.items()})
 
     @staticmethod
@@ -164,8 +165,8 @@ class DiffOperator(LinearCombination):
         if v.fermionic:
             if exp > 1:
                 return DiffOperator.zero()
-            return DiffOperator({OpWord(SuperMonomial.unit(), (), (v,)): Fraction(1)})
-        return DiffOperator({OpWord(SuperMonomial.unit(), ((v, exp),), ()): Fraction(1)})
+            return DiffOperator({OpWord(SuperMonomial.unit(), (), (v,)): 1})
+        return DiffOperator({OpWord(SuperMonomial.unit(), ((v, exp),), ()): 1})
 
     @staticmethod
     def word(
@@ -178,11 +179,11 @@ class DiffOperator(LinearCombination):
         df = tuple(dferm)
         if tuple(sorted(df)) != df or len(set(df)) != len(df):
             raise ValueError("fermionic derivative word must be strictly ascending")
-        return DiffOperator({OpWord(mult, db, df): Fraction(coeff)})
+        return DiffOperator({OpWord(mult, db, df): exact_scalar(coeff)})
 
     # ---- inspection ----
 
-    def atoms(self) -> list[tuple[OpWord, Fraction]]:
+    def atoms(self) -> list[tuple[OpWord, Scalar]]:
         return self.terms()
 
     def parity_part(self, par: int) -> "DiffOperator":
@@ -200,7 +201,7 @@ class DiffOperator(LinearCombination):
     # ---- action ----
 
     def apply(self, p: SuperPolynomial) -> SuperPolynomial:
-        acc: dict[SuperMonomial, Fraction] = {}
+        acc: dict[SuperMonomial, Scalar] = {}
         terms = p.items()
         for w, cw in self._terms.items():
             for m, c in terms:
@@ -267,7 +268,7 @@ def _clifford_cross(dword, mword):
 
 def compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
     """Normal-ordered product a∘b (a acts after b)."""
-    acc: dict[OpWord, Fraction] = {}
+    acc: dict[OpWord, Scalar] = {}
     for wa, ca in a._terms.items():
         for wb, cb in b._terms.items():
             base = ca * cb

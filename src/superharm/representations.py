@@ -123,7 +123,7 @@ class AlgebraElement(LinearCombination):
     key_order = staticmethod(lambda k: k)
     key_render = staticmethod(lambda k: f"E[{k[0]},{k[1]}]")
 
-    def __init__(self, space: AlgebraSpace, terms: Dict[Tuple[int, int], Fraction]):
+    def __init__(self, space: AlgebraSpace, terms: Dict[Tuple[int, int], Scalar]):
         super().__init__(terms)
         self.space = space
 
@@ -141,7 +141,7 @@ class AlgebraElement(LinearCombination):
         rng = space.indices()
         if a not in rng or b not in rng:
             raise ValueError(f"matrix unit E[{a},{b}] out of range")
-        return AlgebraElement(space, {(a, b): Fraction(1)})
+        return AlgebraElement(space, {(a, b): 1})
 
     def parity(self) -> Optional[int]:
         """0/1 when homogeneous, None for mixed or zero."""
@@ -178,7 +178,7 @@ def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     """
     u._require_same_space(v)
     sp = u.space
-    acc: Dict[Tuple[int, int], Fraction] = {}
+    acc: Dict[Tuple[int, int], Scalar] = {}
     for (a, b), cu in u._terms.items():
         pu = sp.index_parity(a) ^ sp.index_parity(b)
         for (c, d), cv in v._terms.items():
@@ -244,7 +244,7 @@ def osp_basis(space: AlgebraSpace) -> List[AlgebraElement]:
 
 
 def _element_rows(elems: Sequence[AlgebraElement]
-                  ) -> Tuple[List[List[Fraction]], List[Tuple[int, int]]]:
+                  ) -> Tuple[List[List[Scalar]], List[Tuple[int, int]]]:
     """Coefficient rows of the elements over the sorted union of their keys,
     and those keys."""
     keys = sorted({k for e in elems for k, _ in e.items()})
@@ -462,7 +462,7 @@ def weight_of(p: SuperPolynomial, scheme: GradingScheme):
     weight: List[Fraction] = []
     for h in cartan_basis(scheme):
         q = rep_operator(h, scheme).apply(p)
-        lam = q.coefficient(lead_mono) / lead_coeff
+        lam = Fraction(q.coefficient(lead_mono), lead_coeff)
         if q != p.scale(lam):
             return NOT_A_WEIGHT_VECTOR
         weight.append(lam)
@@ -545,7 +545,7 @@ def _first_order_atoms(scheme: GradingScheme) -> List[Tuple[VariableId, Variable
 
 def _operator_atom_row(op: DiffOperator,
                        atom_index: Dict[Tuple[VariableId, VariableId], int]
-                       ) -> List[Fraction]:
+                       ) -> List[Scalar]:
     row = [0] * len(atom_index)
     for w, c in op.items():
         mvars = w.mult.variables()

@@ -294,7 +294,7 @@ def oracle_singular_vectors(sl, generators=None, *, harmonic=True):
     if harmonic:
         ops.append(named_operator("DELTA", sl.scheme))
     found = joint_kernel_basis_polys(ops, sl.basis, block_key=_weight_fn(sl.scheme))
-    return [v.scale(1 / v.terms()[0][1]) for v in found]
+    return [v.scale(Fraction(1, v.terms()[0][1])) for v in found]
 
 
 # ===================================================================

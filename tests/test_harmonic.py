@@ -219,7 +219,7 @@ def test_full_slice_singular_includes_eta():
     assert len(whole) == 2
     eta_vec = named_operator("ETA", GL23).apply(SuperPolynomial.one())
     lead_coeff = eta_vec.terms()[0][1]
-    assert eta_vec.scale(1 / lead_coeff) in whole
+    assert eta_vec.scale(Fraction(1, lead_coeff)) in whole
 
 
 def test_even_osp_singular():
