@@ -1,12 +1,15 @@
 """Exact linear algebra over the rationals, plus polynomial-space helpers.
 
 There is one elimination, `rref`; every other question is a rank or a
-null space over it.  `rank` counts the rows of the echelon form,
-`span_rank` is the rank of the coefficient rows of some polynomials,
-`in_span` compares two span ranks, `independent_subset` returns the pivot
-columns of the matrix whose columns are the polynomials, and both kernels
-take the null space of the stacked, transposed coefficient matrices of the
-operator images.
+null space over it.  `rank` counts the pivots of an echelon form that
+eliminates forward only (below each pivot, never above) and builds no
+Fraction, `span_rank` is the rank of the coefficient rows of some
+polynomials, `in_span` compares two span ranks, `independent_subset`
+returns the pivot columns of the matrix whose columns are the
+polynomials, and both kernels take the null space of the stacked,
+transposed coefficient matrices of the operator images; `nullspace` reads
+the reduced rows as integers and builds a Fraction only where an entry is
+not integral.
 
 Matrices come in as rows of ints and Fractions (the polynomial helpers
 hand over the coefficients as stored: ints unless a value is not
@@ -14,11 +17,12 @@ integral), and `rref` eliminates on Python ints: each row is scaled to
 coprime integers by clearing its denominators (an all-int row only by its
 content gcd), eliminated fraction-free (row <- a*row - b*pivot_row with
 a, b divided by their gcd, then by the row's content gcd; cf. Bareiss,
-Math. Comp. 22, 1968), and divided by its pivot once at the end, so it
-returns rows of Fraction.  The reduced echelon form is unique, so the
-result is exactly the one plain Fraction elimination gives.  Everything
-is dense: the matrices that show up here are small once the caller blocks
-by a conserved quantity (grading label or Cartan weight).
+Math. Comp. 22, 1968), and, in its default form, divided by its pivot
+once at the end, so it returns rows of Fraction.  The reduced echelon
+form is unique, so the result is exactly the one plain Fraction
+elimination gives.  Everything is dense: the matrices that show up here
+are small once the caller blocks by a conserved quantity (grading label
+or Cartan weight).
 
 SUPERHARM_MAX_CELLS (environment) caps the number of cells in any single
 dense matrix; exceeding it raises MatrixBudgetError instead of truncating.
@@ -73,8 +77,24 @@ def _integer_row(row: Sequence[Scalar]) -> Sequence[int]:
     return [a // g for a in row] if g > 1 else row
 
 
-def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indexes)."""
+_FORMS = ("fraction", "integer", "forward")
+
+
+def rref(
+    rows: Sequence[Sequence[Scalar]], *, form: str = "fraction"
+) -> tuple[list[list[Scalar]], list[int]]:
+    """Row echelon form; returns (nonzero rows, pivot column indexes).
+
+    form="fraction": the reduced row echelon form, rows of Fraction.
+    form="integer": the same rows, each scaled to coprime integers, with
+    the pivot entry not normalised to 1.
+    form="forward": rows of coprime integers eliminated below each pivot
+    only, which is all a rank or a pivot set needs.
+    The pivots are the same in every form.  Integer rows may be the
+    caller's own input rows: read them, never write into them.
+    """
+    if form not in _FORMS:
+        raise ValueError(f"unknown echelon form {form!r}")
     work = [_integer_row(r) for r in rows]
     if work:
         _check_budget(len(work), len(work[0]))
@@ -88,7 +108,7 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[i
         work[r], work[pr] = work[pr], work[r]
         prow = work[r]
         pv = prow[c]
-        for i in range(len(work)):
+        for i in range(r + 1 if form == "forward" else 0, len(work)):
             f = work[i][c]
             if i != r and f:
                 g = gcd(pv, f)
@@ -100,27 +120,29 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[i
         r += 1
         if r == len(work):
             break
+    if form != "fraction":
+        return work[:r], pivots
     return [[Fraction(u, work[i][c]) if u else _ZERO for u in work[i]]
             for i, c in enumerate(pivots)], pivots
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    return len(rref(rows)[0])
+    return len(rref(rows, form="forward")[1])
 
 
 def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scalar]]:
     """Basis of {v : M v = 0} for the matrix with the given rows, entries
     in canonical coefficient form (an int when integral)."""
-    red, pivots = rref(rows)
+    red, pivots = rref(rows, form="integer")
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
         v = [0] * ncols
         v[fc] = 1
-        for i, pc in enumerate(pivots):
-            u = red[i][fc]
-            v[pc] = -u.numerator if u.denominator == 1 else -u
+        for row, pc in zip(red, pivots):
+            u, pv = -row[fc], row[pc]
+            v[pc] = u // pv if u % pv == 0 else Fraction(u, pv)
         basis.append(v)
     return basis
 
@@ -165,7 +187,7 @@ def independent_subset(polys: Sequence[SuperPolynomial]) -> list[int]:
     """Indexes of a maximal linearly independent subfamily (greedy, stable):
     the pivot columns of the matrix whose columns are the polynomials."""
     rows, _ = poly_matrix(polys)
-    return rref(list(zip(*rows)))[1]
+    return rref(list(zip(*rows)), form="forward")[1]
 
 
 # ===================================================================

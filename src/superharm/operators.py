@@ -8,11 +8,13 @@ with all multiplications to the left of all derivatives: an
 `algebra.LinearCombination` keyed by the atoms' words (`OpWord`), which
 holds the coefficients and the linear structure.  Composition
 re-normal-orders the junction where the left factor's derivatives meet the
-right factor's multipliers: bosonic pairs expand by the Weyl relation
-d^a x^b = sum_k C(a,k) b!/(b-k)! x^(b-k) d^(a-k), fermionic derivative
-words walk through fermionic multiplier words with the Clifford relation
-d_p m = delta_pm - m d_p.  Equality of operators is equality of normal
-forms.
+right factor's multipliers, and only the variables both sides carry are
+expanded: a shared bosonic variable by the Weyl relation
+d^a x^b = sum_k C(a,k) b!/(b-k)! x^(b-k) d^(a-k), a fermionic derivative
+word that meets its multiplier word by walking through it with the
+Clifford relation d_p m = delta_pm - m d_p.  Every other factor passes
+unchanged; disjoint fermionic words just pick up the sign
+(-1)^(|d| |m|).  Equality of operators is equality of normal forms.
 
 `twist` maps an operator through the Weyl-algebra automorphism of a
 twisted scheme (v -> d_v, d_v -> -v on the swapped bosonic variables); the
@@ -23,7 +25,10 @@ The fermionic derivative word is stored in the canonical ascending order
 and is applied right to left (last entry first), exactly like reading the
 operator product d_w1 d_w2 ... d_wk.
 
-`DiffOperator.apply` acts atom by atom on each input monomial directly: it
+`DiffOperator.apply` acts atom by atom on each input monomial directly.
+It skips every atom that differentiates a variable the monomial does not
+carry (its image is 0), reading each atom's set of derivative variables
+from a list the operator builds on its first apply.  On the others it
 pops the fermionic derivatives right to left, with the Koszul sign (-1)^pos
 for hopping over the pos odd factors before each one, lowers every bosonic
 exponent a by e with the falling factorial a!/(a-e)! (zero when a < e), and
@@ -132,7 +137,7 @@ def _act(w: OpWord, m: SuperMonomial) -> Optional[tuple[int, SuperMonomial]]:
 class DiffOperator(LinearCombination):
     """Normal-ordered operator: OpWord -> nonzero coefficient."""
 
-    __slots__ = ()
+    __slots__ = ("_supports",)
     key_order = staticmethod(OpWord.sort_key)
     key_render = staticmethod(OpWord.render)
 
@@ -191,24 +196,35 @@ class DiffOperator(LinearCombination):
             {w: c for w, c in self._terms.items() if w.parity() == par}
         )
 
+    def _atom_supports(self) -> list[tuple[frozenset, OpWord, Scalar]]:
+        """(derivative variables, word, coefficient) for each atom, built on
+        first use.  It is read off `_terms`, which no operation changes after
+        construction (each one builds a new operator), so it cannot go stale."""
+        try:
+            return self._supports
+        except AttributeError:
+            self._supports = [
+                (frozenset(v for v, _ in w.dbos).union(w.dferm), w, c)
+                for w, c in self._terms.items()
+            ]
+            return self._supports
+
     def derivative_variables(self) -> set[VariableId]:
-        out: set[VariableId] = set()
-        for w in self._terms:
-            out.update(v for v, _ in w.dbos)
-            out.update(w.dferm)
-        return out
+        return set().union(*(need for need, _, _ in self._atom_supports()))
 
     # ---- action ----
 
     def apply(self, p: SuperPolynomial) -> SuperPolynomial:
         acc: dict[SuperMonomial, Scalar] = {}
-        terms = p.items()
-        for w, cw in self._terms.items():
-            for m, c in terms:
-                hit = _act(w, m)
-                if hit is not None:
-                    k, mono = hit
-                    acc[mono] = acc.get(mono, 0) + c * cw * k
+        terms = [(m, c, {*dict(m.bos), *m.ferm}) for m, c in p.items()]
+        for need, w, cw in self._atom_supports():
+            for m, c, present in terms:
+                # an atom differentiating a variable m lacks sends m to 0
+                if need <= present:
+                    hit = _act(w, m)
+                    if hit is not None:
+                        k, mono = hit
+                        acc[mono] = acc.get(mono, 0) + c * cw * k
         return SuperPolynomial(acc)
 
 
@@ -220,12 +236,16 @@ def _weyl_cross(dbos, mbos):
     """Normal-order bosonic derivatives past bosonic multipliers.
 
     Returns a list of (integer coeff, leftover multiplier pairs,
-    leftover derivative pairs).
+    leftover derivative pairs).  Only the variables both sides carry are
+    expanded; every other pair passes through unchanged, so disjoint sides
+    give the one term (1, mbos, dbos).
     """
-    terms = [(1, {}, {})]
-    dd, md = dict(dbos), dict(mbos)
-    for v in sorted(set(dd) | set(md)):
-        a, b = dd.get(v, 0), md.get(v, 0)
+    md = dict(mbos)
+    shared = [(v, a, md[v]) for v, a in dbos if v in md]
+    if not shared:
+        return [(1, mbos, dbos)]
+    terms = [(1, md, dict(dbos))]
+    for v, a, b in shared:
         new = []
         for k in range(0, min(a, b) + 1):
             c = math.comb(a, k) * math.perm(b, k)
@@ -233,24 +253,27 @@ def _weyl_cross(dbos, mbos):
                 nx, nd = dict(xm), dict(dm)
                 if b - k:
                     nx[v] = b - k
+                else:
+                    del nx[v]
                 if a - k:
                     nd[v] = a - k
+                else:
+                    del nd[v]
                 new.append((c0 * c, nx, nd))
         terms = new
-    return [
-        (c, tuple(sorted(xm.items())), tuple(sorted(dm.items())))
-        for c, xm, dm in terms
-    ]
+    # keys are only overwritten or deleted, so both stay sorted
+    return [(c, tuple(xm.items()), tuple(dm.items())) for c, xm, dm in terms]
 
 
 def _clifford_cross(dword, mword):
     """Normal-order a fermionic derivative word past a fermionic multiplier word.
 
     Both words ascending.  Returns a list of (sign, leftover multiplier word,
-    leftover derivative word), using d_p m = delta_pm - m d_p.
+    leftover derivative word), using d_p m = delta_pm - m d_p.  Disjoint
+    words give the one passing term, with sign (-1)^(|dword| |mword|).
     """
-    if not dword:
-        return [(1, mword, ())]
+    if set(dword).isdisjoint(mword):
+        return [(-1 if len(dword) * len(mword) % 2 else 1, mword, dword)]
     p = dword[-1]  # rightmost derivative meets the multipliers first
     head = dword[:-1]
     out = []

@@ -51,7 +51,7 @@ from .algebra import (
     y,
 )
 from .linalg import nullspace, poly_matrix, rank, rref
-from .operators import DiffOperator, compose, named_operator, twist
+from .operators import DiffOperator, OpWord, compose, named_operator, twist
 from .report import InternalError, Verdict, VerificationReport
 
 
@@ -179,10 +179,11 @@ def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     u._require_same_space(v)
     sp = u.space
     acc: Dict[Tuple[int, int], Scalar] = {}
+    vterms = [(c, d, cv, sp.index_parity(c) ^ sp.index_parity(d))
+              for (c, d), cv in v._terms.items()]
     for (a, b), cu in u._terms.items():
         pu = sp.index_parity(a) ^ sp.index_parity(b)
-        for (c, d), cv in v._terms.items():
-            pv = sp.index_parity(c) ^ sp.index_parity(d)
+        for c, d, cv, pv in vterms:
             coeff = cu * cv
             if b == c:
                 acc[(a, d)] = acc.get((a, d), 0) + coeff
@@ -430,10 +431,11 @@ def rep_operator(elem: AlgebraElement, scheme: GradingScheme) -> DiffOperator:
     """Differential operator representing an algebra element."""
     if elem.space != algebra_space(scheme):
         raise ValueError("element does not belong to this scheme's algebra")
-    out = DiffOperator.zero()
+    acc: Dict[OpWord, Scalar] = {}
     for (a, b), c in elem.terms():
-        out = out + _unit_operator(scheme, a, b).scale(c)
-    return out
+        for w, cw in _unit_operator(scheme, a, b).items():
+            acc[w] = acc.get(w, 0) + c * cw
+    return DiffOperator(acc)
 
 
 # ===================================================================

@@ -9,14 +9,17 @@ algebra oracles are the engine's earlier algorithms: plain Fraction
 elimination, one span rank per member for the independent subset, and a
 column-shuffled elimination for the window intersection.  The operator
 action `oracle_apply` runs on `oracle_derive`, one Leibniz derivative step
-and one intermediate polynomial at a time, osp membership is the earlier
-dense reduction, and `oracle_singular_vectors` is the earlier singular
-solve on every positive generator rather than the simple root vectors.
+and one intermediate polynomial at a time, `oracle_compose` is the earlier
+composition that expands every variable of an atom pair, shared or not,
+osp membership is the earlier dense reduction, and
+`oracle_singular_vectors` is the earlier singular solve on every positive
+generator rather than the simple root vectors.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from fractions import Fraction
 from typing import Optional
@@ -28,6 +31,7 @@ from superharm.algebra import (
     SuperMonomial,
     SuperPolynomial,
     VariableId,
+    merge_signed,
     theta,
     vartheta,
     x,
@@ -35,7 +39,7 @@ from superharm.algebra import (
 )
 from superharm.harmonic import _weight_fn
 from superharm.linalg import joint_kernel_basis_polys, poly_matrix, rref, span_rank
-from superharm.operators import DiffOperator, compose, named_operator
+from superharm.operators import DiffOperator, OpWord, compose, named_operator
 from superharm.representations import (
     AlgebraFamily,
     osp_basis,
@@ -253,6 +257,75 @@ def oracle_apply(op, p: SuperPolynomial) -> SuperPolynomial:
             continue
         out = out + (SuperPolynomial.monomial(w.mult, c) * g)
     return out
+
+
+def _full_weyl_cross(dbos, mbos):
+    """Weyl normal ordering expanded over every variable of either side,
+    shared or not: (integer coeff, multiplier pairs, derivative pairs)."""
+    terms = [(1, {}, {})]
+    dd, md = dict(dbos), dict(mbos)
+    for v in sorted(set(dd) | set(md)):
+        a, b = dd.get(v, 0), md.get(v, 0)
+        new = []
+        for k in range(0, min(a, b) + 1):
+            c = math.comb(a, k) * math.perm(b, k)
+            for c0, xm, dm in terms:
+                nx, nd = dict(xm), dict(dm)
+                if b - k:
+                    nx[v] = b - k
+                if a - k:
+                    nd[v] = a - k
+                new.append((c0 * c, nx, nd))
+        terms = new
+    return [
+        (c, tuple(sorted(xm.items())), tuple(sorted(dm.items())))
+        for c, xm, dm in terms
+    ]
+
+
+def _full_clifford_cross(dword, mword):
+    """Clifford normal ordering that walks every derivative through the
+    whole multiplier word, hit or miss: (sign, multipliers, derivatives)."""
+    if not dword:
+        return [(1, mword, ())]
+    p = dword[-1]
+    head = dword[:-1]
+    out = []
+    pass_sign = -1 if len(mword) % 2 else 1
+    for sign, mleft, dleft in _full_clifford_cross(head, mword):
+        out.append((sign * pass_sign, mleft, dleft + (p,)))
+    if p in mword:
+        j = mword.index(p)
+        hit_sign = -1 if j % 2 else 1
+        reduced = mword[:j] + mword[j + 1:]
+        for sign, mleft, dleft in _full_clifford_cross(head, reduced):
+            out.append((sign * hit_sign, mleft, dleft))
+    return out
+
+
+def oracle_compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
+    """Normal-ordered product a∘b by full expansion of every atom pair."""
+    acc: dict = {}
+    for wa, ca in a._terms.items():
+        for wb, cb in b._terms.items():
+            ferm_terms = _full_clifford_cross(wa.dferm, wb.mult.ferm)
+            for wcoeff, xleft, dbleft in _full_weyl_cross(wa.dbos, wb.mult.bos):
+                for fsign, mleft, dfleft in ferm_terms:
+                    prod = wa.mult.mul(SuperMonomial(xleft, mleft))
+                    if prod is None:
+                        continue
+                    msign, mono = prod
+                    dmerge = merge_signed(dfleft, wb.dferm)
+                    if dmerge is None:
+                        continue
+                    dsign, dword = dmerge
+                    db = dict(dbleft)
+                    for v, e in wb.dbos:
+                        db[v] = db.get(v, 0) + e
+                    word = OpWord(mono, tuple(sorted(db.items())), dword)
+                    acc[word] = acc.get(word, 0) + \
+                        ca * cb * wcoeff * fsign * msign * dsign
+    return DiffOperator(acc)
 
 
 def _element_row(elem, keys):

@@ -111,6 +111,28 @@ def test_rref_matches_fraction_oracle(mat):
 
 
 @given(rational_matrices())
+@settings(max_examples=300)
+def test_integer_forms_match_fraction_oracle(mat):
+    want_red, want_pivots = oracle_rref(mat)
+    assert rank(mat) == len(want_pivots)
+    red, pivots = rref(mat, form="integer")
+    assert pivots == want_pivots
+    assert [[F(u, row[c]) for u in row] for row, c in zip(red, pivots)] == want_red
+    fwd, fwd_pivots = rref(mat, form="forward")
+    assert fwd_pivots == want_pivots
+    assert rank(fwd) == len(fwd)
+    assert all(type(u) is int for row in red + fwd for u in row)
+    # eliminated below each pivot only: zeros under it, the rows above kept
+    for i, c in enumerate(fwd_pivots):
+        assert all(row[c] == 0 for row in fwd[i + 1:])
+
+
+def test_unknown_echelon_form():
+    with pytest.raises(ValueError):
+        rref([[F(1)]], form="upper")
+
+
+@given(rational_matrices())
 @settings(max_examples=200)
 def test_nullspace_matches_fraction_oracle(mat):
     ncols = len(mat[0])
@@ -194,6 +216,8 @@ def test_budget_guard(monkeypatch):
     monkeypatch.setenv("SUPERHARM_MAX_CELLS", "4")
     with pytest.raises(MatrixBudgetError):
         rref([[F(1)] * 3, [F(2)] * 3])
+    with pytest.raises(MatrixBudgetError):
+        rank([[F(1)] * 3, [F(2)] * 3])
     monkeypatch.setenv("SUPERHARM_MAX_CELLS", "huge")
     with pytest.raises(MatrixBudgetError):
         rref([[F(1)]])

@@ -16,6 +16,7 @@ from superharm.algebra import (
     x0,
     y,
 )
+from superharm import operators as operators_module
 from superharm.operators import (
     DiffOperator,
     FiltrationError,
@@ -205,6 +206,42 @@ def test_apply_matches_derive_oracle(op, p):
     assert op.apply(p) == oracles.oracle_apply(op, p)
 
 
+@given(oracle_operators, st.lists(multi_term_polys, min_size=2, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_one_operator_applied_to_a_sequence_matches_oracle(op, ps):
+    # the per-atom supports are built by the first apply and reused after
+    for p in ps:
+        assert op.apply(p) == oracles.oracle_apply(op, p)
+
+
+def test_apply_acts_only_on_atoms_the_monomial_feeds(monkeypatch):
+    delta = named_operator("DELTA", GL21)  # d_x1 d_y1 + d_x2 d_y2 + d_th1 d_vt1
+    acted = []
+    real_act = operators_module._act
+    monkeypatch.setattr(operators_module, "_act",
+                        lambda w, m: acted.append(w) or real_act(w, m))
+    # x1^2*th1 carries no atom's full set of derivative variables
+    p = parse_polynomial("x1^2*th1")
+    assert delta.apply(p).is_zero()
+    assert acted == []
+    p = parse_polynomial("x1*y1*x2*th1*vt1")
+    want = {OpWord(SuperMonomial.unit(), ((x(1), 1), (y(1), 1)), ()),
+            OpWord(SuperMonomial.unit(), (), (theta(1), vartheta(1)))}
+    assert delta.apply(p) == oracles.oracle_apply(delta, p)
+    assert len(acted) == 2 and set(acted) == want
+
+
+@given(oracle_operators, oracle_operators, multi_term_polys)
+@settings(max_examples=100, deadline=None)
+def test_derived_operators_carry_no_stale_supports(op, other, p):
+    op.apply(p)  # builds op's per-atom supports
+    derived = [op + other, op - other, op.scale(3), compose(op, other),
+               compose(other, op), twist(op, TWIST_SCHEME)]
+    for d in derived:
+        assert d.apply(p) == oracles.oracle_apply(d, p)
+        assert [w for _, w, _ in d._atom_supports()] == list(d._terms)
+
+
 @pytest.mark.parametrize("atom,p,want", [
     # bosonic power above the exponent: zero
     (DiffOperator.partial(x(1), 3), "x1^2*y1", "0"),
@@ -258,6 +295,38 @@ def test_named_and_unit_operators_match_derive_oracle(scheme, label, cap):
             p = SuperPolynomial.monomial(m)
             assert op.apply(p) == oracles.oracle_apply(op, p)
         assert op.apply(mixed) == oracles.oracle_apply(op, mixed)
+
+
+@st.composite
+def meeting_operator_pairs(draw):
+    """(a, b) with b's multipliers meeting a's derivatives: in half of the
+    draws a gets an atom with bosonic and fermionic derivatives and b one
+    whose multiplier repeats all of them, each boson with exponent 2 or 3,
+    so compose has shared variables on both sides to expand.  The random
+    atoms of the other half share a variable now and then, or not at all."""
+    a, b = draw(oracle_operators), draw(oracle_operators)
+    if draw(st.booleans()):
+        dbos = draw(st.dictionaries(st.sampled_from(ORACLE_BOS),
+                                    st.integers(1, 3), min_size=1, max_size=2))
+        dferm = draw(st.lists(st.sampled_from(ORACLE_FERM), unique=True,
+                              min_size=1, max_size=2))
+        a = a + DiffOperator({OpWord(draw(oracle_monomials),
+                                     tuple(sorted(dbos.items())),
+                                     tuple(sorted(dferm))): draw(rationals)})
+        extra = draw(st.lists(st.sampled_from(ORACLE_FERM), unique=True,
+                              max_size=2))
+        mult = SuperMonomial.make(
+            [(v, draw(st.integers(2, 3))) for v in dbos], set(dferm) | set(extra))
+        b = b + DiffOperator({OpWord(mult, draw(dbos_words), draw(dferm_words)):
+                              draw(rationals)})
+    return a, b
+
+
+@given(meeting_operator_pairs())
+@settings(max_examples=300, deadline=None)
+def test_compose_matches_full_expansion_oracle(pair):
+    a, b = pair
+    assert compose(a, b) == oracles.oracle_compose(a, b)
 
 
 def test_compose_reorders_factors():
