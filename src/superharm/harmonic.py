@@ -53,6 +53,7 @@ from .linalg import (
 from .operators import (
     DiffOperator,
     IntegrationOperator,
+    commutator,
     compose,
     filtration_measure,
     named_operator,
@@ -731,7 +732,7 @@ def _commutator_identities(scheme: GradingScheme):
     """The scheme's pair-commutator identities as (name, lhs, rhs)
     normal-form operator triples.
 
-    Composing Delta with eta picks up the constant shift plus the number
+    The commutator of Delta with eta is the constant shift plus the number
     operators; the twisted variants trade the plain degree count for the
     signed degree operators, and the x0 ladder doubles everything."""
     n, m = scheme.n, scheme.m
@@ -741,8 +742,8 @@ def _commutator_identities(scheme: GradingScheme):
     e_check = named_operator("ETA_CHECK", scheme)
     out = [(
         "fermionic pair",
-        compose(d_check, e_check),
-        compose(e_check, d_check) + one.scale(-m) + ferm_number,
+        commutator(d_check, e_check, 1),
+        one.scale(-m) + ferm_number,
     )]
     d_bar = named_operator("DELTA_BAR", scheme)
     e_bar = named_operator("ETA_BAR", scheme)
@@ -752,14 +753,14 @@ def _commutator_identities(scheme: GradingScheme):
                  + named_operator("FLAT_PRIME", scheme))
         out.append((
             "twisted bosonic pair",
-            compose(d_bar, e_bar),
-            compose(e_bar, d_bar) + one.scale(scheme.n2 - scheme.n1) + flats,
+            commutator(d_bar, e_bar, 1),
+            one.scale(scheme.n2 - scheme.n1) + flats,
         ))
     else:
         out.append((
             "bosonic pair",
-            compose(d_bar, e_bar),
-            compose(e_bar, d_bar) + one.scale(n) + _number_operator(bosonic),
+            commutator(d_bar, e_bar, 1),
+            one.scale(n) + _number_operator(bosonic),
         ))
     if scheme.has_x0:
         delta = named_operator("DELTA", scheme)

@@ -16,6 +16,11 @@ Clifford relation d_p m = delta_pm - m d_p.  Every other factor passes
 unchanged; disjoint fermionic words just pick up the sign
 (-1)^(|d| |m|).  Equality of operators is equality of normal forms.
 
+The uncontracted term of two atoms' product is their product in the
+associated graded algebra, which is supercommutative, so it cancels from
+a∘b - (-1)^{|a||b|} b∘a.  `commutator` and `super_commutator` share
+`compose`'s atom-pair loop and never build the terms that cancel.
+
 `twist` maps an operator through the Weyl-algebra automorphism of a
 twisted scheme (v -> d_v, d_v -> -v on the swapped bosonic variables); the
 twisted representations and their Laplace operators are the twists of the
@@ -191,11 +196,6 @@ class DiffOperator(LinearCombination):
     def atoms(self) -> list[tuple[OpWord, Scalar]]:
         return self.terms()
 
-    def parity_part(self, par: int) -> "DiffOperator":
-        return DiffOperator(
-            {w: c for w, c in self._terms.items() if w.parity() == par}
-        )
-
     def _atom_supports(self) -> list[tuple[frozenset, OpWord, Scalar]]:
         """(derivative variables, word, coefficient) for each atom, built on
         first use.  It is read off `_terms`, which no operation changes after
@@ -238,7 +238,8 @@ def _weyl_cross(dbos, mbos):
     Returns a list of (integer coeff, leftover multiplier pairs,
     leftover derivative pairs).  Only the variables both sides carry are
     expanded; every other pair passes through unchanged, so disjoint sides
-    give the one term (1, mbos, dbos).
+    give the one term (1, mbos, dbos).  The first term is always the
+    uncontracted one.
     """
     md = dict(mbos)
     shared = [(v, a, md[v]) for v, a in dbos if v in md]
@@ -270,7 +271,8 @@ def _clifford_cross(dword, mword):
 
     Both words ascending.  Returns a list of (sign, leftover multiplier word,
     leftover derivative word), using d_p m = delta_pm - m d_p.  Disjoint
-    words give the one passing term, with sign (-1)^(|dword| |mword|).
+    words give the one passing term, with sign (-1)^(|dword| |mword|).  The
+    first term is always the one where every derivative passes.
     """
     if set(dword).isdisjoint(mword):
         return [(-1 if len(dword) * len(mword) % 2 else 1, mword, dword)]
@@ -289,48 +291,96 @@ def _clifford_cross(dword, mword):
     return out
 
 
-def compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
-    """Normal-ordered product a∘b (a acts after b)."""
+def _add_product(acc: dict, wa: OpWord, wb: OpWord, coeff: Scalar,
+                 leading: bool) -> None:
+    """Add coeff * wa∘wb, normal-ordered, into acc.  The first term of each
+    cross is the one that passes without contraction, so their first pair
+    is the uncontracted (leading) term; it is left out unless leading."""
+    ferm_terms = _clifford_cross(wa.dferm, wb.mult.ferm)
+    for i, (wcoeff, xleft, dbleft) in enumerate(_weyl_cross(wa.dbos, wb.mult.bos)):
+        for fsign, mleft, dfleft in ferm_terms if i or leading else ferm_terms[1:]:
+            prod = wa.mult.mul(SuperMonomial(xleft, mleft))
+            if prod is None:
+                continue
+            msign, mono = prod
+            dmerge = merge_signed(dfleft, wb.dferm)
+            if dmerge is None:
+                continue
+            dsign, dword = dmerge
+            db = dict(dbleft)
+            for v, e in wb.dbos:
+                db[v] = db.get(v, 0) + e
+            word = OpWord(mono, tuple(sorted(db.items())), dword)
+            acc[word] = acc.get(word, 0) + coeff * (wcoeff * fsign * msign * dsign)
+
+
+def _atom_sides(op: DiffOperator):
+    """(word, coefficient, parity, multiplier variables, derivative
+    variables) for each atom of op."""
+    return [(w, c, w.parity(), {*dict(w.mult.bos), *w.mult.ferm},
+             {*dict(w.dbos), *w.dferm}) for w, c in op._terms.items()]
+
+
+def _signed_product(a: DiffOperator, b: DiffOperator,
+                    s: Optional[int]) -> DiffOperator:
+    """a∘b - s·b∘a, the one atom-pair loop behind compose (s = 0),
+    commutator and super_commutator (s None: each atom pair wa, wb
+    takes s = (-1)^{|wa||wb|}).
+
+    When an atom pair's s is (-1)^{|wa||wb|}, the uncontracted terms of
+    wa∘wb and s·wb∘wa cancel, so neither is built, and an order whose
+    derivatives meet none of the other atom's multipliers, which has no
+    other term, is skipped before any cross is formed.
+    """
     acc: dict[OpWord, Scalar] = {}
-    for wa, ca in a._terms.items():
-        for wb, cb in b._terms.items():
+    b_sides = _atom_sides(b)
+    for wa, ca, pa, ma, da in _atom_sides(a):
+        for wb, cb, pb, mb, db in b_sides:
+            graded = -1 if pa and pb else 1
+            t = graded if s is None else s
             base = ca * cb
-            ferm_terms = _clifford_cross(wa.dferm, wb.mult.ferm)
-            bos_terms = _weyl_cross(wa.dbos, wb.mult.bos)
-            for wcoeff, xleft, dbleft in bos_terms:
-                for fsign, mleft, dfleft in ferm_terms:
-                    prod = wa.mult.mul(SuperMonomial(xleft, mleft))
-                    if prod is None:
-                        continue
-                    msign, mono = prod
-                    dmerge = merge_signed(dfleft, wb.dferm)
-                    if dmerge is None:
-                        continue
-                    dsign, dword = dmerge
-                    db = dict(dbleft)
-                    for v, e in wb.dbos:
-                        db[v] = db.get(v, 0) + e
-                    word = OpWord(mono, tuple(sorted(db.items())), dword)
-                    coeff = base * (wcoeff * fsign * msign * dsign)
-                    acc[word] = acc.get(word, 0) + coeff
+            if t == graded:
+                if not da.isdisjoint(mb):
+                    _add_product(acc, wa, wb, base, False)
+                if not db.isdisjoint(ma):
+                    _add_product(acc, wb, wa, -t * base, False)
+            else:
+                _add_product(acc, wa, wb, base, True)
+                if t:
+                    _add_product(acc, wb, wa, -t * base, True)
     return DiffOperator(acc)
 
 
+def compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
+    """Normal-ordered product a∘b (a acts after b).
+
+    Each atom pair gives its uncontracted term, the atoms' words multiplied
+    as in a supercommutative algebra, plus one term per contraction where
+    a's derivatives meet b's multipliers.  The associated graded algebra is
+    supercommutative, so the uncontracted term of wa∘wb is (-1)^{|wa||wb|}
+    times that of wb∘wa; `commutator` builds neither when they cancel.
+    """
+    return _signed_product(a, b, 0)
+
+
+def commutator(a: DiffOperator, b: DiffOperator, s: int) -> DiffOperator:
+    """a∘b - s·b∘a for any a and b; the saving is for s in {1, -1}.
+
+    For each atom pair with s = (-1)^{|wa||wb|} the uncontracted terms of
+    wa∘wb and s·wb∘wa cancel (the associated graded algebra is
+    supercommutative), so only the contraction terms are built; every
+    other atom pair keeps its uncontracted terms.  The result is the
+    normal form of compose(a, b) - compose(b, a).scale(s), mixed-parity
+    operators included.
+    """
+    return _signed_product(a, b, s)
+
+
 def super_commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
-    """[a, b] = ab - (-1)^{|a||b|} ba, extended bilinearly over parity parts."""
-    out = DiffOperator.zero()
-    for pa in (0, 1):
-        aa = a.parity_part(pa)
-        if aa.is_zero():
-            continue
-        for pb in (0, 1):
-            bb = b.parity_part(pb)
-            if bb.is_zero():
-                continue
-            ba = compose(bb, aa)
-            out = out + compose(aa, bb)
-            out = out + ba if pa and pb else out - ba
-    return out
+    """[a, b] = ab - (-1)^{|a||b|} ba, extended bilinearly over parity
+    parts: each atom pair takes its own sign, so no uncontracted term is
+    built."""
+    return _signed_product(a, b, None)
 
 
 def twist(op: DiffOperator, scheme: GradingScheme) -> DiffOperator:

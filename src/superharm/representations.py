@@ -24,9 +24,9 @@ singular vectors are read off the algebra basis, with the roots ordered
 by eps_1 > ... > eps_n > delta_1 > ... > delta_m; the simple root vectors
 among them are checked to generate all positive ones.  The module also provides
 two self-contained checkers: an exhaustive bracket-homomorphism
-verification, which forms each product of two basis operators once and
-checks both ordered pairs from it, and the stabilizer characterization of
-osp.
+verification, which forms one commutator per unordered pair of basis
+operators and checks both ordered pairs from it, and the stabilizer
+characterization of osp.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .algebra import (
     y,
 )
 from .linalg import nullspace, poly_matrix, rank, rref
-from .operators import DiffOperator, OpWord, compose, named_operator, twist
+from .operators import DiffOperator, OpWord, commutator, named_operator, twist
 from .report import InternalError, Verdict, VerificationReport
 
 
@@ -93,6 +93,18 @@ class AlgebraSpace:
         if not low <= a <= top:
             raise ValueError(f"index {a} out of range for {self.family.value}")
         return int(a > last_even)
+
+    def unit_parities(self, keys) -> List[int]:
+        """Parity of each matrix unit E[a,b], (a, b) in keys, with the
+        bounds read once."""
+        low, top, last_even = self._bounds()
+        out = []
+        for a, b in keys:
+            if not (low <= a <= top and low <= b <= top):
+                bad = b if low <= a <= top else a
+                raise ValueError(f"index {bad} out of range for {self.family.value}")
+            out.append(int((a > last_even) != (b > last_even)))
+        return out
 
     def lie_dimension(self) -> int:
         """Dimension of the superalgebra itself (not the ambient gl)."""
@@ -147,8 +159,7 @@ class AlgebraElement(LinearCombination):
         """0/1 when homogeneous, None for mixed or zero."""
         if not self._terms:
             return None
-        ps = {self.space.index_parity(a) ^ self.space.index_parity(b)
-              for a, b in self._terms}
+        ps = set(self.space.unit_parities(self._terms))
         return ps.pop() if len(ps) == 1 else None
 
     def _require_same_space(self, other: "AlgebraElement") -> None:
@@ -179,10 +190,9 @@ def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     u._require_same_space(v)
     sp = u.space
     acc: Dict[Tuple[int, int], Scalar] = {}
-    vterms = [(c, d, cv, sp.index_parity(c) ^ sp.index_parity(d))
-              for (c, d), cv in v._terms.items()]
-    for (a, b), cu in u._terms.items():
-        pu = sp.index_parity(a) ^ sp.index_parity(b)
+    vterms = [(c, d, cv, pv) for ((c, d), cv), pv
+              in zip(v._terms.items(), sp.unit_parities(v._terms))]
+    for ((a, b), cu), pu in zip(u._terms.items(), sp.unit_parities(u._terms)):
         for c, d, cv, pv in vterms:
             coeff = cu * cv
             if b == c:
@@ -482,11 +492,15 @@ def verify_homomorphism(rep: GradingScheme) -> VerificationReport:
     to stay inside the osp span.  "sample_dimension" stays in the report
     as a constant 0 so that the report format does not change.
 
-    The loop runs over unordered pairs {a, b}: it forms rho(a)rho(b) and
-    rho(b)rho(a) once each and checks both ordered pairs (a, b) and (b, a)
-    from them.  A FAIL names the first failing ordered pair in row-major
-    order, with pairs_checked its row-major position: a failure at
-    (a, b) with a > b is held until every pair before it has been checked.
+    The loop runs over unordered pairs {a, b}: it forms the one commutator
+    c = rho(a)rho(b) - s rho(b)rho(a), s = (-1)^{|a||b|}, and checks (a, b)
+    against c and (b, a) against -s c.  The associated graded algebra is
+    supercommutative, so each atom pair's uncontracted terms cancel from
+    c; `operators.commutator` never builds them, and skips the atom pairs
+    whose variables do not meet.  A FAIL names the first failing ordered
+    pair in row-major order, with pairs_checked its row-major position: a
+    failure at (a, b) with a > b is held until every pair before it has
+    been checked.
     """
     basis = algebra_basis(rep)
     space = algebra_space(rep)
@@ -504,14 +518,13 @@ def verify_homomorphism(rep: GradingScheme) -> VerificationReport:
     closure_checked = space.family is not AlgebraFamily.GL
     first = None  # (row-major index, explanation) of the earliest failure found
 
-    def check(a: int, b: int, p_ab: DiffOperator, p_ba: DiffOperator) -> None:
+    def check(a: int, b: int, rhs: DiffOperator) -> None:
         nonlocal first
         if first is not None and first[0] < a * n + b:
             return
         eu, ev = basis[a], basis[b]
         br = bracket(eu, ev)
         lhs = rep_operator(br, rep)
-        rhs = p_ab + p_ba if parities[a] and parities[b] else p_ab - p_ba
         if lhs != rhs:
             why = ("normal-form mismatch at a=%s, b=%s: rho([a,b]) - "
                    "(rho(a)rho(b) -+ rho(b)rho(a)) = %s"
@@ -524,9 +537,9 @@ def verify_homomorphism(rep: GradingScheme) -> VerificationReport:
 
     for i in range(n):
         for j in range(i, n):
-            p_ij = compose(ops[i], ops[j])
-            p_ji = compose(ops[j], ops[i]) if j > i else p_ij
-            check(i, j, p_ij, p_ji)
+            s = -1 if parities[i] and parities[j] else 1
+            c = commutator(ops[i], ops[j], s)
+            check(i, j, c)
             # every pair up to (i, j) in row-major order has now been checked
             if first is not None and first[0] <= i * n + j:
                 report.verdict = Verdict.FAIL
@@ -534,7 +547,7 @@ def verify_homomorphism(rep: GradingScheme) -> VerificationReport:
                 report.dimensions["pairs_checked"] = first[0] + 1
                 return report
             if j > i:
-                check(j, i, p_ji, p_ij)
+                check(j, i, -c if s == 1 else c)
     report.dimensions["pairs_checked"] = n * n
     report.explanation = "all %d ordered basis pairs agree in normal form" % (n * n)
     return report

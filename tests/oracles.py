@@ -11,7 +11,8 @@ column-shuffled elimination for the window intersection.  The operator
 action `oracle_apply` runs on `oracle_derive`, one Leibniz derivative step
 and one intermediate polynomial at a time, `oracle_compose` is the earlier
 composition that expands every variable of an atom pair, shared or not,
-osp membership is the earlier dense reduction, and
+`oracle_super_commutator` builds both full products of each pair of parity
+parts, osp membership is the earlier dense reduction, and
 `oracle_singular_vectors` is the earlier singular solve on every positive
 generator rather than the simple root vectors.
 """
@@ -326,6 +327,29 @@ def oracle_compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
                     acc[word] = acc.get(word, 0) + \
                         ca * cb * wcoeff * fsign * msign * dsign
     return DiffOperator(acc)
+
+
+def parity_part(op: DiffOperator, par: int) -> DiffOperator:
+    """The atoms of op whose parity is par."""
+    return DiffOperator({w: c for w, c in op.items() if w.parity() == par})
+
+
+def oracle_super_commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
+    """[a, b] = ab - (-1)^{|a||b|} ba, extended bilinearly over parity
+    parts: every product built in full by `oracle_compose`."""
+    out = DiffOperator.zero()
+    for pa in (0, 1):
+        aa = parity_part(a, pa)
+        if aa.is_zero():
+            continue
+        for pb in (0, 1):
+            bb = parity_part(b, pb)
+            if bb.is_zero():
+                continue
+            ba = oracle_compose(bb, aa)
+            out = out + oracle_compose(aa, bb)
+            out = out + ba if pa and pb else out - ba
+    return out
 
 
 def _element_row(elem, keys):

@@ -22,6 +22,7 @@ from superharm.operators import (
     FiltrationError,
     IntegrationOperator,
     OpWord,
+    commutator,
     compose,
     filtration_measure,
     named_operator,
@@ -152,7 +153,7 @@ def test_compose_associative_on_vectors(a, b, c, m):
 @given(operators, operators, operators, st.integers(0, 1), st.integers(0, 1))
 @settings(max_examples=60, deadline=None)
 def test_super_jacobi(a, b, c, pa, pb):
-    ah, bh = a.parity_part(pa), b.parity_part(pb)
+    ah, bh = oracles.parity_part(a, pa), oracles.parity_part(b, pb)
     lhs = super_commutator(ah, super_commutator(bh, c))
     rhs = super_commutator(super_commutator(ah, bh), c)
     sign = -1 if pa and pb else 1
@@ -327,6 +328,15 @@ def meeting_operator_pairs(draw):
 def test_compose_matches_full_expansion_oracle(pair):
     a, b = pair
     assert compose(a, b) == oracles.oracle_compose(a, b)
+
+
+@given(meeting_operator_pairs(), st.sampled_from([1, -1]))
+@settings(max_examples=300, deadline=None)
+def test_commutator_matches_full_products(pair, s):
+    a, b = pair
+    full = oracles.oracle_compose(a, b) - oracles.oracle_compose(b, a).scale(s)
+    assert commutator(a, b, s) == full
+    assert super_commutator(a, b) == oracles.oracle_super_commutator(a, b)
 
 
 def test_compose_reorders_factors():

@@ -400,26 +400,29 @@ def test_homomorphism_failure_report(monkeypatch, corrupt, pairs_checked,
 
 @pytest.mark.parametrize("scheme", [GL11, ODD11], ids=["gl11", "odd11"])
 def test_homomorphism_builds_each_product_once(monkeypatch, scheme):
+    import superharm.operators as ops
     import superharm.representations as reps
 
-    calls = {"compose": 0, "bracket": 0, "rep_operator": 0}
+    calls = {"commutator": 0, "compose": 0, "bracket": 0, "rep_operator": 0}
 
-    def counted(name):
-        original = getattr(reps, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(reps, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in calls:
-        counted(name)
+    counted(ops, "compose")
+    for name in ("commutator", "bracket", "rep_operator"):
+        counted(reps, name)
     n = len(algebra_basis(scheme))
     report = verify_homomorphism(scheme)
     assert report.verdict is Verdict.PASS
     assert report.dimensions["pairs_checked"] == n * n
-    assert calls["compose"] == n * n
+    assert calls["commutator"] == n * (n + 1) // 2
+    assert calls["compose"] == 0
     assert calls["bracket"] == n * n
     assert calls["rep_operator"] == n + n * n
 
