@@ -115,14 +115,23 @@ def monomial_weight(mono: SuperMonomial, scheme: GradingScheme) -> Tuple[int, ..
 
 
 def _weight_fn(scheme: GradingScheme) -> Callable[[SuperMonomial], Tuple[int, ...]]:
-    return lambda mono: monomial_weight(mono, scheme)
+    """monomial -> weight for one scheme: reads the scheme's memo and calls
+    `monomial_weight` only for a monomial it does not hold yet."""
+    memo = _weight_table(scheme)[2]
+
+    def weight(mono: SuperMonomial) -> Tuple[int, ...]:
+        wt = memo.get(mono)
+        return monomial_weight(mono, scheme) if wt is None else wt
+
+    return weight
 
 
 def _group_polys_by_weight(polys: Sequence[SuperPolynomial], scheme: GradingScheme):
     """Group weight-homogeneous polynomials; raises if one is mixed."""
+    weight = _weight_fn(scheme)
     groups: Dict[Tuple[int, ...], List[SuperPolynomial]] = {}
     for p in polys:
-        wts = {monomial_weight(m, scheme) for m, _ in p.items()}
+        wts = {weight(m) for m, _ in p.items()}
         if len(wts) != 1:
             raise InternalError("expected a weight-homogeneous vector: " + p.render())
         groups.setdefault(wts.pop(), []).append(p)
@@ -568,8 +577,9 @@ def decomposition_report(
     # ---- blockwise independence + spanning ----
     groups = _group_polys_by_weight(candidates, scheme)
     window_blocks: Dict[Tuple[int, ...], List[SuperMonomial]] = {}
+    weight = _weight_fn(scheme)
     for mono in window.basis:
-        window_blocks.setdefault(monomial_weight(mono, scheme), []).append(mono)
+        window_blocks.setdefault(weight(mono), []).append(mono)
     independent = True
     spanning = True
     for wt, block in groups.items():
@@ -696,8 +706,9 @@ def compare_bases(xu: HarmonicBasis, kern: HarmonicBasis) -> VerificationReport:
         return report
     # capped window comparison
     window_blocks: Dict = {}
+    weight = _weight_fn(scheme)
     for mono in sl.basis:
-        window_blocks.setdefault(monomial_weight(mono, scheme), []).append(mono)
+        window_blocks.setdefault(weight(mono), []).append(mono)
     contained = all(
         in_span(v, xu_groups.get(wt, []))
         for wt, block in kern_groups.items() for v in block)

@@ -6,10 +6,12 @@ eliminates forward only (below each pivot, never above) and builds no
 Fraction, `span_rank` is the rank of the coefficient rows of some
 polynomials, `in_span` compares two span ranks, `independent_subset`
 returns the pivot columns of the matrix whose columns are the
-polynomials, and both kernels take the null space of the stacked,
-transposed coefficient matrices of the operator images; `nullspace` reads
-the reduced rows as integers and builds a Fraction only where an entry is
-not integral.
+polynomials, and both kernels take the null space of the equations the
+operator images give: one row per operator and output monomial, one column
+per input monomial of the block, filled straight from the images after the
+budget check on the stacked size, before any row is allocated.
+`nullspace` reads the reduced rows as integers and builds a Fraction only
+where an entry is not integral.
 
 Matrices come in as rows of ints and Fractions (the polynomial helpers
 hand over the coefficients as stored: ints unless a value is not
@@ -199,13 +201,30 @@ def _kernel(
     monos: Sequence[SuperMonomial],
 ) -> list[SuperPolynomial]:
     """Basis of the joint kernel on span(monos) of the linear maps sending
-    monos[i] to images[i], one list of images per map."""
-    stacked: list[Sequence[Scalar]] = []
+    monos[i] to images[i], one list of images per map.
+
+    The equations are the rows of the stacked matrix: one per map and
+    output monomial (first-seen order), its columns the monos in order.
+    """
+    row_of: list[dict[SuperMonomial, int]] = []
+    nrows = 0
     for images in image_lists:
-        rows, _ = poly_matrix(images)
-        stacked.extend(zip(*rows))
+        index: dict[SuperMonomial, int] = {}
+        for q in images:
+            for m, _ in q.items():
+                if m not in index:
+                    index[m] = nrows
+                    nrows += 1
+        row_of.append(index)
+    ncols = len(monos)
+    _check_budget(nrows, ncols)
+    stacked = [[0] * ncols for _ in range(nrows)]
+    for images, index in zip(image_lists, row_of):
+        for j, q in enumerate(images):
+            for m, c in q.items():
+                stacked[index[m]][j] = c
     return [SuperPolynomial({m: c for c, m in zip(v, monos) if c})
-            for v in nullspace(stacked, len(monos))]
+            for v in nullspace(stacked, ncols)]
 
 
 def _blocks(

@@ -31,16 +31,22 @@ and is applied right to left (last entry first), exactly like reading the
 operator product d_w1 d_w2 ... d_wk.
 
 `DiffOperator.apply` acts atom by atom on each input monomial directly.
-It skips every atom that differentiates a variable the monomial does not
-carry (its image is 0), reading each atom's set of derivative variables
-from a list the operator builds on its first apply.  On the others it
-pops the fermionic derivatives right to left, with the Koszul sign (-1)^pos
-for hopping over the pos odd factors before each one, lowers every bosonic
-exponent a by e with the falling factorial a!/(a-e)! (zero when a < e), and
-takes one signed monomial product with the multiplier.  The integer sign
-times falling factorial scales the term's and the atom's coefficients
-(ints unless a value is not integral), so no intermediate polynomial is
-built and the result stays exact.
+Each operator compiles its atoms once, on its first apply: the set of
+variables an atom differentiates, its fermionic derivatives in the order
+they act, its bosonic derivatives, the multiplier's bosonic and fermionic
+parts and the coefficient.  Each input term is prepared once per call (its
+exponent dict, fermion word and variable set), and every atom that
+differentiates a variable the term lacks is skipped (its image is 0).  On
+the others one pass builds the image: it copies the exponent dict, lowers
+every bosonic exponent a by e with the falling factorial a!/(a-e)! (zero
+when a < e), raises the multiplier's exponents in the same dict and sorts
+it once, pops the fermionic derivatives with the Koszul sign (-1)^pos for
+hopping over the pos odd factors before each one, merges in the
+multiplier's fermions (with their sign, only when it has any) and builds
+exactly one monomial.  The integer sign times falling factorial scales the
+term's and the atom's coefficients (ints unless a value is not integral),
+so no intermediate monomial or polynomial is built and the result stays
+exact.
 """
 
 from __future__ import annotations
@@ -104,26 +110,33 @@ class OpWord(NamedTuple):
 _IDENTITY_WORD = OpWord(SuperMonomial.unit(), (), ())
 
 
-def _act(w: OpWord, m: SuperMonomial) -> Optional[tuple[int, SuperMonomial]]:
-    """One atom (coefficient aside) on one monomial: (k, image monomial) with
-    k the integer sign times falling factorial, or None when the image is 0."""
+class _Atom(NamedTuple):
+    """One atom as `apply` reads it, compiled once per operator."""
+
+    need: frozenset                       # the variables it differentiates
+    rdferm: tuple[VariableId, ...]        # fermionic derivatives, rightmost first
+    dbos: tuple[tuple[VariableId, int], ...]
+    mbos: tuple[tuple[VariableId, int], ...]  # the multiplier's bosonic part
+    mferm: tuple[VariableId, ...]         # the multiplier's fermionic word
+    coeff: Scalar
+
+
+def _compile(w: OpWord, c: Scalar) -> _Atom:
+    return _Atom(frozenset(v for v, _ in w.dbos).union(w.dferm), w.dferm[::-1],
+                 w.dbos, w.mult.bos, w.mult.ferm, c)
+
+
+def _act(atom: _Atom, bos, exps: dict, ferm) -> Optional[tuple[int, SuperMonomial]]:
+    """One atom (coefficient aside) on one monomial, given as its bosonic
+    pairs, their exponent dict and its fermion word, which carry every
+    variable the atom differentiates: (k, image monomial) with k the integer
+    sign times falling factorial, or None when the image is 0."""
+    _, rdferm, dbos, mbos, mferm, _ = atom
     k = 1
-    ferm = m.ferm
-    if w.dferm:
-        ferm = list(ferm)
-        for v in reversed(w.dferm):  # rightmost derivative acts first
-            if v not in ferm:
-                return None
-            pos = ferm.index(v)  # it hops over pos earlier odd factors
-            if pos % 2:
-                k = -k
-            del ferm[pos]
-        ferm = tuple(ferm)
-    bos = m.bos
-    if w.dbos:
-        exps = dict(bos)
-        for v, e in w.dbos:
-            a = exps.get(v, 0)
+    if dbos or mbos:
+        exps = exps.copy()
+        for v, e in dbos:
+            a = exps[v]
             if a < e:
                 return None
             k *= math.perm(a, e)
@@ -131,18 +144,32 @@ def _act(w: OpWord, m: SuperMonomial) -> Optional[tuple[int, SuperMonomial]]:
                 del exps[v]
             else:
                 exps[v] = a - e
-        bos = tuple(exps.items())  # no key added, so still sorted
-    prod = w.mult.mul(SuperMonomial(bos, ferm))
-    if prod is None:
-        return None
-    sign, mono = prod
-    return sign * k, mono
+        for v, e in mbos:
+            exps[v] = exps.get(v, 0) + e
+        # a raised key may have been deleted and re-added at the end
+        bos = tuple(sorted(exps.items()) if mbos else exps.items())
+    if rdferm:
+        ferm = list(ferm)
+        for v in rdferm:
+            pos = ferm.index(v)  # it hops over pos earlier odd factors
+            if pos % 2:
+                k = -k
+            del ferm[pos]
+    if mferm:
+        merged = merge_signed(mferm, ferm)
+        if merged is None:
+            return None
+        sign, ferm = merged
+        k *= sign
+    elif rdferm:
+        ferm = tuple(ferm)
+    return k, SuperMonomial(bos, ferm)
 
 
 class DiffOperator(LinearCombination):
     """Normal-ordered operator: OpWord -> nonzero coefficient."""
 
-    __slots__ = ("_supports",)
+    __slots__ = ("_compiled",)
     key_order = staticmethod(OpWord.sort_key)
     key_render = staticmethod(OpWord.render)
 
@@ -196,32 +223,33 @@ class DiffOperator(LinearCombination):
     def atoms(self) -> list[tuple[OpWord, Scalar]]:
         return self.terms()
 
-    def _atom_supports(self) -> list[tuple[frozenset, OpWord, Scalar]]:
-        """(derivative variables, word, coefficient) for each atom, built on
-        first use.  It is read off `_terms`, which no operation changes after
-        construction (each one builds a new operator), so it cannot go stale."""
+    def _compiled_atoms(self) -> list[_Atom]:
+        """The atoms compiled for `apply`, built on first use.  They are read
+        off `_terms`, which no operation changes after construction (each one
+        builds a new operator), so they cannot go stale."""
         try:
-            return self._supports
+            return self._compiled
         except AttributeError:
-            self._supports = [
-                (frozenset(v for v, _ in w.dbos).union(w.dferm), w, c)
-                for w, c in self._terms.items()
-            ]
-            return self._supports
+            self._compiled = [_compile(w, c) for w, c in self._terms.items()]
+            return self._compiled
 
     def derivative_variables(self) -> set[VariableId]:
-        return set().union(*(need for need, _, _ in self._atom_supports()))
+        return set().union(*(atom.need for atom in self._compiled_atoms()))
 
     # ---- action ----
 
     def apply(self, p: SuperPolynomial) -> SuperPolynomial:
         acc: dict[SuperMonomial, Scalar] = {}
-        terms = [(m, c, {*dict(m.bos), *m.ferm}) for m, c in p.items()]
-        for need, w, cw in self._atom_supports():
-            for m, c, present in terms:
+        terms = []
+        for m, c in p.items():
+            exps = dict(m.bos)
+            terms.append((m.bos, exps, m.ferm, {*exps, *m.ferm}, c))
+        for atom in self._compiled_atoms():
+            need, cw = atom.need, atom.coeff
+            for bos, exps, ferm, present, c in terms:
                 # an atom differentiating a variable m lacks sends m to 0
                 if need <= present:
-                    hit = _act(w, m)
+                    hit = _act(atom, bos, exps, ferm)
                     if hit is not None:
                         k, mono = hit
                         acc[mono] = acc.get(mono, 0) + c * cw * k

@@ -12,9 +12,11 @@ action `oracle_apply` runs on `oracle_derive`, one Leibniz derivative step
 and one intermediate polynomial at a time, `oracle_compose` is the earlier
 composition that expands every variable of an atom pair, shared or not,
 `oracle_super_commutator` builds both full products of each pair of parity
-parts, osp membership is the earlier dense reduction, and
+parts, osp membership is the earlier dense reduction,
 `oracle_singular_vectors` is the earlier singular solve on every positive
-generator rather than the simple root vectors.
+generator rather than the simple root vectors, and `oracle_kernel` builds
+the kernel equations as the earlier per-operator coefficient matrices,
+transposed.
 """
 
 from __future__ import annotations
@@ -236,6 +238,33 @@ def oracle_window_intersection_dimension(polys, window_monos):
     red, _ = rref(shuffled)
     n_out = sum(1 for j in order if monos[j] not in window)
     return sum(1 for row in red if not any(row[:n_out]))
+
+
+def oracle_kernel(ops, monos, block_key=None):
+    """Joint kernel of ops on span(monos) by the earlier route: monomials
+    blocked in first-seen key order, the images by `oracle_apply`, one
+    `poly_matrix` per operator and block, transposed and stacked, and the
+    null space read off `oracle_rref` (one vector per free column, in
+    order)."""
+    blocks: dict = {}
+    for m in monos:
+        blocks.setdefault(None if block_key is None else block_key(m), []).append(m)
+    out = []
+    for sub in blocks.values():
+        stacked = []
+        for op in ops:
+            rows, _ = poly_matrix(
+                [oracle_apply(op, SuperPolynomial.monomial(m)) for m in sub])
+            stacked.extend(zip(*rows))
+        red, pivots = oracle_rref(stacked)
+        for fc in range(len(sub)):
+            if fc in pivots:
+                continue
+            vec = {sub[fc]: Fraction(1)}
+            for row, pc in zip(red, pivots):
+                vec[sub[pc]] = -row[fc]
+            out.append(SuperPolynomial(vec))
+    return out
 
 
 def oracle_apply(op, p: SuperPolynomial) -> SuperPolynomial:

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from superharm.algebra import (
     GradingScheme,
     SchemeKind,
+    SuperMonomial,
     SuperPolynomial,
     enumerate_slice,
+    theta,
+    vartheta,
 )
 from superharm.algebra import x as algx, y as algy
 from superharm.harmonic import _window_intersection_dimension
@@ -16,17 +19,19 @@ from superharm.linalg import (
     MatrixBudgetError,
     in_span,
     independent_subset,
+    joint_kernel_basis_polys,
     kernel_basis_polys,
     nullspace,
     rank,
     rref,
     span_rank,
 )
-from superharm.operators import named_operator
+from superharm.operators import DiffOperator, OpWord, named_operator
 from superharm.report import InternalError
 
 from oracles import (
     oracle_independent_subset,
+    oracle_kernel,
     oracle_rref,
     oracle_window_intersection_dimension,
     parse_polynomial,
@@ -221,6 +226,29 @@ def test_budget_guard(monkeypatch):
     monkeypatch.setenv("SUPERHARM_MAX_CELLS", "huge")
     with pytest.raises(MatrixBudgetError):
         rref([[F(1)]])
+    # the kernel counts its equation rows and checks the budget before it
+    # builds any row: each image is read once, by that count, and never
+    # scattered into a row
+    monkeypatch.setenv("SUPERHARM_MAX_CELLS", "4")
+    reads = []
+
+    class Image(SuperPolynomial):
+        __slots__ = ()
+
+        def items(self):
+            reads.append(self)
+            return super().items()
+
+    class CountedDelta:
+        def apply(self, p):
+            return Image(dict(delta.apply(p).items()))
+
+    gl21 = GradingScheme(SchemeKind.GL_NATURAL, 2, 1)
+    delta = named_operator("DELTA", gl21)
+    basis = list(enumerate_slice(gl21, (1, 1)).basis)  # Delta sends each to 1 or 0
+    with pytest.raises(MatrixBudgetError, match=f"matrix 1x{len(basis)} "):
+        kernel_basis_polys(CountedDelta(), basis)
+    assert len(reads) == len(basis) > 4
 
 
 def test_blocked_kernel_matches_unblocked():
@@ -245,3 +273,56 @@ def test_blocked_kernel_rejects_bad_key():
     sl = enumerate_slice(sch, (1, 1))
     with pytest.raises(InternalError):
         kernel_basis_polys(delta, list(sl.basis), block_key=lambda m: m.degree())
+
+
+def op_word(mult, dbos, dferm):
+    return OpWord(parse_polynomial(mult).terms()[0][0], dbos, dferm)
+
+
+X1, X2, Y1, TH1, VT1 = algx(1), algx(2), algy(1), theta(1), vartheta(1)
+# words whose multiplier degree equals their derivative degree, so that the
+# total degree is a block key every sum of them conserves; and words that
+# change it, for the joint kernel, whose blocks need no conservation
+DEGREE_WORDS = [
+    op_word("x1", ((X2, 1),), ()), op_word("x2", ((X1, 1),), ()),
+    op_word("x1", ((Y1, 1),), ()), op_word("y1", ((X2, 1),), ()),
+    op_word("th1", (), (VT1,)), op_word("vt1", (), (TH1,)),
+    op_word("x1", (), (TH1,)), op_word("th1", ((X2, 1),), ()),
+    op_word("x1*th1", ((Y1, 1),), (VT1,)), op_word("x2^2", ((X1, 2),), ())]
+OTHER_WORDS = [
+    op_word("1", ((X1, 1), (Y1, 1)), ()), op_word("1", (), (TH1, VT1)),
+    op_word("x1*y1", (), ()), op_word("1", ((X2, 1),), ()), op_word("th1", (), ())]
+
+
+def operators_over(words):
+    """Sums of one to three of the words with nonzero rational coefficients;
+    so few words make images overlap, within an operator and across them."""
+    return st.lists(
+        st.tuples(st.sampled_from(words), st.integers(-9, 9).filter(bool),
+                  st.integers(1, 4)),
+        min_size=1, max_size=3,
+    ).map(lambda ts: sum((DiffOperator({w: F(a, b)}) for w, a, b in ts),
+                         DiffOperator.zero()))
+
+
+KERNEL_MONOMIALS = [parse_polynomial(t).terms()[0][0] for t in (
+    "1", "x1", "x2", "y1", "th1", "vt1", "x1^2", "x1*y1", "x2*y1", "x1*th1",
+    "y1*vt1", "th1*vt1", "x1*x2*y1", "x1*y1*th1", "x2*th1*vt1", "x1^2*y1^2")]
+
+
+@given(operators_over(DEGREE_WORDS),
+       st.lists(st.sampled_from(KERNEL_MONOMIALS), unique=True, max_size=12),
+       st.sampled_from([None, SuperMonomial.degree]))
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_transposed_matrix_oracle(op, monos, key):
+    assert kernel_basis_polys(op, monos, block_key=key) == \
+        oracle_kernel([op], monos, key)
+
+
+@given(st.lists(operators_over(DEGREE_WORDS + OTHER_WORDS), min_size=1, max_size=3),
+       st.lists(st.sampled_from(KERNEL_MONOMIALS), unique=True, max_size=12),
+       st.sampled_from([None, SuperMonomial.degree, SuperMonomial.parity]))
+@settings(max_examples=300, deadline=None)
+def test_joint_kernel_matches_transposed_matrix_oracle(ops, monos, key):
+    assert joint_kernel_basis_polys(ops, monos, block_key=key) == \
+        oracle_kernel(ops, monos, key)
