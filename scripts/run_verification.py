@@ -14,6 +14,10 @@ field that changes between runs).  A report that differs, or a job with
 no pin, prints DIGEST-MISMATCH and makes the exit code 1.
 scripts/pin_table_digests.py writes the pins.
 
+The last line gives the jobs' summed elapsed_ms and the peak resident set
+of this process, which runs all jobs, so memory the jobs keep from one to
+the next shows there.
+
 Usage:
     python3 scripts/run_verification.py [--out-dir reports]
 """
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import resource
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,6 +89,7 @@ def run(out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     pinned = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     worst = 0
+    elapsed_ms = 0
     for job in job_table():
         path = out_dir / f"{job.name}.json"
         path.unlink(missing_ok=True)  # a failed job must not leave an old report
@@ -93,11 +99,16 @@ def run(out_dir: Path) -> int:
         if code not in (0, 3):
             worst = 1
         if path.exists():
-            digest = report_digest(path.read_text())
+            text = path.read_text()
+            elapsed_ms += json.loads(text)["elapsed_ms"]
+            digest = report_digest(text)
             if digest != pinned.get(job.name):
                 print(f"DIGEST-MISMATCH {job.name}: {digest} != pinned "
                       f"{pinned.get(job.name)}")
                 worst = 1
+    # ru_maxrss is in KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"total elapsed_ms={elapsed_ms} peak_rss_mb={peak_mb:.1f}")
     return worst
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -83,13 +84,15 @@ def _integral(values: Sequence[Fraction], what: str) -> Tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _weight_table(scheme: GradingScheme):
-    """(vacuum weight, per-variable steps, per-monomial memo), all integral."""
+    """(vacuum weight, per-variable steps, per-monomial memo), all integral;
+    each variable's step is kept as its nonzero (index, step) pairs, since
+    a variable moves at most one Cartan entry in every scheme."""
     base = weight_of(SuperPolynomial.one(), scheme)
     steps = {}
     for v in scheme.variables():
         wv = weight_of(SuperPolynomial.variable(v), scheme)
-        steps[v] = _integral([a - b for a, b in zip(wv, base)],
-                             f"step of {v.name()}")
+        step = _integral([a - b for a, b in zip(wv, base)], f"step of {v.name()}")
+        steps[v] = tuple((i, s) for i, s in enumerate(step) if s)
     return _integral(base, "vacuum weight"), steps, {}
 
 
@@ -105,10 +108,10 @@ def monomial_weight(mono: SuperMonomial, scheme: GradingScheme) -> Tuple[int, ..
     if weight is None:
         acc = list(base)
         for v, e in mono.bos:
-            for i, s in enumerate(steps[v]):
+            for i, s in steps[v]:
                 acc[i] += e * s
         for v in mono.ferm:
-            for i, s in enumerate(steps[v]):
+            for i, s in steps[v]:
                 acc[i] += s
         weight = memo[mono] = tuple(acc)
     return weight
@@ -172,6 +175,54 @@ def harmonic_kernel(sl: GradedSlice) -> HarmonicBasis:
     vectors = kernel_basis_polys(delta, sl.basis, block_key=_weight_fn(sl.scheme))
     _check_harmonic_invariants(sl, vectors)
     return HarmonicBasis(sl, tuple(vectors))
+
+
+class _SliceTable:
+    """The complete graded slices of one theorem suite and their checked
+    harmonic kernels.
+
+    The eta-power decomposition of a label reads the kernel of every slice
+    below it, so a natural grid meets each slice many times; the table
+    enumerates each slice and solves its kernel once per suite, and goes
+    with the suite.  A capped window (every twisted slice) is not kept: the
+    summand kernels of a twisted label sit at its own internal cap
+    (cap + 2 * i_max), so other labels do not read them, and holding them
+    would only raise the suite's peak memory.  A miss calls the
+    module-level `enumerate_slice` and `harmonic_kernel`, so every kernel
+    handed out has passed `_check_harmonic_invariants` when it was computed.
+    """
+
+    def __init__(self):
+        self._slices: Dict[tuple, GradedSlice] = {}
+        self._kernels: Dict[tuple, HarmonicBasis] = {}
+
+    def slice(self, scheme: GradingScheme, label: Label,
+              cap: Optional[int]) -> GradedSlice:
+        key = (scheme, label, cap)
+        sl = self._slices.get(key)
+        if sl is None:
+            sl = enumerate_slice(scheme, label, cap)
+            if sl.complete:
+                self._slices[key] = sl
+        return sl
+
+    def kernel(self, scheme: GradingScheme, label: Label,
+               cap: Optional[int]) -> HarmonicBasis:
+        key = (scheme, label, cap)
+        hb = self._kernels.get(key)
+        if hb is None:
+            hb = harmonic_kernel(self.slice(scheme, label, cap))
+            if hb.slice.complete:
+                self._kernels[key] = hb
+        return hb
+
+
+# The table of the theorem suite running in this context; a lone report
+# makes its own.  The suite calls the public report functions, not private
+# variants that take a table, so every report keeps its own name (and a
+# tracer wrapping that name sees it).
+_suite_table: ContextVar[Optional[_SliceTable]] = ContextVar(
+    "suite_table", default=None)
 
 
 def has_formula_basis(scheme: GradingScheme) -> bool:
@@ -406,7 +457,7 @@ def cross_check_irreducibility(
     PASS as soon as two exact vectors are exhibited.
     """
     pred = irreducibility_predicate(scheme, label)
-    sl = enumerate_slice(scheme, label, degree_cap)
+    sl = (_suite_table.get() or _SliceTable()).slice(scheme, label, degree_cap)
     svs = singular_vectors(sl)
     count = svs.count()
     expected = _expected_singular_count(scheme, label)
@@ -530,7 +581,8 @@ def decomposition_report(
     witnesses indecomposability when it does not.
     """
     hyp = _decomposition_hypothesis(scheme, label)
-    window = enumerate_slice(scheme, label, degree_cap)
+    table = _suite_table.get() or _SliceTable()
+    window = table.slice(scheme, label, degree_cap)
     eta = named_operator("ETA", scheme)
     report = VerificationReport(
         check="decomposition",
@@ -553,8 +605,8 @@ def decomposition_report(
                              and scheme.n2 == scheme.n) else None
         i_max = 0
         while bound is None or i_max < bound:
-            nxt = enumerate_slice(scheme, _step_label(scheme, label, i_max + 1),
-                                  degree_cap)
+            nxt = table.slice(scheme, _step_label(scheme, label, i_max + 1),
+                              degree_cap)
             if nxt.dimension() == 0:
                 break
             i_max += 1
@@ -565,8 +617,7 @@ def decomposition_report(
     candidates: List[SuperPolynomial] = []
     for i in range(i_max + 1):
         step = _step_label(scheme, label, i)
-        sub = enumerate_slice(scheme, step, _summand_cap(scheme, step, internal_cap))
-        hb = harmonic_kernel(sub)
+        hb = table.kernel(scheme, step, _summand_cap(scheme, step, internal_cap))
         images = [_eta_power(eta, h, i) for h in hb.vectors]
         images = [q for q in images if not q.is_zero()]
         summand_dims.append(len(images))
@@ -606,12 +657,12 @@ def decomposition_report(
     if not hyp.holds:
         step1 = _step_label(scheme, label, 1)
         sub_cap = _summand_cap(scheme, step1, degree_cap)
-        sub = enumerate_slice(scheme, step1, sub_cap)
+        sub = table.slice(scheme, step1, sub_cap)
         eta_image = [eta.apply(SuperPolynomial.monomial(u)) for u in sub.basis]
         eta_groups = _group_polys_by_weight(
             [q for q in eta_image if not q.is_zero()], scheme)
         h_groups = _group_polys_by_weight(
-            list(harmonic_kernel(window).vectors), scheme)
+            list(table.kernel(scheme, label, degree_cap).vectors), scheme)
         inter = 0
         for wt, hv in h_groups.items():
             ev = eta_groups.get(wt, [])
@@ -927,7 +978,11 @@ def theorem_suite(
     degree_cap: Optional[int] = None,
 ) -> VerificationReport:
     """Aggregate irreducibility cross-checks and decomposition reports
-    over a grid of labels, in label order; one consolidated verdict."""
+    over a grid of labels, in label order; one consolidated verdict.
+
+    The reports share one slice table for the suite, so each slice is
+    enumerated and each harmonic kernel solved once however many labels
+    read it."""
     tid = str(theorem_id).upper()
     if not tid.startswith("T"):
         tid = "T" + tid
@@ -944,11 +999,15 @@ def theorem_suite(
         cap=degree_cap,
         dimensions={"labels": len(labels)},
     )
-    for label in labels:
-        report.subreports.append(
-            cross_check_irreducibility(scheme, label, degree_cap))
-        report.subreports.append(
-            decomposition_report(scheme, label, degree_cap))
+    token = _suite_table.set(_SliceTable())
+    try:
+        for label in labels:
+            report.subreports.append(
+                cross_check_irreducibility(scheme, label, degree_cap))
+            report.subreports.append(
+                decomposition_report(scheme, label, degree_cap))
+    finally:
+        _suite_table.reset(token)
     report.consolidate_subreports()
     n_fail = sum(1 for r in report.subreports if r.verdict is Verdict.FAIL)
     n_cap = sum(1 for r in report.subreports

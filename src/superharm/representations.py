@@ -88,12 +88,6 @@ class AlgebraSpace:
         low, top, _ = self._bounds()
         return range(low, top + 1)
 
-    def index_parity(self, a: int) -> int:
-        low, top, last_even = self._bounds()
-        if not low <= a <= top:
-            raise ValueError(f"index {a} out of range for {self.family.value}")
-        return int(a > last_even)
-
     def unit_parities(self, keys) -> List[int]:
         """Parity of each matrix unit E[a,b], (a, b) in keys, with the
         bounds read once."""
@@ -117,6 +111,7 @@ class AlgebraSpace:
         return dim
 
 
+@functools.lru_cache(maxsize=None)
 def algebra_space(scheme: GradingScheme) -> AlgebraSpace:
     if scheme.is_gl:
         fam = AlgebraFamily.GL

@@ -562,3 +562,50 @@ def test_suite_flags_wrong_counts(monkeypatch):
     rep = theorem_suite("T1", GL23, [(1, 0)])
     assert rep.verdict is Verdict.FAIL
     assert any(r.verdict is Verdict.FAIL for r in rep.subreports)
+
+
+# ===================================================================
+# the slice table of a suite
+# ===================================================================
+
+@pytest.mark.parametrize("tid, scheme, labels, cap", [
+    ("T1", GL21, [(l, lp) for l in range(3) for lp in range(3)], None),
+    ("T3", EV23, [0, 1, 2, 3], None),
+    ("T2", TW4113, [(0, 0)], 4),
+], ids=["gl21-grid", "even23-grid", "tw4113-capped"])
+def test_suite_matches_label_by_label_reports(tid, scheme, labels, cap):
+    # each lone report call enumerates and solves everything afresh
+    lone = []
+    for label in labels:
+        lone.append(cross_check_irreducibility(scheme, label, cap).to_dict())
+        lone.append(decomposition_report(scheme, label, cap).to_dict())
+    suite = theorem_suite(tid, scheme, labels, cap).to_dict()
+    assert suite.pop("elapsed_ms", None) is None
+    assert suite["subreports"] == lone
+
+
+def test_suite_solves_each_slice_kernel_once(monkeypatch):
+    import superharm.harmonic as hm
+
+    bases = []
+    original = hm.kernel_basis_polys
+
+    def counted(op, basis, **kwargs):
+        bases.append(tuple(basis))
+        return original(op, basis, **kwargs)
+
+    monkeypatch.setattr(hm, "kernel_basis_polys", counted)
+    labels = [(l, lp) for l in range(4) for lp in range(4)]
+    rep = theorem_suite("T1", GL23, labels)
+    assert rep.verdict is Verdict.PASS
+    # every label's slice is a summand of its own decomposition, and every
+    # summand of the grid is the slice of a label in it
+    assert len(bases) == len(set(bases)) == len(labels)
+    # the table lives for one suite: the next one solves every kernel again
+    theorem_suite("T1", GL23, labels)
+    assert len(bases) == 2 * len(labels)
+    # a lone report reuses the kernel of its window for the overlap witness
+    del bases[:]
+    rep = decomposition_report(GL23, (2, 2))
+    assert rep.dimensions["harmonic_eta_overlap"] == 1
+    assert len(bases) == len(set(bases)) == 3

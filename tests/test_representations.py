@@ -74,11 +74,12 @@ def test_space_dimensions():
 
 
 def test_space_parity():
+    # E[a, b] with b even has the parity of index a
     sp = AlgebraSpace(AlgebraFamily.GL, 2, 1)
-    assert [sp.index_parity(a) for a in sp.indices()] == [0, 0, 1]
+    assert sp.unit_parities([(a, 1) for a in sp.indices()]) == [0, 0, 1]
     odd = AlgebraSpace(AlgebraFamily.OSP_ODD, 1, 1)
-    assert odd.index_parity(0) == 0
-    assert [odd.index_parity(a) for a in odd.indices()] == [0, 0, 0, 1, 1]
+    assert odd.unit_parities([(0, 0)]) == [0]
+    assert odd.unit_parities([(a, 0) for a in odd.indices()]) == [0, 0, 0, 1, 1]
 
 
 def test_bracket_even_pair():
