@@ -72,6 +72,12 @@ def job_table() -> list:
                 ["verify-theorem", "2", "--n", "4", "--m", "1",
                  "--n1", "1", "--n2", "3",
                  "--l", str(l), "--lp", str(lp), "--cap", "6"]))
+    # twisted osp theorem suites, cap 3
+    twisted = ["--n", "4", "--m", "1", "--n1", "1", "--n2", "3", "--cap", "3"]
+    rows.append(Job("theorem3-tw4113-k0-k1-cap3",
+                    ["verify-theorem", "3", *twisted, "--kmin", "0", "--kmax", "1"]))
+    rows.append(Job("theorem4-tw4113-k0-cap3",
+                    ["verify-theorem", "4", *twisted, "--k", "0"]))
     return rows
 
 

@@ -397,6 +397,11 @@ _CAP_REQUIRED_KINDS = _TWISTED_KINDS | _ODD_KINDS
 Label = Union[int, tuple[int, int]]
 
 
+def label_degree(label: Label) -> int:
+    """Total degree of a label: k, or l + lp for a bidegree."""
+    return label if isinstance(label, int) else sum(label)
+
+
 @dataclass(frozen=True)
 class GradingScheme:
     """Variant tag + parameters; doubles as the representation choice."""
@@ -477,8 +482,7 @@ class GradedSlice:
             return False
         if self.degree_cap is None:
             return True
-        need = self.label if isinstance(self.label, int) else sum(self.label)
-        return self.degree_cap >= need
+        return self.degree_cap >= label_degree(self.label)
 
     def dimension(self) -> int:
         return len(self.basis)

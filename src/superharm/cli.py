@@ -25,11 +25,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence
 
-from .algebra import GradingScheme, Label, SchemeKind, enumerate_slice
+from .algebra import GradingScheme, Label, SchemeKind, enumerate_slice, label_degree
 from .harmonic import (
+    THEOREM_KINDS,
     compare_bases,
     harmonic_kernel,
     has_formula_basis,
@@ -141,7 +142,7 @@ class JobConfig:
                 f"--cap is required for {scheme.kind.value} (infinite slices)")
         if self.cap is not None and not scheme.is_twisted:
             # a natural slice lies in the label's degree: a lower cap empties it
-            degree = max(k if isinstance(k, int) else sum(k) for k in labels)
+            degree = max(label_degree(k) for k in labels)
             if self.cap < degree:
                 raise ConfigError(f"--cap {self.cap} is below the label degree "
                                   f"{degree} on {scheme.kind.value}")
@@ -149,12 +150,8 @@ class JobConfig:
 
 
 def _config_from_args(args: argparse.Namespace) -> JobConfig:
-    fields = ("scheme", "n", "m", "n1", "n2", "l", "lp", "k", "lmax",
-              "lpmax", "kmin", "kmax", "cap", "theorem", "fmt", "out")
-    values = {name: getattr(args, name, None) for name in fields}
-    if values["fmt"] is None:
-        values["fmt"] = "text"
-    return JobConfig(command=args.command, **values)
+    return JobConfig(**{f.name: getattr(args, f.name, None)
+                        for f in fields(JobConfig)})
 
 
 # ===================================================================
@@ -201,9 +198,7 @@ def _run_singular_vectors(cfg: JobConfig) -> VerificationReport:
         label=label,
         cap=cap,
         dimensions={"slice": sl.dimension(), "count": svs.count()},
-        singular_vectors=[{"vector": p.render(),
-                           "weight": [str(c) for c in wt]}
-                          for wt, p in svs.entries],
+        singular_vectors=svs.report_entries(),
     )
     report.explanation = (
         f"{svs.count()} singular vectors in the harmonic slice"
@@ -211,22 +206,14 @@ def _run_singular_vectors(cfg: JobConfig) -> VerificationReport:
     return report
 
 
-_THEOREM_NATURAL = {"1": SchemeKind.GL_NATURAL,
-                    "3": SchemeKind.OSP_EVEN_NATURAL,
-                    "4": SchemeKind.OSP_ODD_NATURAL}
-_THEOREM_TWISTED = {"2": SchemeKind.GL_TWISTED,
-                    "3": SchemeKind.OSP_EVEN_TWISTED,
-                    "4": SchemeKind.OSP_ODD_TWISTED}
-
-
 def _run_verify_theorem(cfg: JobConfig) -> VerificationReport:
     tid = cfg.theorem
-    wants_twisted = cfg.n1 is not None or cfg.n2 is not None
-    table = _THEOREM_TWISTED if (tid == "2" or wants_twisted) else _THEOREM_NATURAL
-    if tid not in table:
+    twisted = tid == "2" or cfg.n1 is not None or cfg.n2 is not None
+    kind = THEOREM_KINDS["T" + tid][twisted]
+    if kind is None:
         raise ConfigError(f"theorem {tid} has no "
-                          f"{'twisted' if wants_twisted else 'natural'} variant")
-    scheme = cfg.resolve_scheme(default_kind=table[tid])
+                          f"{'twisted' if twisted else 'natural'} variant")
+    scheme = cfg.resolve_scheme(default_kind=kind)
     labels = cfg.resolve_labels(scheme)
     cap = cfg.resolve_cap(scheme, labels)
     try:
@@ -296,6 +283,10 @@ _RUNNERS = {
 # argument parsing and entry point
 # ===================================================================
 
+_INT_FLAGS = ("n", "m", "n1", "n2", "l", "lp", "k", "lmax", "lpmax", "kmin",
+              "kmax", "cap")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superharm",
@@ -305,18 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--scheme", choices=[k.value for k in SchemeKind])
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--m", type=int)
-        sp.add_argument("--n1", type=int)
-        sp.add_argument("--n2", type=int)
-        sp.add_argument("--l", type=int)
-        sp.add_argument("--lp", type=int)
-        sp.add_argument("--k", type=int)
-        sp.add_argument("--lmax", type=int)
-        sp.add_argument("--lpmax", type=int)
-        sp.add_argument("--kmin", type=int)
-        sp.add_argument("--kmax", type=int)
-        sp.add_argument("--cap", type=int)
+        for flag in _INT_FLAGS:
+            sp.add_argument(f"--{flag}", type=int)
         sp.add_argument("--format", dest="fmt", choices=("text", "json"),
                         default="text")
         sp.add_argument("--out")

@@ -38,6 +38,7 @@ from .algebra import (
     SuperMonomial,
     SuperPolynomial,
     enumerate_slice,
+    label_degree,
     theta,
     vartheta,
     x,
@@ -55,9 +56,9 @@ from .operators import (
     DiffOperator,
     IntegrationOperator,
     commutator,
-    compose,
     filtration_measure,
     named_operator,
+    number_operator,
     super_commutator,
     xu_solve,
 )
@@ -250,20 +251,24 @@ def _xu_gl(sl: GradedSlice) -> List[SuperPolynomial]:
     return _series_solutions(sl.scheme, ((x(c), 1), (y(c), 1)), seeds)
 
 
+def _even_partner(scheme: GradingScheme) -> GradingScheme:
+    """The even osp scheme with the parameters of an odd (x0) one."""
+    kind = (SchemeKind.OSP_EVEN_NATURAL
+            if scheme.kind is SchemeKind.OSP_ODD_NATURAL
+            else SchemeKind.OSP_EVEN_TWISTED)
+    return GradingScheme(kind, scheme.n, scheme.m, scheme.n1, scheme.n2)
+
+
 def _xu_osp_odd(sl: GradedSlice) -> List[SuperPolynomial]:
     """The two-parity x0 series: seeds x0^iota times the even-scheme slice
     of label k - iota, t1 = d_x0^2, t2 = 2 * (x0-free Delta)."""
     scheme = sl.scheme
-    even_kind = (SchemeKind.OSP_EVEN_NATURAL
-                 if scheme.kind is SchemeKind.OSP_ODD_NATURAL
-                 else SchemeKind.OSP_EVEN_TWISTED)
-    even_scheme = GradingScheme(even_kind, scheme.n, scheme.m,
-                                scheme.n1, scheme.n2)
+    even_scheme = _even_partner(scheme)
     cap = sl.degree_cap if even_scheme.is_twisted else None
     seeds = []
     for h, iota in ((SuperPolynomial.one(), 0), (SuperPolynomial.variable(x0()), 1)):
         label = sl.label - iota
-        if even_kind is SchemeKind.OSP_EVEN_NATURAL and label < 0:
+        if not even_scheme.is_twisted and label < 0:
             continue
         seeds.extend((h, SuperPolynomial.monomial(mono))
                      for mono in enumerate_slice(even_scheme, label, cap).basis)
@@ -311,6 +316,11 @@ class SingularVectorSet:
 
     def polys(self) -> List[SuperPolynomial]:
         return [p for _, p in self.entries]
+
+    def report_entries(self) -> List[dict]:
+        """The entries as a report lists them: rendered vector and weight."""
+        return [{"vector": p.render(), "weight": [str(c) for c in wt]}
+                for wt, p in self.entries]
 
 
 def singular_vectors(sl: GradedSlice) -> SingularVectorSet:
@@ -378,57 +388,86 @@ def _require_nat_pair(label) -> Tuple[int, int]:
     return int(l), int(lp)
 
 
+def criterion_constant(scheme: GradingScheme) -> Tuple[int, str]:
+    """The constant c = m + 1 - e that every theorem criterion compares a
+    label degree with, and its spelling in the clauses; e is the constant
+    term of [DELTA_BAR, ETA_BAR], n on a natural scheme and n2 - n1 on a
+    twisted one."""
+    if scheme.is_twisted:
+        return scheme.n1 + scheme.m + 1 - scheme.n2, "n1+m+1-n2"
+    return scheme.m + 1 - scheme.n, "m+1-n"
+
+
+def _degree_clause(scheme: GradingScheme, label: Label) -> IrreducibilityVerdict:
+    """deg <= c holds and deg > c does not, for the label degree deg
+    (l+lp or k) and the criterion constant c."""
+    c, spelled = criterion_constant(scheme)
+    deg = "l+lp" if scheme.is_gl else "k"
+    if label_degree(label) <= c:
+        return IrreducibilityVerdict(True, f"{deg} <= {spelled} = {c}")
+    return IrreducibilityVerdict(False, f"{deg} > {spelled} = {c}")
+
+
 def irreducibility_predicate(scheme: GradingScheme, label: Label) -> IrreducibilityVerdict:
     """The literal irreducibility criterion of the relevant theorem,
     together with which clause fired."""
     kind = scheme.kind
     n, m = scheme.n, scheme.m
+    c, spelled = criterion_constant(scheme)
     if kind is SchemeKind.GL_NATURAL:
         l, lp = _require_nat_pair(label)
-        c = m + 1 - n
-        if l > c:
-            return IrreducibilityVerdict(True, f"l > m+1-n = {c}")
-        if lp > c:
-            return IrreducibilityVerdict(True, f"lp > m+1-n = {c}")
-        if l + lp <= c:
-            return IrreducibilityVerdict(True, f"l+lp <= m+1-n = {c}")
-        return IrreducibilityVerdict(
-            False, f"l, lp <= m+1-n = {c} < l+lp")
+        for name, value in (("l", l), ("lp", lp)):
+            if value > c:
+                return IrreducibilityVerdict(True, f"{name} > {spelled} = {c}")
+        clause = _degree_clause(scheme, (l, lp))
+        if clause.holds:
+            return clause
+        return IrreducibilityVerdict(False, f"l, lp <= {spelled} = {c} < l+lp")
     if kind is SchemeKind.GL_TWISTED:
         l, lp = int(label[0]), int(label[1])
-        n1, n2 = scheme.n1, scheme.n2
-        if n2 == n and lp < 0:
+        if scheme.n2 == n and lp < 0:
             raise ValueError("label outside the stated domain: lp >= 0 "
                              "is required when n2 = n")
-        c = n1 + m + 1 - n2
-        if l + lp <= c:
-            return IrreducibilityVerdict(True, f"l+lp <= n1+m+1-n2 = {c}")
-        if n2 == n and not (n1 + 1 - n <= l <= n1 + m + 1 - n):
+        clause = _degree_clause(scheme, (l, lp))
+        # with n2 = n, c = n1+m+1-n and the window is [n1+1-n, n1+m+1-n]
+        if not clause.holds and scheme.n2 == n and not (c - m <= l <= c):
             return IrreducibilityVerdict(
-                True, f"n2 = n and l outside [{n1 + 1 - n}, {n1 + m + 1 - n}]")
-        return IrreducibilityVerdict(False, f"l+lp > n1+m+1-n2 = {c}")
+                True, f"n2 = n and l outside [{c - m}, {c}]")
+        return clause
     if kind is SchemeKind.OSP_EVEN_NATURAL:
         if n <= 1:
             raise ValueError("the even osp criterion is stated for n > 1")
         k = int(label)
         if k < 0:
             raise ValueError("natural osp labels are non-negative")
-        c = m + 1 - n
-        if k <= c:
-            return IrreducibilityVerdict(True, f"k <= m+1-n = {c}")
+        clause = _degree_clause(scheme, k)
+        if clause.holds:
+            return clause
         if k > 2 * c:
-            return IrreducibilityVerdict(True, f"k > 2(m+1-n) = {2 * c}")
-        return IrreducibilityVerdict(False, f"m+1-n = {c} < k <= 2(m+1-n) = {2 * c}")
+            return IrreducibilityVerdict(True, f"k > 2({spelled}) = {2 * c}")
+        return IrreducibilityVerdict(
+            False, f"{spelled} = {c} < k <= 2({spelled}) = {2 * c}")
     if kind is SchemeKind.OSP_EVEN_TWISTED:
-        k = int(label)
-        c = scheme.n1 + m + 1 - scheme.n2
-        if k <= c:
-            return IrreducibilityVerdict(True, f"k <= n1+m+1-n2 = {c}")
-        return IrreducibilityVerdict(False, f"k > n1+m+1-n2 = {c}")
+        return _degree_clause(scheme, int(label))
     # the x0 ladders: always irreducible
     if kind is SchemeKind.OSP_ODD_NATURAL and int(label) < 0:
         raise ValueError("natural osp labels are non-negative")
     return IrreducibilityVerdict(True, "always irreducible")
+
+
+def _decomposition_hypothesis(scheme: GradingScheme, label: Label) -> IrreducibilityVerdict:
+    """The hypothesis of the eta-power decomposition: the degree criterion,
+    widened on gl-natural by |l-lp| > c; the x0 ladders need none."""
+    if scheme.has_x0:
+        return IrreducibilityVerdict(True, "unconditional")
+    if scheme.kind is SchemeKind.GL_NATURAL:
+        c, spelled = criterion_constant(scheme)
+        l, lp = label
+        if abs(l - lp) > c:
+            return IrreducibilityVerdict(True, f"|l-lp| > {spelled} = {c}")
+        if l + lp > c:
+            return IrreducibilityVerdict(False, f"|l-lp| <= {c} and l+lp > {c}")
+    return _degree_clause(scheme, label)
 
 
 def _expected_singular_count(scheme: GradingScheme, label: Label) -> Optional[int]:
@@ -468,8 +507,7 @@ def cross_check_irreducibility(
         label=label,
         cap=degree_cap,
         dimensions={"slice": sl.dimension(), "singular_count": count},
-        singular_vectors=[{"vector": p.render(), "weight": [str(c) for c in wt]}
-                          for wt, p in svs.entries],
+        singular_vectors=svs.report_entries(),
         predicate=pred.holds,
         clause=pred.clause,
     )
@@ -510,33 +548,6 @@ def cross_check_irreducibility(
         report.explanation = (
             f"only {count} of {expected} expected vectors appear within the window")
     return report
-
-
-def _decomposition_hypothesis(scheme: GradingScheme, label: Label) -> IrreducibilityVerdict:
-    kind = scheme.kind
-    n, m = scheme.n, scheme.m
-    if kind is SchemeKind.GL_NATURAL:
-        l, lp = label
-        c = m + 1 - n
-        if abs(l - lp) > c:
-            return IrreducibilityVerdict(True, f"|l-lp| > m+1-n = {c}")
-        if l + lp <= c:
-            return IrreducibilityVerdict(True, f"l+lp <= m+1-n = {c}")
-        return IrreducibilityVerdict(False, f"|l-lp| <= {c} and l+lp > {c}")
-    if kind is SchemeKind.GL_TWISTED:
-        l, lp = label
-        c = scheme.n1 + m + 1 - scheme.n2
-        return IrreducibilityVerdict(l + lp <= c, f"l+lp <= n1+m+1-n2 = {c}"
-                                     if l + lp <= c else f"l+lp > n1+m+1-n2 = {c}")
-    if kind is SchemeKind.OSP_EVEN_NATURAL:
-        k, c = int(label), m + 1 - n
-        return IrreducibilityVerdict(k <= c, f"k <= m+1-n = {c}" if k <= c
-                                     else f"k > m+1-n = {c}")
-    if kind is SchemeKind.OSP_EVEN_TWISTED:
-        k, c = int(label), scheme.n1 + m + 1 - scheme.n2
-        return IrreducibilityVerdict(k <= c, f"k <= n1+m+1-n2 = {c}" if k <= c
-                                     else f"k > n1+m+1-n2 = {c}")
-    return IrreducibilityVerdict(True, "unconditional")
 
 
 def _step_label(scheme: GradingScheme, label: Label, i: int) -> Label:
@@ -781,67 +792,63 @@ def compare_bases(xu: HarmonicBasis, kern: HarmonicBasis) -> VerificationReport:
 # operator identities
 # ===================================================================
 
-def _number_operator(variables) -> DiffOperator:
-    out = DiffOperator.zero()
-    for v in variables:
-        out = out + compose(
-            DiffOperator.multiplier(SuperPolynomial.variable(v)),
-            DiffOperator.partial(v))
-    return out
-
-
 def _commutator_identities(scheme: GradingScheme):
     """The scheme's pair-commutator identities as (name, lhs, rhs)
     normal-form operator triples.
 
-    The commutator of Delta with eta is the constant shift plus the number
-    operators; the twisted variants trade the plain degree count for the
-    signed degree operators, and the x0 ladder doubles everything."""
-    n, m = scheme.n, scheme.m
+    The commutator of Delta with eta is a constant plus signed Euler
+    operators.  The bosonic constant is e = m + 1 - c, with c the criterion
+    constant, so the identity also checks the constant the criteria read;
+    the twisted variants trade the plain bosonic count for FLAT +
+    FLAT_PRIME, and the x0 ladder doubles everything."""
+    m = scheme.m
+    c, _ = criterion_constant(scheme)
+    e = m + 1 - c
     one = DiffOperator.identity()
-    ferm_number = _number_operator(scheme.fermionic_variables())
-    d_check = named_operator("DELTA_CHECK", scheme)
-    e_check = named_operator("ETA_CHECK", scheme)
+    ferm_number = number_operator(scheme.fermionic_variables())
+    if scheme.is_twisted:
+        bos_number = (named_operator("FLAT", scheme)
+                      + named_operator("FLAT_PRIME", scheme))
+    else:
+        bos_number = number_operator(v for v in scheme.bosonic_variables()
+                                     if v != x0())
     out = [(
         "fermionic pair",
-        commutator(d_check, e_check, 1),
+        commutator(named_operator("DELTA_CHECK", scheme),
+                   named_operator("ETA_CHECK", scheme), 1),
         one.scale(-m) + ferm_number,
+    ), (
+        "twisted bosonic pair" if scheme.is_twisted else "bosonic pair",
+        commutator(named_operator("DELTA_BAR", scheme),
+                   named_operator("ETA_BAR", scheme), 1),
+        one.scale(e) + bos_number,
     )]
-    d_bar = named_operator("DELTA_BAR", scheme)
-    e_bar = named_operator("ETA_BAR", scheme)
-    bosonic = [x(i) for i in range(1, n + 1)] + [y(i) for i in range(1, n + 1)]
-    if scheme.is_twisted:
-        flats = (named_operator("FLAT", scheme)
-                 + named_operator("FLAT_PRIME", scheme))
-        out.append((
-            "twisted bosonic pair",
-            commutator(d_bar, e_bar, 1),
-            one.scale(scheme.n2 - scheme.n1) + flats,
-        ))
-    else:
-        out.append((
-            "bosonic pair",
-            commutator(d_bar, e_bar, 1),
-            one.scale(n) + _number_operator(bosonic),
-        ))
     if scheme.has_x0:
-        delta = named_operator("DELTA", scheme)
-        eta = named_operator("ETA", scheme)
-        if scheme.is_twisted:
-            shift = 2 + 4 * (scheme.n2 - scheme.n1 - m)
-            inner = (_number_operator([x0()]) + ferm_number
-                     + named_operator("FLAT", scheme)
-                     + named_operator("FLAT_PRIME", scheme))
-        else:
-            shift = 2 + 4 * (n - m)
-            inner = (_number_operator([x0()]) + ferm_number
-                     + _number_operator(bosonic))
         out.append((
             "ladder pair",
-            super_commutator(delta, eta),
-            one.scale(shift) + inner.scale(4),
+            super_commutator(named_operator("DELTA", scheme),
+                             named_operator("ETA", scheme)),
+            one.scale(2 + 4 * (e - m))
+            + (number_operator([x0()]) + ferm_number + bos_number).scale(4),
         ))
     return out
+
+
+def _ladder_checks(delta: DiffOperator, eta: DiffOperator,
+                   vectors: Sequence[SuperPolynomial], top: int,
+                   scalar: Callable[[int], int], where: str,
+                   failures: List[str]) -> int:
+    """Check delta(eta^l f) = scalar(l) * eta^(l-1) f for l = 1..top and each
+    f in vectors; one line per wrong power goes to failures.  Returns the
+    number of checks."""
+    for f in vectors:
+        prev = f
+        for ell in range(1, top + 1):
+            cur = eta.apply(prev)
+            if delta.apply(cur) != prev.scale(scalar(ell)):
+                failures.append(f"{where}, power {ell}")
+            prev = cur
+    return len(vectors) * top
 
 
 def _fermionic_ladder_scalars(scheme: GradingScheme) -> Tuple[int, List[str]]:
@@ -868,17 +875,9 @@ def _fermionic_ladder_scalars(scheme: GradingScheme) -> Tuple[int, List[str]]:
                     failures.append(
                         f"unexpected fermionic harmonics at bidegree ({a},{b})")
                 continue
-            for f in kern:
-                powers = [f]
-                for _ in range(s - r):
-                    powers.append(e_check.apply(powers[-1]))
-                for ell in range(1, s - r + 1):
-                    want = powers[ell - 1].scale(ell * (ell + r - s))
-                    if d_check.apply(powers[ell]) != want:
-                        failures.append(
-                            "fermionic ladder scalar wrong at bidegree "
-                            f"({a},{b}), power {ell}")
-                    checked += 1
+            checked += _ladder_checks(
+                d_check, e_check, kern, s - r, lambda ell: ell * (ell + r - s),
+                f"fermionic ladder scalar wrong at bidegree ({a},{b})", failures)
     return checked, failures
 
 
@@ -886,43 +885,34 @@ def _harmonic_ladder_scalars(
     scheme: GradingScheme, degree_cap: Optional[int]
 ) -> Tuple[int, List[str]]:
     """Scalar action of Delta on eta-powers of harmonic vectors, for the
-    kinds whose ladder constant is label-linear."""
+    kinds whose ladder constant is label-linear: with d the label degree
+    and c the criterion constant, the l-th power is mapped onto
+    l*(d+l-c) (twisted) or 2l*(1+2(d+l-c)) (odd natural) times the
+    previous power."""
     kind = scheme.kind
-    if kind is SchemeKind.GL_TWISTED:
-        source, labels = scheme, [(0, 0), (1, 0)]
+    c, _ = criterion_constant(scheme)
+    if kind in (SchemeKind.GL_TWISTED, SchemeKind.OSP_EVEN_TWISTED):
+        source = scheme
+        labels = [(0, 0), (1, 0)] if scheme.is_gl else [0, 1]
         cap = 3 if degree_cap is None else degree_cap
 
-        def scalar(label, l1):
-            return l1 * (scheme.n2 - scheme.n1 - scheme.m
-                         + label[0] + label[1] + l1 - 1)
-    elif kind is SchemeKind.OSP_EVEN_TWISTED:
-        source, labels = scheme, [0, 1]
-        cap = 3 if degree_cap is None else degree_cap
-
-        def scalar(label, l1):
-            return l1 * (scheme.n2 - scheme.n1 - scheme.m + label + l1 - 1)
+        def scalar(d, ell):
+            return ell * (d + ell - c)
     elif kind is SchemeKind.OSP_ODD_NATURAL:
-        source = GradingScheme(SchemeKind.OSP_EVEN_NATURAL, scheme.n, scheme.m)
-        labels, cap = [0, 1, 2], None
+        source, labels, cap = _even_partner(scheme), [0, 1, 2], None
 
-        def scalar(label, l1):
-            return 2 * l1 * (1 + 2 * (scheme.n - scheme.m + label + l1 - 1))
+        def scalar(d, ell):
+            return 2 * ell * (1 + 2 * (d + ell - c))
     else:
         return 0, []
     delta = named_operator("DELTA", scheme)
     eta = named_operator("ETA", scheme)
     checked, failures = 0, []
     for label in labels:
-        for f in harmonic_kernel(enumerate_slice(source, label, cap)).vectors:
-            powers = [f, eta.apply(f)]
-            powers.append(eta.apply(powers[-1]))
-            for l1 in (1, 2):
-                want = powers[l1 - 1].scale(scalar(label, l1))
-                if delta.apply(powers[l1]) != want:
-                    failures.append(
-                        f"harmonic ladder scalar wrong at label {label}, "
-                        f"power {l1}")
-                checked += 1
+        checked += _ladder_checks(
+            delta, eta, harmonic_kernel(enumerate_slice(source, label, cap)).vectors,
+            2, functools.partial(scalar, label_degree(label)),
+            f"harmonic ladder scalar wrong at label {label}", failures)
     return checked, failures
 
 
@@ -963,9 +953,10 @@ def identity_report(
 # theorem suites
 # ===================================================================
 
-_THEOREM_KINDS = {
-    "T1": (SchemeKind.GL_NATURAL,),
-    "T2": (SchemeKind.GL_TWISTED,),
+# theorem -> (natural kind, twisted kind) it concerns, None where it has none
+THEOREM_KINDS = {
+    "T1": (SchemeKind.GL_NATURAL, None),
+    "T2": (None, SchemeKind.GL_TWISTED),
     "T3": (SchemeKind.OSP_EVEN_NATURAL, SchemeKind.OSP_EVEN_TWISTED),
     "T4": (SchemeKind.OSP_ODD_NATURAL, SchemeKind.OSP_ODD_TWISTED),
 }
@@ -986,11 +977,11 @@ def theorem_suite(
     tid = str(theorem_id).upper()
     if not tid.startswith("T"):
         tid = "T" + tid
-    if tid not in _THEOREM_KINDS:
+    if tid not in THEOREM_KINDS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
-    if scheme.kind not in _THEOREM_KINDS[tid]:
+    if scheme.kind not in THEOREM_KINDS[tid]:
         raise ValueError(
-            f"{tid} concerns {'/'.join(k.value for k in _THEOREM_KINDS[tid])}, "
+            f"{tid} concerns {'/'.join(k.value for k in THEOREM_KINDS[tid] if k)}, "
             f"not {scheme.kind.value}")
     report = VerificationReport(
         check=f"theorem-suite-{tid}",

@@ -3,10 +3,10 @@
 There is one elimination, `rref`; every other question is a rank or a
 null space over it.  `rank` counts the pivots of an echelon form that
 eliminates forward only (below each pivot, never above) and builds no
-Fraction, `span_rank` is the rank of the coefficient rows of some
-polynomials, `in_span` compares two span ranks, `independent_subset`
-returns the pivot columns of the matrix whose columns are the
-polynomials, and both kernels take the null space of the equations the
+Fraction, `span_rank` is the rank of the coefficient rows of some linear
+combinations (polynomials or algebra elements), `in_span` compares two
+span ranks, `independent_subset` returns the pivot columns of the matrix
+whose columns are the polynomials, and both kernels take the null space of the equations the
 operator images give: one row per operator and output monomial, one column
 per input monomial of the block, filled straight from the images after the
 budget check on the stacked size, before any row is allocated.
@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Hashable, Optional, Sequence
 
-from superharm.algebra import Scalar, SuperMonomial, SuperPolynomial
+from superharm.algebra import LinearCombination, Scalar, SuperMonomial, SuperPolynomial
 from superharm.report import InternalError
 
 
@@ -154,10 +154,12 @@ def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scalar]
 # ===================================================================
 
 def poly_matrix(
-    polys: Sequence[SuperPolynomial],
-) -> tuple[list[list[Scalar]], list[SuperMonomial]]:
-    """Coefficient rows over the union of monomials, columns in first-seen
-    order: no caller's rank, null space or pivot set depends on it."""
+    polys: Sequence[LinearCombination],
+) -> tuple[list[list[Scalar]], list[Hashable]]:
+    """Coefficient rows over the union of keys, columns in first-seen
+    order: no caller's rank, null space or pivot set depends on it.  Any
+    `LinearCombination` will do: polynomials (keyed by monomials) or
+    algebra elements (keyed by matrix units)."""
     terms = [p.items() for p in polys]
     monos = list(dict.fromkeys(m for t in terms for m, _ in t))
     index = {m: j for j, m in enumerate(monos)}
@@ -171,7 +173,8 @@ def poly_matrix(
     return rows, monos
 
 
-def span_rank(polys: Sequence[SuperPolynomial]) -> int:
+def span_rank(polys: Sequence[LinearCombination]) -> int:
+    """Rank of the span of any `LinearCombination`s (see `poly_matrix`)."""
     nonzero = [p for p in polys if not p.is_zero()]
     if not nonzero:
         return 0

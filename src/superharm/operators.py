@@ -441,85 +441,69 @@ def twist(op: DiffOperator, scheme: GradingScheme) -> DiffOperator:
 # named operators
 # ===================================================================
 
-def _delta_check(m: int) -> DiffOperator:
-    out = DiffOperator.zero()
-    for r in range(1, m + 1):
-        out = out + DiffOperator.word(1, SuperMonomial.unit(), (), (theta(r), vartheta(r)))
-    return out
+def _variable_product(variables: Sequence[VariableId]) -> SuperMonomial:
+    return SuperMonomial.make([(v, 1) for v in variables if not v.fermionic],
+                              [v for v in variables if v.fermionic])
 
 
-def _eta_check(m: int) -> DiffOperator:
-    out = DiffOperator.zero()
-    for r in range(1, m + 1):
-        out = out + DiffOperator.multiplier(SuperMonomial((), (theta(r), vartheta(r))))
-    return out
+def number_operator(plus: Iterable[VariableId],
+                    minus: Iterable[VariableId] = ()) -> DiffOperator:
+    """The signed Euler operator: the sum of v * d_v over `plus` minus the
+    same sum over `minus`."""
+    acc: dict[OpWord, Scalar] = {}
+    for sign, variables in ((1, plus), (-1, minus)):
+        for v in variables:
+            mono = _variable_product([v])
+            word = OpWord(mono, mono.bos, mono.ferm)
+            acc[word] = acc.get(word, 0) + sign
+    return DiffOperator(acc)
 
 
-def _delta_bar_natural(n: int) -> DiffOperator:
-    out = DiffOperator.zero()
-    for i in range(1, n + 1):
-        out = out + DiffOperator.word(1, SuperMonomial.unit(), ((x(i), 1), (y(i), 1)), ())
-    return out
-
-
-def _eta_bar_natural(n: int) -> DiffOperator:
-    out = DiffOperator.zero()
-    for i in range(1, n + 1):
-        out = out + DiffOperator.multiplier(SuperMonomial(((x(i), 1), (y(i), 1)), ()))
-    return out
-
-
-def _flat(scheme: GradingScheme) -> DiffOperator:
-    out = DiffOperator.zero()
-    for r in range(scheme.n1 + 1, scheme.n + 1):
-        out = out + DiffOperator.word(1, SuperMonomial(((x(r), 1),), ()), ((x(r), 1),), ())
-    for i in range(1, scheme.n1 + 1):
-        out = out - DiffOperator.word(1, SuperMonomial(((x(i), 1),), ()), ((x(i), 1),), ())
-    return out
-
-
-def _flat_prime(scheme: GradingScheme) -> DiffOperator:
-    out = DiffOperator.zero()
-    for i in range(1, scheme.n2 + 1):
-        out = out + DiffOperator.word(1, SuperMonomial(((y(i), 1),), ()), ((y(i), 1),), ())
-    for s in range(scheme.n2 + 1, scheme.n + 1):
-        out = out - DiffOperator.word(1, SuperMonomial(((y(s), 1),), ()), ((y(s), 1),), ())
-    return out
+def _pair_sum(pairs: Iterable[tuple[VariableId, VariableId]],
+              derivative: bool) -> DiffOperator:
+    """The sum over the pairs (u, v) of the multiplier u*v or, when
+    `derivative`, of d_u d_v."""
+    acc: dict[OpWord, Scalar] = {}
+    for pair in pairs:
+        mono = _variable_product(pair)
+        word = (OpWord(SuperMonomial.unit(), mono.bos, mono.ferm) if derivative
+                else OpWord(mono, (), ()))
+        acc[word] = acc.get(word, 0) + 1
+    return DiffOperator(acc)
 
 
 def named_operator(name: str, scheme: GradingScheme) -> DiffOperator:
     """Build one of the distinguished operators for a scheme.
 
     Names (case-insensitive): DELTA, ETA, DELTA_BAR, ETA_BAR, DELTA_CHECK,
-    ETA_CHECK, FLAT, FLAT_PRIME.  For the x0 schemes DELTA/ETA are the
-    ladder versions d_x0^2 + 2*Delta and x0^2 + 2*eta.  On a twisted scheme
-    DELTA, ETA and their bar parts are the twists of the natural ones; the
-    check parts involve only fermions, which the twist fixes.
+    ETA_CHECK, FLAT, FLAT_PRIME.  The DELTA names sum d_u d_v and the ETA
+    names the multipliers u*v over the pairs (x_i, y_i) (BAR), (th_r, vt_r)
+    (CHECK) or both.  For the x0 schemes DELTA/ETA are the ladder versions
+    d_x0^2 + 2*Delta and x0^2 + 2*eta.  On a twisted scheme DELTA, ETA and
+    their bar parts are the twists of the natural ones; the check parts
+    involve only fermions, which the twist fixes.  FLAT and FLAT_PRIME are
+    the twisted schemes' signed Euler operators on the x and the y
+    variables, + on the variables the twist keeps, - on those it swaps.
     """
     key = name.strip().upper()
-    if key in ("FLAT", "FLAT_PRIME") and not scheme.is_twisted:
-        raise ValueError(f"{key} exists only for twisted schemes")
-    if key == "FLAT":
-        return _flat(scheme)
-    if key == "FLAT_PRIME":
-        return _flat_prime(scheme)
-    if key == "DELTA_CHECK":
-        return _delta_check(scheme.m)
-    if key == "ETA_CHECK":
-        return _eta_check(scheme.m)
-    if key == "DELTA_BAR":
-        op = _delta_bar_natural(scheme.n)
-    elif key == "ETA_BAR":
-        op = _eta_bar_natural(scheme.n)
-    elif key == "DELTA":
-        op = _delta_bar_natural(scheme.n) + _delta_check(scheme.m)
+    if key in ("FLAT", "FLAT_PRIME"):
+        if not scheme.is_twisted:
+            raise ValueError(f"{key} exists only for twisted schemes")
+        neg_x, pos_x, pos_y, neg_y = _twisted_groups(scheme)
+        if key == "FLAT":
+            return number_operator(pos_x, neg_x)
+        return number_operator(pos_y, neg_y)
+    derivative = key.startswith("DELTA")
+    bar = [(x(i), y(i)) for i in range(1, scheme.n + 1)]
+    check = [(theta(r), vartheta(r)) for r in range(1, scheme.m + 1)]
+    if key in ("DELTA_CHECK", "ETA_CHECK"):
+        return _pair_sum(check, derivative)
+    if key in ("DELTA_BAR", "ETA_BAR"):
+        op = _pair_sum(bar, derivative)
+    elif key in ("DELTA", "ETA"):
+        op = _pair_sum(bar + check, derivative)
         if scheme.has_x0:
-            op = DiffOperator.partial(x0(), 2) + op.scale(2)
-    elif key == "ETA":
-        op = _eta_bar_natural(scheme.n) + _eta_check(scheme.m)
-        if scheme.has_x0:
-            x0sq = DiffOperator.multiplier(SuperMonomial(((x0(), 2),), ()))
-            op = x0sq + op.scale(2)
+            op = _pair_sum([(x0(), x0())], derivative) + op.scale(2)
     else:
         raise ValueError(f"unknown operator name {name!r}")
     return twist(op, scheme) if scheme.is_twisted else op

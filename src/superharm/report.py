@@ -103,11 +103,8 @@ class VerificationReport:
         for name, value in self.dimensions.items():
             lines.append("%s  %s = %s" % (pad, name, value))
         for entry in self.singular_vectors:
-            if isinstance(entry, dict):
-                lines.append("%s  singular: %s  weight=%s"
-                             % (pad, entry.get("vector"), entry.get("weight")))
-            else:
-                lines.append("%s  singular: %s" % (pad, entry))
+            lines.append("%s  singular: %s  weight=%s"
+                         % (pad, entry["vector"], entry["weight"]))
         for name, vecs in self.vectors.items():
             lines.append("%s  %s (%d):" % (pad, name, len(vecs)))
             lines.extend("%s    %s" % (pad, v) for v in vecs)

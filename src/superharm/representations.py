@@ -50,7 +50,7 @@ from .algebra import (
     x,
     y,
 )
-from .linalg import nullspace, poly_matrix, rank, rref
+from .linalg import nullspace, poly_matrix, rank, rref, span_rank
 from .operators import DiffOperator, OpWord, commutator, named_operator, twist
 from .report import InternalError, Verdict, VerificationReport
 
@@ -249,19 +249,11 @@ def osp_basis(space: AlgebraSpace) -> List[AlgebraElement]:
     return basis
 
 
-def _element_rows(elems: Sequence[AlgebraElement]
-                  ) -> Tuple[List[List[Scalar]], List[Tuple[int, int]]]:
-    """Coefficient rows of the elements over the sorted union of their keys,
-    and those keys."""
-    keys = sorted({k for e in elems for k, _ in e.items()})
-    return [[e.coefficient(k) for k in keys] for e in elems], keys
-
-
 @functools.lru_cache(maxsize=None)
 def _osp_span_data(space: AlgebraSpace):
     """The keys the osp basis touches, and its reduced echelon rows in pivot
     order, each stored sparsely as (pivot key, {key: nonzero value})."""
-    dense, keys = _element_rows(osp_basis(space))
+    dense, keys = poly_matrix(osp_basis(space))
     red, pivots = rref(dense)
     rows = [(keys[pc], {k: v for k, v in zip(keys, row) if v})
             for row, pc in zip(red, pivots)]
@@ -361,8 +353,8 @@ def _require_generates(simple: Sequence[AlgebraElement],
                     nxt.append(br)
         collected.extend(nxt)
         level = nxt
-    spanned = rank(_element_rows(collected)[0])
-    if rank(_element_rows([*collected, *positive])[0]) != spanned:
+    spanned = span_rank(collected)
+    if span_rank([*collected, *positive]) != spanned:
         raise InternalError("the simple root vectors do not generate n+")
 
 

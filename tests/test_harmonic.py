@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import superharm.harmonic as hm
 from superharm.algebra import (
     GradingScheme,
     SchemeKind,
@@ -337,12 +338,35 @@ def test_eta_shifted_family_independent(label, count):
     (TW4113, (0, 0), True, "l+lp <= n1+m+1-n2 = 0"),
     (TW3113, (2, 0), True, "n2 = n and l outside [-1, 0]"),
     (ODD21, 7, True, "always irreducible"),
+    (GL23, (1, 3), True, "lp > m+1-n = 2"),
+    (EV23, 1, True, "k <= m+1-n = 2"),
+    (TW4113, (1, 0), False, "l+lp > n1+m+1-n2 = 0"),
+    (EVTW4113, 0, True, "k <= n1+m+1-n2 = 0"),
+    (EVTW4113, 1, False, "k > n1+m+1-n2 = 0"),
 ])
 def test_predicate_clauses(scheme, label, holds, clause):
     verdict = irreducibility_predicate(scheme, label)
     assert verdict.holds is holds
     assert verdict.clause == clause
     assert bool(verdict) is holds
+
+
+@pytest.mark.parametrize("scheme,label,holds,clause", [
+    (GL23, (3, 0), True, "|l-lp| > m+1-n = 2"),
+    (GL23, (1, 1), True, "l+lp <= m+1-n = 2"),
+    (GL23, (2, 1), False, "|l-lp| <= 2 and l+lp > 2"),
+    (EV23, 2, True, "k <= m+1-n = 2"),
+    (EV23, 3, False, "k > m+1-n = 2"),
+    (TW4113, (1, -1), True, "l+lp <= n1+m+1-n2 = 0"),
+    (TW4113, (1, 0), False, "l+lp > n1+m+1-n2 = 0"),
+    (EVTW4113, 0, True, "k <= n1+m+1-n2 = 0"),
+    (EVTW4113, 1, False, "k > n1+m+1-n2 = 0"),
+    (ODD21, 3, True, "unconditional"),
+    (ODDTW4113, 5, True, "unconditional"),
+])
+def test_decomposition_hypothesis_clauses(scheme, label, holds, clause):
+    verdict = hm._decomposition_hypothesis(scheme, label)
+    assert (verdict.holds, verdict.clause) == (holds, clause)
 
 
 def test_predicate_domain_errors():
@@ -501,6 +525,22 @@ def test_identity_report_counts():
     assert "2 operator identities" in rep.explanation
 
 
+@pytest.mark.parametrize("scheme,failures", [
+    (TW4113, ("twisted bosonic pair", "harmonic ladder scalar wrong")),
+    (ODD21, ("bosonic pair", "ladder pair", "harmonic ladder scalar wrong")),
+], ids=["gl-twisted", "osp-odd-natural"])
+def test_identity_report_checks_the_criterion_constant(monkeypatch, scheme, failures):
+    # the bosonic pair constant m + 1 - c and the ladder scalars read c
+    original = hm.criterion_constant
+    monkeypatch.setattr(hm, "criterion_constant",
+                        lambda s: (original(s)[0] + 1, original(s)[1]))
+    rep = identity_report(scheme)
+    assert rep.verdict is Verdict.FAIL
+    assert "fermionic" not in rep.explanation
+    for text in failures:
+        assert text in rep.explanation
+
+
 def test_identity_report_flags_corruption(monkeypatch):
     import superharm.harmonic as hm
     original = hm.named_operator
@@ -532,8 +572,10 @@ def test_suite_id_normalization():
 
 
 def test_suite_kind_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^T1 concerns gl-natural, not osp-even-natural$"):
         theorem_suite("T1", EV23, [(0, 0)])
+    with pytest.raises(ValueError, match="^T3 concerns osp-even-natural/osp-even-twisted, "):
+        theorem_suite("T3", GL23, [(0, 0)])
     with pytest.raises(ValueError):
         theorem_suite("T9", GL23, [(0, 0)])
 

@@ -452,6 +452,15 @@ def test_flat_action():
         named_operator("FLAT", GL21)
 
 
+@pytest.mark.parametrize("scheme", [GL21, TW4113, ODDTW311],
+                         ids=lambda s: s.kind.value)
+def test_signed_number_operator_matches_the_weighted_sum(scheme):
+    plus = [v for v in scheme.variables() if v.index % 2]
+    minus = [v for v in scheme.variables() if not v.index % 2]
+    got = operators_module.number_operator(plus, minus)
+    assert got == number_operator(scheme, lambda v: 1 if v.index % 2 else -1)
+
+
 def test_unknown_name():
     with pytest.raises(ValueError):
         named_operator("NABLA", GL21)

@@ -1,12 +1,13 @@
-"""Five jobs of the verification table, checked against their pinned digests.
+"""Six jobs of the verification table, checked against their pinned digests.
 
-`scripts/run_verification.py` compares all 24 table reports with
-`scripts/table_digests.json`; it takes about half a minute, so it is not part
-of the default test run.  These five cheap jobs (a harmonic basis, a
-singular-vector slice, a stabilizer check, the identity checks and one capped
-twisted theorem-2 window, which runs the twisted Delta and eta) cover the
-report paths a refactor of the arithmetic most easily moves, in about a
-second.
+`scripts/run_verification.py` compares all 26 table reports with
+`scripts/table_digests.json`; it takes several seconds, so it is not part
+of the default test run.  These six cheap jobs (a harmonic basis, a
+singular-vector slice, a stabilizer check, the identity checks, one capped
+twisted theorem-2 window, which runs the twisted Delta and eta, and the
+capped twisted osp theorem-3 suite, which reads the twisted criterion
+clauses) cover the report paths a refactor of the arithmetic or of the
+criteria most easily moves, in about a second.
 """
 
 import json
@@ -26,8 +27,8 @@ JOBS = {job.name: job for job in run_verification.job_table()}
 PINNED = json.loads((SCRIPTS / "table_digests.json").read_text())
 
 
-# the capped twisted window is INCONCLUSIVE_CAP (exit 3); the others pass
-EXIT_CODE = {"theorem2-tw4113-l-2-lp1-cap6": 3}
+# the capped twisted windows are INCONCLUSIVE_CAP (exit 3); the others pass
+EXIT_CODE = {"theorem2-tw4113-l-2-lp1-cap6": 3, "theorem3-tw4113-k0-k1-cap3": 3}
 
 
 @pytest.mark.parametrize("name", [
@@ -36,6 +37,7 @@ EXIT_CODE = {"theorem2-tw4113-l-2-lp1-cap6": 3}
     "stabilizer-even21",
     "identities-all-variants",
     "theorem2-tw4113-l-2-lp1-cap6",
+    "theorem3-tw4113-k0-k1-cap3",
 ])
 def test_table_report_matches_pinned_digest(name, tmp_path):
     out = tmp_path / f"{name}.json"
