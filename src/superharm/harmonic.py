@@ -658,7 +658,7 @@ def decomposition_report(
         for wt, monos in window_blocks.items():
             block = groups.get(wt, [])
             want = [SuperPolynomial.monomial(u) for u in monos]
-            if span_rank(block) != span_rank(block + want):
+            if len(block) != span_rank(block + want):
                 spanning = False
                 break
     direct_sum = independent and spanning

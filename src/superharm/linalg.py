@@ -1,30 +1,35 @@
 """Exact linear algebra over the rationals, plus polynomial-space helpers.
 
-There is one elimination, `rref`; every other question is a rank or a
-null space over it.  `rank` counts the pivots of an echelon form that
-eliminates forward only (below each pivot, never above) and builds no
-Fraction, `span_rank` is the rank of the coefficient rows of some linear
+There is one elimination, `_echelon_add`, which adds rows to a forward
+echelon form (eliminated below each pivot, never above); `rref` runs on
+it, and every other question is a rank or a null space over that.
+`rank` counts the pivots of the forward form and builds no Fraction,
+`span_rank` is the rank of the coefficient rows of some linear
 combinations (polynomials or algebra elements), `in_span` compares two
 span ranks, `independent_subset` returns the pivot columns of the matrix
-whose columns are the polynomials, and both kernels take the null space of the equations the
-operator images give: one row per operator and output monomial, one column
-per input monomial of the block, filled straight from the images after the
-budget check on the stacked size, before any row is allocated.
-`nullspace` reads the reduced rows as integers and builds a Fraction only
-where an entry is not integral.
+whose columns are the polynomials, and both kernels take the null space
+of the equations the operator images give: one row per operator and
+output monomial, one column per input monomial of the block, filled
+straight from the images after the budget check on the stacked size,
+before any row is allocated.  The joint kernel adds each operator's
+equations to the block's forward echelon form in turn and stops at full
+column rank, where the kernel is {0}; a block that never reaches it is
+solved on all its equations, so the basis is the one the full solve
+gives.  `nullspace` reads the reduced rows as integers and builds a
+Fraction only where an entry is not integral.
 
 Matrices come in as rows of ints and Fractions (the polynomial helpers
 hand over the coefficients as stored: ints unless a value is not
-integral), and `rref` eliminates on Python ints: each row is scaled to
-coprime integers by clearing its denominators (an all-int row only by its
-content gcd), eliminated fraction-free (row <- a*row - b*pivot_row with
-a, b divided by their gcd, then by the row's content gcd; cf. Bareiss,
-Math. Comp. 22, 1968), and, in its default form, divided by its pivot
-once at the end, so it returns rows of Fraction.  The reduced echelon
-form is unique, so the result is exactly the one plain Fraction
-elimination gives.  Everything is dense: the matrices that show up here
-are small once the caller blocks by a conserved quantity (grading label
-or Cartan weight).
+integral), and the elimination runs on Python ints: each row is scaled
+to coprime integers by clearing its denominators (an all-int row only by
+its content gcd), eliminated fraction-free (row <- a*row - b*pivot_row
+with a, b divided by their gcd, then by the row's content gcd; cf.
+Bareiss, Math. Comp. 22, 1968), back-substituted for the reduced forms
+and, in `rref`'s default form, divided by its pivot once at the end, so
+it returns rows of Fraction.  The reduced echelon form is unique, so the
+result is exactly the one plain Fraction elimination gives.  Everything
+is dense: the matrices that show up here are small once the caller
+blocks by a conserved quantity (grading label or Cartan weight).
 
 SUPERHARM_MAX_CELLS (environment) caps the number of cells in any single
 dense matrix; exceeding it raises MatrixBudgetError instead of truncating.
@@ -82,6 +87,43 @@ def _integer_row(row: Sequence[Scalar]) -> Sequence[int]:
 _FORMS = ("fraction", "integer", "forward")
 
 
+def _clear(row: Sequence[int], prow: Sequence[int], c: int) -> Sequence[int]:
+    """The integer row with column c cleared by the pivot row prow,
+    fraction-free: a*row - b*prow with a/b = prow[c]/row[c] in lowest
+    terms, divided by its content gcd."""
+    pv, f = prow[c], row[c]
+    g = gcd(pv, f)
+    a, b = pv // g, f // g
+    row = [a * u - b * w for u, w in zip(row, prow)]
+    g = gcd(*row)
+    return [u // g for u in row] if g > 1 else row
+
+
+def _echelon_add(
+    echelon: dict[int, Sequence[int]], rows: Sequence[Sequence[Scalar]]
+) -> None:
+    """Add rows to a forward echelon form held as {pivot column: row}.
+
+    Each row, scaled to coprime integers, is cleared by the pivot row at
+    its leading column until its leading column is not yet a pivot, where
+    it joins the echelon, or it vanishes.  A row of the echelon has zeros
+    left of its pivot, so every pivot column is zero in the rows whose
+    pivot lies to its right.  This is the one elimination: `rref` runs on
+    it, and the joint kernel feeds it one operator's equations at a time.
+    """
+    for row in rows:
+        row = _integer_row(row)
+        n = len(row)
+        c = next(filter(row.__getitem__, range(n)), n)
+        while c < n:
+            prow = echelon.get(c)
+            if prow is None:
+                echelon[c] = row
+                break
+            row = _clear(row, prow, c)
+            c = next(filter(row.__getitem__, range(c + 1, n)), n)
+
+
 def rref(
     rows: Sequence[Sequence[Scalar]], *, form: str = "fraction"
 ) -> tuple[list[list[Scalar]], list[int]]:
@@ -97,35 +139,25 @@ def rref(
     """
     if form not in _FORMS:
         raise ValueError(f"unknown echelon form {form!r}")
-    work = [_integer_row(r) for r in rows]
-    if work:
-        _check_budget(len(work), len(work[0]))
-    pivots: list[int] = []
-    r = 0
-    ncols = len(work[0]) if work else 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        prow = work[r]
-        pv = prow[c]
-        for i in range(r + 1 if form == "forward" else 0, len(work)):
-            f = work[i][c]
-            if i != r and f:
-                g = gcd(pv, f)
-                a, b = pv // g, f // g
-                row = [a * u - b * w for u, w in zip(work[i], prow)]
-                g = gcd(*row)
-                work[i] = [u // g for u in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    if form != "fraction":
-        return work[:r], pivots
-    return [[Fraction(u, work[i][c]) if u else _ZERO for u in work[i]]
-            for i, c in enumerate(pivots)], pivots
+    if rows:
+        _check_budget(len(rows), len(rows[0]))
+    echelon: dict[int, Sequence[int]] = {}
+    _echelon_add(echelon, rows)
+    pivots = sorted(echelon)
+    work = [echelon[c] for c in pivots]
+    if form == "forward":
+        return work, pivots
+    # back substitution, last pivot first: row k is already clear at every
+    # later pivot, so clearing column pivots[k] above it keeps them clear
+    for k in range(len(work) - 1, 0, -1):
+        c, prow = pivots[k], work[k]
+        for i in range(k):
+            if work[i][c]:
+                work[i] = _clear(work[i], prow, c)
+    if form == "integer":
+        return work, pivots
+    return [[Fraction(u, row[c]) if u else _ZERO for u in row]
+            for row, c in zip(work, pivots)], pivots
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
@@ -199,16 +231,15 @@ def independent_subset(polys: Sequence[SuperPolynomial]) -> list[int]:
 # kernels of linear operators on monomial spans
 # ===================================================================
 
-def _kernel(
+def _equation_rows(
     image_lists: Sequence[Sequence[SuperPolynomial]],
-    monos: Sequence[SuperMonomial],
-) -> list[SuperPolynomial]:
-    """Basis of the joint kernel on span(monos) of the linear maps sending
-    monos[i] to images[i], one list of images per map.
-
-    The equations are the rows of the stacked matrix: one per map and
-    output monomial (first-seen order), its columns the monos in order.
-    """
+    ncols: int,
+    held: int = 0,
+) -> list[list[Scalar]]:
+    """The equations the images give, one list of images per map: one row
+    per map and output monomial (first-seen order), one column per input
+    monomial.  The rows are counted and the budget checked on them plus
+    `held` rows the caller already keeps, before any row is allocated."""
     row_of: list[dict[SuperMonomial, int]] = []
     nrows = 0
     for images in image_lists:
@@ -219,15 +250,25 @@ def _kernel(
                     index[m] = nrows
                     nrows += 1
         row_of.append(index)
-    ncols = len(monos)
-    _check_budget(nrows, ncols)
-    stacked = [[0] * ncols for _ in range(nrows)]
+    _check_budget(held + nrows, ncols)
+    rows: list[list[Scalar]] = [[0] * ncols for _ in range(nrows)]
     for images, index in zip(image_lists, row_of):
         for j, q in enumerate(images):
             for m, c in q.items():
-                stacked[index[m]][j] = c
+                rows[index[m]][j] = c
+    return rows
+
+
+def _kernel(
+    image_lists: Sequence[Sequence[SuperPolynomial]],
+    monos: Sequence[SuperMonomial],
+) -> list[SuperPolynomial]:
+    """Basis of the joint kernel on span(monos) of the linear maps sending
+    monos[i] to images[i], one list of images per map: the null space of
+    the stacked equations, its columns the monos in order."""
+    ncols = len(monos)
     return [SuperPolynomial({m: c for c, m in zip(v, monos) if c})
-            for v in nullspace(stacked, ncols)]
+            for v in nullspace(_equation_rows(image_lists, ncols), ncols)]
 
 
 def _blocks(
@@ -278,10 +319,25 @@ def joint_kernel_basis_polys(
     Valid whenever every operator shifts block_key uniformly (weight vectors
     under root-vector action): the joint kernel then splits over input
     blocks even though the operators do not preserve the key.
+
+    Each block is solved one operator at a time: that operator's equations
+    join the block's forward echelon form, and once its pivots cover every
+    column the block's joint kernel is {0}, so no further operator is
+    applied to it.  A block that never gets there is solved by `_kernel`
+    on all its equations, stacked in operator order, so the basis returned
+    is the one the full solve gives.
     """
     out: list[SuperPolynomial] = []
     for sub in _blocks(monos, block_key).values():
-        out.extend(_kernel(
-            [[op.apply(SuperPolynomial.monomial(m)) for m in sub] for op in ops],
-            sub))
+        ncols = len(sub)
+        echelon: dict[int, Sequence[int]] = {}
+        image_lists = []
+        for op in ops:
+            images = [op.apply(SuperPolynomial.monomial(m)) for m in sub]
+            image_lists.append(images)
+            _echelon_add(echelon, _equation_rows([images], ncols, len(echelon)))
+            if len(echelon) == ncols:
+                break
+        else:
+            out.extend(_kernel(image_lists, sub))
     return out

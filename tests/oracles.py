@@ -14,9 +14,10 @@ composition that expands every variable of an atom pair, shared or not,
 `oracle_super_commutator` builds both full products of each pair of parity
 parts, osp membership is the earlier dense reduction,
 `oracle_singular_vectors` is the earlier singular solve on every positive
-generator rather than the simple root vectors, and `oracle_kernel` builds
-the kernel equations as the earlier per-operator coefficient matrices,
-transposed.
+generator rather than the simple root vectors, and `oracle_kernel`, which
+that solve runs on, builds the kernel equations as the earlier
+per-operator coefficient matrices, transposed, and eliminates all of them
+in every block.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from superharm.algebra import (
     y,
 )
 from superharm.harmonic import _weight_fn
-from superharm.linalg import joint_kernel_basis_polys, poly_matrix, rref, span_rank
+from superharm.linalg import poly_matrix, rref, span_rank
 from superharm.operators import DiffOperator, OpWord, compose, named_operator
 from superharm.representations import (
     AlgebraFamily,
@@ -419,7 +420,7 @@ def oracle_singular_vectors(sl, generators=None, *, harmonic=True):
     ops = [rep_operator(g, sl.scheme) for g in generators]
     if harmonic:
         ops.append(named_operator("DELTA", sl.scheme))
-    found = joint_kernel_basis_polys(ops, sl.basis, block_key=_weight_fn(sl.scheme))
+    found = oracle_kernel(ops, sl.basis, _weight_fn(sl.scheme))
     return [v.scale(Fraction(1, v.terms()[0][1])) for v in found]
 
 

@@ -14,7 +14,7 @@ from superharm.algebra import (
     vartheta,
 )
 from superharm.algebra import x as algx, y as algy
-from superharm.harmonic import _window_intersection_dimension
+from superharm.harmonic import _weight_fn, _window_intersection_dimension
 from superharm.linalg import (
     MatrixBudgetError,
     in_span,
@@ -28,6 +28,7 @@ from superharm.linalg import (
 )
 from superharm.operators import DiffOperator, OpWord, named_operator
 from superharm.report import InternalError
+from superharm.representations import rep_operator, simple_generators
 
 from oracles import (
     oracle_independent_subset,
@@ -326,3 +327,78 @@ def test_kernel_matches_transposed_matrix_oracle(op, monos, key):
 def test_joint_kernel_matches_transposed_matrix_oracle(ops, monos, key):
     assert joint_kernel_basis_polys(ops, monos, block_key=key) == \
         oracle_kernel(ops, monos, key)
+
+
+class CountedOp:
+    """An operator that counts its applications."""
+
+    def __init__(self, op):
+        self.op = op
+        self.calls = 0
+
+    def apply(self, p):
+        self.calls += 1
+        return self.op.apply(p)
+
+
+def test_joint_kernel_stops_a_block_at_full_column_rank():
+    d = DiffOperator({op_word("1", ((X1, 1), (Y1, 1)), ()): 1})
+    first, later = CountedOp(d), CountedOp(d)
+    # d sends x1*y1 to 1 (full column rank at once) and kills x2*y1, whose
+    # block goes on to the later operator and then to the full solve
+    monos = [parse_polynomial(t).terms()[0][0] for t in ("x1*y1", "x2*y1")]
+    got = joint_kernel_basis_polys([first, later], monos, block_key=lambda m: m)
+    assert got == [parse_polynomial("x2*y1")]
+    assert (first.calls, later.calls) == (2, 1)
+    # one block: its first operator's equations already give full rank
+    first, later = CountedOp(d), CountedOp(d)
+    assert joint_kernel_basis_polys([first, later], monos[:1]) == []
+    assert (first.calls, later.calls) == (1, 0)
+
+
+@pytest.mark.parametrize("scheme,label", [
+    (GradingScheme(SchemeKind.GL_NATURAL, 2, 1), (2, 1)),
+    (GradingScheme(SchemeKind.OSP_EVEN_NATURAL, 2, 1), 2),
+])
+def test_joint_kernel_on_a_slice_matches_the_oracle(scheme, label):
+    sl = enumerate_slice(scheme, label)
+    ops = [rep_operator(g, scheme) for g in simple_generators(scheme)]
+    ops.append(named_operator("DELTA", scheme))
+    key = _weight_fn(scheme)
+    blocks = {key(m) for m in sl.basis}
+    got = joint_kernel_basis_polys(ops, sl.basis, block_key=key)
+    # some blocks keep a nonzero joint kernel, the others stop early
+    assert 0 < len({key(v.terms()[0][0]) for v in got}) < len(blocks)
+    assert got == oracle_kernel(ops, sl.basis, key)
+
+
+def test_joint_kernel_checks_the_budget_before_each_operator(monkeypatch):
+    reads = []
+
+    class Image(SuperPolynomial):
+        __slots__ = ()
+
+        def items(self):
+            reads.append(self)
+            return super().items()
+
+    class CountedDelta:
+        def apply(self, p):
+            return Image(dict(delta.apply(p).items()))
+
+    gl21 = GradingScheme(SchemeKind.GL_NATURAL, 2, 1)
+    delta = named_operator("DELTA", gl21)
+    basis = list(enumerate_slice(gl21, (1, 1)).basis)  # Delta sends each to 1 or 0
+    # the first operator's single row is already over the budget: each
+    # image is read once, by the count, and never scattered into a row
+    monkeypatch.setenv("SUPERHARM_MAX_CELLS", "4")
+    with pytest.raises(MatrixBudgetError, match=f"matrix 1x{len(basis)} "):
+        joint_kernel_basis_polys([CountedDelta(), CountedDelta()], basis)
+    assert len(reads) == len(basis) > 4
+    # the first operator fits (rank 1 of 9 columns); the second one's row
+    # plus the echelon row held over is not, and is never allocated
+    reads.clear()
+    monkeypatch.setenv("SUPERHARM_MAX_CELLS", str(len(basis)))
+    with pytest.raises(MatrixBudgetError, match=f"matrix 2x{len(basis)} "):
+        joint_kernel_basis_polys([CountedDelta(), CountedDelta()], basis)
+    assert len(reads) == 3 * len(basis)
