@@ -10,13 +10,14 @@ span ranks, `independent_subset` returns the pivot columns of the matrix
 whose columns are the polynomials, and both kernels take the null space
 of the equations the operator images give: one row per operator and
 output monomial, one column per input monomial of the block, filled
-straight from the images after the budget check on the stacked size,
+straight from the images once the budget is checked on the rows counted,
 before any row is allocated.  The joint kernel adds each operator's
 equations to the block's forward echelon form in turn and stops at full
-column rank, where the kernel is {0}; a block that never reaches it is
-solved on all its equations, so the basis is the one the full solve
-gives.  `nullspace` reads the reduced rows as integers and builds a
-Fraction only where an entry is not integral.
+column rank, where the kernel is {0}; a block that never reaches it
+takes its null space from the echelon rows it holds, which is the basis
+the full solve on all its equations gives.  `nullspace` reads the
+reduced rows as integers and builds a Fraction only where an entry is
+not integral.
 
 Matrices come in as rows of ints and Fractions (the polynomial helpers
 hand over the coefficients as stored: ints unless a value is not
@@ -232,43 +233,32 @@ def independent_subset(polys: Sequence[SuperPolynomial]) -> list[int]:
 # ===================================================================
 
 def _equation_rows(
-    image_lists: Sequence[Sequence[SuperPolynomial]],
-    ncols: int,
-    held: int = 0,
+    images: Sequence[SuperPolynomial], ncols: int, held: int = 0
 ) -> list[list[Scalar]]:
-    """The equations the images give, one list of images per map: one row
-    per map and output monomial (first-seen order), one column per input
-    monomial.  The rows are counted and the budget checked on them plus
-    `held` rows the caller already keeps, before any row is allocated."""
-    row_of: list[dict[SuperMonomial, int]] = []
-    nrows = 0
-    for images in image_lists:
-        index: dict[SuperMonomial, int] = {}
-        for q in images:
-            for m, _ in q.items():
-                if m not in index:
-                    index[m] = nrows
-                    nrows += 1
-        row_of.append(index)
-    _check_budget(held + nrows, ncols)
-    rows: list[list[Scalar]] = [[0] * ncols for _ in range(nrows)]
-    for images, index in zip(image_lists, row_of):
-        for j, q in enumerate(images):
-            for m, c in q.items():
-                rows[index[m]][j] = c
+    """The equations of the map sending monos[j] to images[j]: one row per
+    output monomial (first-seen order), one column per input monomial.
+    The rows are counted and the budget checked on them plus `held` rows
+    the caller already keeps, before any row is allocated."""
+    index: dict[SuperMonomial, int] = {}
+    for q in images:
+        for m, _ in q.items():
+            if m not in index:
+                index[m] = len(index)
+    _check_budget(held + len(index), ncols)
+    rows: list[list[Scalar]] = [[0] * ncols for _ in range(len(index))]
+    for j, q in enumerate(images):
+        for m, c in q.items():
+            rows[index[m]][j] = c
     return rows
 
 
 def _kernel(
-    image_lists: Sequence[Sequence[SuperPolynomial]],
-    monos: Sequence[SuperMonomial],
+    rows: Sequence[Sequence[Scalar]], monos: Sequence[SuperMonomial]
 ) -> list[SuperPolynomial]:
-    """Basis of the joint kernel on span(monos) of the linear maps sending
-    monos[i] to images[i], one list of images per map: the null space of
-    the stacked equations, its columns the monos in order."""
-    ncols = len(monos)
+    """Basis of the null space of the equation rows on span(monos), their
+    columns the monos in order."""
     return [SuperPolynomial({m: c for c, m in zip(v, monos) if c})
-            for v in nullspace(_equation_rows(image_lists, ncols), ncols)]
+            for v in nullspace(rows, len(monos))]
 
 
 def _blocks(
@@ -305,7 +295,7 @@ def kernel_basis_polys(
                             f"({m.render()} -> {om.render()})"
                         )
             images.append(q)
-        out.extend(_kernel([images], sub))
+        out.extend(_kernel(_equation_rows(images, len(sub)), sub))
     return out
 
 
@@ -323,21 +313,20 @@ def joint_kernel_basis_polys(
     Each block is solved one operator at a time: that operator's equations
     join the block's forward echelon form, and once its pivots cover every
     column the block's joint kernel is {0}, so no further operator is
-    applied to it.  A block that never gets there is solved by `_kernel`
-    on all its equations, stacked in operator order, so the basis returned
-    is the one the full solve gives.
+    applied to it.  A block that never gets there takes its null space
+    from the echelon rows it holds: they span the same rows as all its
+    equations stacked, and the reduced echelon form is unique, so the
+    basis returned is the one the full solve gives.
     """
     out: list[SuperPolynomial] = []
     for sub in _blocks(monos, block_key).values():
         ncols = len(sub)
         echelon: dict[int, Sequence[int]] = {}
-        image_lists = []
         for op in ops:
             images = [op.apply(SuperPolynomial.monomial(m)) for m in sub]
-            image_lists.append(images)
-            _echelon_add(echelon, _equation_rows([images], ncols, len(echelon)))
+            _echelon_add(echelon, _equation_rows(images, ncols, len(echelon)))
             if len(echelon) == ncols:
                 break
         else:
-            out.extend(_kernel(image_lists, sub))
+            out.extend(_kernel(list(echelon.values()), sub))
     return out

@@ -345,7 +345,7 @@ def test_joint_kernel_stops_a_block_at_full_column_rank():
     d = DiffOperator({op_word("1", ((X1, 1), (Y1, 1)), ()): 1})
     first, later = CountedOp(d), CountedOp(d)
     # d sends x1*y1 to 1 (full column rank at once) and kills x2*y1, whose
-    # block goes on to the later operator and then to the full solve
+    # block goes on to the later operator and keeps its kernel
     monos = [parse_polynomial(t).terms()[0][0] for t in ("x1*y1", "x2*y1")]
     got = joint_kernel_basis_polys([first, later], monos, block_key=lambda m: m)
     assert got == [parse_polynomial("x2*y1")]
@@ -360,16 +360,14 @@ def test_joint_kernel_stops_a_block_at_full_column_rank():
     (GradingScheme(SchemeKind.GL_NATURAL, 2, 1), (2, 1)),
     (GradingScheme(SchemeKind.OSP_EVEN_NATURAL, 2, 1), 2),
 ])
-def test_joint_kernel_on_a_slice_matches_the_oracle(scheme, label):
+def test_joint_kernel_on_a_slice_stops_some_blocks_early(scheme, label):
     sl = enumerate_slice(scheme, label)
-    ops = [rep_operator(g, scheme) for g in simple_generators(scheme)]
-    ops.append(named_operator("DELTA", scheme))
-    key = _weight_fn(scheme)
-    blocks = {key(m) for m in sl.basis}
-    got = joint_kernel_basis_polys(ops, sl.basis, block_key=key)
-    # some blocks keep a nonzero joint kernel, the others stop early
-    assert 0 < len({key(v.terms()[0][0]) for v in got}) < len(blocks)
-    assert got == oracle_kernel(ops, sl.basis, key)
+    ops = [CountedOp(rep_operator(g, scheme)) for g in simple_generators(scheme)]
+    ops.append(CountedOp(named_operator("DELTA", scheme)))
+    # some weight blocks keep a nonzero joint kernel, so they meet every
+    # operator; the others stop before the last one
+    assert joint_kernel_basis_polys(ops, sl.basis, block_key=_weight_fn(scheme))
+    assert ops[0].calls == len(sl.basis) > ops[-1].calls > 0
 
 
 def test_joint_kernel_checks_the_budget_before_each_operator(monkeypatch):
