@@ -359,7 +359,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"superharm: internal error: {err}", file=sys.stderr)
         return 4
     report.elapsed_ms = int((time.monotonic() - started) * 1000)
-    _emit(report, cfg)
+    try:
+        _emit(report, cfg)
+    except OSError as err:
+        print(f"superharm: cannot write --out: {err}", file=sys.stderr)
+        return 2
     return _exit_code(report)
 
 

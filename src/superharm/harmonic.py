@@ -54,9 +54,7 @@ from .linalg import (
 )
 from .operators import (
     DiffOperator,
-    IntegrationOperator,
     commutator,
-    filtration_measure,
     named_operator,
     number_operator,
     super_commutator,
@@ -232,23 +230,13 @@ def has_formula_basis(scheme: GradingScheme) -> bool:
     return scheme.is_gl or scheme.has_x0
 
 
-def _series_solutions(scheme: GradingScheme, steps, seeds) -> List[SuperPolynomial]:
-    """xu_solve with t1 the derivative product `steps`, t2 = Delta - t1,
-    exact integration as t1's inverse and the scheme's filtration measure."""
-    t1 = DiffOperator.word(1, SuperMonomial.unit(), steps)
-    t2 = named_operator("DELTA", scheme) - t1
-    return xu_solve(t1, IntegrationOperator(steps), t2, seeds,
-                    measure=filtration_measure(t1, scheme))
-
-
 def _xu_gl(sl: GradedSlice) -> List[SuperPolynomial]:
     """One series per slice monomial with x_c- or y_c-exponent zero, in the
     column c = 1 (natural) or c = n1+1 (twisted), t1 = d_xc d_yc."""
     c = sl.scheme.n1 + 1 if sl.scheme.is_twisted else 1
-    one = SuperPolynomial.one()
-    seeds = [(one, SuperPolynomial.monomial(mono)) for mono in sl.basis
+    seeds = [SuperPolynomial.monomial(mono) for mono in sl.basis
              if not (mono.exponent(x(c)) and mono.exponent(y(c)))]
-    return _series_solutions(sl.scheme, ((x(c), 1), (y(c), 1)), seeds)
+    return xu_solve(sl.scheme, ((x(c), 1), (y(c), 1)), seeds)
 
 
 def _even_partner(scheme: GradingScheme) -> GradingScheme:
@@ -270,9 +258,9 @@ def _xu_osp_odd(sl: GradedSlice) -> List[SuperPolynomial]:
         label = sl.label - iota
         if not even_scheme.is_twisted and label < 0:
             continue
-        seeds.extend((h, SuperPolynomial.monomial(mono))
+        seeds.extend(h * SuperPolynomial.monomial(mono)
                      for mono in enumerate_slice(even_scheme, label, cap).basis)
-    return _series_solutions(scheme, ((x0(), 2),), seeds)
+    return xu_solve(scheme, ((x0(), 2),), seeds)
 
 
 def xu_basis(sl: GradedSlice) -> HarmonicBasis:
@@ -415,6 +403,8 @@ def irreducibility_predicate(scheme: GradingScheme, label: Label) -> Irreducibil
     n, m = scheme.n, scheme.m
     c, spelled = criterion_constant(scheme)
     if kind is SchemeKind.GL_NATURAL:
+        if n <= 1:
+            raise ValueError("the gl criterion is stated for n > 1")
         l, lp = _require_nat_pair(label)
         for name, value in (("l", l), ("lp", lp)):
             if value > c:

@@ -26,6 +26,10 @@ twisted scheme (v -> d_v, d_v -> -v on the swapped bosonic variables); the
 twisted representations and their Laplace operators are the twists of the
 natural ones.
 
+`xu_solve` is the one series solver behind the explicit harmonic bases:
+for t1 a product of bosonic derivatives (d_xc d_yc on gl, d_x0^2 on the x0
+ladders) it completes each seed in ker t1 to a solution of Delta f = 0.
+
 The fermionic derivative word is stored in the canonical ascending order
 and is applied right to left (last entry first), exactly like reading the
 operator product d_w1 d_w2 ... d_wk.
@@ -52,7 +56,7 @@ exact.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from superharm.algebra import (
     GradingScheme,
@@ -232,9 +236,6 @@ class DiffOperator(LinearCombination):
         except AttributeError:
             self._compiled = [_compile(w, c) for w, c in self._terms.items()]
             return self._compiled
-
-    def derivative_variables(self) -> set[VariableId]:
-        return set().union(*(atom.need for atom in self._compiled_atoms()))
 
     # ---- action ----
 
@@ -510,83 +511,52 @@ def named_operator(name: str, scheme: GradingScheme) -> DiffOperator:
 
 
 # ===================================================================
-# integration applicator + the kernel solver
+# the series solver
 # ===================================================================
 
-class IntegrationOperator:
-    """Right inverse of a product of bosonic derivatives (exact integration)."""
+def xu_solve(
+    scheme: GradingScheme,
+    steps: Sequence[tuple[VariableId, int]],
+    seeds: Sequence[SuperPolynomial],
+) -> list[SuperPolynomial]:
+    """Complete each seed in ker t1 to a solution of Delta(f) = 0: the
+    alternating series sum_i (-t1^-1 t2)^i (seed), t1 the derivative product
+    `steps`, t2 = Delta - t1, t1^-1 exact integration along the same steps.
 
-    def __init__(self, steps: Sequence[tuple[VariableId, int]]):
-        self._steps = tuple(steps)
-
-    def apply(self, p: SuperPolynomial) -> SuperPolynomial:
-        out = p
-        for v, e in self._steps:
-            for _ in range(e):
-                out = integrate_bosonic(out, v)
-        return out
-
-
-def filtration_measure(
-    t1: DiffOperator, scheme: Optional[GradingScheme] = None
-) -> Callable[[SuperPolynomial], int]:
-    """Twice the degree outside the variables t1 differentiates, plus, on a
-    twisted scheme, one per power of y_i (i <= n1) and of x_s (s > n2).
-
-    The second count is what the twisted Laplacian's -x_i d_y_i and
-    -y_s d_x_s atoms lower while they keep the degree.
+    Checked: the integration is a right inverse of t1 where it is used; each
+    term strictly lowers the filtration measure (twice the degree outside
+    `steps`, plus one per power of y_i, i <= n1, and of x_s, s > n2, on a
+    twisted scheme: those the twisted Delta's -x_i d_y_i and -y_s d_x_s atoms
+    lower at fixed degree); the series ends within its termination bound;
+    Delta annihilates every output.
     """
-    skip = t1.derivative_variables()
-    lowered: set[VariableId] = set()
-    if scheme is not None and scheme.is_twisted:
-        lowered.update(y(i) for i in range(1, scheme.n1 + 1))
-        lowered.update(x(s) for s in range(scheme.n2 + 1, scheme.n + 1))
+    t1 = DiffOperator.word(1, SuperMonomial.unit(), steps)
+    delta = named_operator("DELTA", scheme)
+    t2 = delta - t1
+    weight: dict[VariableId, int] = {}  # per power; 2 for every other variable
+    if scheme.is_twisted:
+        weight.update((y(i), 3) for i in range(1, scheme.n1 + 1))
+        weight.update((x(s), 3) for s in range(scheme.n2 + 1, scheme.n + 1))
+    weight.update((v, 0) for v, _ in steps)
 
     def measure(p: SuperPolynomial) -> int:
-        best = -1
-        for mono, _ in p.items():
-            d = sum((3 if v in lowered else 2) * e
-                    for v, e in mono.bos if v not in skip)
-            d += sum(2 for v in mono.ferm if v not in skip)
-            best = max(best, d)
-        return best
+        return max((sum(weight.get(v, 2) * e for v, e in mono.bos)
+                    + 2 * len(mono.ferm) for mono, _ in p.items()), default=-1)
 
-    return measure
-
-
-def xu_solve(
-    t1: DiffOperator,
-    t1_inv,
-    t2: DiffOperator,
-    seeds: Sequence[tuple[SuperPolynomial, SuperPolynomial]],
-    *,
-    measure: Optional[Callable[[SuperPolynomial], int]] = None,
-) -> list[SuperPolynomial]:
-    """Solve (t1 + t2)(f) = 0 by the alternating series sum_i (-t1_inv t2)^i (h*g).
-
-    Every seed product must lie in ker t1; t1_inv must be a right inverse of
-    t1 on the vectors it meets (checked); t2 must strictly lower the
-    filtration measure (checked; default: filtration_measure(t1), the degree
-    ignoring the variables t1 differentiates).
-    """
-    if measure is None:
-        measure = filtration_measure(t1)
     out = []
-    for h, g in seeds:
-        u = h * g
+    for u in seeds:
         total = u
-        if u.is_zero():
-            out.append(u)
-            continue
         prev = measure(u)
-        bound = max(u.degree(), 0) + 1
-        for _ in range(bound + 1):
+        for _ in range(max(u.degree(), 0) + 2):
             w = t2.apply(u)
             if w.is_zero():
                 break
-            v = t1_inv.apply(w)
+            v = w
+            for var, e in steps:
+                for _ in range(e):
+                    v = integrate_bosonic(v, var)
             if t1.apply(v) != w:
-                raise FiltrationError("t1_inv is not a right inverse of t1 here")
+                raise FiltrationError("integration is not a right inverse of t1 here")
             u = -v
             cur = measure(u)
             if cur >= prev:
@@ -597,7 +567,7 @@ def xu_solve(
             total = total + u
         else:
             raise SeriesTerminationError("xu_solve exceeded its termination bound")
-        if not (t1.apply(total) + t2.apply(total)).is_zero():
+        if not delta.apply(total).is_zero():
             raise FiltrationError("xu_solve output not annihilated; bad seeds")
         out.append(total)
     return out

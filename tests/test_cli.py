@@ -141,6 +141,34 @@ def test_exit_two_on_config_error(capsys):
     assert "empty label grid" in err
 
 
+@pytest.mark.parametrize("m", ["1", "2"])
+def test_theorem_one_at_n_one_is_a_config_error(m, monkeypatch, capsys):
+    # on gl(1|m) the slice (l, lp) and its Delta-target have the same
+    # dimension once l, lp > m, and H is 0 there: the criterion's domain is
+    # n > 1, refused before any slice is enumerated
+    import superharm.harmonic as hm
+
+    def no_slices(*args):
+        raise AssertionError("a slice was enumerated")
+
+    monkeypatch.setattr(hm, "enumerate_slice", no_slices)
+    code, out, err = run(["verify-theorem", "1", "--n", "1", "--m", m,
+                          "--lmax", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "superharm: the gl criterion is stated for n > 1" in err
+
+
+def test_unwritable_out_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(["stabilizer", "--scheme", "osp-even-natural",
+                          "--n", "2", "--m", "1", "--out", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("superharm: cannot write --out: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["harmonic-basis", "singular-vectors"])
 @pytest.mark.parametrize("scheme,grid", [
     ("gl-natural", ["--lmax", "2"]),

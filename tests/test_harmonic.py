@@ -374,6 +374,8 @@ def test_predicate_domain_errors():
         irreducibility_predicate(GL23, (-1, 0))
     with pytest.raises(ValueError):
         irreducibility_predicate(EV11, 1)  # needs n > 1
+    with pytest.raises(ValueError, match="stated for n > 1"):
+        irreducibility_predicate(GL11, (2, 2))  # H = 0 there: needs n > 1
     with pytest.raises(ValueError):
         irreducibility_predicate(TW3113, (0, -1))  # n2 = n forces lp >= 0
     with pytest.raises(ValueError):

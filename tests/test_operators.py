@@ -20,11 +20,10 @@ from superharm import operators as operators_module
 from superharm.operators import (
     DiffOperator,
     FiltrationError,
-    IntegrationOperator,
     OpWord,
+    SeriesTerminationError,
     commutator,
     compose,
-    filtration_measure,
     named_operator,
     super_commutator,
     twist,
@@ -614,113 +613,107 @@ def test_im_parameter_validation():
 # the formula-basis series: t1 a derivative product, t2 = Delta - t1
 # ===================================================================
 
-def series_parts(scheme, steps):
-    t1 = DiffOperator.word(1, SuperMonomial.unit(), steps)
-    return t1, IntegrationOperator(steps), named_operator("DELTA", scheme) - t1
-
-
 X0_LADDER = [(x0(), 2)]
 TWISTED_COLUMN = [(x(2), 1), (y(2), 1)]  # the n1+1 column of TW4113
+XY1 = [(x(1), 1), (y(1), 1)]
 ONE = SuperPolynomial.one()
 
 
+def with_t2(monkeypatch, steps, t2):
+    """Make the solver's Delta equal t1 + t2, so that Delta - t1 is t2."""
+    t1 = DiffOperator.word(1, SuperMonomial.unit(), steps)
+    monkeypatch.setattr(operators_module, "named_operator",
+                        lambda name, scheme: t1 + t2)
+
+
 def test_t_iota_on_harmonic_input():
-    t1, inv, t2 = series_parts(ODD21, X0_LADDER)
-    assert xu_solve(t1, inv, t2, [(ONE, P(x(1)))]) == [P(x(1))]
+    assert xu_solve(ODD21, X0_LADDER, [P(x(1))]) == [P(x(1))]
 
 
 def test_t_iota_example_values():
     # T1(1) = x0; T0(x1 y1) = x1 y1 - x0^2 (Delta(x1y1) = 1, next step 0)
-    t1, inv, t2 = series_parts(ODD21, X0_LADDER)
-    got = xu_solve(t1, inv, t2, [(P(x0()), ONE), (ONE, P(x(1)) * P(y(1)))])
+    got = xu_solve(ODD21, X0_LADDER, [P(x0()), P(x(1)) * P(y(1))])
     assert got == [P(x0()), parse_polynomial("x1*y1 - x0^2")]
     delta = named_operator("DELTA", ODD21)
     assert delta.apply(got[1]).is_zero()
 
 
 def test_t_k1k2_trivial():
-    t1, inv, t2 = series_parts(TW4113, TWISTED_COLUMN)
-    measure = filtration_measure(t1, TW4113)
-    assert xu_solve(t1, inv, t2, [(ONE, ONE)], measure=measure) == [ONE]
-
-
-TWISTED_SEED = [(P(x(2)), P(y(1)) * P(theta(1)))]  # no x2/y2 content in g
+    assert xu_solve(TW4113, TWISTED_COLUMN, [ONE]) == [ONE]
 
 
 def test_t_k1k2_annihilates():
-    t1, inv, t2 = series_parts(TW4113, TWISTED_COLUMN)
-    out, = xu_solve(t1, inv, t2, TWISTED_SEED,
-                    measure=filtration_measure(t1, TW4113))
+    # -x1 d_y1 keeps the degree: the step x2*y1*th1 -> x1*x2^2*y2*th1/2
+    # lowers the scheme measure only through its extra count on y1
+    seed = P(x(2)) * P(y(1)) * P(theta(1))  # in ker d_x2 d_y2: no y2
+    out, = xu_solve(TW4113, TWISTED_COLUMN, [seed])
     assert out.coefficient(SuperMonomial.make([(x(2), 1), (y(1), 1)], [theta(1)])) == 1
     assert named_operator("DELTA", TW4113).apply(out).is_zero()
 
 
-def test_t_k1k2_needs_the_scheme_measure():
-    # -x1 d_y1 keeps the degree: the step x2*y1*th1 -> x1*x2^2*y2*th1/2
-    # lowers the scheme measure but not the plain degree outside x2, y2
-    t1, inv, t2 = series_parts(TW4113, TWISTED_COLUMN)
-    with pytest.raises(FiltrationError, match="measure"):
-        xu_solve(t1, inv, t2, TWISTED_SEED)
-
-
-def test_t_k1k2_rejects_a_raising_t2():
+def test_t_k1k2_rejects_a_raising_t2(monkeypatch):
     # y1 d_x1 runs the twisted atom x1 d_y1 backwards: degree kept, the
     # scheme measure raised
-    t1, inv, _ = series_parts(TW4113, TWISTED_COLUMN)
-    bad_t2 = DiffOperator.word(1, SuperMonomial.make([(y(1), 1)]), [(x(1), 1)])
+    with_t2(monkeypatch, TWISTED_COLUMN,
+            DiffOperator.word(1, SuperMonomial.make([(y(1), 1)]), [(x(1), 1)]))
     with pytest.raises(FiltrationError, match="measure"):
-        xu_solve(t1, inv, bad_t2, [(P(x(2)), P(x(1)))],
-                 measure=filtration_measure(t1, TW4113))
+        xu_solve(TW4113, TWISTED_COLUMN, [P(x(2)) * P(x(1))])
 
 
 def test_xu_series_annihilates():
-    t1, inv, t2 = series_parts(GL21, [(x(1), 1), (y(1), 1)])
     seed = P(x(1)) * P(theta(1)) * P(vartheta(1))
-    out, = xu_solve(t1, inv, t2, [(ONE, seed)])
+    out, = xu_solve(GL21, XY1, [seed])
     assert out.coefficient(seed.terms()[0][0]) == 1
     assert named_operator("DELTA", GL21).apply(out).is_zero()
 
 
-# ===================================================================
-# the kernel solver
-# ===================================================================
-
-def xy_pair_solver_parts(scheme):
-    t1 = compose(DiffOperator.partial(x(1)), DiffOperator.partial(y(1)))
-    t2 = named_operator("DELTA", scheme) - t1
-    return t1, IntegrationOperator([(x(1), 1), (y(1), 1)]), t2
-
-
 def test_xu_solve_example():
-    t1, inv, t2 = xy_pair_solver_parts(GL21)
-    sols = xu_solve(t1, inv, t2, [(SuperPolynomial.one(), P(theta(1)) * P(vartheta(1)))])
+    sols = xu_solve(GL21, XY1, [P(theta(1)) * P(vartheta(1))])
     assert sols == [parse_polynomial("x1*y1 + th1*vt1")]
 
 
 def test_xu_solve_harmonic_seed_fixed():
-    t1, inv, t2 = xy_pair_solver_parts(GL21)
     g = P(x(2))  # already harmonic, t2(g) = 0
-    assert xu_solve(t1, inv, t2, [(SuperPolynomial.one(), g)]) == [g]
+    assert xu_solve(GL21, XY1, [g]) == [g]
+
+
+def test_xu_solve_zero_seed_is_zero():
+    assert xu_solve(GL21, XY1, [SuperPolynomial.zero()]) == [SuperPolynomial.zero()]
 
 
 def test_xu_solve_outputs_annihilated():
-    t1, inv, t2 = xy_pair_solver_parts(GL22)
-    seeds = []
-    for text in ("th1*vt1", "x2*y2", "x1*x2*vt2", "y2^2*th2", "x2^2*y2*th1*vt2"):
-        seeds.append((SuperPolynomial.one(), parse_polynomial(text)))
+    seeds = [parse_polynomial(text) for text in
+             ("th1*vt1", "x2*y2", "x1*x2*vt2", "y2^2*th2", "x2^2*y2*th1*vt2")]
     delta = named_operator("DELTA", GL22)
-    for sol in xu_solve(t1, inv, t2, seeds):
+    for sol in xu_solve(GL22, XY1, seeds):
         assert delta.apply(sol).is_zero()
 
 
-def test_xu_solve_filtration_violation():
-    t1, inv, _ = xy_pair_solver_parts(GL21)
-    bad_t2 = DiffOperator.multiplier(P(x(2)) * P(y(2)))
-    with pytest.raises(FiltrationError):
-        xu_solve(t1, inv, bad_t2, [(SuperPolynomial.one(), P(theta(1)) * P(vartheta(1)))])
+def test_xu_solve_filtration_violation(monkeypatch):
+    with_t2(monkeypatch, XY1, DiffOperator.multiplier(P(x(2)) * P(y(2))))
+    with pytest.raises(FiltrationError, match="measure"):
+        xu_solve(GL21, XY1, [P(theta(1)) * P(vartheta(1))])
+
+
+def test_xu_solve_checks_the_integration(monkeypatch):
+    original = operators_module.integrate_bosonic
+    monkeypatch.setattr(operators_module, "integrate_bosonic",
+                        lambda p, v: original(p, v).scale(2))
+    with pytest.raises(FiltrationError, match="right inverse"):
+        xu_solve(GL21, XY1, [P(theta(1)) * P(vartheta(1))])
+
+
+def test_xu_solve_termination_bound(monkeypatch):
+    # x4 -> x1, y1 -> x1 and x1 -> x2 each lower the TW4113 measure, so the
+    # degree-2 seed x4*y1 takes four nonzero steps, one past its bound
+    mover = DiffOperator.zero()
+    for new, old in ((x(1), x(4)), (x(1), y(1)), (x(2), x(1))):
+        mover = mover + DiffOperator.word(1, SuperMonomial.make([(new, 1)]), [(old, 1)])
+    with_t2(monkeypatch, TWISTED_COLUMN, mover)
+    with pytest.raises(SeriesTerminationError):
+        xu_solve(TW4113, TWISTED_COLUMN, [P(x(4)) * P(y(1))])
 
 
 def test_xu_solve_rejects_non_kernel_seed():
-    t1, inv, t2 = xy_pair_solver_parts(GL21)
-    with pytest.raises(FiltrationError):
-        xu_solve(t1, inv, t2, [(SuperPolynomial.one(), P(x(1)) * P(y(1)))])
+    with pytest.raises(FiltrationError, match="not annihilated"):
+        xu_solve(GL21, XY1, [P(x(1)) * P(y(1))])
