@@ -17,12 +17,11 @@ Needs pytest and hypothesis, like the tests themselves; it is not part of
 the tier-1 suite (each entry runs its tests in a fresh interpreter).
 
 Usage:
-    python3 scripts/mutation_check.py [--only NAME ...]
+    python3 scripts/mutation_check.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -146,18 +145,13 @@ def run_tests(tests, mutation=None) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", nargs="+", metavar="NAME",
-                        choices=[m.name for m in MUTATIONS])
-    args = parser.parse_args()
-    chosen = [m for m in MUTATIONS if not args.only or m.name in args.only]
     # a mutant counts as killed only if its tests pass without it
-    named = sorted({t for m in chosen for t in m.tests})
+    named = sorted({t for m in MUTATIONS for t in m.tests})
     if run_tests(named) != 0:
         print("the named tests do not pass on the unmutated copy", file=sys.stderr)
         return 2
     bad = 0
-    for m in chosen:
+    for m in MUTATIONS:
         if occurrences(m) != 1:
             outcome = "stale"
         else:

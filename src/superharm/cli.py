@@ -318,18 +318,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: VerificationReport, cfg: JobConfig) -> None:
+def _emit(report: VerificationReport, cfg: JobConfig) -> bool:
+    """Write the report; False (after one stderr line) if --out cannot be written."""
     if cfg.fmt == "json":
         payload = {"schema": SCHEMA}
         payload.update(report.to_dict())
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = report.render_text() + "\n"
-    if cfg.out:
+    if not cfg.out:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        print(f"superharm: cannot write --out: {err}", file=sys.stderr)
+        return False
+    return True
 
 
 def _exit_code(report: VerificationReport) -> int:
@@ -359,10 +365,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"superharm: internal error: {err}", file=sys.stderr)
         return 4
     report.elapsed_ms = int((time.monotonic() - started) * 1000)
-    try:
-        _emit(report, cfg)
-    except OSError as err:
-        print(f"superharm: cannot write --out: {err}", file=sys.stderr)
+    if not _emit(report, cfg):
         return 2
     return _exit_code(report)
 

@@ -169,6 +169,16 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_stdout_error_is_not_an_out_error(monkeypatch):
+    # only the --out file is a configuration error; a closed pipe on stdout
+    # propagates as before instead of turning the verdict into exit 2
+    def broken(text):
+        raise BrokenPipeError(32, "Broken pipe")
+    monkeypatch.setattr("sys.stdout.write", broken)
+    with pytest.raises(BrokenPipeError):
+        main(["stabilizer", "--scheme", "osp-even-natural", "--n", "2", "--m", "1"])
+
+
 @pytest.mark.parametrize("command", ["harmonic-basis", "singular-vectors"])
 @pytest.mark.parametrize("scheme,grid", [
     ("gl-natural", ["--lmax", "2"]),
