@@ -318,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: VerificationReport, cfg: JobConfig) -> bool:
-    """Write the report; False (after one stderr line) if --out cannot be written."""
+def _emit(report: VerificationReport, cfg: JobConfig) -> int:
+    """Write the report; return its exit code, or 2 if --out cannot be written."""
     if cfg.fmt == "json":
         payload = {"schema": SCHEMA}
         payload.update(report.to_dict())
@@ -328,14 +328,14 @@ def _emit(report: VerificationReport, cfg: JobConfig) -> bool:
         text = report.render_text() + "\n"
     if not cfg.out:
         sys.stdout.write(text)
-        return True
+        return _exit_code(report)
     try:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as err:
         print(f"superharm: cannot write --out: {err}", file=sys.stderr)
-        return False
-    return True
+        return 2
+    return _exit_code(report)
 
 
 def _exit_code(report: VerificationReport) -> int:
@@ -365,9 +365,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"superharm: internal error: {err}", file=sys.stderr)
         return 4
     report.elapsed_ms = int((time.monotonic() - started) * 1000)
-    if not _emit(report, cfg):
-        return 2
-    return _exit_code(report)
+    return _emit(report, cfg)
 
 
 if __name__ == "__main__":
