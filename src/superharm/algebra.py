@@ -391,9 +391,6 @@ _TWISTED_KINDS = {
 
 _ODD_KINDS = {SchemeKind.OSP_ODD_NATURAL, SchemeKind.OSP_ODD_TWISTED}
 
-# slices of these schemes need a degree cap before enumeration
-_CAP_REQUIRED_KINDS = _TWISTED_KINDS | _ODD_KINDS
-
 Label = Union[int, tuple[int, int]]
 
 
@@ -520,11 +517,11 @@ def enumerate_slice(
 ) -> GradedSlice:
     """Enumerate the canonical monomial basis of one graded slice.
 
-    Twisted schemes and the x0 ladders have infinite (or cap-gated) slices,
-    so they insist on a degree cap; the natural gl / even-osp slices are
-    finite and enumerate fully.
+    Twisted slices are infinite, so they insist on a degree cap; every
+    natural slice lies in the degree of its label (x0 counted on the odd
+    osp schemes), so it is finite and enumerates fully.
     """
-    if scheme.kind in _CAP_REQUIRED_KINDS and degree_cap is None:
+    if scheme.is_twisted and degree_cap is None:
         raise ValueError(f"{scheme.describe()} requires a degree cap")
     if degree_cap is not None and degree_cap < 0:
         raise ValueError("degree cap must be non-negative")

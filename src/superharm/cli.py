@@ -128,16 +128,9 @@ class JobConfig:
             return list(range(self.kmin or 0, self.kmax + 1))
         raise ConfigError("osp schemes need --k or --kmax")
 
-    def resolve_label(self, scheme: GradingScheme) -> Label:
-        """The one label of a single-slice command (--l/--lp or --k)."""
-        if any(v is not None for v in (self.lmax, self.lpmax, self.kmin, self.kmax)):
-            raise ConfigError(f"{self.command} runs one slice: give --l/--lp "
-                              "or --k, not --lmax/--lpmax/--kmin/--kmax")
-        return self.resolve_labels(scheme)[0]
-
     def resolve_cap(self, scheme: GradingScheme,
                     labels: Sequence[Label]) -> Optional[int]:
-        if (scheme.is_twisted or scheme.has_x0) and self.cap is None:
+        if scheme.is_twisted and self.cap is None:
             raise ConfigError(
                 f"--cap is required for {scheme.kind.value} (infinite slices)")
         if self.cap is not None and not scheme.is_twisted:
@@ -160,7 +153,7 @@ def _config_from_args(args: argparse.Namespace) -> JobConfig:
 
 def _run_harmonic_basis(cfg: JobConfig) -> VerificationReport:
     scheme = cfg.resolve_scheme()
-    label = cfg.resolve_label(scheme)
+    label = cfg.resolve_labels(scheme)[0]
     cap = cfg.resolve_cap(scheme, [label])
     sl = enumerate_slice(scheme, label, cap)
     kern = harmonic_kernel(sl)
@@ -187,7 +180,7 @@ def _run_harmonic_basis(cfg: JobConfig) -> VerificationReport:
 
 def _run_singular_vectors(cfg: JobConfig) -> VerificationReport:
     scheme = cfg.resolve_scheme()
-    label = cfg.resolve_label(scheme)
+    label = cfg.resolve_labels(scheme)[0]
     cap = cfg.resolve_cap(scheme, [label])
     sl = enumerate_slice(scheme, label, cap)
     svs = singular_vectors(sl)
@@ -216,10 +209,7 @@ def _run_verify_theorem(cfg: JobConfig) -> VerificationReport:
     scheme = cfg.resolve_scheme(default_kind=kind)
     labels = cfg.resolve_labels(scheme)
     cap = cfg.resolve_cap(scheme, labels)
-    try:
-        return theorem_suite(tid, scheme, labels, cap)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return theorem_suite(tid, scheme, labels, cap)
 
 
 def _grid_schemes() -> List[GradingScheme]:
@@ -235,9 +225,9 @@ def _grid_schemes() -> List[GradingScheme]:
 
 
 def _run_scheme_suite(cfg: JobConfig, check: str, runner) -> VerificationReport:
-    """check-brackets / check-identities: one scheme when given, else the
-    whole default grid."""
-    if cfg.scheme is not None or cfg.n is not None:
+    """check-brackets / check-identities: one scheme when any scheme flag
+    is given, else the whole default grid."""
+    if any(v is not None for v in (cfg.scheme, cfg.n, cfg.m, cfg.n1, cfg.n2)):
         return runner(cfg.resolve_scheme())
     schemes = _grid_schemes()
     report = VerificationReport(
@@ -262,11 +252,7 @@ def _run_check_identities(cfg: JobConfig) -> VerificationReport:
 
 
 def _run_stabilizer(cfg: JobConfig) -> VerificationReport:
-    scheme = cfg.resolve_scheme()
-    try:
-        return osp_stabilizer_check(scheme)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return osp_stabilizer_check(cfg.resolve_scheme())
 
 
 _RUNNERS = {
@@ -283,8 +269,29 @@ _RUNNERS = {
 # argument parsing and entry point
 # ===================================================================
 
-_INT_FLAGS = ("n", "m", "n1", "n2", "l", "lp", "k", "lmax", "lpmax", "kmin",
-              "kmax", "cap")
+_ALL_KINDS = [k.value for k in SchemeKind]
+_SCHEME_FLAGS = ("n", "m", "n1", "n2")
+_SLICE_FLAGS = _SCHEME_FLAGS + ("l", "lp", "k", "cap")
+
+# subcommand -> (help, --scheme choices, the integer flags it reads); each
+# also takes --format and --out, and argparse rejects any other flag
+_SUBCOMMANDS = {
+    "harmonic-basis": ("kernel basis of one graded slice, with the "
+                       "formula-basis comparison where one exists",
+                       _ALL_KINDS, _SLICE_FLAGS),
+    "singular-vectors": ("enumerate singular vectors of one slice",
+                         _ALL_KINDS, _SLICE_FLAGS),
+    "verify-theorem": ("irreducibility/decomposition suite on a grid",
+                       _ALL_KINDS,
+                       _SLICE_FLAGS + ("lmax", "lpmax", "kmin", "kmax")),
+    "check-brackets": ("bracket homomorphism (one scheme or full grid)",
+                       _ALL_KINDS, _SCHEME_FLAGS),
+    "check-identities": ("operator identities (one scheme or full grid)",
+                         _ALL_KINDS, _SCHEME_FLAGS + ("cap",)),
+    "stabilizer": ("eta-stabilizer characterization (natural osp)",
+                   [SchemeKind.OSP_EVEN_NATURAL.value,
+                    SchemeKind.OSP_ODD_NATURAL.value], ("n", "m")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,28 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of supersymmetric harmonic "
                     "decompositions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--scheme", choices=[k.value for k in SchemeKind])
-        for flag in _INT_FLAGS:
+    for name, (help_text, kinds, flags) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if name == "verify-theorem":
+            sp.add_argument("theorem", choices=("1", "2", "3", "4"))
+        sp.add_argument("--scheme", choices=kinds)
+        for flag in flags:
             sp.add_argument(f"--{flag}", type=int)
         sp.add_argument("--format", dest="fmt", choices=("text", "json"),
                         default="text")
         sp.add_argument("--out")
-
-    for name, help_text in (
-        ("harmonic-basis", "kernel basis of one graded slice, with the "
-                           "formula-basis comparison where one exists"),
-        ("singular-vectors", "enumerate singular vectors of one slice"),
-        ("check-brackets", "bracket homomorphism (one scheme or full grid)"),
-        ("check-identities", "operator identities (one scheme or full grid)"),
-        ("stabilizer", "eta-stabilizer characterization (natural osp)"),
-    ):
-        add_common(sub.add_parser(name, help=help_text))
-    vt = sub.add_parser("verify-theorem",
-                        help="irreducibility/decomposition suite on a grid")
-    vt.add_argument("theorem", choices=("1", "2", "3", "4"))
-    add_common(vt)
     return parser
 
 
@@ -354,7 +349,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         report = _RUNNERS[cfg.command](cfg)
     except ValueError as err:
-        # ConfigError and the domain errors raised by slice/label validation
+        # ConfigError and the engine's domain errors (slice, label, theorem)
         print(f"superharm: {err}", file=sys.stderr)
         return 2
     except MatrixBudgetError as err:

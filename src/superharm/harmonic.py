@@ -9,12 +9,12 @@ linear algebra over the rationals, organized along two performance levers:
   each slice splits into small joint-eigenvalue blocks.  Delta preserves
   the weight and each positive generator shifts it uniformly, so kernels
   and joint kernels split blockwise.
-* capped windows — the twisted slices (and the x0 ladders) are infinite
-  dimensional.  All statements about them are verified inside an explicit
-  degree window; verdicts distinguish definite failures (exact vectors
-  violating an exact claim) from window-limited evidence, which is
-  reported as INCONCLUSIVE_CAP rather than PASS when the claim quantifies
-  beyond the window.
+* capped windows — the twisted slices are infinite dimensional.  All
+  statements about them are verified inside an explicit degree window;
+  verdicts distinguish definite failures (exact vectors violating an
+  exact claim) from window-limited evidence, which is reported as
+  INCONCLUSIVE_CAP rather than PASS when the claim quantifies beyond the
+  window.
 
 Every solver output is re-verified through an independent route before it
 is reported (direct operator application, rank re-checks), so a bug in
@@ -546,15 +546,6 @@ def _step_label(scheme: GradingScheme, label: Label, i: int) -> Label:
     return int(label) - 2 * i
 
 
-def _summand_cap(scheme: GradingScheme, label: Label,
-                 internal_cap: Optional[int]) -> Optional[int]:
-    if scheme.is_twisted:
-        return internal_cap
-    if scheme.has_x0:
-        return int(label)  # the natural x0 slice is complete at its own degree
-    return None
-
-
 def _eta_power(eta: DiffOperator, p: SuperPolynomial, i: int) -> SuperPolynomial:
     for _ in range(i):
         p = eta.apply(p)
@@ -611,14 +602,16 @@ def decomposition_report(
             if nxt.dimension() == 0:
                 break
             i_max += 1
-    internal_cap = None if degree_cap is None else degree_cap + 2 * i_max
+    # a twisted summand sits in the enlarged internal window; a natural
+    # one is the complete slice of its step label, which needs no cap
+    summand_cap = degree_cap + 2 * i_max if scheme.is_twisted else None
 
     # ---- candidates ----
     summand_dims: List[int] = []
     candidates: List[SuperPolynomial] = []
     for i in range(i_max + 1):
         step = _step_label(scheme, label, i)
-        hb = table.kernel(scheme, step, _summand_cap(scheme, step, internal_cap))
+        hb = table.kernel(scheme, step, summand_cap)
         images = [_eta_power(eta, h, i) for h in hb.vectors]
         images = [q for q in images if not q.is_zero()]
         summand_dims.append(len(images))
@@ -657,8 +650,8 @@ def decomposition_report(
     # ---- witness of overlap when the structure fails ----
     if not hyp.holds:
         step1 = _step_label(scheme, label, 1)
-        sub_cap = _summand_cap(scheme, step1, degree_cap)
-        sub = table.slice(scheme, step1, sub_cap)
+        sub = table.slice(scheme, step1,
+                          degree_cap if scheme.is_twisted else None)
         eta_image = [eta.apply(SuperPolynomial.monomial(u)) for u in sub.basis]
         eta_groups = _group_polys_by_weight(
             [q for q in eta_image if not q.is_zero()], scheme)

@@ -485,9 +485,7 @@ def verify_homomorphism(rep: GradingScheme) -> VerificationReport:
     supercommutative, so each atom pair's uncontracted terms cancel from
     c; `operators.commutator` never builds them, and skips the atom pairs
     whose variables do not meet.  A FAIL names the first failing ordered
-    pair in row-major order, with pairs_checked its row-major position: a
-    failure at (a, b) with a > b is held until every pair before it has
-    been checked.
+    pair in row-major order, with pairs_checked its row-major position.
     """
     basis = algebra_basis(rep)
     space = algebra_space(rep)
@@ -503,38 +501,35 @@ def verify_homomorphism(rep: GradingScheme) -> VerificationReport:
                     "sample_dimension": 0},
     )
     closure_checked = space.family is not AlgebraFamily.GL
-    first = None  # (row-major index, explanation) of the earliest failure found
-
-    def check(a: int, b: int, rhs: DiffOperator) -> None:
-        nonlocal first
-        if first is not None and first[0] < a * n + b:
-            return
-        eu, ev = basis[a], basis[b]
-        br = bracket(eu, ev)
-        lhs = rep_operator(br, rep)
-        if lhs != rhs:
-            why = ("normal-form mismatch at a=%s, b=%s: rho([a,b]) - "
-                   "(rho(a)rho(b) -+ rho(b)rho(a)) = %s"
-                   % (eu.render(), ev.render(), (lhs - rhs).render()))
-        elif closure_checked and not br.is_zero() and not is_orthosymplectic(br):
-            why = "bracket of %s and %s left the osp span" % (eu.render(), ev.render())
-        else:
-            return
-        first = (a * n + b, why)
-
+    failures = []  # (row-major index, reason) of every failing ordered pair
     for i in range(n):
         for j in range(i, n):
             s = -1 if parities[i] and parities[j] else 1
             c = commutator(ops[i], ops[j], s)
-            check(i, j, c)
-            # every pair up to (i, j) in row-major order has now been checked
-            if first is not None and first[0] <= i * n + j:
-                report.verdict = Verdict.FAIL
-                report.explanation = first[1]
-                report.dimensions["pairs_checked"] = first[0] + 1
-                return report
+            pairs = [(i, j, c)]
             if j > i:
-                check(j, i, -c if s == 1 else c)
+                pairs.append((j, i, -c if s == 1 else c))
+            for a, b, rhs in pairs:
+                eu, ev = basis[a], basis[b]
+                br = bracket(eu, ev)
+                lhs = rep_operator(br, rep)
+                if lhs != rhs:
+                    why = ("normal-form mismatch at a=%s, b=%s: rho([a,b]) - "
+                           "(rho(a)rho(b) -+ rho(b)rho(a)) = %s"
+                           % (eu.render(), ev.render(), (lhs - rhs).render()))
+                elif (closure_checked and not br.is_zero()
+                      and not is_orthosymplectic(br)):
+                    why = ("bracket of %s and %s left the osp span"
+                           % (eu.render(), ev.render()))
+                else:
+                    continue
+                failures.append((a * n + b, why))
+    if failures:
+        index, why = min(failures)
+        report.verdict = Verdict.FAIL
+        report.explanation = why
+        report.dimensions["pairs_checked"] = index + 1
+        return report
     report.dimensions["pairs_checked"] = n * n
     report.explanation = "all %d ordered basis pairs agree in normal form" % (n * n)
     return report

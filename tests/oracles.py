@@ -42,7 +42,7 @@ from superharm.algebra import (
     y,
 )
 from superharm.harmonic import _weight_fn
-from superharm.linalg import poly_matrix, rref, span_rank
+from superharm.linalg import poly_matrix, span_rank
 from superharm.operators import DiffOperator, OpWord, compose, named_operator
 from superharm.representations import (
     AlgebraFamily,
@@ -236,7 +236,7 @@ def oracle_window_intersection_dimension(polys, window_monos):
     rows, monos = poly_matrix(list(polys))
     order = sorted(range(len(monos)), key=lambda j: (monos[j] in window, j))
     shuffled = [[r[j] for j in order] for r in rows]
-    red, _ = rref(shuffled)
+    red, _ = oracle_rref(shuffled)
     n_out = sum(1 for j in order if monos[j] not in window)
     return sum(1 for row in red if not any(row[:n_out]))
 
@@ -390,7 +390,7 @@ def _osp_span_data(space):
     basis = osp_basis(space)
     keys = sorted({k for e in basis for k, _ in e.terms()})
     key_index = {k: i for i, k in enumerate(keys)}
-    red, pivots = rref([_element_row(e, keys) for e in basis])
+    red, pivots = oracle_rref([_element_row(e, keys) for e in basis])
     return key_index, red, pivots
 
 

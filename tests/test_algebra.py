@@ -235,8 +235,6 @@ def test_slice_twisted_00_cap2():
 def test_slice_requires_cap_when_infinite():
     with pytest.raises(ValueError):
         enumerate_slice(TW4113, (0, 0))
-    with pytest.raises(ValueError):
-        enumerate_slice(GradingScheme(SchemeKind.OSP_ODD_NATURAL, 1, 1), 2)
 
 
 def test_slice_odd_natural_complete_when_cap_reaches_label():
@@ -248,6 +246,8 @@ def test_slice_odd_natural_complete_when_cap_reaches_label():
         "x1^2", "x1*y1", "x1*th1", "x1*vt1",
         "y1^2", "y1*th1", "y1*vt1", "th1*vt1",
     }
+    # x0 counts in the degree: the uncapped slice is the same finite basis
+    assert enumerate_slice(sch, 2).basis == sl.basis
     assert not enumerate_slice(sch, 2, 1).complete
 
 

@@ -86,6 +86,41 @@ def test_config_cap_required_for_infinite_slices():
     assert JobConfig(command="x", cap=4).resolve_cap(tw, [(0, 0)]) == 4
     gl = GradingScheme(SchemeKind.GL_NATURAL, 2, 1)
     assert JobConfig(command="x").resolve_cap(gl, [(1, 1)]) is None
+    # x0 counts in the degree, so a natural x0 slice is finite
+    odd = GradingScheme(SchemeKind.OSP_ODD_NATURAL, 2, 1)
+    assert JobConfig(command="x").resolve_cap(odd, [3]) is None
+
+
+# every flag a subcommand does not read, spelled out here rather than read
+# from the parser's own table
+_UNREAD_FLAGS = {
+    "harmonic-basis": ("lmax", "lpmax", "kmin", "kmax"),
+    "singular-vectors": ("lmax", "lpmax", "kmin", "kmax"),
+    "check-brackets": ("l", "lp", "k", "lmax", "lpmax", "kmin", "kmax", "cap"),
+    "check-identities": ("l", "lp", "k", "lmax", "lpmax", "kmin", "kmax"),
+    "stabilizer": ("n1", "n2", "l", "lp", "k", "lmax", "lpmax", "kmin", "kmax",
+                   "cap"),
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, flags in _UNREAD_FLAGS.items() for flag in flags])
+def test_subcommand_rejects_a_flag_it_does_not_read(command, flag, capsys):
+    argv = [command, "--scheme", "osp-even-natural", "--n", "2", "--m", "1",
+            f"--{flag}", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{flag} 1" in capsys.readouterr().err
+
+
+def test_settable_values_per_subcommand():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    counts = {name: sum(1 for a in sp._actions if a.dest != "help")
+              for name, sp in sub.choices.items()}
+    assert counts == {"harmonic-basis": 11, "singular-vectors": 11,
+                      "verify-theorem": 16, "check-brackets": 7,
+                      "check-identities": 8, "stabilizer": 5}
 
 
 def test_parser_rejects_unknown_scheme():
@@ -125,9 +160,9 @@ def test_exit_two_on_config_error(capsys):
     assert code == 2
     assert "superharm:" in err
 
-    code, _, err = run(["stabilizer", "--scheme", "gl-natural",
-                        "--n", "2", "--m", "1"], capsys)
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:  # stabilizer takes natural osp only
+        main(["stabilizer", "--scheme", "gl-natural", "--n", "2", "--m", "1"])
+    assert exc.value.code == 2
 
     code, _, err = run(["verify-theorem", "2", "--n", "4", "--m", "1",
                         "--n1", "1", "--n2", "3", "--l", "0", "--lp", "0"],
@@ -187,11 +222,29 @@ def test_stdout_error_is_not_an_out_error(monkeypatch):
     ("osp-even-natural", ["--kmin", "3", "--kmax", "1"]),
 ])
 def test_single_slice_commands_reject_grids(command, scheme, grid, capsys):
-    code, out, err = run([command, "--scheme", scheme, "--n", "2", "--m", "1",
-                          *grid], capsys)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scheme", scheme, "--n", "2", "--m", "1", *grid])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --" in err
+
+
+@pytest.mark.parametrize("command", ["check-brackets", "check-identities"])
+@pytest.mark.parametrize("flags,missing", [
+    (["--m", "3"], "--scheme is required"),
+    (["--n1", "1", "--n2", "3"], "--scheme is required"),
+    (["--scheme", "gl-natural", "--m", "1"], "--n and --m are required"),
+])
+def test_any_scheme_flag_selects_one_scheme(command, flags, missing,
+                                            monkeypatch, capsys):
+    # a partial scheme is a configuration error, never the whole grid
+    import superharm.cli as cli
+    monkeypatch.setattr(cli, "_grid_schemes", lambda: pytest.fail("grid run"))
+    code, out, err = run([command, *flags], capsys)
     assert code == 2
     assert out == ""
-    assert f"superharm: {command} runs one slice" in err
+    assert missing in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -325,6 +378,49 @@ def test_singular_vector_payload(capsys):
     assert payload["schema"] == "superharm-report/1"
     assert payload["dimensions"] == {"slice": 5, "count": 1}
     assert payload["singular_vectors"][0]["vector"] == "x1"
+
+
+def _without_cap(payload):
+    """The report with every "cap" field and elapsed_ms left out."""
+    if isinstance(payload, dict):
+        return {k: _without_cap(v) for k, v in payload.items()
+                if k not in ("cap", "elapsed_ms")}
+    if isinstance(payload, list):
+        return [_without_cap(v) for v in payload]
+    return payload
+
+
+@pytest.mark.parametrize("argv,cap", [
+    (["verify-theorem", "4", "--n", "2", "--m", "1", "--kmax", "3"], 3),
+    (["harmonic-basis", "--scheme", "osp-odd-natural", "--n", "2", "--m", "1",
+      "--k", "2"], 2),
+    (["singular-vectors", "--scheme", "osp-odd-natural", "--n", "2", "--m", "1",
+      "--k", "2"], 2),
+])
+def test_natural_x0_slices_need_no_cap(argv, cap, capsys):
+    # x0 counts in the degree, so the slice is finite and a cap at or above
+    # the label degree changes nothing but the report's cap field
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    capless = json.loads(out)
+    code, out, _ = run(argv + ["--cap", str(cap), "--format", "json"], capsys)
+    assert code == 0
+    capped = json.loads(out)
+    assert (capless["cap"], capped["cap"]) == (None, cap)
+    assert _without_cap(capless) == _without_cap(capped)
+
+
+@pytest.mark.parametrize("argv", [
+    ["harmonic-basis", "--scheme", "osp-odd-twisted", "--k", "0"],
+    ["singular-vectors", "--scheme", "gl-twisted", "--l", "0", "--lp", "0"],
+    ["verify-theorem", "4", "--k", "0"],
+])
+def test_twisted_slices_still_need_a_cap(argv, capsys):
+    code, out, err = run(argv + ["--n", "4", "--m", "1", "--n1", "1",
+                                 "--n2", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--cap is required" in err
 
 
 def test_check_brackets_single_scheme(capsys):
