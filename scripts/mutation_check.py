@@ -109,6 +109,32 @@ MUTATIONS = (
         "            echelon: dict[int, Sequence[int]] = {}\n",
         ("tests/test_linalg.py::test_joint_kernel_matches_transposed_matrix_oracle",),
     ),
+    Mutation(
+        # the last member to hold a monomial owns it: still an independence
+        # proof (a triangular one), but not the witness its tests define
+        "own-monomial-witness-forgets-shared-monomials",
+        "src/superharm/linalg.py",
+        "owner[m] = i if m not in owner else -1",
+        "owner[m] = i",
+        ("tests/test_linalg.py::test_own_monomial_witness_proves_independence",),
+    ),
+    Mutation(
+        "span-ranks-restarts-the-echelon-per-family",
+        "src/superharm/linalg.py",
+        "    for family in families:\n"
+        "        _echelon_add(echelon, rows[start:start + len(family)])\n",
+        "    for family in families:\n"
+        "        echelon = {}\n"
+        "        _echelon_add(echelon, rows[start:start + len(family)])\n",
+        ("tests/test_linalg.py::test_span_ranks_match_oracle_prefix_ranks",),
+    ),
+    Mutation(
+        "eta-image-table-drops-the-input-coefficient",
+        "src/superharm/operators.py",
+        "acc[u] = acc.get(u, 0) + c * d",
+        "acc[u] = acc.get(u, 0) + d",
+        ("tests/test_linalg.py::test_eta_image_table_matches_oracle_apply",),
+    ),
 )
 
 

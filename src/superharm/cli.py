@@ -96,9 +96,17 @@ class JobConfig:
             if not scheme.is_twisted and min(values) < 0:
                 raise ConfigError(f"{flags} must be >= 0 on {scheme.kind.value}")
 
+        # the hints name only flags the command takes: the grid flags
+        # belong to verify-theorem alone (see _SUBCOMMANDS)
+        if self.command == "verify-theorem":
+            gl_flags, gl_need = "--l/--lp/--lmax/--lpmax apply", "--l/--lp or --lmax"
+            osp_flags, osp_need = "--k/--kmin/--kmax apply", "--k or --kmax"
+        else:
+            gl_flags, gl_need = "--l/--lp apply", "--l and --lp"
+            osp_flags, osp_need = "--k applies", "--k"
         if scheme.is_gl:
             if self.k is not None or self.kmin is not None or self.kmax is not None:
-                raise ConfigError("--k/--kmin/--kmax apply only to osp schemes")
+                raise ConfigError(f"{osp_flags} only to osp schemes")
             if self.l is not None or self.lp is not None:
                 if self.l is None or self.lp is None:
                     raise ConfigError("--l and --lp go together")
@@ -112,10 +120,10 @@ class JobConfig:
                     raise ConfigError("empty label grid: --lmax/--lpmax < 0")
                 return [(a, b) for a in range(self.lmax + 1)
                         for b in range(lpmax + 1)]
-            raise ConfigError("gl schemes need --l/--lp or --lmax")
+            raise ConfigError(f"gl schemes need {gl_need}")
         if self.l is not None or self.lp is not None or self.lmax is not None \
                 or self.lpmax is not None:
-            raise ConfigError("--l/--lp/--lmax/--lpmax apply only to gl schemes")
+            raise ConfigError(f"{gl_flags} only to gl schemes")
         if self.k is not None:
             if self.kmin is not None or self.kmax is not None:
                 raise ConfigError("give either --k or --kmin/--kmax")
@@ -126,7 +134,7 @@ class JobConfig:
             if (self.kmin or 0) > self.kmax:
                 raise ConfigError("empty label grid: --kmin > --kmax")
             return list(range(self.kmin or 0, self.kmax + 1))
-        raise ConfigError("osp schemes need --k or --kmax")
+        raise ConfigError(f"osp schemes need {osp_need}")
 
     def resolve_cap(self, scheme: GradingScheme,
                     labels: Sequence[Label]) -> Optional[int]:

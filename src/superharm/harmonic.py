@@ -46,14 +46,17 @@ from .algebra import (
     y,
 )
 from .linalg import (
-    in_span,
+    each_owns_a_monomial,
     independent_subset,
     joint_kernel_basis_polys,
     kernel_basis_polys,
     span_rank,
+    span_ranks,
+    window_intersection_dimension,
 )
 from .operators import (
     DiffOperator,
+    ImageTable,
     commutator,
     named_operator,
     number_operator,
@@ -158,6 +161,8 @@ def _check_harmonic_invariants(sl: GradedSlice, vectors: Sequence[SuperPolynomia
     for v in vectors:
         if not delta.apply(v).is_zero():
             raise InternalError("harmonic basis vector not annihilated: " + v.render())
+    if each_owns_a_monomial(vectors):
+        return
     for block in _group_polys_by_weight(vectors, sl.scheme).values():
         if span_rank(block) != len(block):
             raise InternalError("harmonic basis vectors are dependent")
@@ -189,28 +194,35 @@ class _SliceTable:
     would only raise the suite's peak memory.  A miss calls the
     module-level `enumerate_slice` and `harmonic_kernel`, so every kernel
     handed out has passed `_check_harmonic_invariants` when it was computed.
+    A natural slice capped at or above its degree is held once, uncapped.
     """
 
     def __init__(self):
         self._slices: Dict[tuple, GradedSlice] = {}
         self._kernels: Dict[tuple, HarmonicBasis] = {}
 
+    @staticmethod
+    def _key(scheme: GradingScheme, label: Label, cap: Optional[int]) -> tuple:
+        if cap is not None and not scheme.is_twisted and cap >= label_degree(label):
+            cap = None
+        return scheme, label, cap
+
     def slice(self, scheme: GradingScheme, label: Label,
               cap: Optional[int]) -> GradedSlice:
-        key = (scheme, label, cap)
+        key = self._key(scheme, label, cap)
         sl = self._slices.get(key)
         if sl is None:
-            sl = enumerate_slice(scheme, label, cap)
+            sl = enumerate_slice(*key)
             if sl.complete:
                 self._slices[key] = sl
         return sl
 
     def kernel(self, scheme: GradingScheme, label: Label,
                cap: Optional[int]) -> HarmonicBasis:
-        key = (scheme, label, cap)
+        key = self._key(scheme, label, cap)
         hb = self._kernels.get(key)
         if hb is None:
-            hb = harmonic_kernel(self.slice(scheme, label, cap))
+            hb = harmonic_kernel(self.slice(*key))
             if hb.slice.complete:
                 self._kernels[key] = hb
         return hb
@@ -546,7 +558,7 @@ def _step_label(scheme: GradingScheme, label: Label, i: int) -> Label:
     return int(label) - 2 * i
 
 
-def _eta_power(eta: DiffOperator, p: SuperPolynomial, i: int) -> SuperPolynomial:
+def _eta_power(eta, p: SuperPolynomial, i: int) -> SuperPolynomial:
     for _ in range(i):
         p = eta.apply(p)
     return p
@@ -575,7 +587,7 @@ def decomposition_report(
     hyp = _decomposition_hypothesis(scheme, label)
     table = _suite_table.get() or _SliceTable()
     window = table.slice(scheme, label, degree_cap)
-    eta = named_operator("ETA", scheme)
+    eta = ImageTable(named_operator("ETA", scheme))
     report = VerificationReport(
         check="decomposition",
         scheme=scheme.kind.value,
@@ -625,25 +637,26 @@ def decomposition_report(
     weight = _weight_fn(scheme)
     for mono in window.basis:
         window_blocks.setdefault(weight(mono), []).append(mono)
+    # one elimination per weight: candidates, then (capped, until a block
+    # falls short) the window monomials, spanned iff the rank stays
+    targets = {} if window.complete else window_blocks
     independent = True
     spanning = True
-    for wt, block in groups.items():
-        if span_rank(block) != len(block):
+    for wt in dict.fromkeys([*groups, *targets]):
+        block = groups.get(wt, [])
+        want = ([SuperPolynomial.monomial(u) for u in targets.get(wt, ())]
+                if spanning else [])
+        rank_block, rank_all = span_ranks(block, want)
+        if rank_block != len(block):
             independent = False
             break
+        spanning = spanning and rank_all == len(block)
     if independent and window.complete:
         inside = set(window.basis)
         if any(u not in inside for p in candidates for u, _ in p.items()):
             raise InternalError("an eta-power candidate leaves the complete slice")
         spanning = all(len(groups.get(wt, [])) == len(monos)
                        for wt, monos in window_blocks.items())
-    elif independent:
-        for wt, monos in window_blocks.items():
-            block = groups.get(wt, [])
-            want = [SuperPolynomial.monomial(u) for u in monos]
-            if len(block) != span_rank(block + want):
-                spanning = False
-                break
     direct_sum = independent and spanning
     report.dimensions["direct_sum_holds"] = direct_sum
 
@@ -652,16 +665,16 @@ def decomposition_report(
         step1 = _step_label(scheme, label, 1)
         sub = table.slice(scheme, step1,
                           degree_cap if scheme.is_twisted else None)
-        eta_image = [eta.apply(SuperPolynomial.monomial(u)) for u in sub.basis]
         eta_groups = _group_polys_by_weight(
-            [q for q in eta_image if not q.is_zero()], scheme)
+            [q for q in map(eta.image, sub.basis) if not q.is_zero()], scheme)
         h_groups = _group_polys_by_weight(
             list(table.kernel(scheme, label, degree_cap).vectors), scheme)
         inter = 0
         for wt, hv in h_groups.items():
             ev = eta_groups.get(wt, [])
             if ev:
-                inter += span_rank(hv) + span_rank(ev) - span_rank(hv + ev)
+                rank_h, rank_sum = span_ranks(hv, ev)
+                inter += rank_h + span_rank(ev) - rank_sum
         report.dimensions["harmonic_eta_overlap"] = inter
 
     # ---- verdict ----
@@ -699,20 +712,6 @@ def decomposition_report(
 # basis comparison
 # ===================================================================
 
-def _window_intersection_dimension(
-    polys: Sequence[SuperPolynomial], window_monos: Sequence[SuperMonomial]
-) -> int:
-    """dim(span(polys) ∩ span(window monomials)), exact.
-
-    Dropping the window monomials is a linear map on span(polys) whose
-    kernel is exactly the intersection, so its dimension is the rank lost.
-    """
-    window = set(window_monos)
-    outside = [SuperPolynomial({m: c for m, c in p.items() if m not in window})
-               for p in polys]
-    return span_rank(polys) - span_rank(outside)
-
-
 def compare_bases(xu: HarmonicBasis, kern: HarmonicBasis) -> VerificationReport:
     """span(xu) == span(kern) for a formula basis and a kernel basis of the
     same slice, with window semantics.
@@ -741,8 +740,8 @@ def compare_bases(xu: HarmonicBasis, kern: HarmonicBasis) -> VerificationReport:
         for wt in set(xu_groups) | set(kern_groups):
             a = xu_groups.get(wt, [])
             b = kern_groups.get(wt, [])
-            if span_rank(a) != len(a) or span_rank(b) != len(b) \
-                    or span_rank(a + b) != len(b):
+            rank_a, rank_ab = span_ranks(a, b)
+            if rank_a != len(a) or span_rank(b) != len(b) or rank_ab != len(b):
                 ok = False
                 break
         report.verdict = Verdict.PASS if ok else Verdict.FAIL
@@ -755,10 +754,11 @@ def compare_bases(xu: HarmonicBasis, kern: HarmonicBasis) -> VerificationReport:
     for mono in sl.basis:
         window_blocks.setdefault(weight(mono), []).append(mono)
     contained = all(
-        in_span(v, xu_groups.get(wt, []))
-        for wt, block in kern_groups.items() for v in block)
+        rank_xu == rank_both
+        for rank_xu, rank_both in (span_ranks(xu_groups.get(wt, []), block)
+                                   for wt, block in kern_groups.items()))
     window_dim = sum(
-        _window_intersection_dimension(block, window_blocks.get(wt, []))
+        window_intersection_dimension(block, window_blocks.get(wt, []))
         for wt, block in xu_groups.items())
     report.dimensions["formula_window"] = window_dim
     ok = contained and window_dim == kern.dimension()

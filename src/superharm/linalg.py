@@ -5,17 +5,22 @@ echelon form (eliminated below each pivot, never above); `rref` runs on
 it, and every other question is a rank or a null space over that.
 `rank` counts the pivots of the forward form and builds no Fraction,
 `span_rank` is the rank of the coefficient rows of some linear
-combinations (polynomials or algebra elements), `in_span` compares two
-span ranks, `independent_subset` returns the pivot columns of the matrix
-whose columns are the polynomials, and both kernels take the null space
-of the equations the operator images give: one row per operator and
-output monomial, one column per input monomial of the block, filled
-straight from the images once the budget is checked on the rows counted,
-before any row is allocated.  The joint kernel adds each operator's
-equations to the block's forward echelon form in turn and stops at full
-column rank, where the kernel is {0}; a block that never reaches it
-takes its null space from the echelon rows it holds, which is the basis
-the full solve on all its equations gives.  `nullspace` reads the
+combinations (polynomials or algebra elements), `span_ranks` is the
+cumulative form of that one elimination (the ranks of span(F0),
+span(F0 + F1), ..., read as each family's rows join the echelon form),
+`in_span` compares the two ranks of (basis, [target]),
+`each_owns_a_monomial` proves independence from the supports alone,
+`independent_subset` returns the pivot columns of the matrix whose
+columns are the polynomials, `window_intersection_dimension` is the rank
+a family loses when its window monomials are dropped, and both kernels
+take the null space of the equations the operator images give: one row
+per operator and output monomial, one column per input monomial of the
+block, filled straight from the images once the budget is checked on the
+rows counted, before any row is allocated.  The joint kernel adds each
+operator's equations to the block's forward echelon form in turn and
+stops at full column rank, where the kernel is {0}; a block that never
+reaches it takes its null space from the echelon rows it holds, which is
+the basis the full solve on all its equations gives.  `nullspace` reads the
 reduced rows as integers and builds a Fraction only where an entry is
 not integral.
 
@@ -110,7 +115,8 @@ def _echelon_add(
     it joins the echelon, or it vanishes.  A row of the echelon has zeros
     left of its pivot, so every pivot column is zero in the rows whose
     pivot lies to its right.  This is the one elimination: `rref` runs on
-    it, and the joint kernel feeds it one operator's equations at a time.
+    it, the joint kernel feeds it one operator's equations at a time, and
+    `span_ranks` one family's rows at a time.
     """
     for row in rows:
         row = _integer_row(row)
@@ -215,10 +221,36 @@ def span_rank(polys: Sequence[LinearCombination]) -> int:
     return rank(rows)
 
 
+def span_ranks(*families: Sequence[LinearCombination]) -> list[int]:
+    """Ranks of span(F0), span(F0 + F1), ...: the families' rows go into
+    one forward echelon form in turn, from one `poly_matrix`, and its rank
+    is read after each family."""
+    rows, _ = poly_matrix([p for family in families for p in family])
+    echelon: dict[int, Sequence[int]] = {}
+    ranks = []
+    start = 0
+    for family in families:
+        _echelon_add(echelon, rows[start:start + len(family)])
+        start += len(family)
+        ranks.append(len(echelon))
+    return ranks
+
+
 def in_span(target: SuperPolynomial, basis: Sequence[SuperPolynomial]) -> bool:
-    if target.is_zero():
-        return True
-    return span_rank(list(basis)) == span_rank(list(basis) + [target])
+    spanned, with_target = span_ranks(basis, [target])
+    return spanned == with_target
+
+
+def each_owns_a_monomial(polys: Sequence[SuperPolynomial]) -> bool:
+    """Whether every polynomial has a monomial that no other one has.  Such
+    a family is independent: in a vanishing combination the coefficient
+    of each member is the one at its own monomial, so it is zero.  A
+    null-space basis always passes, each vector owning its free column."""
+    owner: dict[SuperMonomial, int] = {}
+    for i, p in enumerate(polys):
+        for m, _ in p.items():
+            owner[m] = i if m not in owner else -1
+    return len(set(owner.values()) - {-1}) == len(polys)
 
 
 def independent_subset(polys: Sequence[SuperPolynomial]) -> list[int]:
@@ -226,6 +258,20 @@ def independent_subset(polys: Sequence[SuperPolynomial]) -> list[int]:
     the pivot columns of the matrix whose columns are the polynomials."""
     rows, _ = poly_matrix(polys)
     return rref(list(zip(*rows)), form="forward")[1]
+
+
+def window_intersection_dimension(
+    polys: Sequence[SuperPolynomial], window_monos: Sequence[SuperMonomial]
+) -> int:
+    """dim(span(polys) ∩ span(window monomials)), exact.
+
+    Dropping the window monomials is a linear map on span(polys) whose
+    kernel is exactly the intersection, so its dimension is the rank lost.
+    """
+    window = set(window_monos)
+    outside = [SuperPolynomial({m: c for m, c in p.items() if m not in window})
+               for p in polys]
+    return span_rank(polys) - span_rank(outside)
 
 
 # ===================================================================

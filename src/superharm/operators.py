@@ -50,7 +50,9 @@ multiplier's fermions (with their sign, only when it has any) and builds
 exactly one monomial.  The integer sign times falling factorial scales the
 term's and the atom's coefficients (ints unless a value is not integral),
 so no intermediate monomial or polynomial is built and the result stays
-exact.
+exact.  An `ImageTable` keeps one operator's image of each monomial it
+meets, for a caller that applies the operator to the same monomials many
+times within one computation.
 """
 
 from __future__ import annotations
@@ -254,6 +256,31 @@ class DiffOperator(LinearCombination):
                     if hit is not None:
                         k, mono = hit
                         acc[mono] = acc.get(mono, 0) + c * cw * k
+        return SuperPolynomial(acc)
+
+
+class ImageTable:
+    """An operator with the image of each monomial computed once, for a
+    caller that applies it to the same monomials many times (the eta
+    powers of one decomposition report).  `apply` is the operator's
+    action: the input's coefficients times the images of its monomials.
+    The table only grows, so it lives as long as that one computation."""
+
+    def __init__(self, op: DiffOperator):
+        self._op = op
+        self._images: dict[SuperMonomial, SuperPolynomial] = {}
+
+    def image(self, mono: SuperMonomial) -> SuperPolynomial:
+        q = self._images.get(mono)
+        if q is None:
+            q = self._images[mono] = self._op.apply(SuperPolynomial.monomial(mono))
+        return q
+
+    def apply(self, p: SuperPolynomial) -> SuperPolynomial:
+        acc: dict[SuperMonomial, Scalar] = {}
+        for m, c in p.items():
+            for u, d in self.image(m).items():
+                acc[u] = acc.get(u, 0) + c * d
         return SuperPolynomial(acc)
 
 

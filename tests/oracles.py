@@ -5,9 +5,11 @@ closed-form mixing operator.
 Everything here works from first principles on explicit factor sequences,
 deliberately avoiding the package's canonical-form shortcuts, so that a bug
 in the engine's sign bookkeeping cannot hide in the oracle too.  The linear
-algebra oracles are the engine's earlier algorithms: plain Fraction
-elimination, one span rank per member for the independent subset, and a
-column-shuffled elimination for the window intersection.  The operator
+algebra oracles are the engine's earlier algorithms, on their own dense
+matrices (`oracle_matrix`, columns in sorted monomial order) and their
+own elimination: plain Fraction elimination (`oracle_rref`), one span
+rank per member for the independent subset, and a column-shuffled
+elimination for the window intersection.  The operator
 action `oracle_apply` runs on `oracle_derive`, one Leibniz derivative step
 and one intermediate polynomial at a time, `oracle_compose` is the earlier
 composition that expands every variable of an atom pair, shared or not,
@@ -42,7 +44,6 @@ from superharm.algebra import (
     y,
 )
 from superharm.harmonic import _weight_fn
-from superharm.linalg import poly_matrix, span_rank
 from superharm.operators import DiffOperator, OpWord, compose, named_operator
 from superharm.representations import (
     AlgebraFamily,
@@ -206,6 +207,19 @@ def oracle_rref(rows):
     return work[:r], pivots
 
 
+def oracle_matrix(polys):
+    """Dense Fraction coefficient rows, one per polynomial, over the union
+    of their monomials in sorted order; returns (rows, monomials)."""
+    monos = sorted({m for p in polys for m, _ in p.terms()},
+                   key=lambda m: m.sort_key())
+    return [[Fraction(p.coefficient(m)) for m in monos] for p in polys], monos
+
+
+def oracle_span_rank(polys):
+    """Rank of the span of the polynomials, by `oracle_rref`."""
+    return len(oracle_rref(oracle_matrix(polys)[0])[1])
+
+
 def oracle_independent_subset(polys):
     """Indexes of a maximal linearly independent subfamily (greedy, stable):
     one span rank per member."""
@@ -216,7 +230,7 @@ def oracle_independent_subset(polys):
         if p.is_zero():
             continue
         cand = kept + [p]
-        rr = span_rank(cand)
+        rr = oracle_span_rank(cand)
         if rr > r:
             chosen.append(i)
             kept = cand
@@ -233,7 +247,7 @@ def oracle_window_intersection_dimension(polys, window_monos):
     if not polys:
         return 0
     window = set(window_monos)
-    rows, monos = poly_matrix(list(polys))
+    rows, monos = oracle_matrix(polys)
     order = sorted(range(len(monos)), key=lambda j: (monos[j] in window, j))
     shuffled = [[r[j] for j in order] for r in rows]
     red, _ = oracle_rref(shuffled)
@@ -244,7 +258,7 @@ def oracle_window_intersection_dimension(polys, window_monos):
 def oracle_kernel(ops, monos, block_key=None):
     """Joint kernel of ops on span(monos) by the earlier route: monomials
     blocked in first-seen key order, the images by `oracle_apply`, one
-    `poly_matrix` per operator and block, transposed and stacked, and the
+    `oracle_matrix` per operator and block, transposed and stacked, and the
     null space read off `oracle_rref` (one vector per free column, in
     order)."""
     blocks: dict = {}
@@ -254,7 +268,7 @@ def oracle_kernel(ops, monos, block_key=None):
     for sub in blocks.values():
         stacked = []
         for op in ops:
-            rows, _ = poly_matrix(
+            rows, _ = oracle_matrix(
                 [oracle_apply(op, SuperPolynomial.monomial(m)) for m in sub])
             stacked.extend(zip(*rows))
         red, pivots = oracle_rref(stacked)

@@ -411,6 +411,59 @@ def test_natural_x0_slices_need_no_cap(argv, cap, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify-theorem", "4", "--n", "2", "--m", "3", "--kmax", "4"],
+    ["verify-theorem", "1", "--n", "2", "--m", "1", "--lmax", "2"],
+])
+def test_capped_natural_suite_enumerates_each_slice_once(argv, monkeypatch,
+                                                         capsys):
+    # a natural slice capped at or above its label degree is the complete
+    # slice, so the suite's table holds it once whatever cap asks for it
+    import superharm.harmonic as hm
+    calls = []
+    original = hm.enumerate_slice
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(hm, "enumerate_slice", counted)
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    capless, n_capless = json.loads(out), len(calls)
+    calls.clear()
+    code, out, _ = run(argv + ["--cap", "5", "--format", "json"], capsys)
+    assert code == 0
+    assert len(calls) == n_capless == capless["dimensions"]["labels"]
+    assert _without_cap(json.loads(out)) == _without_cap(capless)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["harmonic-basis", "--scheme", "gl-natural"], "gl schemes need --l and --lp"),
+    (["harmonic-basis", "--scheme", "osp-even-natural"], "osp schemes need --k"),
+    (["harmonic-basis", "--scheme", "gl-natural", "--l", "1", "--lp", "1",
+      "--k", "1"], "--k applies only to osp schemes"),
+    (["singular-vectors", "--scheme", "gl-natural"], "gl schemes need --l and --lp"),
+    (["singular-vectors", "--scheme", "osp-odd-natural"], "osp schemes need --k"),
+    (["singular-vectors", "--scheme", "osp-odd-natural", "--l", "1"],
+     "--l/--lp apply only to gl schemes"),
+    (["verify-theorem", "1"], "gl schemes need --l/--lp or --lmax"),
+    (["verify-theorem", "3"], "osp schemes need --k or --kmax"),
+    (["verify-theorem", "1", "--kmax", "2"],
+     "--k/--kmin/--kmax apply only to osp schemes"),
+    (["verify-theorem", "3", "--lmax", "2"],
+     "--l/--lp/--lmax/--lpmax apply only to gl schemes"),
+])
+def test_label_hints_name_only_flags_the_command_takes(argv, message, capsys):
+    code, out, err = run(argv + ["--n", "2", "--m", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"superharm: {message}\n"
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    taken = {o for a in sub.choices[argv[0]]._actions for o in a.option_strings}
+    assert set(re.findall(r"--[a-z]+", message)) <= taken
+
+
+@pytest.mark.parametrize("argv", [
     ["harmonic-basis", "--scheme", "osp-odd-twisted", "--k", "0"],
     ["singular-vectors", "--scheme", "gl-twisted", "--l", "0", "--lp", "0"],
     ["verify-theorem", "4", "--k", "0"],

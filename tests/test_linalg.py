@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superharm.algebra import (
@@ -14,9 +14,10 @@ from superharm.algebra import (
     vartheta,
 )
 from superharm.algebra import x as algx, y as algy
-from superharm.harmonic import _weight_fn, _window_intersection_dimension
+from superharm.harmonic import _weight_fn
 from superharm.linalg import (
     MatrixBudgetError,
+    each_owns_a_monomial,
     in_span,
     independent_subset,
     joint_kernel_basis_polys,
@@ -25,15 +26,19 @@ from superharm.linalg import (
     rank,
     rref,
     span_rank,
+    span_ranks,
+    window_intersection_dimension,
 )
-from superharm.operators import DiffOperator, OpWord, named_operator
+from superharm.operators import DiffOperator, ImageTable, OpWord, named_operator
 from superharm.report import InternalError
 from superharm.representations import rep_operator, simple_generators
 
 from oracles import (
+    oracle_apply,
     oracle_independent_subset,
     oracle_kernel,
     oracle_rref,
+    oracle_span_rank,
     oracle_window_intersection_dimension,
     parse_polynomial,
 )
@@ -214,8 +219,65 @@ def test_independent_subset_matches_greedy_oracle(family):
                 unique=True))
 @settings(max_examples=300)
 def test_window_intersection_matches_shuffled_rref_oracle(family, window):
-    assert _window_intersection_dimension(family, window) == \
+    assert window_intersection_dimension(family, window) == \
         oracle_window_intersection_dimension(family, window)
+
+
+@given(st.lists(poly_families(), max_size=4))
+@settings(max_examples=300)
+def test_span_ranks_match_oracle_prefix_ranks(families):
+    # families may be empty or hold zero members; later families often
+    # depend on earlier ones, since all draw from one pool of monomials
+    prefix: list[SuperPolynomial] = []
+    want = []
+    for family in families:
+        prefix += family
+        want.append(oracle_span_rank(prefix))
+    assert span_ranks(*families) == want
+
+
+def test_span_ranks_edge_cases():
+    zero = SuperPolynomial.zero()
+    assert span_ranks() == []
+    assert span_ranks([], [zero], []) == [0, 0, 0]
+    a = polys("x1 + y1", "x1 - y1")
+    assert span_ranks(a, polys("x1", "y1"), polys("x2")) == [2, 2, 3]
+
+
+def _owns_one(family, i):
+    """Whether member i has a monomial no other member has (by definition)."""
+    return any(all(q.coefficient(m) == 0 for j, q in enumerate(family) if j != i)
+               for m, _ in family[i].items())
+
+
+# members over a pool of five monomials: supports nest and overlap often,
+# so families whose members own a monomial only against later members are
+# common (the witness must refuse them)
+overlapping_families = st.lists(
+    st.lists(st.sampled_from(MONOMIALS[:5]), min_size=1, max_size=3, unique=True)
+    .flatmap(lambda support: st.lists(
+        st.integers(-9, 9).filter(bool), min_size=len(support),
+        max_size=len(support))
+        .map(lambda cs: SuperPolynomial(dict(zip(support, cs))))),
+    max_size=5)
+
+
+@given(st.one_of(poly_families(), overlapping_families))
+@example([parse_polynomial("x1 + y1"), parse_polynomial("y1")])
+@settings(max_examples=300)
+def test_own_monomial_witness_proves_independence(family):
+    passed = each_owns_a_monomial(family)
+    assert passed == all(_owns_one(family, i) for i in range(len(family)))
+    if passed:
+        assert oracle_span_rank(family) == len(family)
+
+
+@given(rational_matrices())
+@settings(max_examples=100)
+def test_nullspace_basis_passes_the_own_monomial_witness(mat):
+    basis = [SuperPolynomial(dict(zip(MONOMIALS, v)))
+             for v in nullspace(mat, len(mat[0]))]
+    assert each_owns_a_monomial(basis)
 
 
 def test_budget_guard(monkeypatch):
@@ -354,6 +416,18 @@ def test_joint_kernel_stops_a_block_at_full_column_rank():
     first, later = CountedOp(d), CountedOp(d)
     assert joint_kernel_basis_polys([first, later], monos[:1]) == []
     assert (first.calls, later.calls) == (1, 0)
+
+
+@given(operators_over(DEGREE_WORDS + OTHER_WORDS), poly_families())
+@settings(max_examples=200, deadline=None)
+def test_eta_image_table_matches_oracle_apply(op, family):
+    # members share monomials (multiples, combinations) and every input is
+    # applied twice, so most images come from the table
+    counted = CountedOp(op)
+    table = ImageTable(counted)
+    for p in family + family:
+        assert table.apply(p) == oracle_apply(op, p)
+    assert counted.calls == len({m for p in family for m, _ in p.items()})
 
 
 @pytest.mark.parametrize("scheme,label", [
