@@ -129,11 +129,30 @@ MUTATIONS = (
         ("tests/test_linalg.py::test_span_ranks_match_oracle_prefix_ranks",),
     ),
     Mutation(
+        # the table's action scales its stored image dicts by the input's
+        # coefficients; this drops them
         "eta-image-table-drops-the-input-coefficient",
         "src/superharm/operators.py",
         "acc[u] = acc.get(u, 0) + c * d",
         "acc[u] = acc.get(u, 0) + d",
         ("tests/test_linalg.py::test_eta_image_table_matches_oracle_apply",),
+    ),
+    Mutation(
+        # `images` passes c = 1, so only `apply` on a scaled term sees it
+        "add-image-ignores-the-coefficient",
+        "src/superharm/operators.py",
+        "acc[mono] = acc.get(mono, 0) + c * atom.coeff * k",
+        "acc[mono] = acc.get(mono, 0) + atom.coeff * k",
+        ("tests/test_operators.py::test_apply_matches_derive_oracle",),
+    ),
+    Mutation(
+        "harmonic-annihilation-raise-deleted",
+        "src/superharm/harmonic.py",
+        "            raise InternalError(\"harmonic basis vector not annihilated: \""
+        " + v.render())\n",
+        "            pass\n",
+        ("tests/test_harmonic.py::"
+         "test_harmonic_check_rejects_a_vector_outside_the_kernel",),
     ),
 )
 

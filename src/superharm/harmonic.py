@@ -16,9 +16,9 @@ linear algebra over the rationals, organized along two performance levers:
   INCONCLUSIVE_CAP rather than PASS when the claim quantifies beyond the
   window.
 
-Every solver output is re-verified through an independent route before it
-is reported (direct operator application, rank re-checks), so a bug in
-the blocked solver cannot silently produce a PASS.
+Every solver output is re-verified before it is reported (operator
+application, for Delta from the images its solve read; rank re-checks),
+so a bug in the blocked elimination cannot silently produce a PASS.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .linalg import (
     independent_subset,
     joint_kernel_basis_polys,
     kernel_basis_polys,
+    key_blocks,
     span_rank,
     span_ranks,
     window_intersection_dimension,
@@ -156,8 +157,7 @@ class HarmonicBasis:
         return len(self.vectors)
 
 
-def _check_harmonic_invariants(sl: GradedSlice, vectors: Sequence[SuperPolynomial]):
-    delta = named_operator("DELTA", sl.scheme)
+def _check_harmonic_invariants(sl: GradedSlice, vectors, delta: ImageTable):
     for v in vectors:
         if not delta.apply(v).is_zero():
             raise InternalError("harmonic basis vector not annihilated: " + v.render())
@@ -173,11 +173,12 @@ def harmonic_kernel(sl: GradedSlice) -> HarmonicBasis:
 
     Delta never raises total degree in any variant, so the kernel of the
     capped slice consists of exact harmonic vectors (their images are
-    computed without truncation).
+    computed without truncation).  Delta's images are cached for the
+    call, and each vector is re-verified as their exact combination.
     """
-    delta = named_operator("DELTA", sl.scheme)
+    delta = ImageTable(named_operator("DELTA", sl.scheme))
     vectors = kernel_basis_polys(delta, sl.basis, block_key=_weight_fn(sl.scheme))
-    _check_harmonic_invariants(sl, vectors)
+    _check_harmonic_invariants(sl, vectors, delta)
     return HarmonicBasis(sl, tuple(vectors))
 
 
@@ -294,7 +295,8 @@ def xu_basis(sl: GradedSlice) -> HarmonicBasis:
     for wt in sorted(groups):
         block = groups[wt]
         vectors.extend(block[i] for i in independent_subset(block))
-    _check_harmonic_invariants(sl, vectors)
+    _check_harmonic_invariants(sl, vectors,
+                               ImageTable(named_operator("DELTA", sl.scheme)))
     return HarmonicBasis(sl, tuple(vectors))
 
 
@@ -633,10 +635,7 @@ def decomposition_report(
 
     # ---- blockwise independence + spanning ----
     groups = _group_polys_by_weight(candidates, scheme)
-    window_blocks: Dict[Tuple[int, ...], List[SuperMonomial]] = {}
-    weight = _weight_fn(scheme)
-    for mono in window.basis:
-        window_blocks.setdefault(weight(mono), []).append(mono)
+    window_blocks = key_blocks(window.basis, _weight_fn(scheme))
     # one elimination per weight: candidates, then (capped, until a block
     # falls short) the window monomials, spanned iff the rank stays
     targets = {} if window.complete else window_blocks
@@ -666,7 +665,7 @@ def decomposition_report(
         sub = table.slice(scheme, step1,
                           degree_cap if scheme.is_twisted else None)
         eta_groups = _group_polys_by_weight(
-            [q for q in map(eta.image, sub.basis) if not q.is_zero()], scheme)
+            [SuperPolynomial(q) for q in eta.images(sub.basis) if q], scheme)
         h_groups = _group_polys_by_weight(
             list(table.kernel(scheme, label, degree_cap).vectors), scheme)
         inter = 0
@@ -749,10 +748,7 @@ def compare_bases(xu: HarmonicBasis, kern: HarmonicBasis) -> VerificationReport:
                               if ok else "span mismatch")
         return report
     # capped window comparison
-    window_blocks: Dict = {}
-    weight = _weight_fn(scheme)
-    for mono in sl.basis:
-        window_blocks.setdefault(weight(mono), []).append(mono)
+    window_blocks = key_blocks(sl.basis, _weight_fn(scheme))
     contained = all(
         rank_xu == rank_both
         for rank_xu, rank_both in (span_ranks(xu_groups.get(wt, []), block)

@@ -8,21 +8,23 @@ it, and every other question is a rank or a null space over that.
 combinations (polynomials or algebra elements), `span_ranks` is the
 cumulative form of that one elimination (the ranks of span(F0),
 span(F0 + F1), ..., read as each family's rows join the echelon form),
-`in_span` compares the two ranks of (basis, [target]),
 `each_owns_a_monomial` proves independence from the supports alone,
 `independent_subset` returns the pivot columns of the matrix whose
 columns are the polynomials, `window_intersection_dimension` is the rank
 a family loses when its window monomials are dropped, and both kernels
-take the null space of the equations the operator images give: one row
-per operator and output monomial, one column per input monomial of the
-block, filled straight from the images once the budget is checked on the
-rows counted, before any row is allocated.  The joint kernel adds each
-operator's equations to the block's forward echelon form in turn and
-stops at full column rank, where the kernel is {0}; a block that never
-reaches it takes its null space from the echelon rows it holds, which is
-the basis the full solve on all its equations gives.  `nullspace` reads the
-reduced rows as integers and builds a Fraction only where an entry is
-not integral.
+take the null space of the equations the operator images give.  A kernel
+reads the images of a whole block in one `images` call per operator (a
+`DiffOperator`, or an `operators.ImageTable` that keeps them for a later
+re-verification), each a {monomial: coefficient} dict, and scatters them
+into one row per operator and output monomial, one column per input
+monomial of the block, once the budget is checked on the rows counted,
+before any row is allocated.  The joint kernel adds each operator's
+equations to the block's forward echelon form in turn and stops at full
+column rank, where the kernel is {0}; a block that never reaches it takes
+its null space from the echelon rows it holds, which is the basis the
+full solve on all its equations gives.  `nullspace` reads the reduced
+rows as integers and builds a Fraction only where an entry is not
+integral.
 
 Matrices come in as rows of ints and Fractions (the polynomial helpers
 hand over the coefficients as stored: ints unless a value is not
@@ -39,6 +41,8 @@ blocks by a conserved quantity (grading label or Cartan weight).
 
 SUPERHARM_MAX_CELLS (environment) caps the number of cells in any single
 dense matrix; exceeding it raises MatrixBudgetError instead of truncating.
+`rref`, `poly_matrix` and each kernel read it once per call, and a kernel
+passes the parsed budget down to the equations of every block.
 """
 
 from __future__ import annotations
@@ -56,15 +60,19 @@ class MatrixBudgetError(RuntimeError):
     """A dense matrix would exceed the SUPERHARM_MAX_CELLS budget."""
 
 
-def _check_budget(nrows: int, ncols: int) -> None:
+def _budget() -> Optional[int]:
+    """The SUPERHARM_MAX_CELLS budget, None when it is unset."""
     raw = os.environ.get("SUPERHARM_MAX_CELLS")
     if not raw:
-        return
+        return None
     try:
-        budget = int(raw)
+        return int(raw)
     except ValueError as err:
         raise MatrixBudgetError(f"bad SUPERHARM_MAX_CELLS value {raw!r}") from err
-    if nrows * ncols > budget:
+
+
+def _check_budget(nrows: int, ncols: int, budget: Optional[int]) -> None:
+    if budget is not None and nrows * ncols > budget:
         raise MatrixBudgetError(
             f"matrix {nrows}x{ncols} exceeds SUPERHARM_MAX_CELLS={budget}"
         )
@@ -147,7 +155,7 @@ def rref(
     if form not in _FORMS:
         raise ValueError(f"unknown echelon form {form!r}")
     if rows:
-        _check_budget(len(rows), len(rows[0]))
+        _check_budget(len(rows), len(rows[0]), _budget())
     echelon: dict[int, Sequence[int]] = {}
     _echelon_add(echelon, rows)
     pivots = sorted(echelon)
@@ -202,7 +210,7 @@ def poly_matrix(
     terms = [p.items() for p in polys]
     monos = list(dict.fromkeys(m for t in terms for m, _ in t))
     index = {m: j for j, m in enumerate(monos)}
-    _check_budget(max(len(polys), 1), max(len(monos), 1))
+    _check_budget(max(len(polys), 1), max(len(monos), 1), _budget())
     rows = []
     for t in terms:
         row = [0] * len(monos)
@@ -234,11 +242,6 @@ def span_ranks(*families: Sequence[LinearCombination]) -> list[int]:
         start += len(family)
         ranks.append(len(echelon))
     return ranks
-
-
-def in_span(target: SuperPolynomial, basis: Sequence[SuperPolynomial]) -> bool:
-    spanned, with_target = span_ranks(basis, [target])
-    return spanned == with_target
 
 
 def each_owns_a_monomial(polys: Sequence[SuperPolynomial]) -> bool:
@@ -279,18 +282,19 @@ def window_intersection_dimension(
 # ===================================================================
 
 def _equation_rows(
-    images: Sequence[SuperPolynomial], ncols: int, held: int = 0
+    images: Sequence[dict], ncols: int, budget: Optional[int], held: int = 0
 ) -> list[list[Scalar]]:
-    """The equations of the map sending monos[j] to images[j]: one row per
-    output monomial (first-seen order), one column per input monomial.
-    The rows are counted and the budget checked on them plus `held` rows
-    the caller already keeps, before any row is allocated."""
+    """The equations of the map sending monos[j] to images[j], each image
+    a {monomial: coefficient} dict: one row per output monomial
+    (first-seen order), one column per input monomial.  The rows are
+    counted and the budget checked on them plus `held` rows the caller
+    already keeps, before any row is allocated."""
     index: dict[SuperMonomial, int] = {}
     for q in images:
-        for m, _ in q.items():
+        for m in q:
             if m not in index:
                 index[m] = len(index)
-    _check_budget(held + len(index), ncols)
+    _check_budget(held + len(index), ncols, budget)
     rows: list[list[Scalar]] = [[0] * ncols for _ in range(len(index))]
     for j, q in enumerate(images):
         for m, c in q.items():
@@ -307,10 +311,12 @@ def _kernel(
             for v in nullspace(rows, len(monos))]
 
 
-def _blocks(
+def key_blocks(
     monos: Sequence[SuperMonomial],
     block_key: Optional[Callable[[SuperMonomial], Hashable]],
 ) -> dict[Hashable, list[SuperMonomial]]:
+    """The monomials grouped by block_key (one block when it is None), in
+    first-seen order."""
     blocks: dict[Hashable, list[SuperMonomial]] = {}
     for m in monos:
         blocks.setdefault(None if block_key is None else block_key(m), []).append(m)
@@ -324,24 +330,25 @@ def kernel_basis_polys(
 ) -> list[SuperPolynomial]:
     """Basis of {f in span(monos) : op(f) = 0}.
 
-    `op` is anything with .apply(SuperPolynomial).  When block_key is given
-    it must be conserved by op (checked on every image); the kernel then
-    splits blockwise, which is the main performance lever.
+    `op` is anything with .images(monomials), returning one {monomial:
+    coefficient} dict per monomial (`DiffOperator`, `ImageTable`); it is
+    called once per block.  When block_key is given it must be conserved
+    by op (checked on every image monomial); the kernel then splits
+    blockwise, which is the main performance lever.
     """
+    budget = _budget()
     out: list[SuperPolynomial] = []
-    for k, sub in _blocks(monos, block_key).items():
-        images = []
-        for m in sub:
-            q = op.apply(SuperPolynomial.monomial(m))
-            if block_key is not None:
-                for om, _ in q.items():
+    for k, sub in key_blocks(monos, block_key).items():
+        images = op.images(sub)
+        if block_key is not None:
+            for m, q in zip(sub, images):
+                for om in q:
                     if block_key(om) != k:
                         raise InternalError(
                             "block_key is not conserved by the operator "
                             f"({m.render()} -> {om.render()})"
                         )
-            images.append(q)
-        out.extend(_kernel(_equation_rows(images, len(sub)), sub))
+        out.extend(_kernel(_equation_rows(images, len(sub), budget), sub))
     return out
 
 
@@ -350,7 +357,8 @@ def joint_kernel_basis_polys(
     monos: Sequence[SuperMonomial],
     block_key: Optional[Callable[[SuperMonomial], Hashable]] = None,
 ) -> list[SuperPolynomial]:
-    """Basis of the joint kernel of several operators on span(monos).
+    """Basis of the joint kernel of several operators on span(monos), each
+    read through .images like the operator of `kernel_basis_polys`.
 
     Valid whenever every operator shifts block_key uniformly (weight vectors
     under root-vector action): the joint kernel then splits over input
@@ -364,13 +372,14 @@ def joint_kernel_basis_polys(
     equations stacked, and the reduced echelon form is unique, so the
     basis returned is the one the full solve gives.
     """
+    budget = _budget()
     out: list[SuperPolynomial] = []
-    for sub in _blocks(monos, block_key).values():
+    for sub in key_blocks(monos, block_key).values():
         ncols = len(sub)
         echelon: dict[int, Sequence[int]] = {}
         for op in ops:
-            images = [op.apply(SuperPolynomial.monomial(m)) for m in sub]
-            _echelon_add(echelon, _equation_rows(images, ncols, len(echelon)))
+            rows = _equation_rows(op.images(sub), ncols, budget, len(echelon))
+            _echelon_add(echelon, rows)
             if len(echelon) == ncols:
                 break
         else:

@@ -34,25 +34,27 @@ The fermionic derivative word is stored in the canonical ascending order
 and is applied right to left (last entry first), exactly like reading the
 operator product d_w1 d_w2 ... d_wk.
 
-`DiffOperator.apply` acts atom by atom on each input monomial directly.
-Each operator compiles its atoms once, on its first apply: the set of
+One loop acts on one monomial: `_add_image` adds c times its image into
+an accumulator, atom by atom.  `DiffOperator.apply` runs it on each input
+term, into one accumulator, and `DiffOperator.images` once per monomial,
+each into its own dict, so neither builds a polynomial per monomial.
+Each operator compiles its atoms once, on its first action: the set of
 variables an atom differentiates, its fermionic derivatives in the order
 they act, its bosonic derivatives, the multiplier's bosonic and fermionic
-parts and the coefficient.  Each input term is prepared once per call (its
-exponent dict, fermion word and variable set), and every atom that
-differentiates a variable the term lacks is skipped (its image is 0).  On
-the others one pass builds the image: it copies the exponent dict, lowers
-every bosonic exponent a by e with the falling factorial a!/(a-e)! (zero
-when a < e), raises the multiplier's exponents in the same dict and sorts
-it once, pops the fermionic derivatives with the Koszul sign (-1)^pos for
-hopping over the pos odd factors before each one, merges in the
-multiplier's fermions (with their sign, only when it has any) and builds
-exactly one monomial.  The integer sign times falling factorial scales the
+parts and the coefficient.  The monomial is prepared once (its exponent
+dict, fermion word and variable set), and every atom that differentiates
+a variable it lacks is skipped (its image is 0).  On the others one pass
+builds the image: it copies the exponent dict, lowers every bosonic
+exponent a by e with the falling factorial a!/(a-e)! (zero when a < e),
+raises the multiplier's exponents in the same dict and sorts it once,
+pops the fermionic derivatives with the Koszul sign (-1)^pos for hopping
+over the pos odd factors before each one, merges in the multiplier's
+fermions (with their sign, only when it has any) and builds exactly one
+monomial.  The integer sign times falling factorial scales the
 term's and the atom's coefficients (ints unless a value is not integral),
 so no intermediate monomial or polynomial is built and the result stays
-exact.  An `ImageTable` keeps one operator's image of each monomial it
-meets, for a caller that applies the operator to the same monomials many
-times within one computation.
+exact.  An `ImageTable` keeps one operator's images of the monomials it
+meets, for a caller that reads them many times within one computation.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ _IDENTITY_WORD = OpWord(SuperMonomial.unit(), (), ())
 
 
 class _Atom(NamedTuple):
-    """One atom as `apply` reads it, compiled once per operator."""
+    """One atom as `_add_image` reads it, compiled once per operator."""
 
     need: frozenset                       # the variables it differentiates
     rdferm: tuple[VariableId, ...]        # fermionic derivatives, rightmost first
@@ -230,9 +232,9 @@ class DiffOperator(LinearCombination):
         return self.terms()
 
     def _compiled_atoms(self) -> list[_Atom]:
-        """The atoms compiled for `apply`, built on first use.  They are read
-        off `_terms`, which no operation changes after construction (each one
-        builds a new operator), so they cannot go stale."""
+        """The atoms compiled for `_add_image`, built on first use.  They
+        are read off `_terms`, which no operation changes after construction
+        (each one builds a new operator), so they cannot go stale."""
         try:
             return self._compiled
         except AttributeError:
@@ -242,44 +244,78 @@ class DiffOperator(LinearCombination):
     # ---- action ----
 
     def apply(self, p: SuperPolynomial) -> SuperPolynomial:
+        atoms = self._compiled_atoms()
         acc: dict[SuperMonomial, Scalar] = {}
-        terms = []
         for m, c in p.items():
-            exps = dict(m.bos)
-            terms.append((m.bos, exps, m.ferm, {*exps, *m.ferm}, c))
-        for atom in self._compiled_atoms():
-            need, cw = atom.need, atom.coeff
-            for bos, exps, ferm, present, c in terms:
-                # an atom differentiating a variable m lacks sends m to 0
-                if need <= present:
-                    hit = _act(atom, bos, exps, ferm)
-                    if hit is not None:
-                        k, mono = hit
-                        acc[mono] = acc.get(mono, 0) + c * cw * k
+            _add_image(acc, atoms, m, c)
         return SuperPolynomial(acc)
+
+    def images(self, monos: Iterable[SuperMonomial]) -> list[dict]:
+        """The image of each monomial, in order, as a {monomial:
+        coefficient} dict without zero coefficients (empty when the image
+        is 0); a repeated monomial gets its own dict each time."""
+        atoms = self._compiled_atoms()
+        out = []
+        for m in monos:
+            acc: dict[SuperMonomial, Scalar] = {}
+            _add_image(acc, atoms, m, 1)
+            out.append({u: d for u, d in acc.items() if d})
+        return out
+
+
+def _add_image(acc: dict, atoms: Sequence[_Atom], m: SuperMonomial,
+               c: Scalar) -> None:
+    """Add c times the image of the monomial m under the compiled atoms
+    into acc: the one action loop, behind `apply` and `images`."""
+    bos, ferm = m.bos, m.ferm
+    exps = dict(bos)
+    present = {*exps, *ferm}
+    for atom in atoms:
+        # an atom differentiating a variable m lacks sends m to 0
+        if atom.need <= present:
+            hit = _act(atom, bos, exps, ferm)
+            if hit is not None:
+                k, mono = hit
+                acc[mono] = acc.get(mono, 0) + c * atom.coeff * k
 
 
 class ImageTable:
-    """An operator with the image of each monomial computed once, for a
-    caller that applies it to the same monomials many times (the eta
-    powers of one decomposition report).  `apply` is the operator's
-    action: the input's coefficients times the images of its monomials.
-    The table only grows, so it lives as long as that one computation."""
+    """An operator with the image of each monomial it meets computed once,
+    for a caller that applies it to the same monomials many times within
+    one computation: the eta powers of one decomposition report, or a
+    kernel solve and the re-verification of its vectors.
+
+    It stores each image as the operator's `images` gives it, a
+    {monomial: coefficient} dict, and computes the missing ones of a call
+    in one `images` call.  `images` returns the stored dicts, so a
+    kernel solve can read the table in place of the operator; `apply` is
+    the operator's action, the input's coefficients times the stored
+    images of its monomials.  The table only grows, so it lives as long
+    as that one computation.
+    """
 
     def __init__(self, op: DiffOperator):
         self._op = op
-        self._images: dict[SuperMonomial, SuperPolynomial] = {}
+        self._images: dict[SuperMonomial, dict] = {}
 
-    def image(self, mono: SuperMonomial) -> SuperPolynomial:
-        q = self._images.get(mono)
-        if q is None:
-            q = self._images[mono] = self._op.apply(SuperPolynomial.monomial(mono))
-        return q
+    def _fill(self, monos: Iterable[SuperMonomial]) -> dict:
+        table = self._images
+        missing = [m for m in monos if m not in table]
+        if missing:
+            table.update(zip(missing, self._op.images(missing)))
+        return table
+
+    def images(self, monos: Sequence[SuperMonomial]) -> list[dict]:
+        """The stored images of monos, in order, for the caller to read
+        only; the missing ones are computed in one call."""
+        table = self._fill(monos)
+        return [table[m] for m in monos]
 
     def apply(self, p: SuperPolynomial) -> SuperPolynomial:
+        table = self._fill(m for m, _ in p.items())
         acc: dict[SuperMonomial, Scalar] = {}
         for m, c in p.items():
-            for u, d in self.image(m).items():
+            for u, d in table[m].items():
                 acc[u] = acc.get(u, 0) + c * d
         return SuperPolynomial(acc)
 

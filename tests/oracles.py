@@ -7,8 +7,9 @@ deliberately avoiding the package's canonical-form shortcuts, so that a bug
 in the engine's sign bookkeeping cannot hide in the oracle too.  The linear
 algebra oracles are the engine's earlier algorithms, on their own dense
 matrices (`oracle_matrix`, columns in sorted monomial order) and their
-own elimination: plain Fraction elimination (`oracle_rref`), one span
-rank per member for the independent subset, and a column-shuffled
+own elimination: plain Fraction elimination (`oracle_rref`), span
+membership as a rank that does not grow, one span rank per member for the
+independent subset, and a column-shuffled
 elimination for the window intersection.  The operator
 action `oracle_apply` runs on `oracle_derive`, one Leibniz derivative step
 and one intermediate polynomial at a time, `oracle_compose` is the earlier
@@ -218,6 +219,12 @@ def oracle_matrix(polys):
 def oracle_span_rank(polys):
     """Rank of the span of the polynomials, by `oracle_rref`."""
     return len(oracle_rref(oracle_matrix(polys)[0])[1])
+
+
+def oracle_in_span(target, basis):
+    """Whether target lies in span(basis): the `oracle_span_rank` of the
+    basis does not grow when target joins it."""
+    return oracle_span_rank([*basis, target]) == oracle_span_rank(basis)
 
 
 def oracle_independent_subset(polys):

@@ -30,12 +30,11 @@ from superharm.harmonic import (
     xu_basis,
 )
 from superharm.linalg import (
-    in_span,
     joint_kernel_basis_polys,
     kernel_basis_polys,
     span_rank,
 )
-from superharm.operators import named_operator
+from superharm.operators import ImageTable, named_operator
 from superharm.report import InternalError, Verdict
 from superharm.representations import (
     NOT_A_WEIGHT_VECTOR,
@@ -44,7 +43,13 @@ from superharm.representations import (
     weight_of,
 )
 
-from oracles import im_operator, op_power, oracle_singular_vectors, parse_polynomial
+from oracles import (
+    im_operator,
+    op_power,
+    oracle_in_span,
+    oracle_singular_vectors,
+    parse_polynomial,
+)
 
 P = SuperPolynomial.variable
 GL11 = GradingScheme(SchemeKind.GL_NATURAL, 1, 1)
@@ -162,6 +167,30 @@ def test_compare_bases_needs_one_slice():
     with pytest.raises(InternalError):
         compare_bases(xu_basis(enumerate_slice(GL21, (1, 1))),
                       harmonic_kernel(enumerate_slice(GL21, (2, 1))))
+
+
+def test_harmonic_check_rejects_a_vector_outside_the_kernel():
+    # the check reads Delta through the solve's own table: it applies Delta
+    # to every vector again, from the images the solve cached, and a vector
+    # that Delta does not kill is an internal error
+    sl = enumerate_slice(GL21, (1, 1))
+    delta = named_operator("DELTA", GL21)
+    read = []
+
+    class Counted:
+        def images(self, monos):
+            read.extend(monos)
+            return delta.images(monos)
+
+    table = ImageTable(Counted())
+    vectors = kernel_basis_polys(table, sl.basis, _weight_fn(GL21))
+    hm._check_harmonic_invariants(sl, vectors, table)
+    hit = next(m for m in sl.basis if not delta.apply(SuperPolynomial.monomial(m))
+               .is_zero())
+    outside = vectors[0] + SuperPolynomial.monomial(hit)
+    with pytest.raises(InternalError, match="not annihilated"):
+        hm._check_harmonic_invariants(sl, [*vectors, outside], table)
+    assert sorted(read, key=SuperMonomial.sort_key) == list(sl.basis)
 
 
 def test_xu_seed_values():
@@ -309,7 +338,7 @@ def test_even_part_singular_family_matches_solver(label, count):
     assert len(svs) == count
     assert len(fam) == count
     assert span_rank(fam) == count
-    assert all(in_span(v, svs) for v in fam)
+    assert all(oracle_in_span(v, svs) for v in fam)
     assert span_rank(svs + fam) == count
 
 
@@ -495,11 +524,11 @@ def test_eta_square_overlap_witness():
     e2 = op_power(named_operator("ETA", GL23), 2).apply(one)
     assert named_operator("DELTA", GL23).apply(e2).is_zero()
     h22 = list(harmonic_kernel(enumerate_slice(GL23, (2, 2))).vectors)
-    assert in_span(e2, h22)
+    assert oracle_in_span(e2, h22)
     eta = named_operator("ETA", GL23)
     image = [eta.apply(SuperPolynomial.monomial(u))
              for u in enumerate_slice(GL23, (1, 1)).basis]
-    assert in_span(e2, [q for q in image if not q.is_zero()])
+    assert oracle_in_span(e2, [q for q in image if not q.is_zero()])
     # at (n, m) = (2, 2) the same vector is not even harmonic
     e2b = op_power(named_operator("ETA", GL22), 2).apply(one)
     delta22 = named_operator("DELTA", GL22)

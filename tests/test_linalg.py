@@ -18,7 +18,6 @@ from superharm.harmonic import _weight_fn
 from superharm.linalg import (
     MatrixBudgetError,
     each_owns_a_monomial,
-    in_span,
     independent_subset,
     joint_kernel_basis_polys,
     kernel_basis_polys,
@@ -35,6 +34,7 @@ from superharm.representations import rep_operator, simple_generators
 
 from oracles import (
     oracle_apply,
+    oracle_in_span,
     oracle_independent_subset,
     oracle_kernel,
     oracle_rref,
@@ -167,8 +167,8 @@ def test_span_helpers():
     a = polys("x1 + y1", "x1 - y1")
     b = polys("x1", "y1")
     assert span_rank(a) == 2
-    assert in_span(parse_polynomial("x1"), a)
-    assert not in_span(parse_polynomial("x2"), a)
+    assert oracle_in_span(parse_polynomial("x1"), a)
+    assert not oracle_in_span(parse_polynomial("x2"), a)
     assert span_rank(a) == span_rank(b) == span_rank(a + b)
     assert span_rank(polys("x1")) != span_rank(a)
 
@@ -294,24 +294,13 @@ def test_budget_guard(monkeypatch):
     # scattered into a row
     monkeypatch.setenv("SUPERHARM_MAX_CELLS", "4")
     reads = []
-
-    class Image(SuperPolynomial):
-        __slots__ = ()
-
-        def items(self):
-            reads.append(self)
-            return super().items()
-
-    class CountedDelta:
-        def apply(self, p):
-            return Image(dict(delta.apply(p).items()))
-
     gl21 = GradingScheme(SchemeKind.GL_NATURAL, 2, 1)
-    delta = named_operator("DELTA", gl21)
+    delta = CountedDelta(named_operator("DELTA", gl21), reads)
     basis = list(enumerate_slice(gl21, (1, 1)).basis)  # Delta sends each to 1 or 0
     with pytest.raises(MatrixBudgetError, match=f"matrix 1x{len(basis)} "):
-        kernel_basis_polys(CountedDelta(), basis)
+        kernel_basis_polys(delta, basis)
     assert len(reads) == len(basis) > 4
+    assert delta.calls == len(basis)
 
 
 def test_blocked_kernel_matches_unblocked():
@@ -392,15 +381,43 @@ def test_joint_kernel_matches_transposed_matrix_oracle(ops, monos, key):
 
 
 class CountedOp:
-    """An operator that counts its applications."""
+    """An operator that counts the monomials passed to its `images`."""
 
     def __init__(self, op):
         self.op = op
         self.calls = 0
 
-    def apply(self, p):
-        self.calls += 1
-        return self.op.apply(p)
+    def images(self, monos):
+        self.calls += len(monos)
+        return self.op.images(monos)
+
+
+class ReadImage(dict):
+    """An image dict that records each walk over its monomials or its
+    items into `reads`."""
+
+    def __init__(self, q, reads):
+        super().__init__(q)
+        self.reads = reads
+
+    def __iter__(self):
+        self.reads.append(self)
+        return super().__iter__()
+
+    def items(self):
+        self.reads.append(self)
+        return super().items()
+
+
+class CountedDelta(CountedOp):
+    """A counted operator whose images record their reads into `reads`."""
+
+    def __init__(self, op, reads):
+        super().__init__(op)
+        self.reads = reads
+
+    def images(self, monos):
+        return [ReadImage(q, self.reads) for q in super().images(monos)]
 
 
 def test_joint_kernel_stops_a_block_at_full_column_rank():
@@ -416,6 +433,21 @@ def test_joint_kernel_stops_a_block_at_full_column_rank():
     first, later = CountedOp(d), CountedOp(d)
     assert joint_kernel_basis_polys([first, later], monos[:1]) == []
     assert (first.calls, later.calls) == (1, 0)
+
+
+@given(operators_over(DEGREE_WORDS + OTHER_WORDS),
+       st.lists(st.sampled_from(KERNEL_MONOMIALS), max_size=12))
+@example(DiffOperator({op_word("1", ((X1, 1),), ()): 3}),
+         [parse_polynomial(t).terms()[0][0] for t in ("x1^2", "x2", "x1^2", "x2")])
+@settings(max_examples=200, deadline=None)
+def test_images_match_oracle_apply_per_monomial(op, monos):
+    # repeated monomials each get their own image; an image that is 0 is
+    # the empty dict, and no image holds a zero coefficient
+    images = op.images(monos)
+    assert len(images) == len(monos)
+    for m, q in zip(monos, images):
+        assert q == dict(oracle_apply(op, SuperPolynomial.monomial(m)).items())
+        assert all(q.values())
 
 
 @given(operators_over(DEGREE_WORDS + OTHER_WORDS), poly_families())
@@ -446,31 +478,23 @@ def test_joint_kernel_on_a_slice_stops_some_blocks_early(scheme, label):
 
 def test_joint_kernel_checks_the_budget_before_each_operator(monkeypatch):
     reads = []
-
-    class Image(SuperPolynomial):
-        __slots__ = ()
-
-        def items(self):
-            reads.append(self)
-            return super().items()
-
-    class CountedDelta:
-        def apply(self, p):
-            return Image(dict(delta.apply(p).items()))
-
     gl21 = GradingScheme(SchemeKind.GL_NATURAL, 2, 1)
     delta = named_operator("DELTA", gl21)
     basis = list(enumerate_slice(gl21, (1, 1)).basis)  # Delta sends each to 1 or 0
     # the first operator's single row is already over the budget: each
     # image is read once, by the count, and never scattered into a row
     monkeypatch.setenv("SUPERHARM_MAX_CELLS", "4")
+    ops = [CountedDelta(delta, reads), CountedDelta(delta, reads)]
     with pytest.raises(MatrixBudgetError, match=f"matrix 1x{len(basis)} "):
-        joint_kernel_basis_polys([CountedDelta(), CountedDelta()], basis)
+        joint_kernel_basis_polys(ops, basis)
     assert len(reads) == len(basis) > 4
+    assert [op.calls for op in ops] == [len(basis), 0]
     # the first operator fits (rank 1 of 9 columns); the second one's row
     # plus the echelon row held over is not, and is never allocated
     reads.clear()
     monkeypatch.setenv("SUPERHARM_MAX_CELLS", str(len(basis)))
+    ops = [CountedDelta(delta, reads), CountedDelta(delta, reads)]
     with pytest.raises(MatrixBudgetError, match=f"matrix 2x{len(basis)} "):
-        joint_kernel_basis_polys([CountedDelta(), CountedDelta()], basis)
+        joint_kernel_basis_polys(ops, basis)
     assert len(reads) == 3 * len(basis)
+    assert [op.calls for op in ops] == [len(basis), len(basis)]
