@@ -154,6 +154,21 @@ MUTATIONS = (
         ("tests/test_harmonic.py::"
          "test_harmonic_check_rejects_a_vector_outside_the_kernel",),
     ),
+    Mutation(
+        "osp-union-never-raises-x0",
+        "src/superharm/algebra.py",
+        "    for e0 in range(cap + 1 if has_x0 else 1):\n",
+        "    for e0 in range(1):\n",
+        ("tests/test_algebra.py::test_slice_matches_filter_oracle",
+         "tests/test_algebra.py::test_osp_natural_slice_sizes_match_closed_form"),
+    ),
+    Mutation(
+        "bidegree-slice-ignores-swapped-ys",
+        "src/superharm/algebra.py",
+        "for d in range(cap + 1 if neg_y else 1):",
+        "for d in range(1):",
+        ("tests/test_algebra.py::test_slice_matches_filter_oracle",),
+    ),
 )
 
 

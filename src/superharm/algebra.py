@@ -21,6 +21,13 @@ coefficients therefore builds its Fraction from numerator and
 denominator: `a / b` on ints would give a float.  `SuperPolynomial`
 (keyed by monomials), the operators' `DiffOperator` and the algebra
 elements' `AlgebraElement` subclass it.
+
+All six schemes grade by one rule.  A monomial's bidegree (l, l') is its
+x-degree plus its theta count, and its y-degree plus its vartheta count,
+where a twisted scheme counts x1..x_{n1} and y_{n2+1}..y_n with a minus
+sign (`_variable_groups`).  gl(n|m) slices are labelled by that bidegree;
+an osp slice is labelled by k = l + l' + the x0 exponent, so
+`enumerate_slice` writes it as a union of bidegree slices.
 """
 
 from __future__ import annotations
@@ -485,31 +492,11 @@ class GradedSlice:
         return len(self.basis)
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` non-negative integers summing to `total`."""
-    if total < 0:
-        return
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for cut in itertools.combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        out = []
-        for c in cut:
-            out.append(c - prev - 1)
-            prev = c
-        out.append(total + parts - 2 - prev)
-        yield tuple(out)
-
-
 def _bos_monos(vars_: Sequence[VariableId], total: int) -> Iterator[tuple[tuple[VariableId, int], ...]]:
-    for comp in _compositions(total, len(vars_)):
-        yield tuple((v, e) for v, e in zip(vars_, comp) if e)
-
-
-def _ferm_words(vars_: Sequence[VariableId], count: int) -> Iterator[tuple[VariableId, ...]]:
-    yield from itertools.combinations(vars_, count)
+    """The monomials of degree `total` in vars_ (given in variable order),
+    as (variable, exponent) pairs."""
+    for combo in itertools.combinations_with_replacement(vars_, total):
+        yield tuple((v, len(list(g))) for v, g in itertools.groupby(combo))
 
 
 def enumerate_slice(
@@ -533,101 +520,62 @@ def enumerate_slice(
         if not isinstance(label, int):
             raise ValueError("osp schemes take an integer label k")
 
-    gen = _SLICE_GENERATORS[scheme.kind]
-    basis = sorted(gen(scheme, label, degree_cap), key=lambda m: m.sort_key())
+    ferms = scheme.fermionic_variables()
+    groups = (*_variable_groups(scheme), ferms[:scheme.m], ferms[scheme.m:])
+    cap = label_degree(label) if degree_cap is None else degree_cap
+    if scheme.is_gl:
+        monos = _bidegree_slice(groups, label, cap, ())
+    else:
+        monos = _osp_slice(groups, scheme.has_x0, label, cap)
+    basis = sorted(monos, key=SuperMonomial.sort_key)
     return GradedSlice(scheme, label, degree_cap, tuple(basis))
 
 
-def _slice_gl_natural(scheme, label, cap):
+def _variable_groups(scheme):
+    """The x's and y's by sign, in variable order: (swapped x's, kept x's,
+    kept y's, swapped y's).  A twisted scheme swaps x1..x_{n1} and
+    y_{n2+1}..y_n; a natural one swaps nothing."""
+    n = scheme.n
+    n1, n2 = (scheme.n1, scheme.n2) if scheme.is_twisted else (0, n)
+    return ([x(i) for i in range(1, n1 + 1)],
+            [x(i) for i in range(n1 + 1, n + 1)],
+            [y(i) for i in range(1, n2 + 1)],
+            [y(i) for i in range(n2 + 1, n + 1)])
+
+
+def _bidegree_slice(groups, label, cap, head):
+    """The monomials of bidegree label = (l, lp) and total degree <= cap,
+    each with the bosonic factors `head` (x0^e0 or nothing) in front.
+
+    `groups` is `_variable_groups` plus the thetas and the varthetas; the
+    loops run over the theta count t, the vartheta count v and the degrees
+    a, d in the swapped x's and y's, which fix the kept degrees b, c.
+    """
     l, lp = label
-    if l < 0 or lp < 0:
-        return
-    if cap is not None and l + lp > cap:
-        return
-    thetas = [theta(r) for r in range(1, scheme.m + 1)]
-    vthetas = [vartheta(r) for r in range(1, scheme.m + 1)]
-    xs = [x(i) for i in range(1, scheme.n + 1)]
-    ys = [y(i) for i in range(1, scheme.n + 1)]
-    for t in range(0, min(scheme.m, l) + 1):
-        for v in range(0, min(scheme.m, lp) + 1):
-            for tw in _ferm_words(thetas, t):
-                for vw in _ferm_words(vthetas, v):
-                    for bx in _bos_monos(xs, l - t):
-                        for by in _bos_monos(ys, lp - v):
-                            yield SuperMonomial(bx + by, tw + vw)
-
-
-def _slice_osp_even_natural(scheme, label, cap):
-    k = label
-    if k < 0:
-        return
-    if cap is not None and k > cap:
-        return
-    ferms = scheme.fermionic_variables()
-    bos = scheme.bosonic_variables()
-    for fcount in range(0, min(2 * scheme.m, k) + 1):
-        for fw in _ferm_words(ferms, fcount):
-            for bm in _bos_monos(bos, k - fcount):
-                yield SuperMonomial(bm, fw)
-
-
-def _twisted_groups(scheme):
-    n, n1, n2 = scheme.n, scheme.n1, scheme.n2
-    neg_x = [x(i) for i in range(1, n1 + 1)]
-    pos_x = [x(i) for i in range(n1 + 1, n + 1)]
-    pos_y = [y(i) for i in range(1, n2 + 1)]
-    neg_y = [y(i) for i in range(n2 + 1, n + 1)]
-    return neg_x, pos_x, pos_y, neg_y
-
-
-def _slice_gl_twisted_pairs(scheme, label, cap):
-    """(l, lp) slice of the twisted bidegree, total degree <= cap."""
-    l, lp = label
-    neg_x, pos_x, pos_y, neg_y = _twisted_groups(scheme)
-    thetas = [theta(r) for r in range(1, scheme.m + 1)]
-    vthetas = [vartheta(r) for r in range(1, scheme.m + 1)]
-    for t in range(0, scheme.m + 1):
-        for v in range(0, scheme.m + 1):
-            for a in range(0, cap + 1):        # degree in x1..x_{n1}
-                b = l - t + a                  # degree in x_{n1+1}..x_n
+    neg_x, pos_x, pos_y, neg_y, thetas, vthetas = groups
+    for t in range(len(thetas) + 1):
+        for v in range(len(vthetas) + 1):
+            for a in range(cap + 1 if neg_x else 1):
+                b = l - t + a
                 if b < 0 or a + b + t + v > cap:
                     continue
-                for d in range(0, cap + 1):    # degree in y_{n2+1}..y_n
-                    c = lp - v + d             # degree in y1..y_{n2}
+                for d in range(cap + 1 if neg_y else 1):
+                    c = lp - v + d
                     if c < 0 or a + b + c + d + t + v > cap:
                         continue
-                    for tw in _ferm_words(thetas, t):
-                        for vw in _ferm_words(vthetas, v):
-                            for ba in _bos_monos(neg_x, a):
-                                for bb in _bos_monos(pos_x, b):
-                                    for bc in _bos_monos(pos_y, c):
-                                        for bd in _bos_monos(neg_y, d):
-                                            yield SuperMonomial(
-                                                tuple(sorted(ba + bb + bc + bd)),
-                                                tw + vw,
-                                            )
+                    for ba, bb, bc, bd, tw, vw in itertools.product(
+                            _bos_monos(neg_x, a), _bos_monos(pos_x, b),
+                            _bos_monos(pos_y, c), _bos_monos(neg_y, d),
+                            itertools.combinations(thetas, t),
+                            itertools.combinations(vthetas, v)):
+                        yield SuperMonomial(head + ba + bb + bc + bd, tw + vw)
 
 
-def _slice_osp_even_twisted(scheme, label, cap):
-    k = label
-    for l in range(-cap, cap + 1):
-        yield from _slice_gl_twisted_pairs(scheme, (l, k - l), cap)
-
-
-def _slice_osp_odd_twisted(scheme, label, cap):
-    k = label
-    for e0 in range(0, cap + 1):
+def _osp_slice(groups, has_x0, k, cap):
+    """The osp slice of degree k as the union, over the x0 exponent e0 and
+    over l, of the (l, k - e0 - l) bidegree slices at cap - e0.  Only a
+    swapped x can make l negative."""
+    for e0 in range(cap + 1 if has_x0 else 1):
         head = ((x0(), e0),) if e0 else ()
-        for l in range(-(cap - e0), cap - e0 + 1):
-            for mono in _slice_gl_twisted_pairs(scheme, (l, k - e0 - l), cap - e0):
-                yield SuperMonomial(head + mono.bos, mono.ferm)
-
-
-_SLICE_GENERATORS = {
-    SchemeKind.GL_NATURAL: _slice_gl_natural,
-    SchemeKind.GL_TWISTED: _slice_gl_twisted_pairs,
-    SchemeKind.OSP_EVEN_NATURAL: _slice_osp_even_natural,
-    SchemeKind.OSP_EVEN_TWISTED: _slice_osp_even_twisted,
-    SchemeKind.OSP_ODD_NATURAL: _slice_osp_even_natural,
-    SchemeKind.OSP_ODD_TWISTED: _slice_osp_odd_twisted,
-}
+        for l in range(e0 - cap if groups[0] else 0, cap - e0 + 1):
+            yield from _bidegree_slice(groups, (l, k - e0 - l), cap - e0, head)

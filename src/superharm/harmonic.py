@@ -37,6 +37,7 @@ from .algebra import (
     SchemeKind,
     SuperMonomial,
     SuperPolynomial,
+    _variable_groups,
     enumerate_slice,
     label_degree,
     theta,
@@ -268,11 +269,8 @@ def _xu_osp_odd(sl: GradedSlice) -> List[SuperPolynomial]:
     cap = sl.degree_cap if even_scheme.is_twisted else None
     seeds = []
     for h, iota in ((SuperPolynomial.one(), 0), (SuperPolynomial.variable(x0()), 1)):
-        label = sl.label - iota
-        if not even_scheme.is_twisted and label < 0:
-            continue
-        seeds.extend(h * SuperPolynomial.monomial(mono)
-                     for mono in enumerate_slice(even_scheme, label, cap).basis)
+        seeds.extend(h * SuperPolynomial.monomial(mono) for mono in
+                     enumerate_slice(even_scheme, sl.label - iota, cap).basis)
     return xu_solve(scheme, ((x0(), 2),), seeds)
 
 
@@ -778,19 +776,15 @@ def _commutator_identities(scheme: GradingScheme):
     The commutator of Delta with eta is a constant plus signed Euler
     operators.  The bosonic constant is e = m + 1 - c, with c the criterion
     constant, so the identity also checks the constant the criteria read;
-    the twisted variants trade the plain bosonic count for FLAT +
-    FLAT_PRIME, and the x0 ladder doubles everything."""
+    the bosonic count is + on the x's and y's a twist keeps and - on those
+    it swaps (FLAT + FLAT_PRIME), and the x0 ladder doubles everything."""
     m = scheme.m
     c, _ = criterion_constant(scheme)
     e = m + 1 - c
     one = DiffOperator.identity()
     ferm_number = number_operator(scheme.fermionic_variables())
-    if scheme.is_twisted:
-        bos_number = (named_operator("FLAT", scheme)
-                      + named_operator("FLAT_PRIME", scheme))
-    else:
-        bos_number = number_operator(v for v in scheme.bosonic_variables()
-                                     if v != x0())
+    neg_x, pos_x, pos_y, neg_y = _variable_groups(scheme)
+    bos_number = number_operator(pos_x + pos_y, neg_x + neg_y)
     out = [(
         "fermionic pair",
         commutator(named_operator("DELTA_CHECK", scheme),

@@ -69,7 +69,7 @@ from superharm.algebra import (
     SuperMonomial,
     SuperPolynomial,
     VariableId,
-    _twisted_groups,
+    _variable_groups,
     exact_scalar,
     integrate_bosonic,
     merge_signed,
@@ -484,7 +484,7 @@ def twist(op: DiffOperator, scheme: GradingScheme) -> DiffOperator:
     derivatives, maps to (-1)^deg(w) m * d_u * w * d; one compose per atom
     normal-orders d_u past w.
     """
-    neg_x, _, _, neg_y = _twisted_groups(scheme)
+    neg_x, _, _, neg_y = _variable_groups(scheme)
     swapped = set(neg_x + neg_y)
     out = DiffOperator.zero()
     for w, c in op._terms.items():
@@ -553,7 +553,7 @@ def named_operator(name: str, scheme: GradingScheme) -> DiffOperator:
     if key in ("FLAT", "FLAT_PRIME"):
         if not scheme.is_twisted:
             raise ValueError(f"{key} exists only for twisted schemes")
-        neg_x, pos_x, pos_y, neg_y = _twisted_groups(scheme)
+        neg_x, pos_x, pos_y, neg_y = _variable_groups(scheme)
         if key == "FLAT":
             return number_operator(pos_x, neg_x)
         return number_operator(pos_y, neg_y)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -263,6 +264,13 @@ SLICE_GRID = [
     (GradingScheme(SchemeKind.OSP_EVEN_TWISTED, 4, 1, 1, 3), 0, 3),
     (GradingScheme(SchemeKind.OSP_ODD_NATURAL, 1, 2), 3, 3),
     (GradingScheme(SchemeKind.OSP_ODD_TWISTED, 3, 1, 1, 3), 1, 3),
+    # a swapped y (n2 < n) on the x0 scheme
+    (GradingScheme(SchemeKind.OSP_ODD_TWISTED, 4, 1, 1, 3), 1, 3),
+    (GradingScheme(SchemeKind.OSP_EVEN_TWISTED, 4, 1, 1, 3), -1, 3),
+    (GradingScheme(SchemeKind.OSP_EVEN_NATURAL, 2, 2), 2, 4),
+    (GradingScheme(SchemeKind.OSP_ODD_NATURAL, 2, 1), 3, None),
+    # a cap below l + lp leaves nothing of a natural slice
+    (GL21, (2, 1), 2),
 ]
 
 
@@ -280,6 +288,34 @@ def test_slice_matches_filter_oracle(scheme, label, cap):
 def test_slice_empty_for_negative_labels():
     assert enumerate_slice(GL21, (-1, 0)).dimension() == 0
     assert enumerate_slice(GradingScheme(SchemeKind.OSP_EVEN_NATURAL, 2, 1), -2).dimension() == 0
+
+
+def natural_count(bosons, fermions, k):
+    """d(k): the number of monomials of degree k in the given numbers of
+    bosonic and fermionic variables."""
+    return sum(math.comb(fermions, j) * math.comb(k - j + bosons - 1, bosons - 1)
+               for j in range(min(fermions, k) + 1))
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 3), (3, 1), (1, 2)])
+def test_gl_natural_slice_sizes_match_closed_form(n, m):
+    # (l, lp) splits into degree l in the x's and thetas, lp in the y's and
+    # varthetas
+    sch = GradingScheme(SchemeKind.GL_NATURAL, n, m)
+    for l in range(4):
+        for lp in range(4):
+            assert enumerate_slice(sch, (l, lp)).dimension() == (
+                natural_count(n, m, l) * natural_count(n, m, lp))
+
+
+@pytest.mark.parametrize("kind", [SchemeKind.OSP_EVEN_NATURAL,
+                                  SchemeKind.OSP_ODD_NATURAL])
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 3), (1, 2)])
+def test_osp_natural_slice_sizes_match_closed_form(kind, n, m):
+    sch = GradingScheme(kind, n, m)
+    bosons = 2 * n + (1 if sch.has_x0 else 0)
+    for k in range(5):
+        assert enumerate_slice(sch, k).dimension() == natural_count(bosons, 2 * m, k)
 
 
 # ===================================================================
