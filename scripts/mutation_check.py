@@ -169,6 +169,35 @@ MUTATIONS = (
         "for d in range(1):",
         ("tests/test_algebra.py::test_slice_matches_filter_oracle",),
     ),
+    Mutation(
+        # j = 1 on the vt indices too: (th_r, vt_s) loses its symmetric sign
+        "form-sign-ignores-vt",
+        "src/superharm/representations.py",
+        "    if (a > 2 * n + m) != (b > 2 * n + m):\n"
+        "        sign = -sign\n",
+        "",
+        ("tests/test_representations.py::test_osp_basis_is_independent",
+         "tests/test_representations.py::"
+         "test_osp_membership_matches_eta_stabilizer"),
+    ),
+    Mutation(
+        "partner-offsets-fermions-by-n",
+        "src/superharm/representations.py",
+        "    return a + m if a <= 2 * n + m else a - m\n",
+        "    return a + n if a <= 2 * n + m else a - n\n",
+        ("tests/test_representations.py::test_gl_natural_units",
+         "tests/test_representations.py::"
+         "test_osp_membership_matches_eta_stabilizer"),
+    ),
+    Mutation(
+        "super-commutator-drops-mirror-term",
+        "src/superharm/operators.py",
+        "            if not db.isdisjoint(ma):\n"
+        "                _add_product(acc, wb, wa, base if pa and pb else -base, False)\n",
+        "",
+        ("tests/test_operators.py::test_commutator_matches_full_products",
+         "tests/test_representations.py::test_homomorphism_all_variants"),
+    ),
 )
 
 

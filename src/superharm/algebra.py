@@ -191,11 +191,10 @@ class SuperMonomial(NamedTuple):
         return sign, SuperMonomial(tuple(sorted(acc.items())), fw)
 
     def sort_key(self):
-        """Graded order key; ties broken variable by variable."""
-        pairs = sorted(
-            [(v, -e) for v, e in self.bos] + [(v, -1) for v in self.ferm]
-        )
-        return (self.degree(), pairs)
+        """Graded order key; ties broken variable by variable (the canonical
+        form lists the variables in order, every fermion after every boson)."""
+        return (self.degree(),
+                [(v, -e) for v, e in self.bos] + [(v, -1) for v in self.ferm])
 
     def render(self) -> str:
         parts = []

@@ -59,7 +59,6 @@ from .linalg import (
 from .operators import (
     DiffOperator,
     ImageTable,
-    commutator,
     named_operator,
     number_operator,
     super_commutator,
@@ -787,13 +786,13 @@ def _commutator_identities(scheme: GradingScheme):
     bos_number = number_operator(pos_x + pos_y, neg_x + neg_y)
     out = [(
         "fermionic pair",
-        commutator(named_operator("DELTA_CHECK", scheme),
-                   named_operator("ETA_CHECK", scheme), 1),
+        super_commutator(named_operator("DELTA_CHECK", scheme),
+                         named_operator("ETA_CHECK", scheme)),
         one.scale(-m) + ferm_number,
     ), (
         "twisted bosonic pair" if scheme.is_twisted else "bosonic pair",
-        commutator(named_operator("DELTA_BAR", scheme),
-                   named_operator("ETA_BAR", scheme), 1),
+        super_commutator(named_operator("DELTA_BAR", scheme),
+                         named_operator("ETA_BAR", scheme)),
         one.scale(e) + bos_number,
     )]
     if scheme.has_x0:

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals, plus polynomial-space helpers.
 
 There is one elimination, `_echelon_add`, which adds rows to a forward
-echelon form (eliminated below each pivot, never above); `rref` runs on
-it, and every other question is a rank or a null space over that.
-`rank` counts the pivots of the forward form and builds no Fraction,
+echelon form (eliminated below each pivot, never above); `_forward` runs
+it on a whole matrix, whose pivots `rank` counts and `independent_subset`
+reads, and `rref` back-substitutes that form for `nullspace`;
 `span_rank` is the rank of the coefficient rows of some linear
 combinations (polynomials or algebra elements), `span_ranks` is the
 cumulative form of that one elimination (the ranks of span(F0),
@@ -32,16 +32,16 @@ integral), and the elimination runs on Python ints: each row is scaled
 to coprime integers by clearing its denominators (an all-int row only by
 its content gcd), eliminated fraction-free (row <- a*row - b*pivot_row
 with a, b divided by their gcd, then by the row's content gcd; cf.
-Bareiss, Math. Comp. 22, 1968), back-substituted for the reduced forms
-and, in `rref`'s default form, divided by its pivot once at the end, so
-it returns rows of Fraction.  The reduced echelon form is unique, so the
-result is exactly the one plain Fraction elimination gives.  Everything
+Bareiss, Math. Comp. 22, 1968) and, in `rref`, back-substituted.  Its
+rows stay coprime integers with the pivot entry not normalised to 1; the
+reduced echelon form is unique, so each row divided by its pivot entry is
+exactly the row plain Fraction elimination gives.  Everything
 is dense: the matrices that show up here are small once the caller
 blocks by a conserved quantity (grading label or Cartan weight).
 
 SUPERHARM_MAX_CELLS (environment) caps the number of cells in any single
 dense matrix; exceeding it raises MatrixBudgetError instead of truncating.
-`rref`, `poly_matrix` and each kernel read it once per call, and a kernel
+`_forward`, `poly_matrix` and each kernel read it once per call, and a kernel
 passes the parsed budget down to the equations of every block.
 """
 
@@ -82,9 +82,6 @@ def _check_budget(nrows: int, ncols: int, budget: Optional[int]) -> None:
 # plain matrices (lists of rows of ints and Fractions)
 # ===================================================================
 
-_ZERO = Fraction(0)
-
-
 def _integer_row(row: Sequence[Scalar]) -> Sequence[int]:
     """The row times the lcm of its denominators, divided by its content:
     coprime integers spanning the same line.  An all-int row is only
@@ -96,9 +93,6 @@ def _integer_row(row: Sequence[Scalar]) -> Sequence[int]:
         row = [v.numerator * (den // v.denominator) for v in row]
     g = gcd(*row)
     return [a // g for a in row] if g > 1 else row
-
-
-_FORMS = ("fraction", "integer", "forward")
 
 
 def _clear(row: Sequence[int], prow: Sequence[int], c: int) -> Sequence[int]:
@@ -122,9 +116,9 @@ def _echelon_add(
     its leading column until its leading column is not yet a pivot, where
     it joins the echelon, or it vanishes.  A row of the echelon has zeros
     left of its pivot, so every pivot column is zero in the rows whose
-    pivot lies to its right.  This is the one elimination: `rref` runs on
-    it, the joint kernel feeds it one operator's equations at a time, and
-    `span_ranks` one family's rows at a time.
+    pivot lies to its right.  This is the one elimination: `_forward` runs
+    it on a whole matrix, the joint kernel feeds it one operator's
+    equations at a time, and `span_ranks` one family's rows at a time.
     """
     for row in rows:
         row = _integer_row(row)
@@ -139,29 +133,24 @@ def _echelon_add(
             c = next(filter(row.__getitem__, range(c + 1, n)), n)
 
 
-def rref(
-    rows: Sequence[Sequence[Scalar]], *, form: str = "fraction"
-) -> tuple[list[list[Scalar]], list[int]]:
-    """Row echelon form; returns (nonzero rows, pivot column indexes).
-
-    form="fraction": the reduced row echelon form, rows of Fraction.
-    form="integer": the same rows, each scaled to coprime integers, with
-    the pivot entry not normalised to 1.
-    form="forward": rows of coprime integers eliminated below each pivot
-    only, which is all a rank or a pivot set needs.
-    The pivots are the same in every form.  Integer rows may be the
-    caller's own input rows: read them, never write into them.
-    """
-    if form not in _FORMS:
-        raise ValueError(f"unknown echelon form {form!r}")
+def _forward(rows: Sequence[Sequence[Scalar]]) -> dict[int, Sequence[int]]:
+    """The forward echelon form of the rows, {pivot column: row}, once the
+    matrix passes the cell budget: all a rank or a pivot set needs."""
     if rows:
         _check_budget(len(rows), len(rows[0]), _budget())
     echelon: dict[int, Sequence[int]] = {}
     _echelon_add(echelon, rows)
+    return echelon
+
+
+def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Sequence[int]], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot column indexes),
+    each row coprime integers with its pivot entry not normalised to 1.
+    The rows may be the caller's own input rows: read them, never write
+    into them."""
+    echelon = _forward(rows)
     pivots = sorted(echelon)
     work = [echelon[c] for c in pivots]
-    if form == "forward":
-        return work, pivots
     # back substitution, last pivot first: row k is already clear at every
     # later pivot, so clearing column pivots[k] above it keeps them clear
     for k in range(len(work) - 1, 0, -1):
@@ -169,20 +158,17 @@ def rref(
         for i in range(k):
             if work[i][c]:
                 work[i] = _clear(work[i], prow, c)
-    if form == "integer":
-        return work, pivots
-    return [[Fraction(u, row[c]) if u else _ZERO for u in row]
-            for row, c in zip(work, pivots)], pivots
+    return work, pivots
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    return len(rref(rows, form="forward")[1])
+    return len(_forward(rows))
 
 
 def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scalar]]:
     """Basis of {v : M v = 0} for the matrix with the given rows, entries
     in canonical coefficient form (an int when integral)."""
-    red, pivots = rref(rows, form="integer")
+    red, pivots = rref(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -260,7 +246,7 @@ def independent_subset(polys: Sequence[SuperPolynomial]) -> list[int]:
     """Indexes of a maximal linearly independent subfamily (greedy, stable):
     the pivot columns of the matrix whose columns are the polynomials."""
     rows, _ = poly_matrix(polys)
-    return rref(list(zip(*rows)), form="forward")[1]
+    return sorted(_forward(list(zip(*rows))))
 
 
 def window_intersection_dimension(

@@ -18,8 +18,8 @@ unchanged; disjoint fermionic words just pick up the sign
 
 The uncontracted term of two atoms' product is their product in the
 associated graded algebra, which is supercommutative, so it cancels from
-a∘b - (-1)^{|a||b|} b∘a.  `commutator` and `super_commutator` share
-`compose`'s atom-pair loop and never build the terms that cancel.
+a∘b - (-1)^{|a||b|} b∘a.  `super_commutator` shares `compose`'s
+atom-pair loop and never builds the terms that cancel.
 
 `twist` maps an operator through the Weyl-algebra automorphism of a
 twisted scheme (v -> d_v, d_v -> -v on the swapped bosonic variables); the
@@ -101,7 +101,7 @@ class OpWord(NamedTuple):
     def sort_key(self):
         return (
             self.mult.sort_key(),
-            sorted((v, -e) for v, e in self.dbos),
+            [(v, -e) for v, e in self.dbos],
             self.dferm,
         )
 
@@ -414,32 +414,24 @@ def _atom_sides(op: DiffOperator):
 
 
 def _signed_product(a: DiffOperator, b: DiffOperator,
-                    s: Optional[int]) -> DiffOperator:
-    """a∘b - s·b∘a, the one atom-pair loop behind compose (s = 0),
-    commutator and super_commutator (s None: each atom pair wa, wb
-    takes s = (-1)^{|wa||wb|}).
-
-    When an atom pair's s is (-1)^{|wa||wb|}, the uncontracted terms of
-    wa∘wb and s·wb∘wa cancel, so neither is built, and an order whose
-    derivatives meet none of the other atom's multipliers, which has no
-    other term, is skipped before any cross is formed.
-    """
+                    graded: bool) -> DiffOperator:
+    """a∘b, or when graded the sum over atom pairs of wa∘wb -
+    (-1)^{|wa||wb|} wb∘wa: the one atom-pair loop behind compose and
+    super_commutator.  Graded, the uncontracted terms cancel and are never
+    built, and an order whose derivatives meet none of the other atom's
+    multipliers, which has no other term, is skipped before any cross."""
     acc: dict[OpWord, Scalar] = {}
     b_sides = _atom_sides(b)
     for wa, ca, pa, ma, da in _atom_sides(a):
         for wb, cb, pb, mb, db in b_sides:
-            graded = -1 if pa and pb else 1
-            t = graded if s is None else s
             base = ca * cb
-            if t == graded:
-                if not da.isdisjoint(mb):
-                    _add_product(acc, wa, wb, base, False)
-                if not db.isdisjoint(ma):
-                    _add_product(acc, wb, wa, -t * base, False)
-            else:
+            if not graded:
                 _add_product(acc, wa, wb, base, True)
-                if t:
-                    _add_product(acc, wb, wa, -t * base, True)
+                continue
+            if not da.isdisjoint(mb):
+                _add_product(acc, wa, wb, base, False)
+            if not db.isdisjoint(ma):
+                _add_product(acc, wb, wa, base if pa and pb else -base, False)
     return DiffOperator(acc)
 
 
@@ -448,31 +440,16 @@ def compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
 
     Each atom pair gives its uncontracted term, the atoms' words multiplied
     as in a supercommutative algebra, plus one term per contraction where
-    a's derivatives meet b's multipliers.  The associated graded algebra is
-    supercommutative, so the uncontracted term of wa∘wb is (-1)^{|wa||wb|}
-    times that of wb∘wa; `commutator` builds neither when they cancel.
+    a's derivatives meet b's multipliers.
     """
-    return _signed_product(a, b, 0)
-
-
-def commutator(a: DiffOperator, b: DiffOperator, s: int) -> DiffOperator:
-    """a∘b - s·b∘a for any a and b; the saving is for s in {1, -1}.
-
-    For each atom pair with s = (-1)^{|wa||wb|} the uncontracted terms of
-    wa∘wb and s·wb∘wa cancel (the associated graded algebra is
-    supercommutative), so only the contraction terms are built; every
-    other atom pair keeps its uncontracted terms.  The result is the
-    normal form of compose(a, b) - compose(b, a).scale(s), mixed-parity
-    operators included.
-    """
-    return _signed_product(a, b, s)
+    return _signed_product(a, b, False)
 
 
 def super_commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
     """[a, b] = ab - (-1)^{|a||b|} ba, extended bilinearly over parity
     parts: each atom pair takes its own sign, so no uncontracted term is
     built."""
-    return _signed_product(a, b, None)
+    return _signed_product(a, b, True)
 
 
 def twist(op: DiffOperator, scheme: GradingScheme) -> DiffOperator:

@@ -9,6 +9,10 @@ Three matrix superalgebras act on the polynomial algebra:
                            invariant;
 * ``osp(2n+1|2m)``       — same with one extra even index 0.
 
+One partner map and one sign state osp: X lies in osp exactly when
+X[a,b] + eps(a,b) X[b*,a*] = 0.  The osp basis, the membership test and
+the natural gl(n|m) units (gl(n|m) inside osp(2n|2m)) all read it.
+
 Each grading scheme of the algebra module carries a representation of the
 matching superalgebra by differential operators.  The natural variants act
 by first-order operators; the tables below give the natural image of every
@@ -24,7 +28,7 @@ singular vectors are read off the algebra basis, with the roots ordered
 by eps_1 > ... > eps_n > delta_1 > ... > delta_m; the simple root vectors
 among them are checked to generate all positive ones.  The module also provides
 two self-contained checkers: an exhaustive bracket-homomorphism
-verification, which forms one commutator per unordered pair of basis
+verification, which forms one supercommutator per unordered pair of basis
 operators and checks both ordered pairs from it, and the stabilizer
 characterization of osp.
 """
@@ -45,13 +49,11 @@ from .algebra import (
     SuperMonomial,
     SuperPolynomial,
     VariableId,
-    theta,
-    vartheta,
     x,
-    y,
 )
-from .linalg import nullspace, poly_matrix, rank, rref, span_rank
-from .operators import DiffOperator, OpWord, commutator, named_operator, twist
+from .linalg import nullspace, poly_matrix, rank, span_rank
+from .operators import (DiffOperator, OpWord, named_operator, super_commutator,
+                        twist)
 from .report import InternalError, Verdict, VerificationReport
 
 
@@ -199,85 +201,75 @@ def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
 
 
 # ===================================================================
-# osp bases inside the ambient gl
+# osp inside the ambient gl: one partner map, one sign
 # ===================================================================
 
-def osp_basis(space: AlgebraSpace) -> List[AlgebraElement]:
-    """Basis of osp inside the ambient gl matrix space.
+def _partner(n: int, m: int, a: int) -> int:
+    """The index the invariant form pairs with a: x_i <-> y_i,
+    th_r <-> vt_r, x0 <-> x0."""
+    if a == 0:
+        return 0
+    if a <= 2 * n:
+        return a + n if a <= n else a - n
+    return a + m if a <= 2 * n + m else a - m
 
-    Even part: the gl(n)-type block {E_{i,j} - E_{n+j,n+i}}, the
-    antisymmetric off-blocks, the gl(m)-type fermionic block and the
-    symmetric fermionic off-blocks.  Odd part: four nm-families.  The
-    odd variant appends the extra row/column-0 combinations.
-    """
+
+def _form_sign(n: int, m: int, a: int, b: int) -> int:
+    """eps(a,b) = j(a) j(b) (-1)^{|a|(|b|+1)}, j = -1 on the vt indices
+    and +1 elsewhere: X lies in osp exactly when it solves
+    X[a,b] + eps(a,b) X[b*,a*] = 0 for every key (a, b), b* = _partner(b)."""
+    sign = -1 if a > 2 * n >= b else 1
+    if (a > 2 * n + m) != (b > 2 * n + m):
+        sign = -sign
+    return sign
+
+
+def _osp_terms(n: int, m: int, a: int, b: int) -> Dict[Tuple[int, int], int]:
+    """{key: coefficient} of E[a,b] - eps(a,b) E[b*,a*], the osp element
+    of the key (a, b); 2 E[a,b] where the key is its own mirror."""
+    mirror = (_partner(n, m, b), _partner(n, m, a))
+    terms = {(a, b): 1}
+    terms[mirror] = terms.get(mirror, 0) - _form_sign(n, m, a, b)
+    return terms
+
+
+def osp_basis(space: AlgebraSpace) -> List[AlgebraElement]:
+    """Basis of osp inside the ambient gl: `_osp_terms` of one key per
+    mirror pair.  Even keys (x_i, x_j), (th_r, th_s), then (x_i, y_j),
+    (y_i, x_j) for i < j and (th_r, vt_s), (vt_r, th_s) for r <= s; odd
+    keys (x_i, th_r), (th_r, x_i), (x_i, vt_r), (y_i, th_r); on the odd
+    variant the row-0 keys (0, x_i), (0, y_i), (0, th_r), (0, vt_r)."""
     if space.family is AlgebraFamily.GL:
         raise ValueError("osp basis requested for a gl space")
     n, m = space.n, space.m
-    xi = lambda i: i
-    yi = lambda i: n + i
-    th = lambda r: 2 * n + r
-    vt = lambda r: 2 * n + m + r
-    E = lambda a, b: AlgebraElement.unit(space, a, b)
-    basis: List[AlgebraElement] = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            basis.append(E(xi(i), xi(j)) - E(yi(j), yi(i)))
-    for r in range(1, m + 1):
-        for s in range(1, m + 1):
-            basis.append(E(th(r), th(s)) - E(vt(s), vt(r)))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            basis.append(E(xi(i), yi(j)) - E(xi(j), yi(i)))
-            basis.append(E(yi(i), xi(j)) - E(yi(j), xi(i)))
-    for r in range(1, m + 1):
-        for s in range(r, m + 1):
-            basis.append(E(th(r), vt(s)) + E(th(s), vt(r)))
-            basis.append(E(vt(r), th(s)) + E(vt(s), th(r)))
-    for i in range(1, n + 1):
-        for r in range(1, m + 1):
-            basis.append(E(xi(i), th(r)) - E(vt(r), yi(i)))
-            basis.append(E(th(r), xi(i)) + E(yi(i), vt(r)))
-            basis.append(E(xi(i), vt(r)) + E(th(r), yi(i)))
-            basis.append(E(yi(i), th(r)) - E(vt(r), xi(i)))
+    xs = range(1, n + 1)  # y_i = x_i + n, vt_r = th_r + m
+    ths = range(2 * n + 1, 2 * n + m + 1)
+    keys = [(i, j) for i in xs for j in xs]
+    keys += [(r, s) for r in ths for s in ths]
+    keys += [k for i in xs for j in xs if i < j for k in ((i, n + j), (n + i, j))]
+    keys += [k for r in ths for s in ths if r <= s
+             for k in ((r, s + m), (r + m, s))]
+    keys += [k for i in xs for r in ths
+             for k in ((i, r), (r, i), (i, r + m), (n + i, r))]
     if space.family is AlgebraFamily.OSP_ODD:
-        for i in range(1, n + 1):
-            basis.append(E(0, xi(i)) - E(yi(i), 0))
-            basis.append(E(0, yi(i)) - E(xi(i), 0))
-        for r in range(1, m + 1):
-            basis.append(E(0, th(r)) - E(vt(r), 0))
-            basis.append(E(0, vt(r)) + E(th(r), 0))
-    return basis
-
-
-@functools.lru_cache(maxsize=None)
-def _osp_span_data(space: AlgebraSpace):
-    """The keys the osp basis touches, and its reduced echelon rows in pivot
-    order, each stored sparsely as (pivot key, {key: nonzero value})."""
-    dense, keys = poly_matrix(osp_basis(space))
-    red, pivots = rref(dense)
-    rows = [(keys[pc], {k: v for k, v in zip(keys, row) if v})
-            for row, pc in zip(red, pivots)]
-    return frozenset(keys), rows
+        keys += [k for i in xs for k in ((0, i), (0, n + i))]
+        keys += [k for r in ths for k in ((0, r), (0, r + m))]
+    return [AlgebraElement(space, _osp_terms(n, m, a, b)) for a, b in keys]
 
 
 def is_orthosymplectic(elem: AlgebraElement) -> bool:
-    """Exact span-membership test against the osp basis."""
-    if elem.space.family is AlgebraFamily.GL:
+    """Whether elem solves the osp equation; its own keys suffice, since
+    a nonzero entry at another key's mirror fails its own equation."""
+    space = elem.space
+    if space.family is AlgebraFamily.GL:
         raise ValueError("membership test is for osp ambient spaces")
-    keys, rows = _osp_span_data(elem.space)
-    vec = dict(elem._terms)
-    if not keys.issuperset(vec):
-        return False
-    for pk, row in rows:
-        f = vec.get(pk)
-        if f:
-            for k, v in row.items():
-                r = vec.get(k, 0) - f * v
-                if r:
-                    vec[k] = r
-                else:
-                    del vec[k]
-    return not vec
+    n, m = space.n, space.m
+    terms = elem._terms
+    for (a, b), c in terms.items():
+        mirror = (_partner(n, m, b), _partner(n, m, a))
+        if c + _form_sign(n, m, a, b) * terms.get(mirror, 0):
+            return False
+    return True
 
 
 def algebra_basis(scheme: GradingScheme) -> List[AlgebraElement]:
@@ -391,30 +383,27 @@ def _atom(coeff: Scalar, mults: Sequence[VariableId] = (),
                              tuple(dbos.items()), tuple(sorted(dferm)))
 
 
-def _gl_natural_unit(scheme: GradingScheme, a: int, b: int) -> DiffOperator:
-    n = scheme.n
-    if a <= n and b <= n:
-        return _atom(1, [x(a)], [x(b)]) + _atom(-1, [y(b)], [y(a)])
-    if a <= n < b:
-        r = b - n
-        return _atom(1, [x(a)], [theta(r)]) + _atom(-1, [vartheta(r)], [y(a)])
-    if b <= n < a:
-        r = a - n
-        return _atom(1, [theta(r)], [x(b)]) + _atom(1, [y(b)], [vartheta(r)])
-    r, s = a - n, b - n
-    return _atom(1, [theta(r)], [theta(s)]) + _atom(-1, [vartheta(s)], [vartheta(r)])
-
-
 def _osp_ambient_variable(scheme: GradingScheme, a: int) -> VariableId:
     """The variable of ambient index a: the indices 0 (x0, odd kinds only),
-    1..n, n+1..2n, 2n+1..2n+m, 2n+m+1..2n+2m follow `scheme.variables()`."""
+    1..n, n+1..2n, 2n+1..2n+m, 2n+m+1..2n+2m follow `scheme.variables()`
+    (so do a gl scheme's)."""
     return scheme.variables()[a if scheme.has_x0 else a - 1]
 
 
 def _osp_natural_unit(scheme: GradingScheme, a: int, b: int) -> DiffOperator:
-    za = _osp_ambient_variable(scheme, a)
-    zb = _osp_ambient_variable(scheme, b)
-    return _atom(1, [za], [zb])
+    return _atom(1, [_osp_ambient_variable(scheme, a)],
+                 [_osp_ambient_variable(scheme, b)])
+
+
+def _gl_natural_unit(scheme: GradingScheme, a: int, b: int) -> DiffOperator:
+    """The unit E[a,b] acts as the osp(2n|2m) element `_osp_terms` of its
+    key embedded on the x and th indices (i > n goes to n + i)."""
+    n = scheme.n
+    embed = lambda i: i if i <= n else n + i
+    op = DiffOperator.zero()
+    for (c, d), k in _osp_terms(n, scheme.m, embed(a), embed(b)).items():
+        op = op + _osp_natural_unit(scheme, c, d).scale(k)
+    return op
 
 
 @functools.lru_cache(maxsize=None)
@@ -476,16 +465,17 @@ def verify_homomorphism(rep: GradingScheme) -> VerificationReport:
     """Check rho([a,b]) = rho(a)rho(b) - (-1)^{|a||b|} rho(b)rho(a) for
     every ordered pair of algebra basis elements, as an exact equality of
     normal-form operators.  For osp the bracket is additionally checked
-    to stay inside the osp span.  "sample_dimension" stays in the report
+    to solve the osp equation.  "sample_dimension" stays in the report
     as a constant 0 so that the report format does not change.
 
-    The loop runs over unordered pairs {a, b}: it forms the one commutator
-    c = rho(a)rho(b) - s rho(b)rho(a), s = (-1)^{|a||b|}, and checks (a, b)
-    against c and (b, a) against -s c.  The associated graded algebra is
-    supercommutative, so each atom pair's uncontracted terms cancel from
-    c; `operators.commutator` never builds them, and skips the atom pairs
-    whose variables do not meet.  A FAIL names the first failing ordered
-    pair in row-major order, with pairs_checked its row-major position.
+    The loop runs over unordered pairs {a, b}: it forms the one
+    supercommutator c = rho(a)rho(b) - s rho(b)rho(a), s = (-1)^{|a||b|},
+    and checks (a, b) against c and (b, a) against -s c.  The associated
+    graded algebra is supercommutative, so each atom pair's uncontracted
+    terms cancel from c; `operators.super_commutator` never builds them,
+    and skips the atom pairs whose variables do not meet.  A FAIL names the
+    first failing ordered pair in row-major order, with pairs_checked its
+    row-major position.
     """
     basis = algebra_basis(rep)
     space = algebra_space(rep)
@@ -505,7 +495,7 @@ def verify_homomorphism(rep: GradingScheme) -> VerificationReport:
     for i in range(n):
         for j in range(i, n):
             s = -1 if parities[i] and parities[j] else 1
-            c = commutator(ops[i], ops[j], s)
+            c = super_commutator(ops[i], ops[j])
             pairs = [(i, j, c)]
             if j > i:
                 pairs.append((j, i, -c if s == 1 else c))

@@ -15,7 +15,9 @@ action `oracle_apply` runs on `oracle_derive`, one Leibniz derivative step
 and one intermediate polynomial at a time, `oracle_compose` is the earlier
 composition that expands every variable of an atom pair, shared or not,
 `oracle_super_commutator` builds both full products of each pair of parity
-parts, osp membership is the earlier dense reduction,
+parts, osp membership is the dense reduction against the osp basis
+(the η-stabilizer test in test_representations checks both against a
+rule that shares nothing with the basis's sign),
 `oracle_singular_vectors` is the earlier singular solve on every positive
 generator rather than the simple root vectors, and `oracle_kernel`, which
 that solve runs on, builds the kernel equations as the earlier

@@ -114,33 +114,14 @@ def rational_matrices(draw):
 @given(rational_matrices())
 @settings(max_examples=300)
 def test_rref_matches_fraction_oracle(mat):
-    red, pivots = rref(mat)
-    want_red, want_pivots = oracle_rref(mat)
-    assert pivots == want_pivots
-    assert red == want_red
-    assert all(isinstance(v, Fraction) for row in red for v in row)
-
-
-@given(rational_matrices())
-@settings(max_examples=300)
-def test_integer_forms_match_fraction_oracle(mat):
     want_red, want_pivots = oracle_rref(mat)
     assert rank(mat) == len(want_pivots)
-    red, pivots = rref(mat, form="integer")
+    red, pivots = rref(mat)
     assert pivots == want_pivots
+    assert all(type(u) is int for row in red for u in row)
+    # coprime integer rows: each one divided by its pivot entry is the
+    # reduced row the plain Fraction elimination gives
     assert [[F(u, row[c]) for u in row] for row, c in zip(red, pivots)] == want_red
-    fwd, fwd_pivots = rref(mat, form="forward")
-    assert fwd_pivots == want_pivots
-    assert rank(fwd) == len(fwd)
-    assert all(type(u) is int for row in red + fwd for u in row)
-    # eliminated below each pivot only: zeros under it, the rows above kept
-    for i, c in enumerate(fwd_pivots):
-        assert all(row[c] == 0 for row in fwd[i + 1:])
-
-
-def test_unknown_echelon_form():
-    with pytest.raises(ValueError):
-        rref([[F(1)]], form="upper")
 
 
 @given(rational_matrices())

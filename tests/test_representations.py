@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superharm.algebra import (
+    Family,
     GradingScheme,
     SchemeKind,
     SuperPolynomial,
+    VariableId,
     enumerate_slice,
     theta,
     vartheta,
@@ -215,6 +217,58 @@ def test_osp_membership_matches_dense_oracle(data):
     assert is_orthosymplectic(off) == oracles.oracle_is_orthosymplectic(off)
 
 
+ETA_SCHEMES = [GradingScheme(kind, n, m)
+               for kind in (SchemeKind.OSP_EVEN_NATURAL, SchemeKind.OSP_ODD_NATURAL)
+               for n, m in ((1, 2), (2, 3), (3, 2))]
+
+# the partner of each variable under the invariant form eta
+FORM_PARTNER = {Family.X0: Family.X0, Family.X: Family.Y, Family.Y: Family.X,
+                Family.THETA: Family.VARTHETA, Family.VARTHETA: Family.THETA}
+
+
+@st.composite
+def ambient_elements(draw, scheme):
+    """An element of the scheme's ambient gl: a rational combination of osp
+    basis elements, a matrix unit E[a,b], or E[a,b] +- E[b*,a*] with b*
+    the index of b's partner variable; the last two plus, sometimes, such
+    a combination."""
+    sp = algebra_space(scheme)
+    var_of = dict(zip(sp.indices(), scheme.variables()))
+    index_of = {v: a for a, v in var_of.items()}
+    partner = lambda a: index_of[VariableId(FORM_PARTNER[var_of[a].family],
+                                            var_of[a].index)]
+    basis = osp_basis(sp)
+    picked = draw(st.lists(st.sampled_from(range(len(basis))), max_size=4))
+    comb = AlgebraElement.zero(sp)
+    for i in picked:
+        comb = comb + basis[i].scale(draw(osp_rationals))
+    case = draw(st.sampled_from(["combination", "unit", "mirrored pair"]))
+    if case == "combination":
+        return comb
+    a = draw(st.sampled_from(list(sp.indices())))
+    b = draw(st.sampled_from(list(sp.indices())))
+    elem = E(sp, a, b)
+    if case == "mirrored pair":
+        sign = draw(st.sampled_from([1, -1]))
+        elem = elem + E(sp, partner(b), partner(a)).scale(sign)
+    return elem + comb if draw(st.booleans()) else elem
+
+
+@pytest.mark.parametrize("scheme", ETA_SCHEMES,
+                         ids=lambda s: f"{s.kind.value}-{s.n}-{s.m}")
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_osp_membership_matches_eta_stabilizer(scheme, data):
+    """On a natural scheme rep_operator is a bijection from the ambient gl
+    onto the first-order atoms, and osp is exactly the stabilizer of the
+    eta polynomial there: an oracle that shares nothing with the sign rule
+    behind `osp_basis` and `is_orthosymplectic`."""
+    elem = data.draw(ambient_elements(scheme))
+    eta = named_operator("ETA", scheme).apply(SuperPolynomial.one())
+    stabilizes = rep_operator(elem, scheme).apply(eta).is_zero()
+    assert is_orthosymplectic(elem) == stabilizes, elem.render()
+
+
 def test_osp_bracket_closure_sample():
     sp = algebra_space(ODD11)
     basis = osp_basis(sp)
@@ -244,6 +298,14 @@ def test_gl_natural_units():
         w(1, "x1", dbos=((x(2), 1),)) + w(-1, "y2", dbos=((y(1), 1),)))
     assert rep_operator(E(algebra_space(GL23), 3, 4), GL23) == (
         w(1, "th1", dferm=(theta(2),)) + w(-1, "vt2", dferm=(vartheta(1),)))
+    assert rep_operator(E(algebra_space(GL23), 2, 5), GL23) == (
+        w(1, "x2", dferm=(theta(3),)) + w(-1, "vt3", dbos=((y(2), 1),)))
+    assert rep_operator(E(algebra_space(GL23), 5, 2), GL23) == (
+        w(1, "th3", dbos=((x(2), 1),)) + w(1, "y2", dferm=(vartheta(3),)))
+    assert rep_operator(E(algebra_space(GL23), 5, 3), GL23) == (
+        w(1, "th3", dferm=(theta(1),)) + w(-1, "vt1", dferm=(vartheta(3),)))
+    assert rep_operator(E(algebra_space(GL23), 4, 4), GL23) == (
+        w(1, "th2", dferm=(theta(2),)) + w(-1, "vt2", dferm=(vartheta(2),)))
 
 
 def test_gl_twisted_units():
@@ -404,7 +466,8 @@ def test_homomorphism_builds_each_product_once(monkeypatch, scheme):
     import superharm.operators as ops
     import superharm.representations as reps
 
-    calls = {"commutator": 0, "compose": 0, "bracket": 0, "rep_operator": 0}
+    calls = {"super_commutator": 0, "compose": 0, "bracket": 0,
+             "rep_operator": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -416,13 +479,13 @@ def test_homomorphism_builds_each_product_once(monkeypatch, scheme):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(ops, "compose")
-    for name in ("commutator", "bracket", "rep_operator"):
+    for name in ("super_commutator", "bracket", "rep_operator"):
         counted(reps, name)
     n = len(algebra_basis(scheme))
     report = verify_homomorphism(scheme)
     assert report.verdict is Verdict.PASS
     assert report.dimensions["pairs_checked"] == n * n
-    assert calls["commutator"] == n * (n + 1) // 2
+    assert calls["super_commutator"] == n * (n + 1) // 2
     assert calls["compose"] == 0
     assert calls["bracket"] == n * n
     assert calls["rep_operator"] == n + n * n
