@@ -155,6 +155,15 @@ MUTATIONS = (
          "test_harmonic_check_rejects_a_vector_outside_the_kernel",),
     ),
     Mutation(
+        # the derivative monomial loses its fermions: th1*d_vt1 then claims
+        # th1's step alone as its shift, and its images land elsewhere
+        "weight-shift-ignores-fermionic-derivatives",
+        "src/superharm/harmonic.py",
+        "weight(SuperMonomial(w.dbos, w.dferm))",
+        "weight(SuperMonomial(w.dbos, ()))",
+        ("tests/test_linalg.py::test_weight_shift_proves_the_weight_block_rule",),
+    ),
+    Mutation(
         "osp-union-never-raises-x0",
         "src/superharm/algebra.py",
         "    for e0 in range(cap + 1 if has_x0 else 1):\n",

@@ -51,10 +51,8 @@ from .linalg import (
     independent_subset,
     joint_kernel_basis_polys,
     kernel_basis_polys,
-    key_blocks,
     span_rank,
     span_ranks,
-    window_intersection_dimension,
 )
 from .operators import (
     DiffOperator,
@@ -132,16 +130,34 @@ def _weight_fn(scheme: GradingScheme) -> Callable[[SuperMonomial], Tuple[int, ..
     return weight
 
 
-def _group_polys_by_weight(polys: Sequence[SuperPolynomial], scheme: GradingScheme):
-    """Group weight-homogeneous polynomials; raises if one is mixed."""
+def _group_polys_by_weight(scheme: GradingScheme, *families: Sequence[SuperPolynomial]):
+    """Each weight's part of every family, {weight: [part of each family]}
+    in first-seen order; raises if a member is not weight-homogeneous."""
     weight = _weight_fn(scheme)
-    groups: Dict[Tuple[int, ...], List[SuperPolynomial]] = {}
-    for p in polys:
-        wts = {weight(m) for m, _ in p.items()}
-        if len(wts) != 1:
-            raise InternalError("expected a weight-homogeneous vector: " + p.render())
-        groups.setdefault(wts.pop(), []).append(p)
+    groups: Dict[Tuple[int, ...], List[List[SuperPolynomial]]] = {}
+    for f, family in enumerate(families):
+        for p in family:
+            wts = {weight(m) for m, _ in p.items()}
+            if len(wts) != 1:
+                raise InternalError("expected a weight-homogeneous vector: " + p.render())
+            wt, = wts
+            if wt not in groups:
+                groups[wt] = [[] for _ in families]
+            groups[wt][f].append(p)
     return groups
+
+
+def _weight_shift(op: DiffOperator, scheme: GradingScheme) -> Tuple[int, ...]:
+    """The weight shift all the operator's atoms share, else InternalError:
+    an atom u * d^w moves a weight by weight(u) - weight(w), so when they
+    agree the operator maps distinct weight blocks into distinct blocks."""
+    weight = _weight_fn(scheme)
+    shifts = {tuple(a - b for a, b in zip(weight(w.mult),
+                                          weight(SuperMonomial(w.dbos, w.dferm))))
+              for w, _ in op.items()}
+    if len(shifts) != 1:
+        raise InternalError(f"an operator's atoms shift weights unevenly: {sorted(shifts)}")
+    return shifts.pop()
 
 
 # ===================================================================
@@ -157,13 +173,13 @@ class HarmonicBasis:
         return len(self.vectors)
 
 
-def _check_harmonic_invariants(sl: GradedSlice, vectors, delta: ImageTable):
+def _check_harmonic_invariants(sl: GradedSlice, vectors, delta):
     for v in vectors:
         if not delta.apply(v).is_zero():
             raise InternalError("harmonic basis vector not annihilated: " + v.render())
     if each_owns_a_monomial(vectors):
         return
-    for block in _group_polys_by_weight(vectors, sl.scheme).values():
+    for block, in _group_polys_by_weight(sl.scheme, vectors).values():
         if span_rank(block) != len(block):
             raise InternalError("harmonic basis vectors are dependent")
 
@@ -176,7 +192,10 @@ def harmonic_kernel(sl: GradedSlice) -> HarmonicBasis:
     computed without truncation).  Delta's images are cached for the
     call, and each vector is re-verified as their exact combination.
     """
-    delta = ImageTable(named_operator("DELTA", sl.scheme))
+    op = named_operator("DELTA", sl.scheme)
+    if any(_weight_shift(op, sl.scheme)):
+        raise InternalError("Delta moves weights")
+    delta = ImageTable(op)
     vectors = kernel_basis_polys(delta, sl.basis, block_key=_weight_fn(sl.scheme))
     _check_harmonic_invariants(sl, vectors, delta)
     return HarmonicBasis(sl, tuple(vectors))
@@ -265,11 +284,10 @@ def _xu_osp_odd(sl: GradedSlice) -> List[SuperPolynomial]:
     of label k - iota, t1 = d_x0^2, t2 = 2 * (x0-free Delta)."""
     scheme = sl.scheme
     even_scheme = _even_partner(scheme)
-    cap = sl.degree_cap if even_scheme.is_twisted else None
     seeds = []
     for h, iota in ((SuperPolynomial.one(), 0), (SuperPolynomial.variable(x0()), 1)):
-        seeds.extend(h * SuperPolynomial.monomial(mono) for mono in
-                     enumerate_slice(even_scheme, sl.label - iota, cap).basis)
+        seeds.extend(h * SuperPolynomial.monomial(mono) for mono in enumerate_slice(
+            even_scheme, sl.label - iota, sl.degree_cap).basis)
     return xu_solve(scheme, ((x0(), 2),), seeds)
 
 
@@ -286,14 +304,12 @@ def xu_basis(sl: GradedSlice) -> HarmonicBasis:
         raise ValueError("no formula basis for the even osp schemes")
     spanning = _xu_gl(sl) if sl.scheme.is_gl else _xu_osp_odd(sl)
     # reduce to an independent family, blockwise for tractability
-    groups = _group_polys_by_weight([p for p in spanning if not p.is_zero()],
-                                    sl.scheme)
+    groups = _group_polys_by_weight(sl.scheme, [p for p in spanning if not p.is_zero()])
     vectors: List[SuperPolynomial] = []
     for wt in sorted(groups):
-        block = groups[wt]
+        block, = groups[wt]
         vectors.extend(block[i] for i in independent_subset(block))
-    _check_harmonic_invariants(sl, vectors,
-                               ImageTable(named_operator("DELTA", sl.scheme)))
+    _check_harmonic_invariants(sl, vectors, named_operator("DELTA", sl.scheme))
     return HarmonicBasis(sl, tuple(vectors))
 
 
@@ -341,13 +357,14 @@ def singular_vectors(sl: GradedSlice) -> SingularVectorSet:
     scheme = sl.scheme
     op_of = {g: rep_operator(g, scheme) for g in positive_generators(scheme)}
     delta = named_operator("DELTA", scheme)
-    found = joint_kernel_basis_polys(
-        [*(op_of[g] for g in simple_generators(scheme)), delta],
-        sl.basis, block_key=_weight_fn(scheme))
+    solve_ops = [*(op_of[g] for g in simple_generators(scheme)), delta]
+    for op in solve_ops:
+        _weight_shift(op, scheme)
+    found = joint_kernel_basis_polys(solve_ops, sl.basis, block_key=_weight_fn(scheme))
     ops = [*op_of.values(), delta]
     entries = []
     for v in found:
-        lead_mono, lead_coeff = v.terms()[0]
+        lead_coeff = v.terms()[0][1]
         v = v.scale(Fraction(1, lead_coeff))
         wt = weight_of(v, scheme)
         if wt is NOT_A_WEIGHT_VECTOR:
@@ -571,8 +588,8 @@ def decomposition_report(
     Candidates are eta^i images of the stepped harmonic bases.  On
     complete slices the check is exact: candidates must be independent
     and span the slice; since they lie in the slice (a candidate outside
-    it is an internal error), they span it when each weight block holds
-    as many of them as it has monomials.  On capped slices the harmonic
+    it is an internal error), they span it when they are as many as its
+    monomials.  On capped slices the harmonic
     bases are drawn from an enlarged internal window (cap + 2 * i_max) and
     the candidates must be independent (exact vectors, so dependence is a
     definite FAIL) and must span the degree-capped window; a spanning
@@ -613,9 +630,8 @@ def decomposition_report(
             if nxt.dimension() == 0:
                 break
             i_max += 1
-    # a twisted summand sits in the enlarged internal window; a natural
-    # one is the complete slice of its step label, which needs no cap
-    summand_cap = degree_cap + 2 * i_max if scheme.is_twisted else None
+    # a capped summand sits in the enlarged internal window
+    summand_cap = None if degree_cap is None else degree_cap + 2 * i_max
 
     # ---- candidates ----
     summand_dims: List[int] = []
@@ -631,46 +647,37 @@ def decomposition_report(
     report.dimensions["candidates"] = len(candidates)
 
     # ---- blockwise independence + spanning ----
-    groups = _group_polys_by_weight(candidates, scheme)
-    window_blocks = key_blocks(window.basis, _weight_fn(scheme))
     # one elimination per weight: candidates, then (capped, until a block
     # falls short) the window monomials, spanned iff the rank stays
-    targets = {} if window.complete else window_blocks
+    complete = window.complete
+    groups = _group_polys_by_weight(scheme, candidates, [] if complete else [
+        SuperPolynomial.monomial(u) for u in window.basis])
     independent = True
-    spanning = True
-    for wt in dict.fromkeys([*groups, *targets]):
-        block = groups.get(wt, [])
-        want = ([SuperPolynomial.monomial(u) for u in targets.get(wt, ())]
-                if spanning else [])
-        rank_block, rank_all = span_ranks(block, want)
+    spanning = len(candidates) == window.dimension() if complete else True
+    for block, monos in groups.values():
+        rank_block, rank_all = span_ranks(block, monos if spanning else [])
         if rank_block != len(block):
             independent = False
             break
         spanning = spanning and rank_all == len(block)
-    if independent and window.complete:
+    if independent and complete:
         inside = set(window.basis)
         if any(u not in inside for p in candidates for u, _ in p.items()):
             raise InternalError("an eta-power candidate leaves the complete slice")
-        spanning = all(len(groups.get(wt, [])) == len(monos)
-                       for wt, monos in window_blocks.items())
     direct_sum = independent and spanning
     report.dimensions["direct_sum_holds"] = direct_sum
 
     # ---- witness of overlap when the structure fails ----
     if not hyp.holds:
-        step1 = _step_label(scheme, label, 1)
-        sub = table.slice(scheme, step1,
-                          degree_cap if scheme.is_twisted else None)
-        eta_groups = _group_polys_by_weight(
-            [SuperPolynomial(q) for q in eta.images(sub.basis) if q], scheme)
-        h_groups = _group_polys_by_weight(
-            list(table.kernel(scheme, label, degree_cap).vectors), scheme)
+        # rank(H_w) = |H_w|: the kernel vectors were proved independent
+        sub = table.slice(scheme, _step_label(scheme, label, 1), degree_cap)
         inter = 0
-        for wt, hv in h_groups.items():
-            ev = eta_groups.get(wt, [])
-            if ev:
-                rank_h, rank_sum = span_ranks(hv, ev)
-                inter += rank_h + span_rank(ev) - rank_sum
+        for ev, hv in _group_polys_by_weight(
+                scheme, [SuperPolynomial(q) for q in eta.images(sub.basis) if q],
+                table.kernel(scheme, label, degree_cap).vectors).values():
+            if ev and hv:
+                rank_eta, rank_sum = span_ranks(ev, hv)
+                inter += len(hv) + rank_eta - rank_sum
         report.dimensions["harmonic_eta_overlap"] = inter
 
     # ---- verdict ----
@@ -729,13 +736,10 @@ def compare_bases(xu: HarmonicBasis, kern: HarmonicBasis) -> VerificationReport:
         cap=sl.degree_cap,
         dimensions={"kernel": kern.dimension(), "formula": xu.dimension()},
     )
-    xu_groups = _group_polys_by_weight(list(xu.vectors), scheme)
-    kern_groups = _group_polys_by_weight(list(kern.vectors), scheme)
+    groups = _group_polys_by_weight(scheme, xu.vectors, kern.vectors)
     if sl.complete:
         ok = xu.dimension() == kern.dimension()
-        for wt in set(xu_groups) | set(kern_groups):
-            a = xu_groups.get(wt, [])
-            b = kern_groups.get(wt, [])
+        for a, b in groups.values():
             rank_a, rank_ab = span_ranks(a, b)
             if rank_a != len(a) or span_rank(b) != len(b) or rank_ab != len(b):
                 ok = False
@@ -744,15 +748,14 @@ def compare_bases(xu: HarmonicBasis, kern: HarmonicBasis) -> VerificationReport:
         report.explanation = ("spans agree, dimension %d" % kern.dimension()
                               if ok else "span mismatch")
         return report
-    # capped window comparison
-    window_blocks = key_blocks(sl.basis, _weight_fn(scheme))
-    contained = all(
-        rank_xu == rank_both
-        for rank_xu, rank_both in (span_ranks(xu_groups.get(wt, []), block)
-                                   for wt, block in kern_groups.items()))
-    window_dim = sum(
-        window_intersection_dimension(block, window_blocks.get(wt, []))
-        for wt, block in xu_groups.items())
+    # capped: dim(span(xu_w) ∩ window) is the rank lost outside the window
+    window = set(sl.basis)
+    contained, window_dim = True, 0
+    for a, b in groups.values():
+        rank_xu, rank_both = span_ranks(a, b)
+        contained = contained and rank_xu == rank_both
+        window_dim += rank_xu - span_rank(
+            [SuperPolynomial({m: c for m, c in p.items() if m not in window}) for p in a])
     report.dimensions["formula_window"] = window_dim
     ok = contained and window_dim == kern.dimension()
     report.verdict = Verdict.PASS if ok else Verdict.FAIL

@@ -8,23 +8,24 @@ reads, and `rref` back-substitutes that form for `nullspace`;
 combinations (polynomials or algebra elements), `span_ranks` is the
 cumulative form of that one elimination (the ranks of span(F0),
 span(F0 + F1), ..., read as each family's rows join the echelon form),
-`each_owns_a_monomial` proves independence from the supports alone,
+`each_owns_a_monomial` proves independence from the supports alone, and
 `independent_subset` returns the pivot columns of the matrix whose
-columns are the polynomials, `window_intersection_dimension` is the rank
-a family loses when its window monomials are dropped, and both kernels
-take the null space of the equations the operator images give.  A kernel
-reads the images of a whole block in one `images` call per operator (a
-`DiffOperator`, or an `operators.ImageTable` that keeps them for a later
-re-verification), each a {monomial: coefficient} dict, and scatters them
-into one row per operator and output monomial, one column per input
-monomial of the block, once the budget is checked on the rows counted,
-before any row is allocated.  The joint kernel adds each operator's
-equations to the block's forward echelon form in turn and stops at full
-column rank, where the kernel is {0}; a block that never reaches it takes
-its null space from the echelon rows it holds, which is the basis the
-full solve on all its equations gives.  `nullspace` reads the reduced
-rows as integers and builds a Fraction only where an entry is not
-integral.
+columns are the polynomials.  There is one kernel solve,
+`joint_kernel_basis_polys`; `kernel_basis_polys` is its one-operator
+case.  It groups the monomials into blocks that the caller knows every
+operator sends into one block each, distinct blocks into distinct ones,
+and solves each block on its own.  It reads the images of a whole block
+in one `images` call per operator (a `DiffOperator`, or an
+`operators.ImageTable` that keeps them for a later re-verification),
+each a {monomial: coefficient} dict, and scatters them into one row per
+operator and output monomial, one column per input monomial of the
+block, once the budget is checked on the rows counted, before any row
+is allocated.  Each operator's equations join the block's forward
+echelon form in turn, and the block stops at full column rank, where
+its kernel is {0}; a block that never reaches it takes its null space
+from the echelon rows it holds, which is the basis the full solve on
+all its equations gives.  `nullspace` reads the reduced rows as
+integers and builds a Fraction only where an entry is not integral.
 
 Matrices come in as rows of ints and Fractions (the polynomial helpers
 hand over the coefficients as stored: ints unless a value is not
@@ -37,12 +38,12 @@ rows stay coprime integers with the pivot entry not normalised to 1; the
 reduced echelon form is unique, so each row divided by its pivot entry is
 exactly the row plain Fraction elimination gives.  Everything
 is dense: the matrices that show up here are small once the caller
-blocks by a conserved quantity (grading label or Cartan weight).
+blocks by grading label and Cartan weight.
 
 SUPERHARM_MAX_CELLS (environment) caps the number of cells in any single
 dense matrix; exceeding it raises MatrixBudgetError instead of truncating.
-`_forward`, `poly_matrix` and each kernel read it once per call, and a kernel
-passes the parsed budget down to the equations of every block.
+`_forward`, `poly_matrix` and the kernel solve read it once per call, and the
+solve passes the parsed budget down to the equations of every block.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from math import gcd, lcm
 from typing import Callable, Hashable, Optional, Sequence
 
 from superharm.algebra import LinearCombination, Scalar, SuperMonomial, SuperPolynomial
-from superharm.report import InternalError
 
 
 class MatrixBudgetError(RuntimeError):
@@ -249,20 +249,6 @@ def independent_subset(polys: Sequence[SuperPolynomial]) -> list[int]:
     return sorted(_forward(list(zip(*rows))))
 
 
-def window_intersection_dimension(
-    polys: Sequence[SuperPolynomial], window_monos: Sequence[SuperMonomial]
-) -> int:
-    """dim(span(polys) ∩ span(window monomials)), exact.
-
-    Dropping the window monomials is a linear map on span(polys) whose
-    kernel is exactly the intersection, so its dimension is the rank lost.
-    """
-    window = set(window_monos)
-    outside = [SuperPolynomial({m: c for m, c in p.items() if m not in window})
-               for p in polys]
-    return span_rank(polys) - span_rank(outside)
-
-
 # ===================================================================
 # kernels of linear operators on monomial spans
 # ===================================================================
@@ -288,54 +274,14 @@ def _equation_rows(
     return rows
 
 
-def _kernel(
-    rows: Sequence[Sequence[Scalar]], monos: Sequence[SuperMonomial]
-) -> list[SuperPolynomial]:
-    """Basis of the null space of the equation rows on span(monos), their
-    columns the monos in order."""
-    return [SuperPolynomial({m: c for c, m in zip(v, monos) if c})
-            for v in nullspace(rows, len(monos))]
-
-
-def key_blocks(
-    monos: Sequence[SuperMonomial],
-    block_key: Optional[Callable[[SuperMonomial], Hashable]],
-) -> dict[Hashable, list[SuperMonomial]]:
-    """The monomials grouped by block_key (one block when it is None), in
-    first-seen order."""
-    blocks: dict[Hashable, list[SuperMonomial]] = {}
-    for m in monos:
-        blocks.setdefault(None if block_key is None else block_key(m), []).append(m)
-    return blocks
-
-
 def kernel_basis_polys(
     op,
     monos: Sequence[SuperMonomial],
     block_key: Optional[Callable[[SuperMonomial], Hashable]] = None,
 ) -> list[SuperPolynomial]:
-    """Basis of {f in span(monos) : op(f) = 0}.
-
-    `op` is anything with .images(monomials), returning one {monomial:
-    coefficient} dict per monomial (`DiffOperator`, `ImageTable`); it is
-    called once per block.  When block_key is given it must be conserved
-    by op (checked on every image monomial); the kernel then splits
-    blockwise, which is the main performance lever.
-    """
-    budget = _budget()
-    out: list[SuperPolynomial] = []
-    for k, sub in key_blocks(monos, block_key).items():
-        images = op.images(sub)
-        if block_key is not None:
-            for m, q in zip(sub, images):
-                for om in q:
-                    if block_key(om) != k:
-                        raise InternalError(
-                            "block_key is not conserved by the operator "
-                            f"({m.render()} -> {om.render()})"
-                        )
-        out.extend(_kernel(_equation_rows(images, len(sub), budget), sub))
-    return out
+    """Basis of {f in span(monos) : op(f) = 0}: the joint kernel of the one
+    operator, under the block rule of `joint_kernel_basis_polys`."""
+    return joint_kernel_basis_polys([op], monos, block_key)
 
 
 def joint_kernel_basis_polys(
@@ -343,12 +289,16 @@ def joint_kernel_basis_polys(
     monos: Sequence[SuperMonomial],
     block_key: Optional[Callable[[SuperMonomial], Hashable]] = None,
 ) -> list[SuperPolynomial]:
-    """Basis of the joint kernel of several operators on span(monos), each
-    read through .images like the operator of `kernel_basis_polys`.
+    """Basis of the joint kernel of several operators on span(monos).
 
-    Valid whenever every operator shifts block_key uniformly (weight vectors
-    under root-vector action): the joint kernel then splits over input
-    blocks even though the operators do not preserve the key.
+    Each operator is anything with .images(monomials), returning one
+    {monomial: coefficient} dict per monomial (`DiffOperator`,
+    `ImageTable`); it is called once per block.  The blocks are the monos
+    grouped by block_key in first-seen order (one block when it is None).
+    The caller must know that every operator sends each block into one
+    block and different blocks into different ones (`harmonic._weight_shift`
+    proves it for weights): the joint kernel then splits over the blocks,
+    which is the main performance lever.
 
     Each block is solved one operator at a time: that operator's equations
     join the block's forward echelon form, and once its pivots cover every
@@ -358,9 +308,12 @@ def joint_kernel_basis_polys(
     equations stacked, and the reduced echelon form is unique, so the
     basis returned is the one the full solve gives.
     """
+    blocks: dict[Hashable, list[SuperMonomial]] = {}
+    for m in monos:
+        blocks.setdefault(None if block_key is None else block_key(m), []).append(m)
     budget = _budget()
     out: list[SuperPolynomial] = []
-    for sub in key_blocks(monos, block_key).values():
+    for sub in blocks.values():
         ncols = len(sub)
         echelon: dict[int, Sequence[int]] = {}
         for op in ops:
@@ -369,5 +322,6 @@ def joint_kernel_basis_polys(
             if len(echelon) == ncols:
                 break
         else:
-            out.extend(_kernel(list(echelon.values()), sub))
+            out.extend(SuperPolynomial({m: c for c, m in zip(v, sub) if c})
+                       for v in nullspace(list(echelon.values()), ncols))
     return out

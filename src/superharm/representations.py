@@ -571,7 +571,8 @@ def osp_stabilizer_check(scheme: GradingScheme) -> VerificationReport:
     rep_rows = [_operator_atom_row(rep_operator(e, scheme), atom_index)
                 for e in osp_basis(space)]
     rep_rank = rank(rep_rows)
-    included = all(rank(kernel_rows + [row]) == kernel_dim for row in rep_rows)
+    # every represented element lies in the kernel iff none of them raises its rank
+    included = rank(kernel_rows + rep_rows) == kernel_dim
     control = _operator_atom_row(_atom(1, [x(1)], [x(1)]), atom_index)
     control_excluded = rank(kernel_rows + [control]) > kernel_dim
     ok = (kernel_dim == expected and included and control_excluded

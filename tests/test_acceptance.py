@@ -202,8 +202,8 @@ def test_criterion_07_odd_osp_unique_singular_and_ladder_independence():
             ladder = op_power(eta, power)
             family.extend(ladder.apply(g) for g in basis)
     assert all(not v.is_zero() for v in family)
-    groups = _group_polys_by_weight(family, ODD23)
-    assert all(span_rank(block) == len(block) for block in groups.values())
+    groups = _group_polys_by_weight(ODD23, family)
+    assert all(span_rank(block) == len(block) for block, in groups.values())
 
 
 def _twisted_singular_family(label, cap):

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from superharm.cli import JobConfig, ConfigError, build_parser, main
-from superharm.algebra import GradingScheme, SchemeKind, x
+from superharm.algebra import GradingScheme, SchemeKind, SuperMonomial, x
 from superharm.operators import DiffOperator, FiltrationError
 from superharm.report import InternalError
 
@@ -367,6 +367,29 @@ def test_a_solve_on_part_of_n_plus_exits_four(argv, monkeypatch, capsys):
     assert code == 4
     assert "[PASS]" not in out and "[FAIL]" not in out
     assert "superharm: internal error: solver produced a non-singular vector" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["harmonic-basis", "--scheme", "gl-natural", "--n", "2", "--m", "1",
+     "--l", "1", "--lp", "1"],
+    ["singular-vectors", "--scheme", "gl-natural", "--n", "2", "--m", "1",
+     "--l", "1", "--lp", "1"],
+])
+def test_an_uneven_delta_exits_four(argv, monkeypatch, capsys):
+    import superharm.harmonic as hm
+
+    # multiplication by x1 moves weights, which Delta's atoms do not
+    named = hm.named_operator
+    x1 = DiffOperator.multiplier(SuperMonomial.make([(x(1), 1)]))
+
+    def uneven(name, scheme):
+        return named(name, scheme) + x1
+
+    monkeypatch.setattr(hm, "named_operator", uneven)
+    code, out, err = run(argv, capsys)
+    assert code == 4
+    assert "[PASS]" not in out and "[FAIL]" not in out
+    assert "superharm: internal error: an operator's atoms shift weights unevenly" in err
 
 
 def test_singular_vector_payload(capsys):

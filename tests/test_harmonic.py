@@ -30,15 +30,15 @@ from superharm.harmonic import (
     xu_basis,
 )
 from superharm.linalg import (
-    joint_kernel_basis_polys,
     kernel_basis_polys,
     span_rank,
 )
-from superharm.operators import ImageTable, named_operator
+from superharm.operators import DiffOperator, ImageTable, named_operator
 from superharm.report import InternalError, Verdict
 from superharm.representations import (
     NOT_A_WEIGHT_VECTOR,
     positive_generators,
+    rep_operator,
     simple_generators,
     weight_of,
 )
@@ -47,7 +47,9 @@ from oracles import (
     im_operator,
     op_power,
     oracle_in_span,
+    oracle_kernel,
     oracle_singular_vectors,
+    oracle_window_intersection_dimension,
     parse_polynomial,
 )
 
@@ -129,7 +131,36 @@ def test_joint_kernel_of_one_operator_is_the_kernel(scheme, label, cap):
     key = _weight_fn(scheme)
     kern = kernel_basis_polys(delta, monos, key)
     assert kern
-    assert joint_kernel_basis_polys([delta], monos, key) == kern
+    assert kern == oracle_kernel([delta], monos, key)
+
+
+def _plus_x1(op):
+    """The operator plus multiplication by x1: that atom moves every weight
+    by x1's step, which no atom of Delta or of a root vector does."""
+    return op + DiffOperator.multiplier(P(x(1)))
+
+
+def test_an_uneven_operator_is_an_internal_error(monkeypatch):
+    sl = enumerate_slice(GL21, (1, 1))
+    with pytest.raises(InternalError, match="unevenly"):
+        hm._weight_shift(_plus_x1(named_operator("DELTA", GL21)), GL21)
+    # an uneven Delta stops the kernel solve and the singular solve
+    monkeypatch.setattr(hm, "named_operator",
+                        lambda name, scheme: _plus_x1(named_operator(name, scheme)))
+    for solve in (harmonic_kernel, singular_vectors):
+        with pytest.raises(InternalError, match="unevenly"):
+            solve(sl)
+    monkeypatch.undo()
+    # so does the last simple root vector of the singular solve alone
+    last = simple_generators(GL21)[-1]
+
+    def uneven_last(g, scheme):
+        op = rep_operator(g, scheme)
+        return _plus_x1(op) if g == last else op
+
+    monkeypatch.setattr(hm, "rep_operator", uneven_last)
+    with pytest.raises(InternalError, match="unevenly"):
+        singular_vectors(sl)
 
 
 def test_non_integral_weight_table_is_an_internal_error(monkeypatch):
@@ -191,6 +222,17 @@ def test_harmonic_check_rejects_a_vector_outside_the_kernel():
     with pytest.raises(InternalError, match="not annihilated"):
         hm._check_harmonic_invariants(sl, [*vectors, outside], table)
     assert sorted(read, key=SuperMonomial.sort_key) == list(sl.basis)
+
+
+@pytest.mark.parametrize("label", [(0, 0), (1, 0), (1, -1), (2, 0)])
+def test_formula_window_matches_shuffled_rref_oracle(label):
+    # the rank each weight block loses when the window monomials are
+    # dropped, against one column-shuffled elimination of the whole family
+    sl = enumerate_slice(TW4113, label, 3)
+    xu = xu_basis(sl)
+    rep = compare_bases(xu, harmonic_kernel(sl))
+    assert rep.dimensions["formula_window"] == \
+        oracle_window_intersection_dimension(xu.vectors, sl.basis)
 
 
 def test_xu_seed_values():

@@ -14,7 +14,7 @@ from superharm.algebra import (
     vartheta,
 )
 from superharm.algebra import x as algx, y as algy
-from superharm.harmonic import _weight_fn
+from superharm.harmonic import _weight_fn, _weight_shift
 from superharm.linalg import (
     MatrixBudgetError,
     each_owns_a_monomial,
@@ -26,7 +26,6 @@ from superharm.linalg import (
     rref,
     span_rank,
     span_ranks,
-    window_intersection_dimension,
 )
 from superharm.operators import DiffOperator, ImageTable, OpWord, named_operator
 from superharm.report import InternalError
@@ -39,7 +38,6 @@ from oracles import (
     oracle_kernel,
     oracle_rref,
     oracle_span_rank,
-    oracle_window_intersection_dimension,
     parse_polynomial,
 )
 
@@ -195,15 +193,6 @@ def test_independent_subset_matches_greedy_oracle(family):
     assert independent_subset(family) == oracle_independent_subset(family)
 
 
-@given(poly_families(),
-       st.lists(st.sampled_from(MONOMIALS), max_size=len(MONOMIALS),
-                unique=True))
-@settings(max_examples=300)
-def test_window_intersection_matches_shuffled_rref_oracle(family, window):
-    assert window_intersection_dimension(family, window) == \
-        oracle_window_intersection_dimension(family, window)
-
-
 @given(st.lists(poly_families(), max_size=4))
 @settings(max_examples=300)
 def test_span_ranks_match_oracle_prefix_ranks(families):
@@ -300,14 +289,6 @@ def test_blocked_kernel_matches_unblocked():
     assert span_rank(plain) == span_rank(blocked) == span_rank(plain + blocked)
 
 
-def test_blocked_kernel_rejects_bad_key():
-    sch = GradingScheme(SchemeKind.GL_NATURAL, 2, 1)
-    delta = named_operator("DELTA", sch)
-    sl = enumerate_slice(sch, (1, 1))
-    with pytest.raises(InternalError):
-        kernel_basis_polys(delta, list(sl.basis), block_key=lambda m: m.degree())
-
-
 def op_word(mult, dbos, dferm):
     return OpWord(parse_polynomial(mult).terms()[0][0], dbos, dferm)
 
@@ -359,6 +340,35 @@ def test_kernel_matches_transposed_matrix_oracle(op, monos, key):
 def test_joint_kernel_matches_transposed_matrix_oracle(ops, monos, key):
     assert joint_kernel_basis_polys(ops, monos, block_key=key) == \
         oracle_kernel(ops, monos, key)
+
+
+GL21 = GradingScheme(SchemeKind.GL_NATURAL, 2, 1)
+
+
+@given(st.lists(operators_over(DEGREE_WORDS + OTHER_WORDS), min_size=1, max_size=3),
+       st.lists(st.sampled_from(KERNEL_MONOMIALS), unique=True, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_weight_shift_proves_the_weight_block_rule(ops, monos):
+    # whenever _weight_shift accepts an operator, each image monomial sits at
+    # the input's weight plus that shift, so the solve blocked by weight
+    # spans the joint kernel the unblocked oracle finds
+    weight = _weight_fn(GL21)
+    even = []
+    for op in ops:
+        try:
+            shift = _weight_shift(op, GL21)
+        except InternalError:
+            continue
+        even.append(op)
+        for m in monos:
+            target = tuple(a + b for a, b in zip(weight(m), shift))
+            image = oracle_apply(op, SuperPolynomial.monomial(m))
+            assert all(weight(u) == target for u, _ in image.items())
+    if even:
+        blocked = joint_kernel_basis_polys(even, monos, block_key=weight)
+        plain = oracle_kernel(even, monos)
+        assert oracle_span_rank(blocked) == len(blocked) == len(plain) == \
+            oracle_span_rank(blocked + plain)
 
 
 class CountedOp:
