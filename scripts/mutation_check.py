@@ -199,6 +199,42 @@ MUTATIONS = (
          "test_osp_membership_matches_eta_stabilizer"),
     ),
     Mutation(
+        "decomposition-eta-weight-guard-deleted",
+        "src/superharm/harmonic.py",
+        "    if any(_weight_shift(eta, scheme)):\n"
+        "        raise InternalError(\"eta moves weights\")\n",
+        "",
+        ("tests/test_harmonic.py::"
+         "test_decomposition_requires_an_eta_that_keeps_weights",),
+    ),
+    Mutation(
+        "weight-grouping-homogeneity-guard-deleted",
+        "src/superharm/harmonic.py",
+        "            if len(wts) != 1:\n"
+        "                raise InternalError(\"expected a weight-homogeneous vector: \""
+        " + p.render())\n",
+        "",
+        ("tests/test_harmonic.py::"
+         "test_decomposition_rejects_a_mixed_weight_summand_vector",),
+    ),
+    Mutation(
+        # the last variable gets the most significant digit of the key
+        "slice-key-reads-the-variables-backwards",
+        "src/superharm/algebra.py",
+        "for i, v in enumerate(reversed(variables))}",
+        "for i, v in enumerate(variables)}",
+        ("tests/test_algebra.py::test_slice_basis_is_in_sort_key_order",
+         "tests/test_algebra.py::test_slice_matches_filter_oracle"),
+    ),
+    Mutation(
+        # (b, a) is skipped without checking that [b, a] = -s [a, b]
+        "homomorphism-skips-every-mirrored-pair",
+        "src/superharm/representations.py",
+        "if first is not None and br == (-first if s == 1 else first):",
+        "if first is not None:",
+        ("tests/test_representations.py::test_homomorphism_failure_report",),
+    ),
+    Mutation(
         "super-commutator-drops-mirror-term",
         "src/superharm/operators.py",
         "            if not db.isdisjoint(ma):\n"

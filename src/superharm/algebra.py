@@ -36,7 +36,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 
 # ===================================================================
@@ -491,11 +491,20 @@ class GradedSlice:
         return len(self.basis)
 
 
-def _bos_monos(vars_: Sequence[VariableId], total: int) -> Iterator[tuple[tuple[VariableId, int], ...]]:
+def _bos_monos(vars_: Sequence[VariableId], total: int, place: dict):
     """The monomials of degree `total` in vars_ (given in variable order),
-    as (variable, exponent) pairs."""
+    as (variable, exponent) pairs, each with its part of the sort key: the
+    sum of place[v] over its factors (see `enumerate_slice`)."""
     for combo in itertools.combinations_with_replacement(vars_, total):
-        yield tuple((v, len(list(g))) for v, g in itertools.groupby(combo))
+        yield (tuple((v, len(list(g))) for v, g in itertools.groupby(combo)),
+               sum(place[v] for v in combo))
+
+
+def _ferm_words(vars_: Sequence[VariableId], total: int, place: dict):
+    """The fermion words of length `total` in vars_, each with its part of
+    the sort key, as `_bos_monos` gives it."""
+    for word in itertools.combinations(vars_, total):
+        yield word, sum(place[v] for v in word)
 
 
 def enumerate_slice(
@@ -522,12 +531,19 @@ def enumerate_slice(
     ferms = scheme.fermionic_variables()
     groups = (*_variable_groups(scheme), ferms[:scheme.m], ferms[scheme.m:])
     cap = label_degree(label) if degree_cap is None else degree_cap
+    # a monomial's sort key, the sum of place[v] over its factors, is its
+    # degree times base^N less its exponents read as base-`base` digits in
+    # variable order: ascending keys give the order of SuperMonomial.sort_key
+    variables = sorted(scheme.variables())
+    base = cap + 1
+    place = {v: base ** len(variables) - base ** i
+             for i, v in enumerate(reversed(variables))}
     if scheme.is_gl:
-        monos = _bidegree_slice(groups, label, cap, ())
+        keyed = _bidegree_slice(groups, label, cap, ((), 0), place)
     else:
-        monos = _osp_slice(groups, scheme.has_x0, label, cap)
-    basis = sorted(monos, key=SuperMonomial.sort_key)
-    return GradedSlice(scheme, label, degree_cap, tuple(basis))
+        keyed = _osp_slice(groups, scheme.has_x0, label, cap, place)
+    basis = tuple(mono for _, mono in sorted(keyed))
+    return GradedSlice(scheme, label, degree_cap, basis)
 
 
 def _variable_groups(scheme):
@@ -542,9 +558,10 @@ def _variable_groups(scheme):
             [y(i) for i in range(n2 + 1, n + 1)])
 
 
-def _bidegree_slice(groups, label, cap, head):
-    """The monomials of bidegree label = (l, lp) and total degree <= cap,
-    each with the bosonic factors `head` (x0^e0 or nothing) in front.
+def _bidegree_slice(groups, label, cap, head, place):
+    """(sort key, monomial) for the monomials of bidegree label = (l, lp)
+    and total degree <= cap, each with the bosonic pairs of `head` (x0^e0
+    or nothing) in front; `head` is those pairs and their sort key part.
 
     `groups` is `_variable_groups` plus the thetas and the varthetas; the
     loops run over the theta count t, the vartheta count v and the degrees
@@ -552,6 +569,7 @@ def _bidegree_slice(groups, label, cap, head):
     """
     l, lp = label
     neg_x, pos_x, pos_y, neg_y, thetas, vthetas = groups
+    hbos, hkey = head
     for t in range(len(thetas) + 1):
         for v in range(len(vthetas) + 1):
             for a in range(cap + 1 if neg_x else 1):
@@ -562,19 +580,23 @@ def _bidegree_slice(groups, label, cap, head):
                     c = lp - v + d
                     if c < 0 or a + b + c + d + t + v > cap:
                         continue
-                    for ba, bb, bc, bd, tw, vw in itertools.product(
-                            _bos_monos(neg_x, a), _bos_monos(pos_x, b),
-                            _bos_monos(pos_y, c), _bos_monos(neg_y, d),
-                            itertools.combinations(thetas, t),
-                            itertools.combinations(vthetas, v)):
-                        yield SuperMonomial(head + ba + bb + bc + bd, tw + vw)
+                    for (ba, ka), (bb, kb), (bc, kc), (bd, kd), (tw, kt), (vw, kv) in (
+                            itertools.product(
+                                _bos_monos(neg_x, a, place),
+                                _bos_monos(pos_x, b, place),
+                                _bos_monos(pos_y, c, place),
+                                _bos_monos(neg_y, d, place),
+                                _ferm_words(thetas, t, place),
+                                _ferm_words(vthetas, v, place))):
+                        yield (hkey + ka + kb + kc + kd + kt + kv,
+                               SuperMonomial(hbos + ba + bb + bc + bd, tw + vw))
 
 
-def _osp_slice(groups, has_x0, k, cap):
+def _osp_slice(groups, has_x0, k, cap, place):
     """The osp slice of degree k as the union, over the x0 exponent e0 and
     over l, of the (l, k - e0 - l) bidegree slices at cap - e0.  Only a
     swapped x can make l negative."""
     for e0 in range(cap + 1 if has_x0 else 1):
-        head = ((x0(), e0),) if e0 else ()
+        head = (((x0(), e0),), e0 * place[x0()]) if e0 else ((), 0)
         for l in range(e0 - cap if groups[0] else 0, cap - e0 + 1):
-            yield from _bidegree_slice(groups, (l, k - e0 - l), cap - e0, head)
+            yield from _bidegree_slice(groups, (l, k - e0 - l), cap - e0, head, place)

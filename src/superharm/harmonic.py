@@ -574,10 +574,24 @@ def _step_label(scheme: GradingScheme, label: Label, i: int) -> Label:
     return int(label) - 2 * i
 
 
-def _eta_power(eta, p: SuperPolynomial, i: int) -> SuperPolynomial:
-    for _ in range(i):
-        p = eta.apply(p)
-    return p
+def _eta_powers(eta: DiffOperator, hs, sub, summand_dims: List[int]):
+    """One weight's nonzero eta^i h for h in hs[i], i >= 1, counted with
+    hs[0] into summand_dims, and the nonzero eta images of the monomials
+    sub, from one `ImageTable` made only when the weight applies eta."""
+    summand_dims[0] += len(hs[0])
+    powers: List[SuperPolynomial] = []
+    if not sub and not any(hs[1:]):
+        return powers, []
+    table = ImageTable(eta)
+    for i in range(1, len(hs)):
+        images = hs[i]
+        for _ in range(i):
+            images = [table.apply(h) for h in images]
+        images = [q for q in images if not q.is_zero()]
+        summand_dims[i] += len(images)
+        powers.extend(images)
+    images = table.images([u for p in sub for u, _ in p.items()])
+    return powers, [SuperPolynomial(q) for q in images if q]
 
 
 def decomposition_report(
@@ -589,11 +603,15 @@ def decomposition_report(
     complete slices the check is exact: candidates must be independent
     and span the slice; since they lie in the slice (a candidate outside
     it is an internal error), they span it when they are as many as its
-    monomials.  On capped slices the harmonic
-    bases are drawn from an enlarged internal window (cap + 2 * i_max) and
-    the candidates must be independent (exact vectors, so dependence is a
-    definite FAIL) and must span the degree-capped window; a spanning
-    shortfall at the window boundary is INCONCLUSIVE_CAP.
+    monomials.  On capped slices the harmonic bases are drawn from an
+    enlarged internal window (cap + 2 * i_max) and the candidates must be
+    independent (exact vectors, so dependence is a definite FAIL) and must
+    span the degree-capped window; a spanning shortfall at the window
+    boundary is INCONCLUSIVE_CAP.
+
+    eta moves no weight (proved from its atoms), so each weight block
+    forms its own candidates eta^i h, from a table of eta's images that
+    lives for that block only, and runs one elimination.
 
     The theorem hypothesis is reported, never assumed: when it fails the
     same computation runs and the report records whether the direct sum
@@ -603,7 +621,6 @@ def decomposition_report(
     hyp = _decomposition_hypothesis(scheme, label)
     table = _suite_table.get() or _SliceTable()
     window = table.slice(scheme, label, degree_cap)
-    eta = ImageTable(named_operator("ETA", scheme))
     report = VerificationReport(
         check="decomposition",
         scheme=scheme.kind.value,
@@ -624,90 +641,73 @@ def decomposition_report(
         bound = label[1] if (scheme.kind is SchemeKind.GL_TWISTED
                              and scheme.n2 == scheme.n) else None
         i_max = 0
-        while bound is None or i_max < bound:
-            nxt = table.slice(scheme, _step_label(scheme, label, i_max + 1),
-                              degree_cap)
-            if nxt.dimension() == 0:
-                break
+        while (bound is None or i_max < bound) and table.slice(
+                scheme, _step_label(scheme, label, i_max + 1), degree_cap).dimension():
             i_max += 1
     # a capped summand sits in the enlarged internal window
     summand_cap = None if degree_cap is None else degree_cap + 2 * i_max
 
-    # ---- candidates ----
-    summand_dims: List[int] = []
-    candidates: List[SuperPolynomial] = []
-    for i in range(i_max + 1):
-        step = _step_label(scheme, label, i)
-        hb = table.kernel(scheme, step, summand_cap)
-        images = [_eta_power(eta, h, i) for h in hb.vectors]
-        images = [q for q in images if not q.is_zero()]
-        summand_dims.append(len(images))
-        candidates.extend(images)
-    report.dimensions["summands"] = summand_dims
-    report.dimensions["candidates"] = len(candidates)
-
-    # ---- blockwise independence + spanning ----
-    # one elimination per weight: candidates, then (capped, until a block
-    # falls short) the window monomials, spanned iff the rank stays
+    # ---- one weight at a time ----
+    eta = named_operator("ETA", scheme)
+    if any(_weight_shift(eta, scheme)):
+        raise InternalError("eta moves weights")
     complete = window.complete
-    groups = _group_polys_by_weight(scheme, candidates, [] if complete else [
-        SuperPolynomial.monomial(u) for u in window.basis])
-    independent = True
-    spanning = len(candidates) == window.dimension() if complete else True
-    for block, monos in groups.values():
-        rank_block, rank_all = span_ranks(block, monos if spanning else [])
-        if rank_block != len(block):
-            independent = False
-            break
-        spanning = spanning and rank_all == len(block)
-    if independent and complete:
-        inside = set(window.basis)
-        if any(u not in inside for p in candidates for u, _ in p.items()):
+    kernels = [table.kernel(scheme, _step_label(scheme, label, i), summand_cap).vectors
+               for i in range(i_max + 1)]
+    witness = [[], []] if hyp.holds else [
+        [SuperPolynomial.monomial(u) for u in table.slice(
+            scheme, _step_label(scheme, label, 1), degree_cap).basis],
+        table.kernel(scheme, label, degree_cap).vectors]
+    groups = _group_polys_by_weight(scheme, *kernels, [] if complete else [
+        SuperPolynomial.monomial(u) for u in window.basis], *witness)
+    inside = set(window.basis) if complete else ()
+    summand_dims, independent, spanning, inter = [0] * (i_max + 1), True, True, 0
+    for *hs, monos, sub, hv in groups.values():
+        powers, ev = _eta_powers(eta, hs, sub if hv else [], summand_dims)
+        # H itself is the complete window's kernel, so only powers can leave
+        if complete and powers and any(
+                u not in inside for p in powers for u, _ in p.items()):
             raise InternalError("an eta-power candidate leaves the complete slice")
+        block = hs[0] + powers
+        # a lone nonzero candidate is independent; monomials must keep the rank
+        if independent and (len(block) > 1 or monos):
+            rank_block, rank_all = span_ranks(block, monos if spanning else [])
+            independent = rank_block == len(block)
+            spanning = spanning and rank_all == len(block)
+        if ev and hv:
+            # rank(H_w) = |H_w|: the kernel vectors were proved independent
+            rank_eta, rank_sum = span_ranks(ev, hv)
+            inter += len(hv) + rank_eta - rank_sum
+    if complete:
+        spanning = sum(summand_dims) == window.dimension()
     direct_sum = independent and spanning
-    report.dimensions["direct_sum_holds"] = direct_sum
-
-    # ---- witness of overlap when the structure fails ----
-    if not hyp.holds:
-        # rank(H_w) = |H_w|: the kernel vectors were proved independent
-        sub = table.slice(scheme, _step_label(scheme, label, 1), degree_cap)
-        inter = 0
-        for ev, hv in _group_polys_by_weight(
-                scheme, [SuperPolynomial(q) for q in eta.images(sub.basis) if q],
-                table.kernel(scheme, label, degree_cap).vectors).values():
-            if ev and hv:
-                rank_eta, rank_sum = span_ranks(ev, hv)
-                inter += len(hv) + rank_eta - rank_sum
-        report.dimensions["harmonic_eta_overlap"] = inter
+    report.dimensions.update(summands=summand_dims, candidates=sum(summand_dims),
+                             direct_sum_holds=direct_sum)
 
     # ---- verdict ----
-    if hyp.holds:
-        if not independent:
-            report.verdict = Verdict.FAIL
-            report.explanation = "candidate vectors are linearly dependent"
-        elif not spanning:
-            if window.complete:
-                report.verdict = Verdict.FAIL
-                report.explanation = "candidates do not span the complete slice"
-            else:
-                report.verdict = Verdict.INCONCLUSIVE_CAP
-                report.explanation = ("candidates span only part of the window; "
-                                      "enlarge the cap to decide")
-        else:
-            report.verdict = Verdict.PASS
-            report.explanation = (
-                "direct sum verified: %s with total %d = window %d"
-                % (" + ".join(str(d) for d in summand_dims),
-                   sum(summand_dims), window.dimension())
-                if window.complete else
-                "window spanned by independent eta-power candidates")
-    else:
+    if not hyp.holds:
+        report.dimensions["harmonic_eta_overlap"] = inter
         report.verdict = Verdict.PASS
         report.explanation = (
             "hypothesis fails; computationally the direct sum %s"
-            % ("still holds" if direct_sum else
-               "fails (overlap dimension %d)"
-               % report.dimensions["harmonic_eta_overlap"]))
+            % ("still holds" if direct_sum else "fails (overlap dimension %d)" % inter))
+    elif not independent:
+        report.verdict = Verdict.FAIL
+        report.explanation = "candidate vectors are linearly dependent"
+    elif not spanning and complete:
+        report.verdict = Verdict.FAIL
+        report.explanation = "candidates do not span the complete slice"
+    elif not spanning:
+        report.verdict = Verdict.INCONCLUSIVE_CAP
+        report.explanation = ("candidates span only part of the window; "
+                              "enlarge the cap to decide")
+    else:
+        report.verdict = Verdict.PASS
+        report.explanation = (
+            "direct sum verified: %s with total %d = window %d"
+            % (" + ".join(str(d) for d in summand_dims),
+               sum(summand_dims), window.dimension())
+            if complete else "window spanned by independent eta-power candidates")
     return report
 
 

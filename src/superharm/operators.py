@@ -54,7 +54,9 @@ monomial.  The integer sign times falling factorial scales the
 term's and the atom's coefficients (ints unless a value is not integral),
 so no intermediate monomial or polynomial is built and the result stays
 exact.  An `ImageTable` keeps one operator's images of the monomials it
-meets, for a caller that reads them many times within one computation.
+meets, for a caller that reads them many times within one computation:
+a kernel solve and its re-verification, or the eta powers of one weight
+block of a decomposition report, whose table goes before the next block.
 """
 
 from __future__ import annotations
@@ -282,8 +284,9 @@ def _add_image(acc: dict, atoms: Sequence[_Atom], m: SuperMonomial,
 class ImageTable:
     """An operator with the image of each monomial it meets computed once,
     for a caller that applies it to the same monomials many times within
-    one computation: the eta powers of one decomposition report, or a
-    kernel solve and the re-verification of its vectors.
+    one computation: the eta powers of one weight block of a
+    decomposition report, or a kernel solve and the re-verification of
+    its vectors.
 
     It stores each image as the operator's `images` gives it, a
     {monomial: coefficient} dict, and computes the missing ones of a call
@@ -291,7 +294,7 @@ class ImageTable:
     kernel solve can read the table in place of the operator; `apply` is
     the operator's action, the input's coefficients times the stored
     images of its monomials.  The table only grows, so it lives as long
-    as that one computation.
+    as that one computation (one weight block, for the eta powers).
     """
 
     def __init__(self, op: DiffOperator):

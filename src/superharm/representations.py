@@ -473,9 +473,12 @@ def verify_homomorphism(rep: GradingScheme) -> VerificationReport:
     and checks (a, b) against c and (b, a) against -s c.  The associated
     graded algebra is supercommutative, so each atom pair's uncontracted
     terms cancel from c; `operators.super_commutator` never builds them,
-    and skips the atom pairs whose variables do not meet.  A FAIL names the
-    first failing ordered pair in row-major order, with pairs_checked its
-    row-major position.
+    and skips the atom pairs whose variables do not meet.  When [b, a] =
+    -s [a, b], as it is in a Lie superalgebra, rho is linear and the osp
+    span a subspace, so (b, a) passes or fails with (a, b): its bracket's
+    operator is neither built nor compared.  A FAIL names the first failing
+    ordered pair in row-major order, with pairs_checked its row-major
+    position; (a, b) with a < b comes before (b, a).
     """
     basis = algebra_basis(rep)
     space = algebra_space(rep)
@@ -499,9 +502,13 @@ def verify_homomorphism(rep: GradingScheme) -> VerificationReport:
             pairs = [(i, j, c)]
             if j > i:
                 pairs.append((j, i, -c if s == 1 else c))
+            first = None
             for a, b, rhs in pairs:
                 eu, ev = basis[a], basis[b]
                 br = bracket(eu, ev)
+                if first is not None and br == (-first if s == 1 else first):
+                    break  # (b, a) has the outcome of (a, b), which comes first
+                first = br
                 lhs = rep_operator(br, rep)
                 if lhs != rhs:
                     why = ("normal-form mismatch at a=%s, b=%s: rho([a,b]) - "

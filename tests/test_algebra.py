@@ -10,6 +10,7 @@ from oracles import parse_polynomial
 from superharm.algebra import (
     GradingScheme,
     SchemeKind,
+    SuperMonomial,
     SuperPolynomial,
     enumerate_slice,
     integrate_bosonic,
@@ -283,6 +284,36 @@ def test_slice_matches_filter_oracle(scheme, label, cap):
     want = oracles.oracle_slice(scheme, label, bound)
     assert list(got) == want
     assert len(set(got)) == len(got)
+
+
+@st.composite
+def slice_arguments(draw):
+    """(scheme, label, cap) over all six kinds; a twisted slice is capped."""
+    kind = draw(st.sampled_from(list(SchemeKind)))
+    if kind.value.endswith("twisted"):
+        n = draw(st.integers(3, 4))
+        n1 = draw(st.integers(1, n - 2))
+        scheme = GradingScheme(kind, n, draw(st.integers(1, 2)), n1,
+                               draw(st.integers(n1 + 2, n)))
+        cap = draw(st.integers(0, 4))
+    else:
+        scheme = GradingScheme(kind, draw(st.integers(2, 3)), draw(st.integers(1, 2)))
+        cap = draw(st.none() | st.integers(0, 5))
+    if scheme.is_gl:
+        label = (draw(st.integers(-2, 3)), draw(st.integers(-2, 3)))
+    else:
+        label = draw(st.integers(-2, 4))
+    return scheme, label, cap
+
+
+@given(slice_arguments())
+@settings(max_examples=150, deadline=None)
+def test_slice_basis_is_in_sort_key_order(args):
+    # the enumerator sorts by its own integer key; it must give the order
+    # SuperMonomial.sort_key defines, with no monomial twice
+    basis = enumerate_slice(*args).basis
+    assert basis == tuple(sorted(basis, key=SuperMonomial.sort_key))
+    assert len(set(basis)) == len(basis)
 
 
 def test_slice_empty_for_negative_labels():

@@ -5,7 +5,9 @@ run-dependent `elapsed_ms` field removed, must match tests/golden/<name>.json
 byte for byte.  The capped gl-twisted and osp-odd cases are the only tier-1
 runs of the capped branch of `compare_bases` (the window intersection), and
 the two osp singular-vectors cases the only tier-1 pins of osp singular
-vectors.
+vectors.  The theorem-3 case is the twisted osp suite at k = 2, cap 4: its
+eta-power decomposition checks 8343 candidates in four summands, drawn
+from an internal cap of 10, which no benchmark or table job reaches.
 
 tests/golden/twisted_operators.txt pins the normal form of every twisted
 operator: one rendered line per matrix unit and per named operator, for the
@@ -75,6 +77,8 @@ CASES = {
     "singular-osp-odd-natural-21-k2-cap2": [
         "singular-vectors", "--scheme", "osp-odd-natural", "--n", "2",
         "--m", "1", "--k", "2", "--cap", "2"],
+    "theorem3-osp-even-twisted-41-k2-cap4": [
+        "verify-theorem", "3", *TWISTED_41, "--k", "2", "--cap", "4"],
 }
 
 

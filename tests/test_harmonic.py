@@ -1,7 +1,8 @@
+import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import superharm.harmonic as hm
@@ -33,7 +34,7 @@ from superharm.linalg import (
     kernel_basis_polys,
     span_rank,
 )
-from superharm.operators import DiffOperator, ImageTable, named_operator
+from superharm.operators import DiffOperator, ImageTable, compose, named_operator
 from superharm.report import InternalError, Verdict
 from superharm.representations import (
     NOT_A_WEIGHT_VECTOR,
@@ -46,9 +47,11 @@ from superharm.representations import (
 from oracles import (
     im_operator,
     op_power,
+    oracle_apply,
     oracle_in_span,
     oracle_kernel,
     oracle_singular_vectors,
+    oracle_span_rank,
     oracle_window_intersection_dimension,
     parse_polynomial,
 )
@@ -510,9 +513,13 @@ def test_decomposition_with_hypothesis():
 def test_decomposition_missing_summand_fails_on_a_complete_slice(monkeypatch):
     import superharm.harmonic as hm
 
-    original = hm._eta_power
-    monkeypatch.setattr(hm, "_eta_power", lambda eta, p, i: (
-        SuperPolynomial.zero() if i else original(eta, p, i)))
+    original = hm._eta_powers
+
+    def no_eta_powers(eta, hs, sub, summand_dims):
+        # every eta^i h with i >= 1 is dropped, as if it were 0
+        return original(eta, hs[:1], sub, summand_dims)
+
+    monkeypatch.setattr(hm, "_eta_powers", no_eta_powers)
     rep = decomposition_report(GL23, (4, 1))
     assert rep.verdict is Verdict.FAIL
     assert rep.dimensions["summands"] == [120, 0]
@@ -522,9 +529,13 @@ def test_decomposition_missing_summand_fails_on_a_complete_slice(monkeypatch):
 def test_decomposition_candidate_outside_the_slice_is_an_internal_error(monkeypatch):
     import superharm.harmonic as hm
 
-    original = hm._eta_power
-    monkeypatch.setattr(hm, "_eta_power",
-                        lambda eta, p, i: original(eta, p, i) * P(x(1)))
+    original = hm._eta_powers
+
+    def times_x1(eta, hs, sub, summand_dims):
+        powers, images = original(eta, hs, sub, summand_dims)
+        return [p * P(x(1)) for p in powers], images
+
+    monkeypatch.setattr(hm, "_eta_powers", times_x1)
     with pytest.raises(InternalError, match="leaves the complete slice"):
         decomposition_report(GL23, (4, 1))
 
@@ -557,6 +568,146 @@ def test_decomposition_twisted_capped():
     assert rep.dimensions["window"] == 43
     assert rep.dimensions["direct_sum_holds"] is True
     assert rep.explanation == "window spanned by independent eta-power candidates"
+
+
+def whole_family_decomposition(scheme, label, cap):
+    """summands, candidates, direct_sum_holds and the overlap dimension of
+    one slice with no weight split: eta powers by `oracle_apply` and ranks
+    of whole families by `oracle_span_rank`, on the engine's kernel bases
+    (a count of nonzero eta powers depends on the basis)."""
+    def step(i):
+        return (label[0] - i, label[1] - i) if scheme.is_gl else label - 2 * i
+
+    if not scheme.is_twisted:
+        i_max = min(label) if scheme.is_gl else label // 2
+    else:
+        i_max = 0
+        while enumerate_slice(scheme, step(i_max + 1), cap).dimension() and not (
+                scheme.kind is SchemeKind.GL_TWISTED and scheme.n2 == scheme.n
+                and i_max >= label[1]):
+            i_max += 1
+    summand_cap = None if cap is None else cap + 2 * i_max
+    eta = named_operator("ETA", scheme)
+    summands, candidates = [], []
+    for i in range(i_max + 1):
+        powers = []
+        for q in harmonic_kernel(enumerate_slice(scheme, step(i), summand_cap)).vectors:
+            for _ in range(i):
+                q = oracle_apply(eta, q)
+            if not q.is_zero():
+                powers.append(q)
+        summands.append(len(powers))
+        candidates.extend(powers)
+    window = enumerate_slice(scheme, label, cap)
+    rank = oracle_span_rank(candidates)
+    if window.complete:
+        spanned = len(candidates) == window.dimension()
+    else:
+        spanned = oracle_span_rank(
+            candidates + [SuperPolynomial.monomial(u) for u in window.basis]) == rank
+    image = [q for q in (oracle_apply(eta, SuperPolynomial.monomial(u))
+                         for u in enumerate_slice(scheme, step(1), cap).basis)
+             if not q.is_zero()]
+    harmonic = list(harmonic_kernel(window).vectors)
+    overlap = (len(harmonic) + oracle_span_rank(image)
+               - oracle_span_rank(image + harmonic))
+    return summands, rank == len(candidates) and spanned, overlap
+
+
+@st.composite
+def decomposition_arguments(draw):
+    """Small labels on natural gl(2|1), osp(2|1) and osp(2|1) with x0, and
+    on twisted (4|1, 1, 3) slices of the three twisted kinds capped at 1
+    or 2 (the oracle's exact ranks grow fast with the internal window)."""
+    kind = draw(st.sampled_from(list(SchemeKind)))
+    if not kind.value.endswith("twisted"):
+        scheme = GradingScheme(kind, 2, 1)
+        if scheme.is_gl:
+            return scheme, (draw(st.integers(0, 2)), draw(st.integers(0, 2))), None
+        return scheme, draw(st.integers(0, 3)), None
+    scheme, cap = GradingScheme(kind, 4, 1, 1, 3), draw(st.integers(1, 2))
+    if scheme.is_gl:
+        return scheme, draw(st.sampled_from([
+            (l, lp) for l in (-1, 0, 1) for lp in (-1, 0, 1) if l + lp <= 1])), cap
+    return scheme, draw(st.integers(-1, 1)), cap
+
+
+@given(decomposition_arguments())
+@example((GL23, (2, 2), None))   # the hypothesis fails: overlap 1
+@example((GL23, (1, 0), None))
+@example((EV21, 2, None))
+@example((TW4113, (1, -1), 3))
+@example((TW4113, (1, 0), 2))    # capped, the hypothesis fails
+@settings(max_examples=20, deadline=None)
+def test_decomposition_matches_whole_family_oracle(args):
+    rep = decomposition_report(*args)
+    summands, direct_sum, overlap = whole_family_decomposition(*args)
+    assert rep.dimensions["summands"] == summands
+    assert rep.dimensions["candidates"] == sum(summands)
+    assert rep.dimensions["direct_sum_holds"] is direct_sum
+    if rep.predicate:
+        assert "harmonic_eta_overlap" not in rep.dimensions
+    else:
+        assert rep.dimensions["harmonic_eta_overlap"] == overlap
+
+
+def test_decomposition_holds_one_eta_table_at_a_time(monkeypatch):
+    # a table per weight that applies eta, each gone before the next is
+    # made; the capped label fails the hypothesis, so the overlap witness
+    # reads the tables too
+    live, made, most = [0], [0], [0]
+    eta = named_operator("ETA", TW4113)
+
+    def gone():
+        live[0] -= 1
+
+    class Counted(ImageTable):
+        def __init__(self, op):
+            super().__init__(op)
+            if op == eta:
+                live[0] += 1
+                made[0] += 1
+                most[0] = max(most[0], live[0])
+                weakref.finalize(self, gone)
+
+    monkeypatch.setattr(hm, "ImageTable", Counted)
+    rep = decomposition_report(TW4113, (1, 0), 3)
+    assert rep.predicate is False and "harmonic_eta_overlap" in rep.dimensions
+    assert made[0] > 1
+    assert most[0] == 1
+    assert live[0] == 0
+
+
+def test_decomposition_requires_an_eta_that_keeps_weights(monkeypatch):
+    # an eta whose atoms all move weights by one step (x1 times eta), and
+    # one whose atoms move them unevenly (eta + x1)
+    x1 = DiffOperator.multiplier(P(x(1)))
+    original = hm.named_operator
+    for moved, match in ((lambda e: compose(x1, e), "eta moves weights"),
+                         (lambda e: e + x1, "shift weights unevenly")):
+        monkeypatch.setattr(hm, "named_operator", lambda name, scheme, moved=moved: (
+            moved(original(name, scheme)) if name == "ETA" else original(name, scheme)))
+        with pytest.raises(InternalError, match=match):
+            decomposition_report(GL21, (1, 1))
+
+
+def test_decomposition_rejects_a_mixed_weight_summand_vector(monkeypatch):
+    # the summand kernel vectors carry the homogeneity check for their
+    # eta powers, so a vector with two weights is an internal error
+    original = hm.harmonic_kernel
+
+    def mixed(sl):
+        hb = original(sl)
+        weight = _weight_fn(sl.scheme)
+        first, *rest = hb.vectors
+        other = next(i for i, v in enumerate(rest)
+                     if weight(v.terms()[0][0]) != weight(first.terms()[0][0]))
+        rest[other] = rest[other] + first
+        return hm.HarmonicBasis(sl, (first, *rest))
+
+    monkeypatch.setattr(hm, "harmonic_kernel", mixed)
+    with pytest.raises(InternalError, match="expected a weight-homogeneous vector"):
+        decomposition_report(GL23, (4, 1))
 
 
 def test_eta_square_overlap_witness():

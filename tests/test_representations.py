@@ -488,7 +488,8 @@ def test_homomorphism_builds_each_product_once(monkeypatch, scheme):
     assert calls["super_commutator"] == n * (n + 1) // 2
     assert calls["compose"] == 0
     assert calls["bracket"] == n * n
-    assert calls["rep_operator"] == n + n * n
+    # one represented bracket per unordered pair: [b, a] = -s [a, b]
+    assert calls["rep_operator"] == n + n * (n + 1) // 2
 
 
 # ===================================================================
