@@ -164,6 +164,27 @@ MUTATIONS = (
         ("tests/test_linalg.py::test_weight_shift_proves_the_weight_block_rule",),
     ),
     Mutation(
+        "monomial-weight-skips-the-fermion-steps",
+        "src/superharm/harmonic.py",
+        "    for v in mono.ferm:\n"
+        "        for i, s in steps[v]:\n"
+        "            acc[i] += s\n",
+        "",
+        ("tests/test_harmonic.py::test_monomial_weight_matches_weight_of",),
+    ),
+    Mutation(
+        # a weight that no summand vector reaches holds only window
+        # monomials, and skipping it leaves them unspanned yet unchecked
+        "decomposition-skips-window-only-weights",
+        "src/superharm/harmonic.py",
+        "    for *hs, monos, sub, hv in groups.values():\n",
+        "    for *hs, monos, sub, hv in groups.values():\n"
+        "        if not any(hs):\n"
+        "            continue\n",
+        ("tests/test_harmonic.py::"
+         "test_a_weight_only_the_window_reaches_counts_against_spanning",),
+    ),
+    Mutation(
         "osp-union-never-raises-x0",
         "src/superharm/algebra.py",
         "    for e0 in range(cap + 1 if has_x0 else 1):\n",

@@ -12,7 +12,8 @@ Subcommands map one-to-one onto the verification entry points:
 Exit codes: 0 all PASS, 1 any FAIL, 2 configuration error,
 3 INCONCLUSIVE_CAP (every check inside the window passed but a cap was
 the binding constraint — kept distinct so CI can treat it separately),
-4 internal error (an engine invariant broke; never a verdict).
+4 internal error (an engine invariant broke, or any other exception
+escaped the engine; never a verdict).
 
 Reports are emitted as text or as JSON with a versioned top-level
 "schema" key; identical configurations produce byte-identical JSON up
@@ -25,6 +26,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence
 
@@ -366,6 +368,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except InternalError as err:
         print(f"superharm: internal error: {err}", file=sys.stderr)
+        return 4
+    except Exception as err:  # any other escape is a bug too, never a verdict
+        traceback.print_exc()
+        print(f"superharm: internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 4
     report.elapsed_ms = int((time.monotonic() - started) * 1000)
     return _emit(report, cfg)

@@ -85,7 +85,7 @@ def _integral(values: Sequence[Fraction], what: str) -> Tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _weight_table(scheme: GradingScheme):
-    """(vacuum weight, per-variable steps, per-monomial memo), all integral;
+    """(vacuum weight, per-variable steps) of the scheme, all integral;
     each variable's step is kept as its nonzero (index, step) pairs, since
     a variable moves at most one Cartan entry in every scheme."""
     base = weight_of(SuperPolynomial.one(), scheme)
@@ -94,50 +94,38 @@ def _weight_table(scheme: GradingScheme):
         wv = weight_of(SuperPolynomial.variable(v), scheme)
         step = _integral([a - b for a, b in zip(wv, base)], f"step of {v.name()}")
         steps[v] = tuple((i, s) for i, s in enumerate(step) if s)
-    return _integral(base, "vacuum weight"), steps, {}
+    return _integral(base, "vacuum weight"), steps
 
 
 def monomial_weight(mono: SuperMonomial, scheme: GradingScheme) -> Tuple[int, ...]:
-    """Weight of a monomial under the scheme's Cartan action.
+    """Weight of a monomial under the scheme's Cartan action, the key of
+    every weight block.
 
     Diagonal Cartan operators act on each monomial by a scalar that is
     affine in the exponents, so the weight is the vacuum weight plus the
-    per-variable increments.
+    steps of the monomial's variables, computed on every call from the
+    scheme's step table; no weight is stored per monomial.
     """
-    base, steps, memo = _weight_table(scheme)
-    weight = memo.get(mono)
-    if weight is None:
-        acc = list(base)
-        for v, e in mono.bos:
-            for i, s in steps[v]:
-                acc[i] += e * s
-        for v in mono.ferm:
-            for i, s in steps[v]:
-                acc[i] += s
-        weight = memo[mono] = tuple(acc)
-    return weight
+    base, steps = _weight_table(scheme)
+    acc = list(base)
+    for v, e in mono.bos:
+        for i, s in steps[v]:
+            acc[i] += e * s
+    for v in mono.ferm:
+        for i, s in steps[v]:
+            acc[i] += s
+    return tuple(acc)
 
 
-def _weight_fn(scheme: GradingScheme) -> Callable[[SuperMonomial], Tuple[int, ...]]:
-    """monomial -> weight for one scheme: reads the scheme's memo and calls
-    `monomial_weight` only for a monomial it does not hold yet."""
-    memo = _weight_table(scheme)[2]
-
-    def weight(mono: SuperMonomial) -> Tuple[int, ...]:
-        wt = memo.get(mono)
-        return monomial_weight(mono, scheme) if wt is None else wt
-
-    return weight
-
-
-def _group_polys_by_weight(scheme: GradingScheme, *families: Sequence[SuperPolynomial]):
+def _group_polys_by_weight(scheme: GradingScheme, *families):
     """Each weight's part of every family, {weight: [part of each family]}
-    in first-seen order; raises if a member is not weight-homogeneous."""
-    weight = _weight_fn(scheme)
-    groups: Dict[Tuple[int, ...], List[List[SuperPolynomial]]] = {}
+    in first-seen order.  A member is a monomial, grouped by its weight, or
+    a polynomial, which must be weight-homogeneous."""
+    groups: Dict[Tuple[int, ...], list] = {}
     for f, family in enumerate(families):
         for p in family:
-            wts = {weight(m) for m, _ in p.items()}
+            wts = ({monomial_weight(p, scheme)} if isinstance(p, SuperMonomial)
+                   else {monomial_weight(m, scheme) for m, _ in p.items()})
             if len(wts) != 1:
                 raise InternalError("expected a weight-homogeneous vector: " + p.render())
             wt, = wts
@@ -151,7 +139,7 @@ def _weight_shift(op: DiffOperator, scheme: GradingScheme) -> Tuple[int, ...]:
     """The weight shift all the operator's atoms share, else InternalError:
     an atom u * d^w moves a weight by weight(u) - weight(w), so when they
     agree the operator maps distinct weight blocks into distinct blocks."""
-    weight = _weight_fn(scheme)
+    weight = functools.partial(monomial_weight, scheme=scheme)
     shifts = {tuple(a - b for a, b in zip(weight(w.mult),
                                           weight(SuperMonomial(w.dbos, w.dferm))))
               for w, _ in op.items()}
@@ -196,7 +184,8 @@ def harmonic_kernel(sl: GradedSlice) -> HarmonicBasis:
     if any(_weight_shift(op, sl.scheme)):
         raise InternalError("Delta moves weights")
     delta = ImageTable(op)
-    vectors = kernel_basis_polys(delta, sl.basis, block_key=_weight_fn(sl.scheme))
+    vectors = kernel_basis_polys(
+        delta, sl.basis, block_key=functools.partial(monomial_weight, scheme=sl.scheme))
     _check_harmonic_invariants(sl, vectors, delta)
     return HarmonicBasis(sl, tuple(vectors))
 
@@ -360,7 +349,8 @@ def singular_vectors(sl: GradedSlice) -> SingularVectorSet:
     solve_ops = [*(op_of[g] for g in simple_generators(scheme)), delta]
     for op in solve_ops:
         _weight_shift(op, scheme)
-    found = joint_kernel_basis_polys(solve_ops, sl.basis, block_key=_weight_fn(scheme))
+    found = joint_kernel_basis_polys(
+        solve_ops, sl.basis, block_key=functools.partial(monomial_weight, scheme=scheme))
     ops = [*op_of.values(), delta]
     entries = []
     for v in found:
@@ -590,8 +580,7 @@ def _eta_powers(eta: DiffOperator, hs, sub, summand_dims: List[int]):
         images = [q for q in images if not q.is_zero()]
         summand_dims[i] += len(images)
         powers.extend(images)
-    images = table.images([u for p in sub for u, _ in p.items()])
-    return powers, [SuperPolynomial(q) for q in images if q]
+    return powers, [SuperPolynomial(q) for q in table.images(sub) if q]
 
 
 def decomposition_report(
@@ -609,9 +598,13 @@ def decomposition_report(
     span the degree-capped window; a spanning shortfall at the window
     boundary is INCONCLUSIVE_CAP.
 
-    eta moves no weight (proved from its atoms), so each weight block
-    forms its own candidates eta^i h, from a table of eta's images that
-    lives for that block only, and runs one elimination.
+    eta moves no weight (proved from its atoms), so one grouping by weight
+    takes the summand kernel vectors, the capped window's monomials and
+    the overlap witness's monomials (eta's domain one step down), each
+    monomial weighed as it is.  Each weight forms its own candidates
+    eta^i h, from a table of eta's images that lives for that weight only,
+    and runs one elimination; a weight that only window monomials reach
+    has no candidate and leaves the window unspanned.
 
     The theorem hypothesis is reported, never assumed: when it fails the
     same computation runs and the report records whether the direct sum
@@ -655,11 +648,10 @@ def decomposition_report(
     kernels = [table.kernel(scheme, _step_label(scheme, label, i), summand_cap).vectors
                for i in range(i_max + 1)]
     witness = [[], []] if hyp.holds else [
-        [SuperPolynomial.monomial(u) for u in table.slice(
-            scheme, _step_label(scheme, label, 1), degree_cap).basis],
+        table.slice(scheme, _step_label(scheme, label, 1), degree_cap).basis,
         table.kernel(scheme, label, degree_cap).vectors]
-    groups = _group_polys_by_weight(scheme, *kernels, [] if complete else [
-        SuperPolynomial.monomial(u) for u in window.basis], *witness)
+    groups = _group_polys_by_weight(
+        scheme, *kernels, [] if complete else window.basis, *witness)
     inside = set(window.basis) if complete else ()
     summand_dims, independent, spanning, inter = [0] * (i_max + 1), True, True, 0
     for *hs, monos, sub, hv in groups.values():
@@ -671,7 +663,8 @@ def decomposition_report(
         block = hs[0] + powers
         # a lone nonzero candidate is independent; monomials must keep the rank
         if independent and (len(block) > 1 or monos):
-            rank_block, rank_all = span_ranks(block, monos if spanning else [])
+            rank_block, rank_all = span_ranks(block, [
+                SuperPolynomial.monomial(u) for u in monos] if spanning else [])
             independent = rank_block == len(block)
             spanning = spanning and rank_all == len(block)
         if ev and hv:

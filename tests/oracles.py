@@ -27,6 +27,7 @@ in every block.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -46,7 +47,7 @@ from superharm.algebra import (
     x,
     y,
 )
-from superharm.harmonic import _weight_fn
+from superharm.harmonic import monomial_weight
 from superharm.operators import DiffOperator, OpWord, compose, named_operator
 from superharm.representations import (
     AlgebraFamily,
@@ -443,7 +444,8 @@ def oracle_singular_vectors(sl, generators=None, *, harmonic=True):
     ops = [rep_operator(g, sl.scheme) for g in generators]
     if harmonic:
         ops.append(named_operator("DELTA", sl.scheme))
-    found = oracle_kernel(ops, sl.basis, _weight_fn(sl.scheme))
+    found = oracle_kernel(ops, sl.basis,
+                          functools.partial(monomial_weight, scheme=sl.scheme))
     return [v.scale(Fraction(1, v.terms()[0][1])) for v in found]
 
 

@@ -351,6 +351,21 @@ def test_harmonic_basis_solver_failure_exits_four(monkeypatch, capsys):
     assert "injected" in err
 
 
+def test_an_unexpected_engine_exception_exits_four(monkeypatch, capsys):
+    import superharm.harmonic as hm
+
+    def broken(*args, **kwargs):
+        raise KeyError("injected")
+
+    monkeypatch.setattr(hm, "xu_solve", broken)
+    code, out, err = run(["harmonic-basis", "--scheme", "gl-natural",
+                          "--n", "2", "--m", "1", "--l", "1", "--lp", "1"],
+                         capsys)
+    assert code == 4
+    assert "[PASS]" not in out and "[FAIL]" not in out
+    assert "superharm: internal error: KeyError: 'injected'" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["singular-vectors", "--scheme", "gl-natural", "--n", "2", "--m", "3",
      "--l", "1", "--lp", "0"],

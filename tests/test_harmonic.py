@@ -1,3 +1,4 @@
+import functools
 import weakref
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from superharm.algebra import (
     y,
 )
 from superharm.harmonic import (
-    _weight_fn,
     compare_bases,
     cross_check_irreducibility,
     decomposition_report,
@@ -124,14 +124,13 @@ def test_monomial_weight_matches_weight_of(scheme, label, cap):
         wt = monomial_weight(mono, scheme)
         assert wt == weight_of(SuperPolynomial.monomial(mono), scheme)
         assert all(type(c) is int for c in wt)
-        assert monomial_weight(mono, scheme) is wt  # memoized
 
 
 @pytest.mark.parametrize("scheme,label,cap", ONE_SLICE_PER_KIND)
 def test_joint_kernel_of_one_operator_is_the_kernel(scheme, label, cap):
     monos = list(enumerate_slice(scheme, label, cap).basis)
     delta = named_operator("DELTA", scheme)
-    key = _weight_fn(scheme)
+    key = functools.partial(monomial_weight, scheme=scheme)
     kern = kernel_basis_polys(delta, monos, key)
     assert kern
     assert kern == oracle_kernel([delta], monos, key)
@@ -217,7 +216,8 @@ def test_harmonic_check_rejects_a_vector_outside_the_kernel():
             return delta.images(monos)
 
     table = ImageTable(Counted())
-    vectors = kernel_basis_polys(table, sl.basis, _weight_fn(GL21))
+    vectors = kernel_basis_polys(
+        table, sl.basis, functools.partial(monomial_weight, scheme=GL21))
     hm._check_harmonic_invariants(sl, vectors, table)
     hit = next(m for m in sl.basis if not delta.apply(SuperPolynomial.monomial(m))
                .is_zero())
@@ -698,7 +698,7 @@ def test_decomposition_rejects_a_mixed_weight_summand_vector(monkeypatch):
 
     def mixed(sl):
         hb = original(sl)
-        weight = _weight_fn(sl.scheme)
+        weight = functools.partial(monomial_weight, scheme=sl.scheme)
         first, *rest = hb.vectors
         other = next(i for i, v in enumerate(rest)
                      if weight(v.terms()[0][0]) != weight(first.terms()[0][0]))
@@ -708,6 +708,27 @@ def test_decomposition_rejects_a_mixed_weight_summand_vector(monkeypatch):
     monkeypatch.setattr(hm, "harmonic_kernel", mixed)
     with pytest.raises(InternalError, match="expected a weight-homogeneous vector"):
         decomposition_report(GL23, (4, 1))
+
+
+def test_a_weight_only_the_window_reaches_counts_against_spanning(monkeypatch):
+    # drop one window weight's vectors from every summand kernel: no
+    # candidate reaches that weight, yet its window monomial must still be
+    # spanned, so the capped window is no longer covered
+    assert decomposition_report(TW4113, (-1, 0), 4).verdict is Verdict.PASS
+    target = monomial_weight(enumerate_slice(TW4113, (-1, 0), 4).basis[0], TW4113)
+    original = hm.harmonic_kernel
+
+    def drop_target(sl):
+        hb = original(sl)
+        return hm.HarmonicBasis(sl, tuple(
+            v for v in hb.vectors
+            if monomial_weight(v.terms()[0][0], sl.scheme) != target))
+
+    monkeypatch.setattr(hm, "harmonic_kernel", drop_target)
+    rep = decomposition_report(TW4113, (-1, 0), 4)
+    assert rep.verdict is Verdict.INCONCLUSIVE_CAP
+    assert rep.dimensions["direct_sum_holds"] is False
+    assert rep.dimensions["summands"] == [33, 8]
 
 
 def test_eta_square_overlap_witness():

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from superharm.algebra import (
     vartheta,
 )
 from superharm.algebra import x as algx, y as algy
-from superharm.harmonic import _weight_fn, _weight_shift
+from superharm.harmonic import _weight_shift, monomial_weight
 from superharm.linalg import (
     MatrixBudgetError,
     each_owns_a_monomial,
@@ -352,7 +353,7 @@ def test_weight_shift_proves_the_weight_block_rule(ops, monos):
     # whenever _weight_shift accepts an operator, each image monomial sits at
     # the input's weight plus that shift, so the solve blocked by weight
     # spans the joint kernel the unblocked oracle finds
-    weight = _weight_fn(GL21)
+    weight = functools.partial(monomial_weight, scheme=GL21)
     even = []
     for op in ops:
         try:
@@ -463,7 +464,8 @@ def test_joint_kernel_on_a_slice_stops_some_blocks_early(scheme, label):
     ops.append(CountedOp(named_operator("DELTA", scheme)))
     # some weight blocks keep a nonzero joint kernel, so they meet every
     # operator; the others stop before the last one
-    assert joint_kernel_basis_polys(ops, sl.basis, block_key=_weight_fn(scheme))
+    key = functools.partial(monomial_weight, scheme=scheme)
+    assert joint_kernel_basis_polys(ops, sl.basis, block_key=key)
     assert ops[0].calls == len(sl.basis) > ops[-1].calls > 0
 
 
