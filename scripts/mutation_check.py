@@ -167,8 +167,8 @@ MUTATIONS = (
         "monomial-weight-skips-the-fermion-steps",
         "src/superharm/harmonic.py",
         "    for v in mono.ferm:\n"
-        "        for i, s in steps[v]:\n"
-        "            acc[i] += s\n",
+        "        i, s = steps[v]\n"
+        "        acc[i] += s\n",
         "",
         ("tests/test_harmonic.py::test_monomial_weight_matches_weight_of",),
     ),
@@ -220,19 +220,30 @@ MUTATIONS = (
          "test_osp_membership_matches_eta_stabilizer"),
     ),
     Mutation(
+        # the table still proves eta's atoms agree, but not that they keep
+        # weights
         "decomposition-eta-weight-guard-deleted",
         "src/superharm/harmonic.py",
-        "    if any(_weight_shift(eta, scheme)):\n"
-        "        raise InternalError(\"eta moves weights\")\n",
-        "",
+        "                if any(_weight_shift(ops, scheme)):\n"
+        "                    raise InternalError(f\"{name.lower()} moves weights\")\n",
+        "                _weight_shift(ops, scheme)\n",
         ("tests/test_harmonic.py::"
          "test_decomposition_requires_an_eta_that_keeps_weights",),
     ),
     Mutation(
+        # the suite's table hands out Delta and eta unproved, so an uneven
+        # Delta reaches the weight-blocked solve
+        "suite-operator-skips-the-shift-proof",
+        "src/superharm/harmonic.py",
+        "                if any(_weight_shift(ops, scheme)):\n",
+        "                if False:\n",
+        ("tests/test_cli.py::test_an_uneven_delta_exits_four",),
+    ),
+    Mutation(
         "weight-grouping-homogeneity-guard-deleted",
         "src/superharm/harmonic.py",
-        "            if len(wts) != 1:\n"
-        "                raise InternalError(\"expected a weight-homogeneous vector: \""
+        "        if len(wts) != 1:\n"
+        "            raise InternalError(\"expected a weight-homogeneous vector: \""
         " + p.render())\n",
         "",
         ("tests/test_harmonic.py::"

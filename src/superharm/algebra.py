@@ -426,6 +426,13 @@ class GradingScheme:
         else:
             if self.n1 is not None or self.n2 is not None:
                 raise ValueError("n1/n2 only make sense for twisted schemes")
+        # every per-scheme cache looks the scheme up, so it is hashed once;
+        # equality stays the dataclass's field comparison
+        object.__setattr__(self, "_hash", hash((self.kind, self.n, self.m,
+                                                self.n1, self.n2)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_twisted(self) -> bool:

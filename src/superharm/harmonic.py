@@ -1,20 +1,18 @@
 """Harmonic decomposition of graded slices: kernels, bases, singular
 vectors, irreducibility predicates, and the verification suites.
 
-The central objects are the graded slices of the polynomial algebra and
-their harmonic subspaces H = ker Delta.  Everything here reduces to exact
-linear algebra over the rationals, organized along two performance levers:
+Everything reduces to exact linear algebra over the rationals on the
+graded slices of the polynomial algebra and their harmonic parts
+H = ker Delta, organized along three levers:
 
-* weight blocking — every Cartan element acts diagonally on monomials, so
-  each slice splits into small joint-eigenvalue blocks.  Delta preserves
-  the weight and each positive generator shifts it uniformly, so kernels
-  and joint kernels split blockwise.
-* capped windows — the twisted slices are infinite dimensional.  All
-  statements about them are verified inside an explicit degree window;
-  verdicts distinguish definite failures (exact vectors violating an
-  exact claim) from window-limited evidence, which is reported as
-  INCONCLUSIVE_CAP rather than PASS when the claim quantifies beyond the
-  window.
+* weight blocking — the Cartan elements act diagonally on monomials;
+  Delta and eta keep weights and each positive generator shifts them
+  uniformly (proved from the atoms), so kernels split blockwise.
+* capped windows — a twisted slice is infinite dimensional and is checked
+  inside a degree window: exact vectors violating an exact claim FAIL,
+  and a claim reaching beyond the window is INCONCLUSIVE_CAP, not PASS.
+* one table per theorem suite — the operators, slices, kernels and each
+  kernel's weight grouping are built once, however many reports read them.
 
 Every solver output is re-verified before it is reported (operator
 application, for Delta from the images its solve read; rank re-checks),
@@ -85,53 +83,62 @@ def _integral(values: Sequence[Fraction], what: str) -> Tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _weight_table(scheme: GradingScheme):
-    """(vacuum weight, per-variable steps) of the scheme, all integral;
-    each variable's step is kept as its nonzero (index, step) pairs, since
-    a variable moves at most one Cartan entry in every scheme."""
+    """(vacuum weight, per-variable steps) of the scheme, all integral; a
+    variable's step is one (index, step) pair, (0, 0) if it moves no Cartan
+    entry, and one that moves two is an InternalError."""
     base = weight_of(SuperPolynomial.one(), scheme)
     steps = {}
     for v in scheme.variables():
         wv = weight_of(SuperPolynomial.variable(v), scheme)
         step = _integral([a - b for a, b in zip(wv, base)], f"step of {v.name()}")
-        steps[v] = tuple((i, s) for i, s in enumerate(step) if s)
+        moved = [(i, s) for i, s in enumerate(step) if s] or [(0, 0)]
+        if len(moved) > 1:
+            raise InternalError(f"{v.name()} moves two Cartan entries")
+        steps[v] = moved[0]
     return _integral(base, "vacuum weight"), steps
 
 
 def monomial_weight(mono: SuperMonomial, scheme: GradingScheme) -> Tuple[int, ...]:
     """Weight of a monomial under the scheme's Cartan action, the key of
-    every weight block.
-
-    Diagonal Cartan operators act on each monomial by a scalar that is
-    affine in the exponents, so the weight is the vacuum weight plus the
-    steps of the monomial's variables, computed on every call from the
-    scheme's step table; no weight is stored per monomial.
-    """
+    every weight block: the Cartan operators act on a monomial by scalars
+    affine in its exponents, so it is the vacuum weight plus the steps of
+    its variables, read from the scheme's step table on every call."""
     base, steps = _weight_table(scheme)
     acc = list(base)
     for v, e in mono.bos:
-        for i, s in steps[v]:
-            acc[i] += e * s
+        i, s = steps[v]
+        acc[i] += e * s
     for v in mono.ferm:
-        for i, s in steps[v]:
-            acc[i] += s
+        i, s = steps[v]
+        acc[i] += s
     return tuple(acc)
+
+
+def _by_weight(scheme: GradingScheme, family) -> Dict[Tuple[int, ...], list]:
+    """The family grouped by weight in first-seen order.  A member is a
+    monomial, grouped by its weight, or a polynomial, which must be
+    weight-homogeneous."""
+    groups: Dict[Tuple[int, ...], list] = {}
+    for p in family:
+        wts = ({monomial_weight(p, scheme)} if isinstance(p, SuperMonomial)
+               else {monomial_weight(m, scheme) for m, _ in p.items()})
+        if len(wts) != 1:
+            raise InternalError("expected a weight-homogeneous vector: " + p.render())
+        wt, = wts
+        groups.setdefault(wt, []).append(p)
+    return groups
 
 
 def _group_polys_by_weight(scheme: GradingScheme, *families):
     """Each weight's part of every family, {weight: [part of each family]}
-    in first-seen order.  A member is a monomial, grouped by its weight, or
-    a polynomial, which must be weight-homogeneous."""
+    in first-seen order, for reading only: a `HarmonicBasis` gives its
+    `by_weight`, another family is grouped by `_by_weight`."""
     groups: Dict[Tuple[int, ...], list] = {}
     for f, family in enumerate(families):
-        for p in family:
-            wts = ({monomial_weight(p, scheme)} if isinstance(p, SuperMonomial)
-                   else {monomial_weight(m, scheme) for m, _ in p.items()})
-            if len(wts) != 1:
-                raise InternalError("expected a weight-homogeneous vector: " + p.render())
-            wt, = wts
-            if wt not in groups:
-                groups[wt] = [[] for _ in families]
-            groups[wt][f].append(p)
+        parts = (family.by_weight if isinstance(family, HarmonicBasis)
+                 else _by_weight(scheme, family))
+        for wt, part in parts.items():
+            groups.setdefault(wt, [()] * len(families))[f] = part
     return groups
 
 
@@ -154,11 +161,19 @@ def _weight_shift(op: DiffOperator, scheme: GradingScheme) -> Tuple[int, ...]:
 
 @dataclass(frozen=True)
 class HarmonicBasis:
+    """A checked basis of a slice's harmonic part; `by_weight` groups it
+    once for every report that reads it."""
+
     slice: GradedSlice
     vectors: Tuple[SuperPolynomial, ...]
 
     def dimension(self) -> int:
         return len(self.vectors)
+
+    @functools.cached_property
+    def by_weight(self) -> dict:
+        """The vectors by weight (`_by_weight`), grouped once per basis."""
+        return _by_weight(self.slice.scheme, self.vectors)
 
 
 def _check_harmonic_invariants(sl: GradedSlice, vectors, delta):
@@ -167,23 +182,20 @@ def _check_harmonic_invariants(sl: GradedSlice, vectors, delta):
             raise InternalError("harmonic basis vector not annihilated: " + v.render())
     if each_owns_a_monomial(vectors):
         return
-    for block, in _group_polys_by_weight(sl.scheme, vectors).values():
+    for block in _by_weight(sl.scheme, vectors).values():
         if span_rank(block) != len(block):
             raise InternalError("harmonic basis vectors are dependent")
 
 
 def harmonic_kernel(sl: GradedSlice) -> HarmonicBasis:
-    """Exact kernel of the scheme's Delta on the slice span.
+    """Exact kernel of the scheme's Delta (the table's) on the slice span.
 
     Delta never raises total degree in any variant, so the kernel of the
     capped slice consists of exact harmonic vectors (their images are
     computed without truncation).  Delta's images are cached for the
     call, and each vector is re-verified as their exact combination.
     """
-    op = named_operator("DELTA", sl.scheme)
-    if any(_weight_shift(op, sl.scheme)):
-        raise InternalError("Delta moves weights")
-    delta = ImageTable(op)
+    delta = ImageTable((_suite_table.get() or _SliceTable()).operator(sl.scheme, "DELTA"))
     vectors = kernel_basis_polys(
         delta, sl.basis, block_key=functools.partial(monomial_weight, scheme=sl.scheme))
     _check_harmonic_invariants(sl, vectors, delta)
@@ -191,24 +203,38 @@ def harmonic_kernel(sl: GradedSlice) -> HarmonicBasis:
 
 
 class _SliceTable:
-    """The complete graded slices of one theorem suite and their checked
-    harmonic kernels.
+    """What a theorem suite's reports read many times (a natural grid's
+    decompositions read every slice below each label), built once and
+    dropped with the suite: the scheme's operators, its complete slices and
+    their checked harmonic kernels with their `by_weight` groupings.
 
-    The eta-power decomposition of a label reads the kernel of every slice
-    below it, so a natural grid meets each slice many times; the table
-    enumerates each slice and solves its kernel once per suite, and goes
-    with the suite.  A capped window (every twisted slice) is not kept: the
-    summand kernels of a twisted label sit at its own internal cap
-    (cap + 2 * i_max), so other labels do not read them, and holding them
-    would only raise the suite's peak memory.  A miss calls the
-    module-level `enumerate_slice` and `harmonic_kernel`, so every kernel
-    handed out has passed `_check_harmonic_invariants` when it was computed.
-    A natural slice capped at or above its degree is held once, uncapped.
+    A capped window (every twisted slice) is not kept: a twisted label's
+    summands sit at its own internal cap (cap + 2 * i_max), which no other
+    label reads.  A miss calls the module-level builders, so every kernel
+    has passed `_check_harmonic_invariants`.  A natural slice capped at or
+    above its degree is held once, uncapped.
     """
 
     def __init__(self):
         self._slices: Dict[tuple, GradedSlice] = {}
         self._kernels: Dict[tuple, HarmonicBasis] = {}
+        self._operators: Dict[tuple, object] = {}
+
+    def operator(self, scheme: GradingScheme, name: str):
+        """DELTA or ETA, proved to keep weights, or "N+": {g: rep_operator(g)}
+        over n+, each proved to shift evenly; built once per table."""
+        key = scheme, name
+        if key not in self._operators:
+            if name == "N+":
+                ops = {g: rep_operator(g, scheme) for g in positive_generators(scheme)}
+                for op in ops.values():
+                    _weight_shift(op, scheme)
+            else:
+                ops = named_operator(name, scheme)
+                if any(_weight_shift(ops, scheme)):
+                    raise InternalError(f"{name.lower()} moves weights")
+            self._operators[key] = ops
+        return self._operators[key]
 
     @staticmethod
     def _key(scheme: GradingScheme, label: Label, cap: Optional[int]) -> tuple:
@@ -237,10 +263,8 @@ class _SliceTable:
         return hb
 
 
-# The table of the theorem suite running in this context; a lone report
-# makes its own.  The suite calls the public report functions, not private
-# variants that take a table, so every report keeps its own name (and a
-# tracer wrapping that name sees it).
+# The table of the suite running in this context; a lone report makes its
+# own.  Reports find it here, not as an argument, so each keeps its name.
 _suite_table: ContextVar[Optional[_SliceTable]] = ContextVar(
     "suite_table", default=None)
 
@@ -282,21 +306,19 @@ def _xu_osp_odd(sl: GradedSlice) -> List[SuperPolynomial]:
 
 def xu_basis(sl: GradedSlice) -> HarmonicBasis:
     """Harmonic basis from the explicit one-seed-per-monomial formulas,
-    each seed solved by xu_solve's alternating series.
-
-    Supported: the natural gl scheme (seeds with x1- or y1-exponent zero),
-    the twisted gl scheme (the same in the n1+1 column), and both x0
-    ladders (the two-parity x0 series over even-scheme slices).  The even
-    osp schemes have no published closed formula here and raise.
+    each seed solved by xu_solve's alternating series: natural gl (seeds
+    with x1- or y1-exponent zero), twisted gl (the same in the n1+1 column)
+    and the x0 ladders (the two-parity x0 series over even-scheme slices).
+    The even osp schemes have no closed formula here and raise.
     """
     if not has_formula_basis(sl.scheme):
         raise ValueError("no formula basis for the even osp schemes")
     spanning = _xu_gl(sl) if sl.scheme.is_gl else _xu_osp_odd(sl)
     # reduce to an independent family, blockwise for tractability
-    groups = _group_polys_by_weight(sl.scheme, [p for p in spanning if not p.is_zero()])
+    groups = _by_weight(sl.scheme, [p for p in spanning if not p.is_zero()])
     vectors: List[SuperPolynomial] = []
     for wt in sorted(groups):
-        block, = groups[wt]
+        block = groups[wt]
         vectors.extend(block[i] for i in independent_subset(block))
     _check_harmonic_invariants(sl, vectors, named_operator("DELTA", sl.scheme))
     return HarmonicBasis(sl, tuple(vectors))
@@ -328,27 +350,19 @@ class SingularVectorSet:
 
 
 def singular_vectors(sl: GradedSlice) -> SingularVectorSet:
-    """All weight vectors in the harmonic part of the slice span annihilated
-    by every positive generator, up to scalar (leading coefficient
-    normalized to 1).
+    """All weight vectors of H on the slice killed by every positive
+    generator, up to scalar (leading coefficient 1): Delta joins the
+    annihilation system, the counting convention of the uniqueness lemmas.
 
-    Delta is adjoined to the annihilation system, so the search runs
-    inside H rather than the full slice: this is the counting convention
-    of the uniqueness lemmas.
-
-    The solve uses only the simple root vectors and Delta.  The simple root
-    vectors generate n+ (`simple_generators` checks exactly that their
-    iterated brackets span every positive generator) and rho is a
-    homomorphism, so their joint kernel with Delta is the same space as the
-    joint kernel of all of n+ and Delta.  Every vector found is still
-    re-verified against every positive generator and Delta.
+    Of the table's operators the solve uses the simple root vectors and
+    Delta: they generate n+ (`simple_generators` checks it) and rho is a
+    homomorphism, so the joint kernel is that of all of n+ and Delta.
+    Each vector found is re-verified against all of n+ and Delta.
     """
     scheme = sl.scheme
-    op_of = {g: rep_operator(g, scheme) for g in positive_generators(scheme)}
-    delta = named_operator("DELTA", scheme)
+    table = _suite_table.get() or _SliceTable()
+    op_of, delta = table.operator(scheme, "N+"), table.operator(scheme, "DELTA")
     solve_ops = [*(op_of[g] for g in simple_generators(scheme)), delta]
-    for op in solve_ops:
-        _weight_shift(op, scheme)
     found = joint_kernel_basis_polys(
         solve_ops, sl.basis, block_key=functools.partial(monomial_weight, scheme=scheme))
     ops = [*op_of.values(), delta]
@@ -494,14 +508,11 @@ def _expected_singular_count(scheme: GradingScheme, label: Label) -> Optional[in
 def cross_check_irreducibility(
     scheme: GradingScheme, label: Label, degree_cap: Optional[int] = None
 ) -> VerificationReport:
-    """Compare the computed singular-vector count in H against the
-    uniqueness lemmas.
+    """Compare the singular-vector count in H with the uniqueness lemmas.
 
-    Complete slices give definite verdicts.  In a capped window, finding
-    more vectors than the lemma allows is a definite FAIL (the vectors
-    are exact); matching a uniqueness claim is only window evidence and
-    reports INCONCLUSIVE_CAP, while a non-uniqueness claim is certified
-    PASS as soon as two exact vectors are exhibited.
+    Complete slices give definite verdicts.  In a capped window more exact
+    vectors than the lemma allows FAIL, matching a uniqueness claim is only
+    INCONCLUSIVE_CAP, and two exact vectors certify non-uniqueness (PASS).
     """
     pred = irreducibility_predicate(scheme, label)
     sl = (_suite_table.get() or _SliceTable()).slice(scheme, label, degree_cap)
@@ -588,28 +599,23 @@ def decomposition_report(
 ) -> VerificationReport:
     """Check the eta-power direct-sum structure of one graded slice.
 
-    Candidates are eta^i images of the stepped harmonic bases.  On
-    complete slices the check is exact: candidates must be independent
-    and span the slice; since they lie in the slice (a candidate outside
-    it is an internal error), they span it when they are as many as its
-    monomials.  On capped slices the harmonic bases are drawn from an
-    enlarged internal window (cap + 2 * i_max) and the candidates must be
-    independent (exact vectors, so dependence is a definite FAIL) and must
-    span the degree-capped window; a spanning shortfall at the window
-    boundary is INCONCLUSIVE_CAP.
+    Candidates are eta^i images of the stepped harmonic bases.  On a
+    complete slice the check is exact: the candidates lie in it (one
+    outside is an internal error), so independent ones span it when they
+    are as many as its monomials.  On a capped slice the bases come from an
+    enlarged window (cap + 2 * i_max); dependence is a definite FAIL, and a
+    shortfall in spanning the capped window is INCONCLUSIVE_CAP.
 
-    eta moves no weight (proved from its atoms), so one grouping by weight
-    takes the summand kernel vectors, the capped window's monomials and
-    the overlap witness's monomials (eta's domain one step down), each
-    monomial weighed as it is.  Each weight forms its own candidates
-    eta^i h, from a table of eta's images that lives for that weight only,
-    and runs one elimination; a weight that only window monomials reach
-    has no candidate and leaves the window unspanned.
+    eta keeps weights, so each weight takes its part of the summand
+    kernels (their `by_weight`), of a capped window's monomials and of the
+    overlap witness, forms its candidates eta^i h from a table of eta's
+    images that lives for that weight only, and runs one elimination; a
+    weight that only window monomials reach leaves the window unspanned.
 
-    The theorem hypothesis is reported, never assumed: when it fails the
-    same computation runs and the report records whether the direct sum
-    holds anyway, plus the dimension of H ∩ eta-image overlap that
-    witnesses indecomposability when it does not.
+    The hypothesis is reported, never assumed: when it fails the same
+    computation records whether the direct sum holds anyway, and the
+    dimension of the H ∩ eta-image overlap that witnesses
+    indecomposability when it does not.
     """
     hyp = _decomposition_hypothesis(scheme, label)
     table = _suite_table.get() or _SliceTable()
@@ -641,15 +647,13 @@ def decomposition_report(
     summand_cap = None if degree_cap is None else degree_cap + 2 * i_max
 
     # ---- one weight at a time ----
-    eta = named_operator("ETA", scheme)
-    if any(_weight_shift(eta, scheme)):
-        raise InternalError("eta moves weights")
+    eta = table.operator(scheme, "ETA")
     complete = window.complete
-    kernels = [table.kernel(scheme, _step_label(scheme, label, i), summand_cap).vectors
+    kernels = [table.kernel(scheme, _step_label(scheme, label, i), summand_cap)
                for i in range(i_max + 1)]
     witness = [[], []] if hyp.holds else [
         table.slice(scheme, _step_label(scheme, label, 1), degree_cap).basis,
-        table.kernel(scheme, label, degree_cap).vectors]
+        table.kernel(scheme, label, degree_cap)]
     groups = _group_polys_by_weight(
         scheme, *kernels, [] if complete else window.basis, *witness)
     inside = set(window.basis) if complete else ()
@@ -660,7 +664,7 @@ def decomposition_report(
         if complete and powers and any(
                 u not in inside for p in powers for u, _ in p.items()):
             raise InternalError("an eta-power candidate leaves the complete slice")
-        block = hs[0] + powers
+        block = [*hs[0], *powers]
         # a lone nonzero candidate is independent; monomials must keep the rank
         if independent and (len(block) > 1 or monos):
             rank_block, rank_all = span_ranks(block, [
@@ -709,14 +713,11 @@ def decomposition_report(
 # ===================================================================
 
 def compare_bases(xu: HarmonicBasis, kern: HarmonicBasis) -> VerificationReport:
-    """span(xu) == span(kern) for a formula basis and a kernel basis of the
-    same slice, with window semantics.
-
-    On complete slices this is plain span equality.  On capped slices
-    the formula vectors may extend beyond the window, so the check is:
-    every kernel vector lies in the formula span, and the formula span
-    meets the window in exactly the kernel dimension.
-    """
+    """span(xu) == span(kern) for a formula and a kernel basis of one
+    slice: plain span equality on a complete slice.  On a capped one the
+    formula vectors may leave the window, so every kernel vector must lie
+    in the formula span, which must meet the window in the kernel's
+    dimension."""
     if xu.slice != kern.slice:
         raise InternalError("compare_bases needs two bases of the same slice")
     sl = xu.slice
@@ -729,7 +730,7 @@ def compare_bases(xu: HarmonicBasis, kern: HarmonicBasis) -> VerificationReport:
         cap=sl.degree_cap,
         dimensions={"kernel": kern.dimension(), "formula": xu.dimension()},
     )
-    groups = _group_polys_by_weight(scheme, xu.vectors, kern.vectors)
+    groups = _group_polys_by_weight(scheme, xu, kern)
     if sl.complete:
         ok = xu.dimension() == kern.dimension()
         for a, b in groups.values():
@@ -765,14 +766,12 @@ def compare_bases(xu: HarmonicBasis, kern: HarmonicBasis) -> VerificationReport:
 # ===================================================================
 
 def _commutator_identities(scheme: GradingScheme):
-    """The scheme's pair-commutator identities as (name, lhs, rhs)
-    normal-form operator triples.
-
-    The commutator of Delta with eta is a constant plus signed Euler
-    operators.  The bosonic constant is e = m + 1 - c, with c the criterion
-    constant, so the identity also checks the constant the criteria read;
-    the bosonic count is + on the x's and y's a twist keeps and - on those
-    it swaps (FLAT + FLAT_PRIME), and the x0 ladder doubles everything."""
+    """The scheme's pair-commutator identities, (name, lhs, rhs) triples of
+    normal-form operators: [Delta, eta] is a constant plus signed Euler
+    operators.  The bosonic constant e = m + 1 - c (c the criterion
+    constant) checks what the criteria read; the bosonic count is + on the
+    x's and y's a twist keeps and - on those it swaps (FLAT + FLAT_PRIME),
+    and the x0 ladder doubles everything."""
     m = scheme.m
     c, _ = criterion_constant(scheme)
     e = m + 1 - c
@@ -939,9 +938,8 @@ def theorem_suite(
     """Aggregate irreducibility cross-checks and decomposition reports
     over a grid of labels, in label order; one consolidated verdict.
 
-    The reports share one slice table for the suite, so each slice is
-    enumerated and each harmonic kernel solved once however many labels
-    read it."""
+    The reports share one `_SliceTable`, so its operators, slices,
+    kernels and their weight groupings are built once."""
     tid = str(theorem_id).upper()
     if not tid.startswith("T"):
         tid = "T" + tid

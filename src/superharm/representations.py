@@ -289,6 +289,12 @@ def cartan_basis(scheme: GradingScheme) -> Tuple[AlgebraElement, ...]:
                  if all(a == b for (a, b), _ in e.items()))
 
 
+@functools.lru_cache(maxsize=None)
+def _cartan_operators(scheme: GradingScheme) -> Tuple[DiffOperator, ...]:
+    """The operators of `cartan_basis`, in its order, that `weight_of` reads."""
+    return tuple(rep_operator(h, scheme) for h in cartan_basis(scheme))
+
+
 def _root(h: AlgebraElement, g: AlgebraElement) -> Fraction:
     """The scalar alpha with [h, g] = alpha * g."""
     key, c = next(iter(g.items()))
@@ -448,8 +454,8 @@ def weight_of(p: SuperPolynomial, scheme: GradingScheme):
         raise ValueError("the zero vector has no weight")
     lead_mono, lead_coeff = p.terms()[0]
     weight: List[Fraction] = []
-    for h in cartan_basis(scheme):
-        q = rep_operator(h, scheme).apply(p)
+    for op in _cartan_operators(scheme):
+        q = op.apply(p)
         lam = Fraction(q.coefficient(lead_mono), lead_coeff)
         if q != p.scale(lam):
             return NOT_A_WEIGHT_VECTOR

@@ -389,6 +389,8 @@ def test_a_solve_on_part_of_n_plus_exits_four(argv, monkeypatch, capsys):
      "--l", "1", "--lp", "1"],
     ["singular-vectors", "--scheme", "gl-natural", "--n", "2", "--m", "1",
      "--l", "1", "--lp", "1"],
+    # inside a suite Delta comes from the suite's table, proved when built
+    ["verify-theorem", "1", "--n", "2", "--m", "1", "--lmax", "1"],
 ])
 def test_an_uneven_delta_exits_four(argv, monkeypatch, capsys):
     import superharm.harmonic as hm

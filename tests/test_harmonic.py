@@ -1,5 +1,6 @@
 import functools
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,20 @@ def test_non_integral_weight_table_is_an_internal_error(monkeypatch):
     hm._weight_table.cache_clear()
     try:
         with pytest.raises(InternalError, match="non-integral"):
+            monomial_weight(SuperMonomial.unit(), GL11)
+    finally:
+        hm._weight_table.cache_clear()
+
+
+def test_a_variable_moving_two_cartan_entries_is_an_internal_error(monkeypatch):
+    # the step table keeps one (index, step) pair per variable
+    def two_steps(p, scheme):
+        return (Fraction(0),) * 2 if p == SuperPolynomial.one() else (Fraction(1),) * 2
+
+    monkeypatch.setattr(hm, "weight_of", two_steps)
+    hm._weight_table.cache_clear()
+    try:
+        with pytest.raises(InternalError, match="moves two Cartan entries"):
             monomial_weight(SuperMonomial.unit(), GL11)
     finally:
         hm._weight_table.cache_clear()
@@ -856,12 +871,13 @@ def test_suite_flags_wrong_counts(monkeypatch):
 # ===================================================================
 
 @pytest.mark.parametrize("tid, scheme, labels, cap", [
-    ("T1", GL21, [(l, lp) for l in range(3) for lp in range(3)], None),
-    ("T3", EV23, [0, 1, 2, 3], None),
+    ("T1", GL21, [(l, lp) for l in range(4) for lp in range(4)], None),
+    ("T3", EV23, [0, 1, 2, 3, 4], None),
     ("T2", TW4113, [(0, 0)], 4),
 ], ids=["gl21-grid", "even23-grid", "tw4113-capped"])
 def test_suite_matches_label_by_label_reports(tid, scheme, labels, cap):
-    # each lone report call enumerates and solves everything afresh
+    # each lone report call builds its own table: its own operators, slices,
+    # kernels and weight groupings, where the suite shares one
     lone = []
     for label in labels:
         lone.append(cross_check_irreducibility(scheme, label, cap).to_dict())
@@ -869,6 +885,35 @@ def test_suite_matches_label_by_label_reports(tid, scheme, labels, cap):
     suite = theorem_suite(tid, scheme, labels, cap).to_dict()
     assert suite.pop("elapsed_ms", None) is None
     assert suite["subreports"] == lone
+    if scheme is GL21:
+        # the grid reaches the overlap witness of a failed hypothesis
+        assert any("harmonic_eta_overlap" in r["dimensions"] for r in lone)
+
+
+def test_suite_builds_each_operator_once_and_drops_it_after(monkeypatch):
+    built, deltas = [], []
+    named, represented = hm.named_operator, hm.rep_operator
+
+    class Tracked(DiffOperator):
+        """A DiffOperator that can be weakly referenced."""
+
+    def counted_named(name, scheme):
+        built.append(name)
+        op = Tracked(dict(named(name, scheme).items()))
+        if name == "DELTA":
+            deltas.append(weakref.ref(op))
+        return op
+
+    def counted_rep(g, scheme):
+        built.append(g)
+        return represented(g, scheme)
+
+    monkeypatch.setattr(hm, "named_operator", counted_named)
+    monkeypatch.setattr(hm, "rep_operator", counted_rep)
+    labels = [(l, lp) for l in range(4) for lp in range(4)]
+    assert theorem_suite("T1", GL21, labels).verdict is Verdict.PASS
+    assert Counter(built) == Counter(["DELTA", "ETA", *positive_generators(GL21)])
+    assert len(deltas) == 1 and deltas[0]() is None
 
 
 def test_suite_solves_each_slice_kernel_once(monkeypatch):
