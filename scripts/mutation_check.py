@@ -262,9 +262,26 @@ MUTATIONS = (
         # (b, a) is skipped without checking that [b, a] = -s [a, b]
         "homomorphism-skips-every-mirrored-pair",
         "src/superharm/representations.py",
-        "if first is not None and br == (-first if s == 1 else first):",
-        "if first is not None:",
+        "if br == (-first if s == 1 else first):",
+        "if True:",
         ("tests/test_representations.py::test_homomorphism_failure_report",),
+    ),
+    Mutation(
+        # (b, a) is compared with c instead of -s c when it is compared
+        "mirrored-rhs-drops-the-sign",
+        "src/superharm/representations.py",
+        "rhs = -c if s == 1 else c",
+        "rhs = c",
+        ("tests/test_representations.py::test_homomorphism_failure_report",),
+    ),
+    Mutation(
+        # the last even index counts as odd
+        "unit-parity-table-uses-wrong-bound",
+        "src/superharm/representations.py",
+        "int((a > last_even) != (b > last_even))",
+        "int((a >= last_even) != (b >= last_even))",
+        ("tests/test_representations.py::"
+         "test_bracket_matches_dense_supermatrix_oracle",),
     ),
     Mutation(
         "super-commutator-drops-mirror-term",

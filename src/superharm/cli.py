@@ -23,6 +23,7 @@ to the elapsed_ms field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -304,7 +305,10 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `parse_args`
+    leaves no state in it, so every `main` call can share it."""
     parser = argparse.ArgumentParser(
         prog="superharm",
         description="Exact verification of supersymmetric harmonic "

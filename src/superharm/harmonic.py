@@ -257,7 +257,12 @@ class _SliceTable:
         key = self._key(scheme, label, cap)
         hb = self._kernels.get(key)
         if hb is None:
-            hb = harmonic_kernel(self.slice(*key))
+            # a lone report's table is the context's while it builds Delta
+            token = _suite_table.set(self)
+            try:
+                hb = harmonic_kernel(self.slice(*key))
+            finally:
+                _suite_table.reset(token)
             if hb.slice.complete:
                 self._kernels[key] = hb
         return hb
@@ -317,8 +322,7 @@ def xu_basis(sl: GradedSlice) -> HarmonicBasis:
     # reduce to an independent family, blockwise for tractability
     groups = _by_weight(sl.scheme, [p for p in spanning if not p.is_zero()])
     vectors: List[SuperPolynomial] = []
-    for wt in sorted(groups):
-        block = groups[wt]
+    for _, block in sorted(groups.items()):  # the weights are distinct
         vectors.extend(block[i] for i in independent_subset(block))
     _check_harmonic_invariants(sl, vectors, named_operator("DELTA", sl.scheme))
     return HarmonicBasis(sl, tuple(vectors))
@@ -368,8 +372,7 @@ def singular_vectors(sl: GradedSlice) -> SingularVectorSet:
     ops = [*op_of.values(), delta]
     entries = []
     for v in found:
-        lead_coeff = v.terms()[0][1]
-        v = v.scale(Fraction(1, lead_coeff))
+        v = v.scale(Fraction(1, v.terms()[0][1]))
         wt = weight_of(v, scheme)
         if wt is NOT_A_WEIGHT_VECTOR:
             raise InternalError("solver produced a non-weight vector")
@@ -379,9 +382,8 @@ def singular_vectors(sl: GradedSlice) -> SingularVectorSet:
                 raise InternalError("solver produced a non-singular vector")
         entries.append((wt, v))
     entries.sort(key=lambda e: (e[0], e[1].terms()[0][0].sort_key()))
-    for i in range(1, len(entries)):
-        if entries[i - 1][1] == entries[i][1]:
-            raise InternalError("duplicate singular vectors reported")
+    if len({v for _, v in entries}) != len(entries):
+        raise InternalError("duplicate singular vectors reported")
     return SingularVectorSet(sl, tuple(entries))
 
 

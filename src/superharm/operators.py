@@ -38,10 +38,12 @@ One loop acts on one monomial: `_add_image` adds c times its image into
 an accumulator, atom by atom.  `DiffOperator.apply` runs it on each input
 term, into one accumulator, and `DiffOperator.images` once per monomial,
 each into its own dict, so neither builds a polynomial per monomial.
-Each operator compiles its atoms once, on its first action: the set of
-variables an atom differentiates, its fermionic derivatives in the order
-they act, its bosonic derivatives, the multiplier's bosonic and fermionic
-parts and the coefficient.  The monomial is prepared once (its exponent
+Each operator compiles its atoms once, on its first action or product,
+and that one compile serves both: the set of variables an atom
+differentiates, its fermionic derivatives in the order they act, its
+bosonic derivatives, the multiplier's bosonic and fermionic parts, the
+coefficient, and for the atom-pair loop its word, parity and multiplier
+variables.  The monomial is prepared once (its exponent
 dict, fermion word and variable set), and every atom that differentiates
 a variable it lacks is skipped (its image is 0).  On the others one pass
 builds the image: it copies the exponent dict, lowers every bosonic
@@ -121,7 +123,8 @@ _IDENTITY_WORD = OpWord(SuperMonomial.unit(), (), ())
 
 
 class _Atom(NamedTuple):
-    """One atom as `_add_image` reads it, compiled once per operator."""
+    """One atom as `_add_image` and the atom-pair loop of `_signed_product`
+    read it, compiled once per operator."""
 
     need: frozenset                       # the variables it differentiates
     rdferm: tuple[VariableId, ...]        # fermionic derivatives, rightmost first
@@ -129,11 +132,15 @@ class _Atom(NamedTuple):
     mbos: tuple[tuple[VariableId, int], ...]  # the multiplier's bosonic part
     mferm: tuple[VariableId, ...]         # the multiplier's fermionic word
     coeff: Scalar
+    word: OpWord
+    parity: int
+    mvars: frozenset                      # the variables its multiplier carries
 
 
 def _compile(w: OpWord, c: Scalar) -> _Atom:
     return _Atom(frozenset(v for v, _ in w.dbos).union(w.dferm), w.dferm[::-1],
-                 w.dbos, w.mult.bos, w.mult.ferm, c)
+                 w.dbos, w.mult.bos, w.mult.ferm, c, w, w.parity(),
+                 frozenset(v for v, _ in w.mult.bos).union(w.mult.ferm))
 
 
 def _act(atom: _Atom, bos, exps: dict, ferm) -> Optional[tuple[int, SuperMonomial]]:
@@ -141,7 +148,7 @@ def _act(atom: _Atom, bos, exps: dict, ferm) -> Optional[tuple[int, SuperMonomia
     pairs, their exponent dict and its fermion word, which carry every
     variable the atom differentiates: (k, image monomial) with k the integer
     sign times falling factorial, or None when the image is 0."""
-    _, rdferm, dbos, mbos, mferm, _ = atom
+    _, rdferm, dbos, mbos, mferm, _, _, _, _ = atom
     k = 1
     if dbos or mbos:
         exps = exps.copy()
@@ -234,9 +241,10 @@ class DiffOperator(LinearCombination):
         return self.terms()
 
     def _compiled_atoms(self) -> list[_Atom]:
-        """The atoms compiled for `_add_image`, built on first use.  They
-        are read off `_terms`, which no operation changes after construction
-        (each one builds a new operator), so they cannot go stale."""
+        """The atoms compiled for action and composition, built on first
+        use.  They are read off `_terms`, which no operation changes after
+        construction (each one builds a new operator), so they cannot go
+        stale."""
         try:
             return self._compiled
         except AttributeError:
@@ -409,24 +417,18 @@ def _add_product(acc: dict, wa: OpWord, wb: OpWord, coeff: Scalar,
             acc[word] = acc.get(word, 0) + coeff * (wcoeff * fsign * msign * dsign)
 
 
-def _atom_sides(op: DiffOperator):
-    """(word, coefficient, parity, multiplier variables, derivative
-    variables) for each atom of op."""
-    return [(w, c, w.parity(), {*dict(w.mult.bos), *w.mult.ferm},
-             {*dict(w.dbos), *w.dferm}) for w, c in op._terms.items()]
-
-
 def _signed_product(a: DiffOperator, b: DiffOperator,
                     graded: bool) -> DiffOperator:
     """a∘b, or when graded the sum over atom pairs of wa∘wb -
     (-1)^{|wa||wb|} wb∘wa: the one atom-pair loop behind compose and
-    super_commutator.  Graded, the uncontracted terms cancel and are never
-    built, and an order whose derivatives meet none of the other atom's
-    multipliers, which has no other term, is skipped before any cross."""
+    super_commutator, over both factors' compiled atoms.  Graded, the
+    uncontracted terms cancel and are never built, and an order whose
+    derivatives meet none of the other atom's multipliers, which has no
+    other term, is skipped before any cross."""
     acc: dict[OpWord, Scalar] = {}
-    b_sides = _atom_sides(b)
-    for wa, ca, pa, ma, da in _atom_sides(a):
-        for wb, cb, pb, mb, db in b_sides:
+    b_atoms = b._compiled_atoms()
+    for da, _, _, _, _, ca, wa, pa, ma in a._compiled_atoms():
+        for db, _, _, _, _, cb, wb, pb, mb in b_atoms:
             base = ca * cb
             if not graded:
                 _add_product(acc, wa, wb, base, True)

@@ -22,6 +22,10 @@ multiplication and differentiation on x_1..x_{n1} and y_{n2+1}..y_n and so
 trades first-order atoms for products of two multipliers or two
 derivatives.  Arbitrary elements extend linearly: an `AlgebraElement` is
 an `algebra.LinearCombination` of the matrix units, keyed by (a, b).
+Each space builds one table from unit key to parity, E[a,b] being odd
+when exactly one of a, b is odd; `bracket`, `AlgebraElement.parity` and
+`AlgebraSpace.unit_parities` all read it, and a key outside it raises
+ValueError.
 
 The Cartan basis and the positive-root generators used for weights and
 singular vectors are read off the algebra basis, with the roots ordered
@@ -91,16 +95,10 @@ class AlgebraSpace:
         return range(low, top + 1)
 
     def unit_parities(self, keys) -> List[int]:
-        """Parity of each matrix unit E[a,b], (a, b) in keys, with the
-        bounds read once."""
-        low, top, last_even = self._bounds()
-        out = []
-        for a, b in keys:
-            if not (low <= a <= top and low <= b <= top):
-                bad = b if low <= a <= top else a
-                raise ValueError(f"index {bad} out of range for {self.family.value}")
-            out.append(int((a > last_even) != (b > last_even)))
-        return out
+        """Parity of each matrix unit E[a,b], (a, b) in keys, read from
+        the space's `_unit_parity_table`."""
+        table = _unit_parity_table(self)
+        return [table[key] for key in keys]
 
     def lie_dimension(self) -> int:
         """Dimension of the superalgebra itself (not the ambient gl)."""
@@ -111,6 +109,23 @@ class AlgebraSpace:
         if self.family is AlgebraFamily.OSP_ODD:
             dim += 2 * n + 2 * m
         return dim
+
+
+class _ParityTable(dict):
+    """{(a, b): parity of E[a,b]}; a key outside the space raises ValueError."""
+
+    def __missing__(self, key):
+        raise ValueError(f"matrix unit E[{key[0]},{key[1]}] out of range")
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_parity_table(space: AlgebraSpace) -> _ParityTable:
+    """The parity of every matrix unit of the space, the one parity rule:
+    E[a,b] is odd when exactly one of a, b is past the last even index."""
+    low, top, last_even = space._bounds()
+    rng = range(low, top + 1)
+    return _ParityTable(((a, b), int((a > last_even) != (b > last_even)))
+                        for a in rng for b in rng)
 
 
 @functools.lru_cache(maxsize=None)
@@ -185,11 +200,11 @@ def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     On units: [E_ab, E_cd] = d_bc E_ad - (-1)^{p(ab) p(cd)} d_da E_cb.
     """
     u._require_same_space(v)
-    sp = u.space
+    parity = _unit_parity_table(u.space)
     acc: Dict[Tuple[int, int], Scalar] = {}
-    vterms = [(c, d, cv, pv) for ((c, d), cv), pv
-              in zip(v._terms.items(), sp.unit_parities(v._terms))]
-    for ((a, b), cu), pu in zip(u._terms.items(), sp.unit_parities(u._terms)):
+    vterms = [(c, d, cv, parity[c, d]) for (c, d), cv in v._terms.items()]
+    for (a, b), cu in u._terms.items():
+        pu = parity[a, b]
         for c, d, cv, pv in vterms:
             coeff = cu * cv
             if b == c:
@@ -197,7 +212,7 @@ def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
             if d == a:
                 sgn = -1 if (pu and pv) else 1
                 acc[(c, b)] = acc.get((c, b), 0) - sgn * coeff
-    return AlgebraElement(sp, acc)
+    return AlgebraElement(u.space, acc)
 
 
 # ===================================================================
@@ -424,7 +439,7 @@ def rep_operator(elem: AlgebraElement, scheme: GradingScheme) -> DiffOperator:
     if elem.space != algebra_space(scheme):
         raise ValueError("element does not belong to this scheme's algebra")
     acc: Dict[OpWord, Scalar] = {}
-    for (a, b), c in elem.terms():
+    for (a, b), c in elem.items():
         for w, cw in _unit_operator(scheme, a, b).items():
             acc[w] = acc.get(w, 0) + c * cw
     return DiffOperator(acc)
@@ -482,9 +497,12 @@ def verify_homomorphism(rep: GradingScheme) -> VerificationReport:
     and skips the atom pairs whose variables do not meet.  When [b, a] =
     -s [a, b], as it is in a Lie superalgebra, rho is linear and the osp
     span a subspace, so (b, a) passes or fails with (a, b): its bracket's
-    operator is neither built nor compared.  A FAIL names the first failing
-    ordered pair in row-major order, with pairs_checked its row-major
-    position; (a, b) with a < b comes before (b, a).
+    operator is neither built nor compared, and its right-hand side -s c is
+    built only when it is.  Every ordered pair still forms its bracket, n^2
+    `bracket` calls in all, since that per-pair equality is what lets
+    (b, a) be skipped.  A FAIL names the first failing ordered pair in
+    row-major order, with pairs_checked its row-major position; (a, b)
+    with a < b comes before (b, a).
     """
     basis = algebra_basis(rep)
     space = algebra_space(rep)
@@ -505,15 +523,15 @@ def verify_homomorphism(rep: GradingScheme) -> VerificationReport:
         for j in range(i, n):
             s = -1 if parities[i] and parities[j] else 1
             c = super_commutator(ops[i], ops[j])
-            pairs = [(i, j, c)]
-            if j > i:
-                pairs.append((j, i, -c if s == 1 else c))
             first = None
-            for a, b, rhs in pairs:
+            for a, b in ((i, j), (j, i)) if j > i else ((i, j),):
                 eu, ev = basis[a], basis[b]
                 br = bracket(eu, ev)
-                if first is not None and br == (-first if s == 1 else first):
-                    break  # (b, a) has the outcome of (a, b), which comes first
+                rhs = c
+                if first is not None:
+                    if br == (-first if s == 1 else first):
+                        break  # (b, a) has the outcome of (a, b), which comes first
+                    rhs = -c if s == 1 else c
                 first = br
                 lhs = rep_operator(br, rep)
                 if lhs != rhs:

@@ -15,7 +15,8 @@ action `oracle_apply` runs on `oracle_derive`, one Leibniz derivative step
 and one intermediate polynomial at a time, `oracle_compose` is the earlier
 composition that expands every variable of an atom pair, shared or not,
 `oracle_super_commutator` builds both full products of each pair of parity
-parts, osp membership is the dense reduction against the osp basis
+parts, `oracle_bracket` multiplies dense supermatrices part by part,
+osp membership is the dense reduction against the osp basis
 (the η-stabilizer test in test_representations checks both against a
 rule that shares nothing with the basis's sign),
 `oracle_singular_vectors` is the earlier singular solve on every positive
@@ -50,6 +51,7 @@ from superharm.algebra import (
 from superharm.harmonic import monomial_weight
 from superharm.operators import DiffOperator, OpWord, compose, named_operator
 from superharm.representations import (
+    AlgebraElement,
     AlgebraFamily,
     osp_basis,
     positive_generators,
@@ -404,6 +406,52 @@ def oracle_super_commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
             out = out + oracle_compose(aa, bb)
             out = out + ba if pa and pb else out - ba
     return out
+
+
+def _index_parities(space):
+    """{ambient index: 0 or 1}, read off the families' definitions: gl(n|m)
+    has the even indices 1..n and the odd n+1..n+m; osp(2n|2m) the even
+    1..2n and the odd 2n+1..2n+2m; osp(2n+1|2m) adds the even index 0."""
+    n, m = space.n, space.m
+    if space.family is AlgebraFamily.GL:
+        even, odd = range(1, n + 1), range(n + 1, n + m + 1)
+    else:
+        low = 0 if space.family is AlgebraFamily.OSP_ODD else 1
+        even, odd = range(low, 2 * n + 1), range(2 * n + 1, 2 * (n + m) + 1)
+    return {**dict.fromkeys(even, 0), **dict.fromkeys(odd, 1)}
+
+
+def _matmul(u, v):
+    return [[sum(u[i][k] * v[k][j] for k in range(len(v)))
+             for j in range(len(v[0]))] for i in range(len(u))]
+
+
+def oracle_bracket(u, v):
+    """[u, v] as dense supermatrices: each element is split into its two
+    homogeneous parts, part q holding the entries whose row and column
+    parities sum to q mod 2, and [u, v] is the sum over the parts p of u
+    and q of v of u_p v_q - (-1)^{pq} v_q u_p, by plain matrix products."""
+    parity = _index_parities(u.space)
+    order = sorted(parity)
+    size = len(order)
+
+    def parts(elem):
+        out = [[[Fraction(0)] * size for _ in range(size)] for _ in (0, 1)]
+        for (a, b), c in elem.terms():
+            out[(parity[a] + parity[b]) % 2][order.index(a)][order.index(b)] = c
+        return out
+
+    total = [[Fraction(0)] * size for _ in range(size)]
+    for p, up in enumerate(parts(u)):
+        for q, vq in enumerate(parts(v)):
+            sign = -1 if p and q else 1
+            uv, vu = _matmul(up, vq), _matmul(vq, up)
+            for i in range(size):
+                for j in range(size):
+                    total[i][j] += uv[i][j] - sign * vu[i][j]
+    return AlgebraElement(u.space, {(order[i], order[j]): c
+                                    for i, row in enumerate(total)
+                                    for j, c in enumerate(row) if c})
 
 
 def _element_row(elem, keys):

@@ -916,6 +916,34 @@ def test_suite_builds_each_operator_once_and_drops_it_after(monkeypatch):
     assert len(deltas) == 1 and deltas[0]() is None
 
 
+@pytest.mark.parametrize("report", [decomposition_report, cross_check_irreducibility],
+                         ids=["decomposition", "cross-check"])
+def test_a_lone_report_builds_delta_once(monkeypatch, report):
+    # a lone report's table stands in the context while each of its
+    # summand kernels is solved, so they share one Delta, and it leaves
+    # the context as it was, also when a kernel solve raises
+    deltas = []
+    named = hm.named_operator
+
+    def counted(name, scheme):
+        if name == "DELTA":
+            deltas.append(scheme)
+        return named(name, scheme)
+
+    monkeypatch.setattr(hm, "named_operator", counted)
+    assert report(GL23, (3, 3)).verdict is Verdict.PASS
+    assert deltas == [GL23]
+    assert hm._suite_table.get() is None
+
+    def broken(sl):
+        raise InternalError("kernel solve failed")
+
+    monkeypatch.setattr(hm, "harmonic_kernel", broken)
+    with pytest.raises(InternalError, match="kernel solve failed"):
+        decomposition_report(GL23, (3, 3))
+    assert hm._suite_table.get() is None
+
+
 def test_suite_solves_each_slice_kernel_once(monkeypatch):
     import superharm.harmonic as hm
 

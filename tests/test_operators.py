@@ -358,6 +358,32 @@ def test_commutator_matches_full_products(pair):
     assert super_commutator(a, b) == oracles.oracle_super_commutator(a, b)
 
 
+@given(meeting_operator_pairs(), multi_term_polys, st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_one_compile_serves_action_and_products(pair, p, act_first):
+    # the same operators act, then compose and super-commute, then do both
+    # again in the reverse order (or start with the products): whichever
+    # use compiles their atoms, every result matches the oracles, and the
+    # second call of each gives what the first gave
+    a, b = pair
+
+    def actions():
+        return {"a(p)": a.apply(p), "b(p)": b.apply(p)}
+
+    def products():
+        return {"ab": compose(a, b), "ba": compose(b, a),
+                "[a,b]": super_commutator(a, b)}
+
+    want = {"a(p)": oracles.oracle_apply(a, p), "b(p)": oracles.oracle_apply(b, p),
+            "ab": oracles.oracle_compose(a, b), "ba": oracles.oracle_compose(b, a),
+            "[a,b]": oracles.oracle_super_commutator(a, b)}
+    first, second = (actions, products) if act_first else (products, actions)
+    got = {**first(), **second()}
+    again = {**second(), **first()}
+    assert got == want
+    assert again == got
+
+
 def test_compose_reorders_factors():
     # derivative written before its own multiplier: composition must reorder
     one = DiffOperator.identity()

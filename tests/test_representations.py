@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superharm.algebra import (
@@ -156,6 +156,53 @@ def test_bracket_super_jacobi(a, b, c):
              + bracket(b, bracket(c, a)).scale(s2)
              + bracket(c, bracket(a, b)).scale(s3))
     assert total.is_zero()
+
+
+ORACLE_SPACES = [AlgebraSpace(AlgebraFamily.GL, 2, 2),
+                 AlgebraSpace(AlgebraFamily.OSP_EVEN, 2, 1),
+                 AlgebraSpace(AlgebraFamily.OSP_ODD, 1, 2)]
+ODD12_SP = ORACLE_SPACES[2]
+
+
+@st.composite
+def unit_combination_pairs(draw):
+    """Two random rational combinations of the matrix units of one ambient
+    space, of either parity or mixed."""
+    sp = draw(st.sampled_from(ORACLE_SPACES))
+    keys = st.tuples(st.sampled_from(sp.indices()), st.sampled_from(sp.indices()))
+    coeffs = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+    u, v = (AlgebraElement(sp, draw(st.dictionaries(keys, coeffs, min_size=1,
+                                                    max_size=4)))
+            for _ in range(2))
+    return u, v
+
+
+@given(unit_combination_pairs())
+# index 0, the lower bound of the odd osp table, next to the odd index 3
+@example((AlgebraElement(ODD12_SP, {(0, 3): 1, (0, 1): 2, (0, 0): -1}),
+          AlgebraElement(ODD12_SP, {(3, 0): 1, (1, 0): Fraction(1, 2),
+                                    (2, 2): 3})))
+@settings(max_examples=150, deadline=None)
+def test_bracket_matches_dense_supermatrix_oracle(pair):
+    u, v = pair
+    assert bracket(u, v) == oracles.oracle_bracket(u, v)
+
+
+@pytest.mark.parametrize("space, key", [
+    (GL_SP, (0, 1)),
+    (GL_SP, (1, 4)),
+    (AlgebraSpace(AlgebraFamily.OSP_EVEN, 1, 1), (0, 1)),
+    (AlgebraSpace(AlgebraFamily.OSP_ODD, 1, 1), (-1, 0)),
+    (AlgebraSpace(AlgebraFamily.OSP_ODD, 1, 1), (2, 5)),
+])
+def test_a_key_out_of_range_raises(space, key):
+    # the constructor does not check keys; the parity table does
+    bad, good = AlgebraElement(space, {key: 1}), AlgebraElement(space, {(1, 1): 1})
+    with pytest.raises(ValueError, match="out of range"):
+        bad.parity()
+    for u, v in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="out of range"):
+            bracket(u, v)
 
 
 # ===================================================================
