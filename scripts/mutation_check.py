@@ -284,6 +284,26 @@ MUTATIONS = (
          "test_bracket_matches_dense_supermatrix_oracle",),
     ),
     Mutation(
+        # a fermionic bidegree with r >= s has no ladder powers, so nothing
+        # else in the check loop looks at the harmonics found there
+        "fermionic-ladder-skips-the-empty-piece-check",
+        "src/superharm/harmonic.py",
+        "        if vectors and not powers:\n"
+        "            failures.append(f\"unexpected {kind} harmonics at {where}\")\n",
+        "",
+        ("tests/test_harmonic.py::"
+         "test_identity_report_rejects_fermionic_harmonics_without_powers",),
+    ),
+    Mutation(
+        # d_x0 d_x0 becomes d_x0 in the x0 ladder's Delta
+        "atom-counts-a-repeated-derivative-once",
+        "src/superharm/operators.py",
+        "dbos[v] = dbos.get(v, 0) + 1",
+        "dbos[v] = 1",
+        ("tests/test_operators.py::test_odd_ladder_commutator_identity",
+         "tests/test_harmonic.py::test_identity_report_passes"),
+    ),
+    Mutation(
         "super-commutator-drops-mirror-term",
         "src/superharm/operators.py",
         "            if not db.isdisjoint(ma):\n"

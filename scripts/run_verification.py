@@ -57,6 +57,12 @@ def job_table() -> list:
                                     "--kmax", "5", "--cap", "5"]),
         Job("basis-gl21-l1-lp1", ["harmonic-basis", "--scheme", "gl-natural",
                                   "--n", "2", "--m", "1", "--l", "1", "--lp", "1"]),
+        # the x0 series formula basis, and the capped branch of compare_bases
+        Job("basis-odd21-k2", ["harmonic-basis", "--scheme", "osp-odd-natural",
+                               "--n", "2", "--m", "1", "--k", "2"]),
+        Job("basis-tw4113-l0-lp0-cap4", ["harmonic-basis", "--scheme", "gl-twisted",
+                                         "--n", "4", "--m", "1", "--n1", "1", "--n2", "3",
+                                         "--l", "0", "--lp", "0", "--cap", "4"]),
         Job("singular-gl23-l2-lp2", ["singular-vectors", "--scheme", "gl-natural",
                                      "--n", "2", "--m", "3", "--l", "2", "--lp", "2"]),
         Job("stabilizer-even21", ["stabilizer", "--scheme", "osp-even-natural",

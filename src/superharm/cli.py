@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto the verification entry points:
+Subcommands map one-to-one onto the verification entry points; one table,
+`_SUBCOMMANDS`, gives each its help, its flags and its runner:
 
   harmonic-basis    kernel basis of one slice + formula-basis comparison
   singular-vectors  enumerate the singular vectors of one slice
@@ -252,30 +253,6 @@ def _run_scheme_suite(cfg: JobConfig, check: str, runner) -> VerificationReport:
     return report
 
 
-def _run_check_brackets(cfg: JobConfig) -> VerificationReport:
-    return _run_scheme_suite(cfg, "bracket-suite",
-                             lambda s: verify_homomorphism(s))
-
-
-def _run_check_identities(cfg: JobConfig) -> VerificationReport:
-    return _run_scheme_suite(cfg, "identity-suite",
-                             lambda s: identity_report(s, cfg.cap))
-
-
-def _run_stabilizer(cfg: JobConfig) -> VerificationReport:
-    return osp_stabilizer_check(cfg.resolve_scheme())
-
-
-_RUNNERS = {
-    "harmonic-basis": _run_harmonic_basis,
-    "singular-vectors": _run_singular_vectors,
-    "verify-theorem": _run_verify_theorem,
-    "check-brackets": _run_check_brackets,
-    "check-identities": _run_check_identities,
-    "stabilizer": _run_stabilizer,
-}
-
-
 # ===================================================================
 # argument parsing and entry point
 # ===================================================================
@@ -284,24 +261,32 @@ _ALL_KINDS = [k.value for k in SchemeKind]
 _SCHEME_FLAGS = ("n", "m", "n1", "n2")
 _SLICE_FLAGS = _SCHEME_FLAGS + ("l", "lp", "k", "cap")
 
-# subcommand -> (help, --scheme choices, the integer flags it reads); each
-# also takes --format and --out, and argparse rejects any other flag
+# subcommand -> (help, --scheme choices, the integer flags it reads, its
+# runner); each also takes --format and --out, and argparse rejects any
+# other flag.  A runner reaches the engine through this module's globals
+# when it runs, never through a function object held in the table.
 _SUBCOMMANDS = {
     "harmonic-basis": ("kernel basis of one graded slice, with the "
                        "formula-basis comparison where one exists",
-                       _ALL_KINDS, _SLICE_FLAGS),
+                       _ALL_KINDS, _SLICE_FLAGS, _run_harmonic_basis),
     "singular-vectors": ("enumerate singular vectors of one slice",
-                         _ALL_KINDS, _SLICE_FLAGS),
+                         _ALL_KINDS, _SLICE_FLAGS, _run_singular_vectors),
     "verify-theorem": ("irreducibility/decomposition suite on a grid",
                        _ALL_KINDS,
-                       _SLICE_FLAGS + ("lmax", "lpmax", "kmin", "kmax")),
+                       _SLICE_FLAGS + ("lmax", "lpmax", "kmin", "kmax"),
+                       _run_verify_theorem),
     "check-brackets": ("bracket homomorphism (one scheme or full grid)",
-                       _ALL_KINDS, _SCHEME_FLAGS),
+                       _ALL_KINDS, _SCHEME_FLAGS,
+                       lambda cfg: _run_scheme_suite(cfg, "bracket-suite",
+                                                     verify_homomorphism)),
     "check-identities": ("operator identities (one scheme or full grid)",
-                         _ALL_KINDS, _SCHEME_FLAGS + ("cap",)),
+                         _ALL_KINDS, _SCHEME_FLAGS + ("cap",),
+                         lambda cfg: _run_scheme_suite(
+                             cfg, "identity-suite", lambda s: identity_report(s, cfg.cap))),
     "stabilizer": ("eta-stabilizer characterization (natural osp)",
                    [SchemeKind.OSP_EVEN_NATURAL.value,
-                    SchemeKind.OSP_ODD_NATURAL.value], ("n", "m")),
+                    SchemeKind.OSP_ODD_NATURAL.value], ("n", "m"),
+                   lambda cfg: osp_stabilizer_check(cfg.resolve_scheme())),
 }
 
 
@@ -314,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of supersymmetric harmonic "
                     "decompositions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, kinds, flags) in _SUBCOMMANDS.items():
+    for name, (help_text, kinds, flags, _) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         if name == "verify-theorem":
             sp.add_argument("theorem", choices=("1", "2", "3", "4"))
@@ -361,7 +346,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cfg = _config_from_args(args)
     started = time.monotonic()
     try:
-        report = _RUNNERS[cfg.command](cfg)
+        report = _SUBCOMMANDS[cfg.command][3](cfg)
     except ValueError as err:
         # ConfigError and the engine's domain errors (slice, label, theorem)
         print(f"superharm: {err}", file=sys.stderr)

@@ -221,8 +221,9 @@ class _SliceTable:
         self._operators: Dict[tuple, object] = {}
 
     def operator(self, scheme: GradingScheme, name: str):
-        """DELTA or ETA, proved to keep weights, or "N+": {g: rep_operator(g)}
-        over n+, each proved to shift evenly; built once per table."""
+        """A `named_operator`, proved to keep weights, or "N+": {g:
+        rep_operator(g)} over n+, each proved to shift evenly; built once
+        per table."""
         key = scheme, name
         if key not in self._operators:
             if name == "N+":
@@ -767,13 +768,13 @@ def compare_bases(xu: HarmonicBasis, kern: HarmonicBasis) -> VerificationReport:
 # operator identities
 # ===================================================================
 
-def _commutator_identities(scheme: GradingScheme):
+def _commutator_identities(scheme: GradingScheme, op: Callable[[str], DiffOperator]):
     """The scheme's pair-commutator identities, (name, lhs, rhs) triples of
-    normal-form operators: [Delta, eta] is a constant plus signed Euler
-    operators.  The bosonic constant e = m + 1 - c (c the criterion
-    constant) checks what the criteria read; the bosonic count is + on the
-    x's and y's a twist keeps and - on those it swaps (FLAT + FLAT_PRIME),
-    and the x0 ladder doubles everything."""
+    normal-form operators, op(name) giving each named operator: [Delta, eta]
+    is a constant plus signed Euler operators.  The bosonic constant
+    e = m + 1 - c (c the criterion constant) checks what the criteria read;
+    the bosonic count is + on the x's and y's a twist keeps and - on those
+    it swaps (FLAT + FLAT_PRIME), and the x0 ladder doubles everything."""
     m = scheme.m
     c, _ = criterion_constant(scheme)
     e = m + 1 - c
@@ -783,130 +784,104 @@ def _commutator_identities(scheme: GradingScheme):
     bos_number = number_operator(pos_x + pos_y, neg_x + neg_y)
     out = [(
         "fermionic pair",
-        super_commutator(named_operator("DELTA_CHECK", scheme),
-                         named_operator("ETA_CHECK", scheme)),
+        super_commutator(op("DELTA_CHECK"), op("ETA_CHECK")),
         one.scale(-m) + ferm_number,
     ), (
         "twisted bosonic pair" if scheme.is_twisted else "bosonic pair",
-        super_commutator(named_operator("DELTA_BAR", scheme),
-                         named_operator("ETA_BAR", scheme)),
+        super_commutator(op("DELTA_BAR"), op("ETA_BAR")),
         one.scale(e) + bos_number,
     )]
     if scheme.has_x0:
         out.append((
             "ladder pair",
-            super_commutator(named_operator("DELTA", scheme),
-                             named_operator("ETA", scheme)),
+            super_commutator(op("DELTA"), op("ETA")),
             one.scale(2 + 4 * (e - m))
             + (number_operator([x0()]) + ferm_number + bos_number).scale(4),
         ))
     return out
 
 
-def _ladder_checks(delta: DiffOperator, eta: DiffOperator,
-                   vectors: Sequence[SuperPolynomial], top: int,
-                   scalar: Callable[[int], int], where: str,
-                   failures: List[str]) -> int:
-    """Check delta(eta^l f) = scalar(l) * eta^(l-1) f for l = 1..top and each
-    f in vectors; one line per wrong power goes to failures.  Returns the
-    number of checks."""
-    for f in vectors:
-        prev = f
-        for ell in range(1, top + 1):
-            cur = eta.apply(prev)
-            if delta.apply(cur) != prev.scale(scalar(ell)):
-                failures.append(f"{where}, power {ell}")
-            prev = cur
-    return len(vectors) * top
+def _ladder_pieces(scheme: GradingScheme, table: _SliceTable,
+                   degree_cap: Optional[int]):
+    """The pieces of the ladder law delta(eta^l h) = scalar(l) eta^(l-1) h,
+    each ((kind, where), delta, eta, harmonic vectors h, powers l, scalar).
 
-
-def _fermionic_ladder_scalars(scheme: GradingScheme) -> Tuple[int, List[str]]:
-    """Scalar action of the fermionic Laplacian on eta-check powers.
-
-    On the harmonic piece of fermionic bidegree (r, m+1-s) the l-th
-    eta-check power is mapped onto l*(l+r-s) times the previous power;
-    pieces with r >= s are checked to be zero."""
+    Fermionic, on the check pair: the harmonic piece of fermionic bidegree
+    (r, m+1-s) takes l*(l+r-s) for l = 1..s-r; with r >= s it has no
+    powers, and no harmonics.  Harmonic, on Delta and eta for the kinds
+    whose ladder constant is label-linear: with d the label degree and c
+    the criterion constant, l*(d+l-c) (twisted) or 2l*(1+2(d+l-c)) (odd
+    natural, on the even partner's kernels) for l = 1, 2."""
     m = scheme.m
-    d_check = named_operator("DELTA_CHECK", scheme)
-    e_check = named_operator("ETA_CHECK", scheme)
+    d_check = table.operator(scheme, "DELTA_CHECK")
+    e_check = table.operator(scheme, "ETA_CHECK")
     thetas = [theta(i) for i in range(1, m + 1)]
     varthetas = [vartheta(i) for i in range(1, m + 1)]
-    checked, failures = 0, []
     for a in range(m + 1):
         for b in range(m + 1):
             monos = [SuperMonomial.make([], th + vt)
                      for th in itertools.combinations(thetas, a)
                      for vt in itertools.combinations(varthetas, b)]
-            kern = kernel_basis_polys(d_check, monos)
             r, s = a, m + 1 - b
-            if r >= s:
-                if kern:
-                    failures.append(
-                        f"unexpected fermionic harmonics at bidegree ({a},{b})")
-                continue
-            checked += _ladder_checks(
-                d_check, e_check, kern, s - r, lambda ell: ell * (ell + r - s),
-                f"fermionic ladder scalar wrong at bidegree ({a},{b})", failures)
-    return checked, failures
-
-
-def _harmonic_ladder_scalars(
-    scheme: GradingScheme, degree_cap: Optional[int]
-) -> Tuple[int, List[str]]:
-    """Scalar action of Delta on eta-powers of harmonic vectors, for the
-    kinds whose ladder constant is label-linear: with d the label degree
-    and c the criterion constant, the l-th power is mapped onto
-    l*(d+l-c) (twisted) or 2l*(1+2(d+l-c)) (odd natural) times the
-    previous power."""
-    kind = scheme.kind
+            yield (("fermionic", f"bidegree ({a},{b})"), d_check, e_check,
+                   kernel_basis_polys(d_check, monos), range(1, s - r + 1),
+                   lambda ell, k=r - s: ell * (ell + k))
     c, _ = criterion_constant(scheme)
-    if kind in (SchemeKind.GL_TWISTED, SchemeKind.OSP_EVEN_TWISTED):
+    if scheme.kind in (SchemeKind.GL_TWISTED, SchemeKind.OSP_EVEN_TWISTED):
         source = scheme
         labels = [(0, 0), (1, 0)] if scheme.is_gl else [0, 1]
         cap = 3 if degree_cap is None else degree_cap
 
         def scalar(d, ell):
             return ell * (d + ell - c)
-    elif kind is SchemeKind.OSP_ODD_NATURAL:
+    elif scheme.kind is SchemeKind.OSP_ODD_NATURAL:
         source, labels, cap = _even_partner(scheme), [0, 1, 2], None
 
         def scalar(d, ell):
             return 2 * ell * (1 + 2 * (d + ell - c))
     else:
-        return 0, []
-    delta = named_operator("DELTA", scheme)
-    eta = named_operator("ETA", scheme)
-    checked, failures = 0, []
+        return
+    delta, eta = table.operator(scheme, "DELTA"), table.operator(scheme, "ETA")
     for label in labels:
-        checked += _ladder_checks(
-            delta, eta, harmonic_kernel(enumerate_slice(source, label, cap)).vectors,
-            2, functools.partial(scalar, label_degree(label)),
-            f"harmonic ladder scalar wrong at label {label}", failures)
-    return checked, failures
+        yield (("harmonic", f"label {label}"), delta, eta,
+               table.kernel(source, label, cap).vectors, range(1, 3),
+               functools.partial(scalar, label_degree(label)))
 
 
 def identity_report(
     scheme: GradingScheme, degree_cap: Optional[int] = None
 ) -> VerificationReport:
     """Exact normal-form commutator identities for the scheme's
-    distinguished operator pairs, plus the scalar-action laws on
-    harmonic vectors."""
+    distinguished operator pairs, plus the ladder law on each of
+    `_ladder_pieces`, one check loop for all of them.  The operators come
+    from one `_SliceTable`, each built once and proved to keep weights,
+    and the harmonic pieces are its kernels, which share its Delta."""
     report = VerificationReport(
         check="operator-identities",
         scheme=scheme.kind.value,
         params=scheme.params(),
         cap=degree_cap,
     )
-    failures = []
-    identities = _commutator_identities(scheme)
-    for name, lhs, rhs in identities:
-        if lhs != rhs:
-            failures.append(f"normal-form mismatch: {name}")
-    checked_f, fails_f = _fermionic_ladder_scalars(scheme)
-    checked_h, fails_h = _harmonic_ladder_scalars(scheme, degree_cap)
-    failures.extend(fails_f + fails_h)
+    table = _SliceTable()
+    identities = _commutator_identities(
+        scheme, functools.partial(table.operator, scheme))
+    failures = [f"normal-form mismatch: {name}"
+                for name, lhs, rhs in identities if lhs != rhs]
+    checked = 0
+    for (kind, where), delta, eta, vectors, powers, scalar in _ladder_pieces(
+            scheme, table, degree_cap):
+        if vectors and not powers:
+            failures.append(f"unexpected {kind} harmonics at {where}")
+        for f in vectors:
+            prev = f
+            for ell in powers:
+                cur = eta.apply(prev)
+                if delta.apply(cur) != prev.scale(scalar(ell)):
+                    failures.append(f"{kind} ladder scalar wrong at {where}, power {ell}")
+                prev = cur
+        checked += len(vectors) * len(powers)
     report.dimensions["identities"] = len(identities)
-    report.dimensions["scalar_checks"] = checked_f + checked_h
+    report.dimensions["scalar_checks"] = checked
     if failures:
         report.verdict = Verdict.FAIL
         report.explanation = "; ".join(failures[:4])
@@ -914,7 +889,7 @@ def identity_report(
         report.verdict = Verdict.PASS
         report.explanation = (
             f"{len(identities)} operator identities and "
-            f"{checked_f + checked_h} scalar actions verified")
+            f"{checked} scalar actions verified")
     return report
 
 

@@ -16,6 +16,11 @@ Clifford relation d_p m = delta_pm - m d_p.  Every other factor passes
 unchanged; disjoint fermionic words just pick up the sign
 (-1)^(|d| |m|).  Equality of operators is equality of normal forms.
 
+`_atom` is the one builder of an atom from variable lists (a coefficient,
+the variables multiplied, the variables differentiated): the named
+operators, the Euler operators and the representations' matrix units are
+sums of its atoms.
+
 The uncontracted term of two atoms' product is their product in the
 associated graded algebra, which is supercommutative, so it cancels from
 a∘b - (-1)^{|a||b|} b∘a.  `super_commutator` shares `compose`'s
@@ -487,35 +492,36 @@ def twist(op: DiffOperator, scheme: GradingScheme) -> DiffOperator:
 # named operators
 # ===================================================================
 
-def _variable_product(variables: Sequence[VariableId]) -> SuperMonomial:
-    return SuperMonomial.make([(v, 1) for v in variables if not v.fermionic],
-                              [v for v in variables if v.fermionic])
+def _atom(coeff: Scalar, mults: Sequence[VariableId] = (),
+          derivs: Sequence[VariableId] = ()) -> DiffOperator:
+    """coeff times the product of the variables `mults`, then of the
+    derivatives by the variables `derivs`: the one builder of an atom from
+    variable lists, where a repeated bosonic variable raises its power and
+    the fermionic ones are put in ascending order."""
+    dbos: dict[VariableId, int] = {}
+    for v in derivs:
+        if not v.fermionic:
+            dbos[v] = dbos.get(v, 0) + 1
+    return DiffOperator.word(
+        coeff, SuperMonomial.make([(v, 1) for v in mults if not v.fermionic],
+                                  [v for v in mults if v.fermionic]),
+        dbos.items(), sorted(v for v in derivs if v.fermionic))
 
 
 def number_operator(plus: Iterable[VariableId],
                     minus: Iterable[VariableId] = ()) -> DiffOperator:
     """The signed Euler operator: the sum of v * d_v over `plus` minus the
     same sum over `minus`."""
-    acc: dict[OpWord, Scalar] = {}
-    for sign, variables in ((1, plus), (-1, minus)):
-        for v in variables:
-            mono = _variable_product([v])
-            word = OpWord(mono, mono.bos, mono.ferm)
-            acc[word] = acc.get(word, 0) + sign
-    return DiffOperator(acc)
+    return sum((_atom(sign, [v], [v]) for sign, variables in ((1, plus), (-1, minus))
+                for v in variables), DiffOperator.zero())
 
 
 def _pair_sum(pairs: Iterable[tuple[VariableId, VariableId]],
               derivative: bool) -> DiffOperator:
     """The sum over the pairs (u, v) of the multiplier u*v or, when
     `derivative`, of d_u d_v."""
-    acc: dict[OpWord, Scalar] = {}
-    for pair in pairs:
-        mono = _variable_product(pair)
-        word = (OpWord(SuperMonomial.unit(), mono.bos, mono.ferm) if derivative
-                else OpWord(mono, (), ()))
-        acc[word] = acc.get(word, 0) + 1
-    return DiffOperator(acc)
+    return sum((_atom(1, (), pair) if derivative else _atom(1, pair) for pair in pairs),
+               DiffOperator.zero())
 
 
 def named_operator(name: str, scheme: GradingScheme) -> DiffOperator:

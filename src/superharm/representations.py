@@ -50,14 +50,13 @@ from .algebra import (
     LinearCombination,
     Scalar,
     SchemeKind,
-    SuperMonomial,
     SuperPolynomial,
     VariableId,
     x,
 )
 from .linalg import nullspace, poly_matrix, rank, span_rank
-from .operators import (DiffOperator, OpWord, named_operator, super_commutator,
-                        twist)
+from .operators import (DiffOperator, OpWord, _atom, named_operator,
+                        super_commutator, twist)
 from .report import InternalError, Verdict, VerificationReport
 
 
@@ -388,21 +387,6 @@ def simple_generators(scheme: GradingScheme) -> Tuple[AlgebraElement, ...]:
 # ===================================================================
 # per-unit operator tables
 # ===================================================================
-
-def _atom(coeff: Scalar, mults: Sequence[VariableId] = (),
-          derivs: Sequence[VariableId] = ()) -> DiffOperator:
-    bos_m = [(v, 1) for v in mults if not v.fermionic]
-    ferm_m = [v for v in mults if v.fermionic]
-    dbos: Dict[VariableId, int] = {}
-    dferm: List[VariableId] = []
-    for v in derivs:
-        if v.fermionic:
-            dferm.append(v)
-        else:
-            dbos[v] = dbos.get(v, 0) + 1
-    return DiffOperator.word(coeff, SuperMonomial.make(bos_m, ferm_m),
-                             tuple(dbos.items()), tuple(sorted(dferm)))
-
 
 def _osp_ambient_variable(scheme: GradingScheme, a: int) -> VariableId:
     """The variable of ambient index a: the indices 0 (x0, odd kinds only),

@@ -815,6 +815,45 @@ def test_identity_report_flags_corruption(monkeypatch):
     assert "fermionic pair" in rep.explanation
 
 
+def test_identity_report_rejects_fermionic_harmonics_without_powers(monkeypatch):
+    # on gl(2|1) the bidegree (1,1) has r = s = 1, a ladder piece with no
+    # powers: a harmonic there breaks the law with no power to check, so a
+    # solve that claims th1*vt1 is harmonic must fail the report
+    original = hm.kernel_basis_polys
+
+    def claims_th1_vt1(op, monos, block_key=None):
+        if block_key is None and [set(m.ferm) for m in monos] == [{theta(1), vartheta(1)}]:
+            return [SuperPolynomial.monomial(m) for m in monos]
+        return original(op, monos, block_key)
+
+    monkeypatch.setattr(hm, "kernel_basis_polys", claims_th1_vt1)
+    rep = identity_report(GL21)
+    assert rep.verdict is Verdict.FAIL
+    assert rep.explanation == "unexpected fermionic harmonics at bidegree (1,1)"
+    assert rep.dimensions == {"identities": 2, "scalar_checks": 4}
+
+
+@pytest.mark.parametrize("scheme, partner_deltas", [
+    (TW4113, []),
+    (GradingScheme(SchemeKind.OSP_ODD_NATURAL, 2, 3), [("DELTA", EV23)]),
+], ids=["gl-twisted", "osp-odd-natural"])
+def test_identity_report_builds_each_operator_once(monkeypatch, scheme, partner_deltas):
+    # the identities and the ladder pieces read one table: each named
+    # operator is built once, and the odd scheme's ladder kernels, which
+    # live on the even partner, build that scheme's Delta once
+    built = []
+    named = hm.named_operator
+
+    def counted(name, s):
+        built.append((name, s))
+        return named(name, s)
+
+    monkeypatch.setattr(hm, "named_operator", counted)
+    assert identity_report(scheme).verdict is Verdict.PASS
+    names = ["DELTA_CHECK", "ETA_CHECK", "DELTA_BAR", "ETA_BAR", "DELTA", "ETA"]
+    assert Counter(built) == Counter([(name, scheme) for name in names] + partner_deltas)
+
+
 # ===================================================================
 # theorem suites
 # ===================================================================

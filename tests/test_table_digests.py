@@ -1,8 +1,9 @@
-"""Six jobs of the verification table, checked against their pinned digests.
+"""Eight jobs of the verification table, checked against their pinned digests.
 
-`scripts/run_verification.py` compares all 26 table reports with
+`scripts/run_verification.py` compares all 28 table reports with
 `scripts/table_digests.json`; it takes several seconds, so it is not part
-of the default test run.  These six cheap jobs (a harmonic basis, a
+of the default test run.  These eight cheap jobs (three harmonic bases: a
+natural gl one, the x0 series and a capped twisted window, a
 singular-vector slice, a stabilizer check, the identity checks, one capped
 twisted theorem-2 window, which runs the twisted Delta and eta, and the
 capped twisted osp theorem-3 suite, which reads the twisted criterion
@@ -33,6 +34,8 @@ EXIT_CODE = {"theorem2-tw4113-l-2-lp1-cap6": 3, "theorem3-tw4113-k0-k1-cap3": 3}
 
 @pytest.mark.parametrize("name", [
     "basis-gl21-l1-lp1",
+    "basis-odd21-k2",
+    "basis-tw4113-l0-lp0-cap4",
     "singular-gl23-l2-lp2",
     "stabilizer-even21",
     "identities-all-variants",
