@@ -263,8 +263,8 @@ _SLICE_FLAGS = _SCHEME_FLAGS + ("l", "lp", "k", "cap")
 
 # subcommand -> (help, --scheme choices, the integer flags it reads, its
 # runner); each also takes --format and --out, and argparse rejects any
-# other flag.  A runner reaches the engine through this module's globals
-# when it runs, never through a function object held in the table.
+# other flag.  A runner reads the engine from this module's globals when it
+# runs, so a wrapper patched onto a name here (perfbench/spans.py) sees it.
 _SUBCOMMANDS = {
     "harmonic-basis": ("kernel basis of one graded slice, with the "
                        "formula-basis comparison where one exists",
