@@ -164,6 +164,17 @@ MUTATIONS = (
         ("tests/test_linalg.py::test_weight_shift_proves_the_weight_block_rule",),
     ),
     Mutation(
+        # an off-diagonal atom such as x1*d_y1 is skipped, so the table
+        # misses the weight it moves
+        "cartan-table-accepts-off-diagonal-atoms",
+        "src/superharm/harmonic.py",
+        "            elif w not in euler:\n"
+        "                raise InternalError(f\"Cartan atom {w.render()} is not constant or v*d_v\")\n",
+        "            elif w not in euler:\n"
+        "                continue\n",
+        ("tests/test_harmonic.py::test_an_off_diagonal_cartan_atom_is_an_internal_error",),
+    ),
+    Mutation(
         "monomial-weight-skips-the-fermion-steps",
         "src/superharm/harmonic.py",
         "    for v in mono.ferm:\n"
@@ -220,23 +231,23 @@ MUTATIONS = (
          "test_osp_membership_matches_eta_stabilizer"),
     ),
     Mutation(
-        # the table still proves eta's atoms agree, but not that they keep
+        # `_operator` still proves eta's atoms agree, but not that they keep
         # weights
         "decomposition-eta-weight-guard-deleted",
         "src/superharm/harmonic.py",
-        "                if any(_weight_shift(ops, scheme)):\n"
-        "                    raise InternalError(f\"{name.lower()} moves weights\")\n",
-        "                _weight_shift(ops, scheme)\n",
+        "        if any(_weight_shift(ops, scheme)):\n"
+        "            raise InternalError(f\"{name.lower()} moves weights\")\n",
+        "        _weight_shift(ops, scheme)\n",
         ("tests/test_harmonic.py::"
          "test_decomposition_requires_an_eta_that_keeps_weights",),
     ),
     Mutation(
-        # the suite's table hands out Delta and eta unproved, so an uneven
-        # Delta reaches the weight-blocked solve
+        # `_operator` hands out Delta and eta unproved, so an uneven Delta
+        # reaches the weight-blocked solve
         "suite-operator-skips-the-shift-proof",
         "src/superharm/harmonic.py",
-        "                if any(_weight_shift(ops, scheme)):\n",
-        "                if False:\n",
+        "        if any(_weight_shift(ops, scheme)):\n",
+        "        if False:\n",
         ("tests/test_cli.py::test_an_uneven_delta_exits_four",),
     ),
     Mutation(

@@ -11,8 +11,9 @@ H = ker Delta, organized along three levers:
 * capped windows — a twisted slice is infinite dimensional and is checked
   inside a degree window: exact vectors violating an exact claim FAIL,
   and a claim reaching beyond the window is INCONCLUSIVE_CAP, not PASS.
-* one table per theorem suite — the operators, slices, kernels and each
-  kernel's weight grouping are built once, however many reports read them.
+* one table per theorem suite — the slices, kernels and each kernel's
+  weight grouping are built once, however many reports read them, like
+  the proved operators of each scheme (`_operator`).
 
 Every solver output is re-verified before it is reported (operator
 application, for Delta from the images its solve read; rank re-checks),
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -62,7 +62,7 @@ from .operators import (
 )
 from .report import InternalError, Verdict, VerificationReport
 from .representations import (
-    NOT_A_WEIGHT_VECTOR,
+    _cartan_operators,
     positive_generators,
     rep_operator,
     simple_generators,
@@ -74,28 +74,29 @@ from .representations import (
 # weights of monomials (the blocking key)
 # ===================================================================
 
-def _integral(values: Sequence[Fraction], what: str) -> Tuple[int, ...]:
-    for v in values:
-        if v.denominator != 1:
-            raise InternalError(f"non-integral {what} {v} in the weight table")
-    return tuple(int(v) for v in values)
-
-
 @functools.lru_cache(maxsize=None)
 def _weight_table(scheme: GradingScheme):
-    """(vacuum weight, per-variable steps) of the scheme, all integral; a
-    variable's step is one (index, step) pair, (0, 0) if it moves no Cartan
-    entry, and one that moves two is an InternalError."""
-    base = weight_of(SuperPolynomial.one(), scheme)
-    steps = {}
-    for v in scheme.variables():
-        wv = weight_of(SuperPolynomial.variable(v), scheme)
-        step = _integral([a - b for a, b in zip(wv, base)], f"step of {v.name()}")
-        moved = [(i, s) for i, s in enumerate(step) if s] or [(0, 0)]
-        if len(moved) > 1:
-            raise InternalError(f"{v.name()} moves two Cartan entries")
-        steps[v] = moved[0]
-    return _integral(base, "vacuum weight"), steps
+    """(vacuum weight, per-variable steps) of the scheme, all integral, read
+    from its Cartan operators' atoms: a constant adds to the vacuum weight,
+    c * v * d_v in entry i gives v the step (i, c), else v's is (0, 0); any
+    other atom, or a variable that moves two Cartan entries, is an InternalError."""
+    (one, _), = DiffOperator.identity().items()
+    euler = {w: v for v in scheme.variables() for w, _ in number_operator([v]).items()}
+    cartan = _cartan_operators(scheme)
+    base, steps = [0] * len(cartan), {}
+    for i, h in enumerate(cartan):
+        for w, c in h.items():
+            if c != int(c):
+                raise InternalError(f"non-integral Cartan coefficient {c}")
+            if w == one:
+                base[i] += int(c)
+            elif w not in euler:
+                raise InternalError(f"Cartan atom {w.render()} is not constant or v*d_v")
+            elif euler[w] in steps:
+                raise InternalError(f"{euler[w].name()} moves two Cartan entries")
+            else:
+                steps[euler[w]] = i, int(c)
+    return tuple(base), {v: steps.get(v, (0, 0)) for v in scheme.variables()}
 
 
 def monomial_weight(mono: SuperMonomial, scheme: GradingScheme) -> Tuple[int, ...]:
@@ -195,18 +196,34 @@ def harmonic_kernel(sl: GradedSlice) -> HarmonicBasis:
     computed without truncation).  Delta's images are cached for the
     call, and each vector is re-verified as their exact combination.
     """
-    delta = ImageTable((_suite_table.get() or _SliceTable()).operator(sl.scheme, "DELTA"))
+    delta = ImageTable(_operator(sl.scheme, "DELTA"))
     vectors = kernel_basis_polys(
         delta, sl.basis, block_key=functools.partial(monomial_weight, scheme=sl.scheme))
     _check_harmonic_invariants(sl, vectors, delta)
     return HarmonicBasis(sl, tuple(vectors))
 
 
+@functools.lru_cache(maxsize=None)
+def _operator(scheme: GradingScheme, name: str):
+    """A `named_operator`, proved to keep weights, or "N+": {g:
+    rep_operator(g)} over n+, each proved to shift evenly; built once per
+    scheme (a failed proof raises and caches nothing)."""
+    if name == "N+":
+        ops = {g: rep_operator(g, scheme) for g in positive_generators(scheme)}
+        for op in ops.values():
+            _weight_shift(op, scheme)
+    else:
+        ops = named_operator(name, scheme)
+        if any(_weight_shift(ops, scheme)):
+            raise InternalError(f"{name.lower()} moves weights")
+    return ops
+
+
 class _SliceTable:
     """What a theorem suite's reports read many times (a natural grid's
     decompositions read every slice below each label), built once and
-    dropped with the suite: the scheme's operators, its complete slices and
-    their checked harmonic kernels with their `by_weight` groupings.
+    dropped with the suite: its complete slices and their checked harmonic
+    kernels with their `by_weight` groupings.
 
     A capped window (every twisted slice) is not kept: a twisted label's
     summands sit at its own internal cap (cap + 2 * i_max), which no other
@@ -218,24 +235,6 @@ class _SliceTable:
     def __init__(self):
         self._slices: Dict[tuple, GradedSlice] = {}
         self._kernels: Dict[tuple, HarmonicBasis] = {}
-        self._operators: Dict[tuple, object] = {}
-
-    def operator(self, scheme: GradingScheme, name: str):
-        """A `named_operator`, proved to keep weights, or "N+": {g:
-        rep_operator(g)} over n+, each proved to shift evenly; built once
-        per table."""
-        key = scheme, name
-        if key not in self._operators:
-            if name == "N+":
-                ops = {g: rep_operator(g, scheme) for g in positive_generators(scheme)}
-                for op in ops.values():
-                    _weight_shift(op, scheme)
-            else:
-                ops = named_operator(name, scheme)
-                if any(_weight_shift(ops, scheme)):
-                    raise InternalError(f"{name.lower()} moves weights")
-            self._operators[key] = ops
-        return self._operators[key]
 
     @staticmethod
     def _key(scheme: GradingScheme, label: Label, cap: Optional[int]) -> tuple:
@@ -258,21 +257,10 @@ class _SliceTable:
         key = self._key(scheme, label, cap)
         hb = self._kernels.get(key)
         if hb is None:
-            # a lone report's table is the context's while it builds Delta
-            token = _suite_table.set(self)
-            try:
-                hb = harmonic_kernel(self.slice(*key))
-            finally:
-                _suite_table.reset(token)
+            hb = harmonic_kernel(self.slice(*key))
             if hb.slice.complete:
                 self._kernels[key] = hb
         return hb
-
-
-# The table of the suite running in this context; a lone report makes its
-# own.  Reports find it here, not as an argument, so each keeps its name.
-_suite_table: ContextVar[Optional[_SliceTable]] = ContextVar(
-    "suite_table", default=None)
 
 
 def has_formula_basis(scheme: GradingScheme) -> bool:
@@ -281,13 +269,13 @@ def has_formula_basis(scheme: GradingScheme) -> bool:
     return scheme.is_gl or scheme.has_x0
 
 
-def _xu_gl(sl: GradedSlice) -> List[SuperPolynomial]:
+def _xu_gl(sl: GradedSlice, delta: DiffOperator) -> List[SuperPolynomial]:
     """One series per slice monomial with x_c- or y_c-exponent zero, in the
     column c = 1 (natural) or c = n1+1 (twisted), t1 = d_xc d_yc."""
     c = sl.scheme.n1 + 1 if sl.scheme.is_twisted else 1
     seeds = [SuperPolynomial.monomial(mono) for mono in sl.basis
              if not (mono.exponent(x(c)) and mono.exponent(y(c)))]
-    return xu_solve(sl.scheme, ((x(c), 1), (y(c), 1)), seeds)
+    return xu_solve(sl.scheme, delta, ((x(c), 1), (y(c), 1)), seeds)
 
 
 def _even_partner(scheme: GradingScheme) -> GradingScheme:
@@ -298,7 +286,7 @@ def _even_partner(scheme: GradingScheme) -> GradingScheme:
     return GradingScheme(kind, scheme.n, scheme.m, scheme.n1, scheme.n2)
 
 
-def _xu_osp_odd(sl: GradedSlice) -> List[SuperPolynomial]:
+def _xu_osp_odd(sl: GradedSlice, delta: DiffOperator) -> List[SuperPolynomial]:
     """The two-parity x0 series: seeds x0^iota times the even-scheme slice
     of label k - iota, t1 = d_x0^2, t2 = 2 * (x0-free Delta)."""
     scheme = sl.scheme
@@ -307,7 +295,7 @@ def _xu_osp_odd(sl: GradedSlice) -> List[SuperPolynomial]:
     for h, iota in ((SuperPolynomial.one(), 0), (SuperPolynomial.variable(x0()), 1)):
         seeds.extend(h * SuperPolynomial.monomial(mono) for mono in enumerate_slice(
             even_scheme, sl.label - iota, sl.degree_cap).basis)
-    return xu_solve(scheme, ((x0(), 2),), seeds)
+    return xu_solve(scheme, delta, ((x0(), 2),), seeds)
 
 
 def xu_basis(sl: GradedSlice) -> HarmonicBasis:
@@ -319,13 +307,14 @@ def xu_basis(sl: GradedSlice) -> HarmonicBasis:
     """
     if not has_formula_basis(sl.scheme):
         raise ValueError("no formula basis for the even osp schemes")
-    spanning = _xu_gl(sl) if sl.scheme.is_gl else _xu_osp_odd(sl)
+    delta = _operator(sl.scheme, "DELTA")
+    spanning = (_xu_gl if sl.scheme.is_gl else _xu_osp_odd)(sl, delta)
     # reduce to an independent family, blockwise for tractability
     groups = _by_weight(sl.scheme, [p for p in spanning if not p.is_zero()])
     vectors: List[SuperPolynomial] = []
     for _, block in sorted(groups.items()):  # the weights are distinct
         vectors.extend(block[i] for i in independent_subset(block))
-    _check_harmonic_invariants(sl, vectors, named_operator("DELTA", sl.scheme))
+    _check_harmonic_invariants(sl, vectors, delta)
     return HarmonicBasis(sl, tuple(vectors))
 
 
@@ -359,14 +348,13 @@ def singular_vectors(sl: GradedSlice) -> SingularVectorSet:
     generator, up to scalar (leading coefficient 1): Delta joins the
     annihilation system, the counting convention of the uniqueness lemmas.
 
-    Of the table's operators the solve uses the simple root vectors and
+    Of the scheme's operators the solve uses the simple root vectors and
     Delta: they generate n+ (`simple_generators` checks it) and rho is a
     homomorphism, so the joint kernel is that of all of n+ and Delta.
     Each vector found is re-verified against all of n+ and Delta.
     """
     scheme = sl.scheme
-    table = _suite_table.get() or _SliceTable()
-    op_of, delta = table.operator(scheme, "N+"), table.operator(scheme, "DELTA")
+    op_of, delta = _operator(scheme, "N+"), _operator(scheme, "DELTA")
     solve_ops = [*(op_of[g] for g in simple_generators(scheme)), delta]
     found = joint_kernel_basis_polys(
         solve_ops, sl.basis, block_key=functools.partial(monomial_weight, scheme=scheme))
@@ -375,7 +363,7 @@ def singular_vectors(sl: GradedSlice) -> SingularVectorSet:
     for v in found:
         v = v.scale(Fraction(1, v.terms()[0][1]))
         wt = weight_of(v, scheme)
-        if wt is NOT_A_WEIGHT_VECTOR:
+        if wt is None:
             raise InternalError("solver produced a non-weight vector")
         # re-verification against all of n+ and Delta by direct application
         for op in ops:
@@ -509,7 +497,8 @@ def _expected_singular_count(scheme: GradingScheme, label: Label) -> Optional[in
 # ===================================================================
 
 def cross_check_irreducibility(
-    scheme: GradingScheme, label: Label, degree_cap: Optional[int] = None
+    scheme: GradingScheme, label: Label, degree_cap: Optional[int] = None,
+    table: Optional[_SliceTable] = None,
 ) -> VerificationReport:
     """Compare the singular-vector count in H with the uniqueness lemmas.
 
@@ -518,7 +507,7 @@ def cross_check_irreducibility(
     INCONCLUSIVE_CAP, and two exact vectors certify non-uniqueness (PASS).
     """
     pred = irreducibility_predicate(scheme, label)
-    sl = (_suite_table.get() or _SliceTable()).slice(scheme, label, degree_cap)
+    sl = (table or _SliceTable()).slice(scheme, label, degree_cap)
     svs = singular_vectors(sl)
     count = svs.count()
     expected = _expected_singular_count(scheme, label)
@@ -598,7 +587,8 @@ def _eta_powers(eta: DiffOperator, hs, sub, summand_dims: List[int]):
 
 
 def decomposition_report(
-    scheme: GradingScheme, label: Label, degree_cap: Optional[int] = None
+    scheme: GradingScheme, label: Label, degree_cap: Optional[int] = None,
+    table: Optional[_SliceTable] = None,
 ) -> VerificationReport:
     """Check the eta-power direct-sum structure of one graded slice.
 
@@ -618,10 +608,10 @@ def decomposition_report(
     The hypothesis is reported, never assumed: when it fails the same
     computation records whether the direct sum holds anyway, and the
     dimension of the H ∩ eta-image overlap that witnesses
-    indecomposability when it does not.
+    indecomposability when it does not.  A lone call makes its own `table`.
     """
     hyp = _decomposition_hypothesis(scheme, label)
-    table = _suite_table.get() or _SliceTable()
+    table = table or _SliceTable()
     window = table.slice(scheme, label, degree_cap)
     report = VerificationReport(
         check="decomposition",
@@ -650,7 +640,7 @@ def decomposition_report(
     summand_cap = None if degree_cap is None else degree_cap + 2 * i_max
 
     # ---- one weight at a time ----
-    eta = table.operator(scheme, "ETA")
+    eta = _operator(scheme, "ETA")
     complete = window.complete
     kernels = [table.kernel(scheme, _step_label(scheme, label, i), summand_cap)
                for i in range(i_max + 1)]
@@ -813,8 +803,8 @@ def _ladder_pieces(scheme: GradingScheme, table: _SliceTable,
     the criterion constant, l*(d+l-c) (twisted) or 2l*(1+2(d+l-c)) (odd
     natural, on the even partner's kernels) for l = 1, 2."""
     m = scheme.m
-    d_check = table.operator(scheme, "DELTA_CHECK")
-    e_check = table.operator(scheme, "ETA_CHECK")
+    d_check = _operator(scheme, "DELTA_CHECK")
+    e_check = _operator(scheme, "ETA_CHECK")
     thetas = [theta(i) for i in range(1, m + 1)]
     varthetas = [vartheta(i) for i in range(1, m + 1)]
     for a in range(m + 1):
@@ -841,7 +831,7 @@ def _ladder_pieces(scheme: GradingScheme, table: _SliceTable,
             return 2 * ell * (1 + 2 * (d + ell - c))
     else:
         return
-    delta, eta = table.operator(scheme, "DELTA"), table.operator(scheme, "ETA")
+    delta, eta = _operator(scheme, "DELTA"), _operator(scheme, "ETA")
     for label in labels:
         yield (("harmonic", f"label {label}"), delta, eta,
                table.kernel(source, label, cap).vectors, range(1, 3),
@@ -854,8 +844,8 @@ def identity_report(
     """Exact normal-form commutator identities for the scheme's
     distinguished operator pairs, plus the ladder law on each of
     `_ladder_pieces`, one check loop for all of them.  The operators come
-    from one `_SliceTable`, each built once and proved to keep weights,
-    and the harmonic pieces are its kernels, which share its Delta."""
+    from `_operator`, each built once and proved to keep weights, and the
+    harmonic pieces are the kernels of one `_SliceTable`."""
     report = VerificationReport(
         check="operator-identities",
         scheme=scheme.kind.value,
@@ -864,7 +854,7 @@ def identity_report(
     )
     table = _SliceTable()
     identities = _commutator_identities(
-        scheme, functools.partial(table.operator, scheme))
+        scheme, functools.partial(_operator, scheme))
     failures = [f"normal-form mismatch: {name}"
                 for name, lhs, rhs in identities if lhs != rhs]
     checked = 0
@@ -915,8 +905,8 @@ def theorem_suite(
     """Aggregate irreducibility cross-checks and decomposition reports
     over a grid of labels, in label order; one consolidated verdict.
 
-    The reports share one `_SliceTable`, so its operators, slices,
-    kernels and their weight groupings are built once."""
+    The reports share one `_SliceTable`, so its slices, kernels and their
+    weight groupings are built once."""
     tid = str(theorem_id).upper()
     if not tid.startswith("T"):
         tid = "T" + tid
@@ -933,15 +923,12 @@ def theorem_suite(
         cap=degree_cap,
         dimensions={"labels": len(labels)},
     )
-    token = _suite_table.set(_SliceTable())
-    try:
-        for label in labels:
-            report.subreports.append(
-                cross_check_irreducibility(scheme, label, degree_cap))
-            report.subreports.append(
-                decomposition_report(scheme, label, degree_cap))
-    finally:
-        _suite_table.reset(token)
+    table = _SliceTable()
+    for label in labels:
+        report.subreports.append(
+            cross_check_irreducibility(scheme, label, degree_cap, table=table))
+        report.subreports.append(
+            decomposition_report(scheme, label, degree_cap, table=table))
     report.consolidate_subreports()
     n_fail = sum(1 for r in report.subreports if r.verdict is Verdict.FAIL)
     n_cap = sum(1 for r in report.subreports

@@ -33,7 +33,8 @@ natural ones.
 
 `xu_solve` is the one series solver behind the explicit harmonic bases:
 for t1 a product of bosonic derivatives (d_xc d_yc on gl, d_x0^2 on the x0
-ladders) it completes each seed in ker t1 to a solution of Delta f = 0.
+ladders) it completes each seed in ker t1 to a solution of Delta f = 0, for
+the scheme's Delta that its caller passes in.
 
 The fermionic derivative word is stored in the canonical ascending order
 and is applied right to left (last entry first), exactly like reading the
@@ -567,12 +568,14 @@ def named_operator(name: str, scheme: GradingScheme) -> DiffOperator:
 
 def xu_solve(
     scheme: GradingScheme,
+    delta: DiffOperator,
     steps: Sequence[tuple[VariableId, int]],
     seeds: Sequence[SuperPolynomial],
 ) -> list[SuperPolynomial]:
-    """Complete each seed in ker t1 to a solution of Delta(f) = 0: the
-    alternating series sum_i (-t1^-1 t2)^i (seed), t1 the derivative product
-    `steps`, t2 = Delta - t1, t1^-1 exact integration along the same steps.
+    """Complete each seed in ker t1 to a solution of delta(f) = 0, delta the
+    scheme's Delta: the alternating series sum_i (-t1^-1 t2)^i (seed), t1 the
+    derivative product `steps`, t2 = delta - t1, t1^-1 exact integration
+    along the same steps.
 
     Checked: the integration is a right inverse of t1 where it is used; each
     term strictly lowers the filtration measure (twice the degree outside
@@ -582,7 +585,6 @@ def xu_solve(
     Delta annihilates every output.
     """
     t1 = DiffOperator.word(1, SuperMonomial.unit(), steps)
-    delta = named_operator("DELTA", scheme)
     t2 = delta - t1
     weight: dict[VariableId, int] = {}  # per power; 2 for every other variable
     if scheme.is_twisted:

@@ -305,7 +305,8 @@ def cartan_basis(scheme: GradingScheme) -> Tuple[AlgebraElement, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _cartan_operators(scheme: GradingScheme) -> Tuple[DiffOperator, ...]:
-    """The operators of `cartan_basis`, in its order, that `weight_of` reads."""
+    """The operators of `cartan_basis`, in its order, that `weight_of`
+    applies and `harmonic._weight_table` reads atom by atom."""
     return tuple(rep_operator(h, scheme) for h in cartan_basis(scheme))
 
 
@@ -433,22 +434,10 @@ def rep_operator(elem: AlgebraElement, scheme: GradingScheme) -> DiffOperator:
 # weights
 # ===================================================================
 
-class _NotAWeightVector:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "NOT_A_WEIGHT_VECTOR"
-
-
-NOT_A_WEIGHT_VECTOR = _NotAWeightVector()
-
-Weight = Tuple[Fraction, ...]
-
-
 def weight_of(p: SuperPolynomial, scheme: GradingScheme):
-    """Simultaneous Cartan eigenvalue tuple, or the sentinel if p is not
-    a joint eigenvector.  Twisted variants include the constant shifts of
-    their diagonal operators in the eigenvalue."""
+    """Simultaneous Cartan eigenvalue tuple, or None if p is not a joint
+    eigenvector.  Twisted variants include the constant shifts of their
+    diagonal operators in the eigenvalue."""
     if p.is_zero():
         raise ValueError("the zero vector has no weight")
     lead_mono, lead_coeff = p.terms()[0]
@@ -457,7 +446,7 @@ def weight_of(p: SuperPolynomial, scheme: GradingScheme):
         q = op.apply(p)
         lam = Fraction(q.coefficient(lead_mono), lead_coeff)
         if q != p.scale(lam):
-            return NOT_A_WEIGHT_VECTOR
+            return None
         weight.append(lam)
     return tuple(weight)
 

@@ -409,6 +409,30 @@ def test_an_uneven_delta_exits_four(argv, monkeypatch, capsys):
     assert "superharm: internal error: an operator's atoms shift weights unevenly" in err
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["--scheme", "osp-odd-natural", "--n", "2", "--m", "1", "--k", "2"],
+    ["--scheme", "gl-twisted", "--n", "4", "--m", "1", "--n1", "1", "--n2", "3",
+     "--l", "0", "--lp", "0", "--cap", "4"],
+    ["--scheme", "gl-natural", "--n", "2", "--m", "1", "--l", "1", "--lp", "1"],
+], ids=["osp-odd-natural", "gl-twisted", "gl-natural"])
+def test_a_harmonic_basis_job_builds_delta_once(argv, monkeypatch, capsys):
+    # the kernel solve, the formula series and the formula basis's own
+    # check all read the scheme's one Delta
+    import superharm.harmonic as hm
+    import superharm.operators as ops
+
+    built = []
+    for module in (hm, ops):
+        def counted(name, scheme, named=module.named_operator):
+            built.append(name)
+            return named(name, scheme)
+
+        monkeypatch.setattr(module, "named_operator", counted)
+    code, _, _ = run(["harmonic-basis", *argv], capsys)
+    assert code == 0
+    assert built.count("DELTA") == 1
+
 def test_singular_vector_payload(capsys):
     code, out, _ = run(["singular-vectors", "--scheme", "gl-natural",
                         "--n", "2", "--m", "3", "--l", "1", "--lp", "0",

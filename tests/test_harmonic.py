@@ -35,10 +35,16 @@ from superharm.linalg import (
     kernel_basis_polys,
     span_rank,
 )
-from superharm.operators import DiffOperator, ImageTable, compose, named_operator
+from superharm.cli import _grid_schemes
+from superharm.operators import (
+    DiffOperator,
+    ImageTable,
+    compose,
+    named_operator,
+    number_operator,
+)
 from superharm.report import InternalError, Verdict
 from superharm.representations import (
-    NOT_A_WEIGHT_VECTOR,
     positive_generators,
     rep_operator,
     simple_generators,
@@ -103,7 +109,7 @@ def test_kernel_vectors_annihilated():
 
 def test_kernel_vectors_are_weight_vectors():
     for v in harmonic_kernel(enumerate_slice(GL21, (1, 1))).vectors:
-        assert weight_of(v, GL21) is not NOT_A_WEIGHT_VECTOR
+        assert weight_of(v, GL21) is not None
 
 
 # one small slice per scheme kind, the twisted ones capped
@@ -154,7 +160,9 @@ def test_an_uneven_operator_is_an_internal_error(monkeypatch):
         with pytest.raises(InternalError, match="unevenly"):
             solve(sl)
     monkeypatch.undo()
-    # so does the last simple root vector of the singular solve alone
+    # so does the last simple root vector of the singular solve alone, once
+    # the n+ operators cached by the solves above are dropped
+    hm._operator.cache_clear()
     last = simple_generators(GL21)[-1]
 
     def uneven_last(g, scheme):
@@ -166,30 +174,49 @@ def test_an_uneven_operator_is_an_internal_error(monkeypatch):
         singular_vectors(sl)
 
 
-def test_non_integral_weight_table_is_an_internal_error(monkeypatch):
-    import superharm.harmonic as hm
-
-    monkeypatch.setattr(hm, "weight_of", lambda p, scheme: (Fraction(1, 2),))
+def _weight_table_error(monkeypatch, cartan, match):
+    """monomial_weight on GL11 raises `match` when its Cartan operators are
+    `cartan`."""
+    monkeypatch.setattr(hm, "_cartan_operators", lambda scheme: cartan)
     hm._weight_table.cache_clear()
     try:
-        with pytest.raises(InternalError, match="non-integral"):
+        with pytest.raises(InternalError, match=match):
             monomial_weight(SuperMonomial.unit(), GL11)
     finally:
         hm._weight_table.cache_clear()
+
+
+def test_non_integral_weight_table_is_an_internal_error(monkeypatch):
+    _weight_table_error(monkeypatch, (DiffOperator.scalar(Fraction(1, 2)),),
+                        "non-integral")
 
 
 def test_a_variable_moving_two_cartan_entries_is_an_internal_error(monkeypatch):
     # the step table keeps one (index, step) pair per variable
-    def two_steps(p, scheme):
-        return (Fraction(0),) * 2 if p == SuperPolynomial.one() else (Fraction(1),) * 2
+    x1_euler = number_operator([x(1)])
+    _weight_table_error(monkeypatch, (x1_euler, x1_euler.scale(2)),
+                        "moves two Cartan entries")
 
-    monkeypatch.setattr(hm, "weight_of", two_steps)
-    hm._weight_table.cache_clear()
-    try:
-        with pytest.raises(InternalError, match="moves two Cartan entries"):
-            monomial_weight(SuperMonomial.unit(), GL11)
-    finally:
-        hm._weight_table.cache_clear()
+
+def test_an_off_diagonal_cartan_atom_is_an_internal_error(monkeypatch):
+    # x1 * d_y1 moves y1's weight to x1: no step of one variable describes it
+    x1_d_y1 = DiffOperator.word(1, SuperMonomial.make([(x(1), 1)]), [(y(1), 1)])
+    _weight_table_error(monkeypatch, (number_operator([x(1)]) + x1_d_y1,),
+                        "not constant or v\\*d_v")
+
+
+@pytest.mark.parametrize("scheme", _grid_schemes(), ids=lambda s: "-".join(
+    map(str, [s.kind.value, *s.params().values()])))
+def test_weight_table_matches_the_applied_cartan_operators(scheme):
+    # the table read from the atoms equals the one derived by applying
+    # every Cartan operator to 1 and to each variable
+    base, steps = hm._weight_table(scheme)
+    one = weight_of(SuperPolynomial.one(), scheme)
+    assert base == one
+    for v in scheme.variables():
+        step = [a - b for a, b in zip(weight_of(P(v), scheme), one)]
+        moved = [(i, s) for i, s in enumerate(step) if s] or [(0, 0)]
+        assert [steps[v]] == moved
 
 
 # ===================================================================
@@ -929,19 +956,13 @@ def test_suite_matches_label_by_label_reports(tid, scheme, labels, cap):
         assert any("harmonic_eta_overlap" in r["dimensions"] for r in lone)
 
 
-def test_suite_builds_each_operator_once_and_drops_it_after(monkeypatch):
-    built, deltas = [], []
+def test_suite_builds_each_operator_once(monkeypatch):
+    built = []
     named, represented = hm.named_operator, hm.rep_operator
-
-    class Tracked(DiffOperator):
-        """A DiffOperator that can be weakly referenced."""
 
     def counted_named(name, scheme):
         built.append(name)
-        op = Tracked(dict(named(name, scheme).items()))
-        if name == "DELTA":
-            deltas.append(weakref.ref(op))
-        return op
+        return named(name, scheme)
 
     def counted_rep(g, scheme):
         built.append(g)
@@ -952,15 +973,13 @@ def test_suite_builds_each_operator_once_and_drops_it_after(monkeypatch):
     labels = [(l, lp) for l in range(4) for lp in range(4)]
     assert theorem_suite("T1", GL21, labels).verdict is Verdict.PASS
     assert Counter(built) == Counter(["DELTA", "ETA", *positive_generators(GL21)])
-    assert len(deltas) == 1 and deltas[0]() is None
 
 
 @pytest.mark.parametrize("report", [decomposition_report, cross_check_irreducibility],
                          ids=["decomposition", "cross-check"])
 def test_a_lone_report_builds_delta_once(monkeypatch, report):
-    # a lone report's table stands in the context while each of its
-    # summand kernels is solved, so they share one Delta, and it leaves
-    # the context as it was, also when a kernel solve raises
+    # a lone report's summand kernels share the scheme's one Delta, and a
+    # failing kernel solve reaches the caller
     deltas = []
     named = hm.named_operator
 
@@ -972,7 +991,6 @@ def test_a_lone_report_builds_delta_once(monkeypatch, report):
     monkeypatch.setattr(hm, "named_operator", counted)
     assert report(GL23, (3, 3)).verdict is Verdict.PASS
     assert deltas == [GL23]
-    assert hm._suite_table.get() is None
 
     def broken(sl):
         raise InternalError("kernel solve failed")
@@ -980,7 +998,6 @@ def test_a_lone_report_builds_delta_once(monkeypatch, report):
     monkeypatch.setattr(hm, "harmonic_kernel", broken)
     with pytest.raises(InternalError, match="kernel solve failed"):
         decomposition_report(GL23, (3, 3))
-    assert hm._suite_table.get() is None
 
 
 def test_suite_solves_each_slice_kernel_once(monkeypatch):
