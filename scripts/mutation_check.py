@@ -196,6 +196,26 @@ MUTATIONS = (
          "test_a_weight_only_the_window_reaches_counts_against_spanning",),
     ),
     Mutation(
+        # the chain probes two steps down, so it stops one slice early
+        # wherever the slice two steps below is empty
+        "chain-probe-skips-a-slice",
+        "src/superharm/harmonic.py",
+        "_step_label(scheme, label, i_max + 1)",
+        "_step_label(scheme, label, i_max + 2)",
+        ("tests/test_harmonic.py::test_chain_length_is_min_l_lp_on_gl_natural",
+         "tests/test_harmonic.py::test_chain_length_is_half_k_on_natural_osp"),
+    ),
+    Mutation(
+        # the dimension test alone passes a formula basis of the kernel's
+        # dimension whose span is another one
+        "window-span-test-forgets-containment",
+        "src/superharm/harmonic.py",
+        "contained = contained and rank_xu == rank_both",
+        "contained = True",
+        ("tests/test_harmonic.py::"
+         "test_a_formula_basis_of_the_kernel_dimension_but_another_span_fails",),
+    ),
+    Mutation(
         "osp-union-never-raises-x0",
         "src/superharm/algebra.py",
         "    for e0 in range(cap + 1 if has_x0 else 1):\n",

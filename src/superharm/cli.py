@@ -169,10 +169,8 @@ def _run_harmonic_basis(cfg: JobConfig) -> VerificationReport:
     cap = cfg.resolve_cap(scheme, [label])
     sl = enumerate_slice(scheme, label, cap)
     kern = harmonic_kernel(sl)
-    report = VerificationReport(
-        check="harmonic-basis",
-        scheme=scheme.kind.value,
-        params=scheme.params(),
+    report = VerificationReport.of(
+        "harmonic-basis", scheme,
         label=label,
         cap=cap,
         dimensions={"slice": sl.dimension(), "kernel": kern.dimension()},
@@ -196,10 +194,8 @@ def _run_singular_vectors(cfg: JobConfig) -> VerificationReport:
     cap = cfg.resolve_cap(scheme, [label])
     sl = enumerate_slice(scheme, label, cap)
     svs = singular_vectors(sl)
-    report = VerificationReport(
-        check="singular-vectors",
-        scheme=scheme.kind.value,
-        params=scheme.params(),
+    report = VerificationReport.of(
+        "singular-vectors", scheme,
         label=label,
         cap=cap,
         dimensions={"slice": sl.dimension(), "count": svs.count()},
@@ -247,8 +243,7 @@ def _run_scheme_suite(cfg: JobConfig, check: str, runner) -> VerificationReport:
         dimensions={"schemes": len(schemes)},
     )
     report.subreports = [runner(s) for s in schemes]
-    report.consolidate_subreports()
-    n_fail = sum(1 for r in report.subreports if r.verdict is Verdict.FAIL)
+    n_fail = report.consolidate_subreports()[Verdict.FAIL]
     report.explanation = f"{len(schemes)} schemes checked, {n_fail} failed"
     return report
 

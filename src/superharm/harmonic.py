@@ -11,9 +11,9 @@ H = ker Delta, organized along three levers:
 * capped windows — a twisted slice is infinite dimensional and is checked
   inside a degree window: exact vectors violating an exact claim FAIL,
   and a claim reaching beyond the window is INCONCLUSIVE_CAP, not PASS.
-* one table per theorem suite — the slices, kernels and each kernel's
-  weight grouping are built once, however many reports read them, like
-  the proved operators of each scheme (`_operator`).
+* one table per theorem suite — the slices and capped windows, their
+  kernels and each kernel's weight grouping are built once, however many
+  reports read them, like the proved operators of each scheme (`_operator`).
 
 Every solver output is re-verified before it is reported (operator
 application, for Delta from the images its solve read; rank re-checks),
@@ -220,16 +220,15 @@ def _operator(scheme: GradingScheme, name: str):
 
 
 class _SliceTable:
-    """What a theorem suite's reports read many times (a natural grid's
-    decompositions read every slice below each label), built once and
-    dropped with the suite: its complete slices and their checked harmonic
-    kernels with their `by_weight` groupings.
+    """What a theorem suite's reports read many times, built once and
+    dropped with the suite: every slice or capped window they ask for and
+    its checked harmonic kernel with its `by_weight` grouping.  A natural
+    grid's decompositions read every slice below each label, and a twisted
+    label's cross-check and decomposition read the same window.
 
-    A capped window (every twisted slice) is not kept: a twisted label's
-    summands sit at its own internal cap (cap + 2 * i_max), which no other
-    label reads.  A miss calls the module-level builders, so every kernel
-    has passed `_check_harmonic_invariants`.  A natural slice capped at or
-    above its degree is held once, uncapped.
+    A miss calls the module-level builders, so every kernel has passed
+    `_check_harmonic_invariants`.  A natural slice capped at or above its
+    degree is held once, uncapped.
     """
 
     def __init__(self):
@@ -247,9 +246,7 @@ class _SliceTable:
         key = self._key(scheme, label, cap)
         sl = self._slices.get(key)
         if sl is None:
-            sl = enumerate_slice(*key)
-            if sl.complete:
-                self._slices[key] = sl
+            sl = self._slices[key] = enumerate_slice(*key)
         return sl
 
     def kernel(self, scheme: GradingScheme, label: Label,
@@ -257,9 +254,7 @@ class _SliceTable:
         key = self._key(scheme, label, cap)
         hb = self._kernels.get(key)
         if hb is None:
-            hb = harmonic_kernel(self.slice(*key))
-            if hb.slice.complete:
-                self._kernels[key] = hb
+            hb = self._kernels[key] = harmonic_kernel(self.slice(*key))
         return hb
 
 
@@ -511,10 +506,8 @@ def cross_check_irreducibility(
     svs = singular_vectors(sl)
     count = svs.count()
     expected = _expected_singular_count(scheme, label)
-    report = VerificationReport(
-        check="irreducibility-cross-check",
-        scheme=scheme.kind.value,
-        params=scheme.params(),
+    report = VerificationReport.of(
+        "irreducibility-cross-check", scheme,
         label=label,
         cap=degree_cap,
         dimensions={"slice": sl.dimension(), "singular_count": count},
@@ -567,6 +560,17 @@ def _step_label(scheme: GradingScheme, label: Label, i: int) -> Label:
     return int(label) - 2 * i
 
 
+def _chain_length(scheme: GradingScheme, label: Label, degree_cap: Optional[int],
+                  table: _SliceTable) -> int:
+    """i_max of the chain L, L - step, ..., L - i_max * step that ends at
+    the last nonempty slice, on every kind: the first empty one stops it."""
+    i_max = 0
+    while table.slice(scheme, _step_label(scheme, label, i_max + 1),
+                      degree_cap).dimension():
+        i_max += 1
+    return i_max
+
+
 def _eta_powers(eta: DiffOperator, hs, sub, summand_dims: List[int]):
     """One weight's nonzero eta^i h for h in hs[i], i >= 1, counted with
     hs[0] into summand_dims, and the nonzero eta images of the monomials
@@ -592,12 +596,13 @@ def decomposition_report(
 ) -> VerificationReport:
     """Check the eta-power direct-sum structure of one graded slice.
 
-    Candidates are eta^i images of the stepped harmonic bases.  On a
-    complete slice the check is exact: the candidates lie in it (one
-    outside is an internal error), so independent ones span it when they
-    are as many as its monomials.  On a capped slice the bases come from an
-    enlarged window (cap + 2 * i_max); dependence is a definite FAIL, and a
-    shortfall in spanning the capped window is INCONCLUSIVE_CAP.
+    Candidates are eta^i images of the stepped harmonic bases, down the
+    chain to the last nonempty slice (`_chain_length`).  On a complete
+    slice the check is exact: the candidates lie in it (one outside is an
+    internal error), so independent ones span it when they are as many as
+    its monomials.  On a capped slice the bases come from an enlarged
+    window (cap + 2 * i_max); dependence is a definite FAIL, and a shortfall
+    in spanning the capped window is INCONCLUSIVE_CAP.
 
     eta keeps weights, so each weight takes its part of the summand
     kernels (their `by_weight`), of a capped window's monomials and of the
@@ -613,10 +618,8 @@ def decomposition_report(
     hyp = _decomposition_hypothesis(scheme, label)
     table = table or _SliceTable()
     window = table.slice(scheme, label, degree_cap)
-    report = VerificationReport(
-        check="decomposition",
-        scheme=scheme.kind.value,
-        params=scheme.params(),
+    report = VerificationReport.of(
+        "decomposition", scheme,
         label=label,
         cap=degree_cap,
         dimensions={"window": window.dimension()},
@@ -624,18 +627,7 @@ def decomposition_report(
         clause=hyp.clause,
     )
 
-    # ---- summation length ----
-    if scheme.kind is SchemeKind.GL_NATURAL:
-        i_max = min(label)
-    elif not scheme.is_twisted:
-        i_max = int(label) // 2
-    else:
-        bound = label[1] if (scheme.kind is SchemeKind.GL_TWISTED
-                             and scheme.n2 == scheme.n) else None
-        i_max = 0
-        while (bound is None or i_max < bound) and table.slice(
-                scheme, _step_label(scheme, label, i_max + 1), degree_cap).dimension():
-            i_max += 1
+    i_max = _chain_length(scheme, label, degree_cap, table)
     # a capped summand sits in the enlarged internal window
     summand_cap = None if degree_cap is None else degree_cap + 2 * i_max
 
@@ -706,46 +698,35 @@ def decomposition_report(
 # ===================================================================
 
 def compare_bases(xu: HarmonicBasis, kern: HarmonicBasis) -> VerificationReport:
-    """span(xu) == span(kern) for a formula and a kernel basis of one
-    slice: plain span equality on a complete slice.  On a capped one the
-    formula vectors may leave the window, so every kernel vector must lie
-    in the formula span, which must meet the window in the kernel's
-    dimension."""
+    """span(xu) meets the slice in span(kern), for a formula and a kernel
+    basis of one slice: per weight, every kernel vector lies in the formula
+    span, and that span meets the slice in the kernel's dimension.  On a
+    complete slice no formula vector leaves it, so this is span equality;
+    on a capped one the meet is reported as `formula_window`."""
     if xu.slice != kern.slice:
         raise InternalError("compare_bases needs two bases of the same slice")
     sl = xu.slice
-    scheme = sl.scheme
-    report = VerificationReport(
-        check="basis-comparison",
-        scheme=scheme.kind.value,
-        params=scheme.params(),
+    report = VerificationReport.of(
+        "basis-comparison", sl.scheme,
         label=sl.label,
         cap=sl.degree_cap,
         dimensions={"kernel": kern.dimension(), "formula": xu.dimension()},
     )
-    groups = _group_polys_by_weight(scheme, xu, kern)
-    if sl.complete:
-        ok = xu.dimension() == kern.dimension()
-        for a, b in groups.values():
-            rank_a, rank_ab = span_ranks(a, b)
-            if rank_a != len(a) or span_rank(b) != len(b) or rank_ab != len(b):
-                ok = False
-                break
-        report.verdict = Verdict.PASS if ok else Verdict.FAIL
-        report.explanation = ("spans agree, dimension %d" % kern.dimension()
-                              if ok else "span mismatch")
-        return report
-    # capped: dim(span(xu_w) ∩ window) is the rank lost outside the window
+    # dim(span(xu_w) ∩ window) is its rank less the rank lost outside the window
     window = set(sl.basis)
     contained, window_dim = True, 0
-    for a, b in groups.values():
+    for a, b in _group_polys_by_weight(sl.scheme, xu, kern).values():
         rank_xu, rank_both = span_ranks(a, b)
         contained = contained and rank_xu == rank_both
         window_dim += rank_xu - span_rank(
             [SuperPolynomial({m: c for m, c in p.items() if m not in window}) for p in a])
-    report.dimensions["formula_window"] = window_dim
     ok = contained and window_dim == kern.dimension()
     report.verdict = Verdict.PASS if ok else Verdict.FAIL
+    if sl.complete:
+        report.explanation = ("spans agree, dimension %d" % kern.dimension()
+                              if ok else "span mismatch")
+        return report
+    report.dimensions["formula_window"] = window_dim
     report.explanation = (
         "window harmonics match the formula span" if ok else
         "kernel not contained in formula span" if not contained else
@@ -846,12 +827,7 @@ def identity_report(
     `_ladder_pieces`, one check loop for all of them.  The operators come
     from `_operator`, each built once and proved to keep weights, and the
     harmonic pieces are the kernels of one `_SliceTable`."""
-    report = VerificationReport(
-        check="operator-identities",
-        scheme=scheme.kind.value,
-        params=scheme.params(),
-        cap=degree_cap,
-    )
+    report = VerificationReport.of("operator-identities", scheme, cap=degree_cap)
     table = _SliceTable()
     identities = _commutator_identities(
         scheme, functools.partial(_operator, scheme))
@@ -916,24 +892,17 @@ def theorem_suite(
         raise ValueError(
             f"{tid} concerns {'/'.join(k.value for k in THEOREM_KINDS[tid] if k)}, "
             f"not {scheme.kind.value}")
-    report = VerificationReport(
-        check=f"theorem-suite-{tid}",
-        scheme=scheme.kind.value,
-        params=scheme.params(),
-        cap=degree_cap,
-        dimensions={"labels": len(labels)},
-    )
+    report = VerificationReport.of(
+        f"theorem-suite-{tid}", scheme, cap=degree_cap,
+        dimensions={"labels": len(labels)})
     table = _SliceTable()
     for label in labels:
         report.subreports.append(
             cross_check_irreducibility(scheme, label, degree_cap, table=table))
         report.subreports.append(
             decomposition_report(scheme, label, degree_cap, table=table))
-    report.consolidate_subreports()
-    n_fail = sum(1 for r in report.subreports if r.verdict is Verdict.FAIL)
-    n_cap = sum(1 for r in report.subreports
-                if r.verdict is Verdict.INCONCLUSIVE_CAP)
+    tally = report.consolidate_subreports()
     report.explanation = (
         f"{len(report.subreports)} checks over {len(labels)} labels: "
-        f"{n_fail} failed, {n_cap} window-limited")
+        f"{tally[Verdict.FAIL]} failed, {tally[Verdict.INCONCLUSIVE_CAP]} window-limited")
     return report

@@ -14,6 +14,7 @@ consolidated verdict (FAIL dominates, then INCONCLUSIVE_CAP, then PASS).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
@@ -60,10 +61,19 @@ class VerificationReport:
     subreports: list = field(default_factory=list)
     elapsed_ms: Optional[int] = None
 
-    def consolidate_subreports(self) -> None:
-        """Fold subreport verdicts into this report (FAIL dominates)."""
-        verdicts = [r.verdict for r in self.subreports] + [self.verdict]
-        self.verdict = consolidate(verdicts)
+    @classmethod
+    def of(cls, check: str, scheme, **fields) -> "VerificationReport":
+        """A report of `check` on a grading scheme, which every report names
+        by its kind's value and its `params()`."""
+        return cls(check=check, scheme=scheme.kind.value, params=scheme.params(),
+                   **fields)
+
+    def consolidate_subreports(self) -> Counter:
+        """Fold subreport verdicts into this report (FAIL dominates); return
+        how many subreports carry each verdict."""
+        tally = Counter(r.verdict for r in self.subreports)
+        self.verdict = consolidate([*tally, self.verdict])
+        return tally
 
     def to_dict(self) -> dict:
         # Key order is fixed so serialized reports are byte-deterministic

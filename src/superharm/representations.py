@@ -482,10 +482,8 @@ def verify_homomorphism(rep: GradingScheme) -> VerificationReport:
     ops = [rep_operator(e, rep) for e in basis]
     parities = [e.parity() for e in basis]
     n = len(basis)
-    report = VerificationReport(
-        check="bracket-homomorphism",
-        scheme=rep.kind.value,
-        params=rep.params(),
+    report = VerificationReport.of(
+        "bracket-homomorphism", rep,
         dimensions={"algebra_dimension": n,
                     "pairs_checked": 0,
                     "sample_dimension": 0},
@@ -581,10 +579,8 @@ def osp_stabilizer_check(scheme: GradingScheme) -> VerificationReport:
     control_excluded = rank(kernel_rows + [control]) > kernel_dim
     ok = (kernel_dim == expected and included and control_excluded
           and rep_rank == expected)
-    report = VerificationReport(
-        check="osp-stabilizer",
-        scheme=scheme.kind.value,
-        params=scheme.params(),
+    report = VerificationReport.of(
+        "osp-stabilizer", scheme,
         dimensions={
             "atom_count": len(atoms),
             "kernel_dimension": kernel_dim,

@@ -481,7 +481,8 @@ def test_natural_x0_slices_need_no_cap(argv, cap, capsys):
 def test_capped_natural_suite_enumerates_each_slice_once(argv, monkeypatch,
                                                          capsys):
     # a natural slice capped at or above its label degree is the complete
-    # slice, so the suite's table holds it once whatever cap asks for it
+    # slice, so the suite's table holds it once whatever cap asks for it;
+    # the decomposition chains also probe the empty slice below each one
     import superharm.harmonic as hm
     calls = []
     original = hm.enumerate_slice
@@ -493,12 +494,34 @@ def test_capped_natural_suite_enumerates_each_slice_once(argv, monkeypatch,
     monkeypatch.setattr(hm, "enumerate_slice", counted)
     code, out, _ = run(argv + ["--format", "json"], capsys)
     assert code == 0
-    capless, n_capless = json.loads(out), len(calls)
+    capless, capless_calls = json.loads(out), list(calls)
+    assert len(set(capless_calls)) == len(capless_calls)
     calls.clear()
     code, out, _ = run(argv + ["--cap", "5", "--format", "json"], capsys)
     assert code == 0
-    assert len(calls) == n_capless == capless["dimensions"]["labels"]
+    assert calls == capless_calls
     assert _without_cap(json.loads(out)) == _without_cap(capless)
+
+
+def test_a_twisted_label_enumerates_its_window_once(monkeypatch, capsys):
+    # the label's cross-check and decomposition read the same capped
+    # window, which the suite's table enumerates once
+    import superharm.harmonic as hm
+    calls = []
+    original = hm.enumerate_slice
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(hm, "enumerate_slice", counted)
+    code, out, _ = run(["verify-theorem", "2", "--n", "4", "--m", "1", "--n1", "1",
+                        "--n2", "3", "--l", "-1", "--lp", "0", "--cap", "6",
+                        "--format", "json"], capsys)
+    assert code == 3
+    scheme = GradingScheme(SchemeKind.GL_TWISTED, 4, 1, 1, 3)
+    assert calls.count((scheme, (-1, 0), 6)) == 1
+    assert len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("argv,message", [

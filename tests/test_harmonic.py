@@ -306,6 +306,27 @@ def test_xu_odd_scheme():
     assert rep.dimensions == {"kernel": 25, "formula": 25}
 
 
+@pytest.mark.parametrize("scheme,label,cap,explanation", [
+    (GL21, (1, 1), None, "span mismatch"),
+    (TW4113, (0, 0), 4, "kernel not contained in formula span"),
+])
+def test_a_formula_basis_of_the_kernel_dimension_but_another_span_fails(
+        scheme, label, cap, explanation):
+    # the kernel basis with its first vector swapped for a monomial that
+    # Delta does not kill: as many independent vectors, all in the slice,
+    # so only the containment test tells the spans apart
+    sl = enumerate_slice(scheme, label, cap)
+    kern = harmonic_kernel(sl)
+    delta = named_operator("DELTA", scheme)
+    u = next(u for u in sl.basis if not delta.apply(SuperPolynomial.monomial(u)).is_zero())
+    other = hm.HarmonicBasis(sl, (SuperPolynomial.monomial(u), *kern.vectors[1:]))
+    rep = compare_bases(other, kern)
+    assert rep.verdict is Verdict.FAIL
+    assert rep.explanation == explanation
+    assert rep.dimensions["formula"] == rep.dimensions["kernel"]
+    assert rep.dimensions.get("formula_window", kern.dimension()) == kern.dimension()
+
+
 # ===================================================================
 # singular vectors
 # ===================================================================
@@ -610,6 +631,40 @@ def test_decomposition_twisted_capped():
     assert rep.dimensions["window"] == 43
     assert rep.dimensions["direct_sum_holds"] is True
     assert rep.explanation == "window spanned by independent eta-power candidates"
+
+
+# the chain rule against the per-kind rules it replaced: min(l, lp) on
+# gl-natural, k // 2 on the natural osp kinds, and on gl-twisted with
+# n2 = n the slice probe bounded by lp
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in (1, 2, 3) for m in (1, 2)])
+def test_chain_length_is_min_l_lp_on_gl_natural(n, m):
+    scheme, table = GradingScheme(SchemeKind.GL_NATURAL, n, m), hm._SliceTable()
+    for l in range(6):
+        for lp in range(6):
+            assert hm._chain_length(scheme, (l, lp), None, table) == min(l, lp)
+
+
+@pytest.mark.parametrize("kind", [SchemeKind.OSP_EVEN_NATURAL, SchemeKind.OSP_ODD_NATURAL])
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 3)])
+def test_chain_length_is_half_k_on_natural_osp(kind, n, m):
+    scheme, table = GradingScheme(kind, n, m), hm._SliceTable()
+    for k in range(9):
+        for cap in (None, k, k + 1):
+            assert hm._chain_length(scheme, k, cap, table) == k // 2
+
+
+@pytest.mark.parametrize("n,m,n1", [(3, 1, 1), (4, 1, 1), (4, 2, 2), (5, 1, 1)])
+def test_chain_length_needs_no_lp_bound_on_gl_twisted_with_n2_n(n, m, n1):
+    scheme, table = GradingScheme(SchemeKind.GL_TWISTED, n, m, n1, n), hm._SliceTable()
+    for cap in range(7):
+        for l in range(-3, 4):
+            for lp in range(4):
+                bounded = 0
+                while bounded < lp and table.slice(
+                        scheme, (l - bounded - 1, lp - bounded - 1), cap).dimension():
+                    bounded += 1
+                assert hm._chain_length(scheme, (l, lp), cap, table) == bounded
 
 
 def whole_family_decomposition(scheme, label, cap):
