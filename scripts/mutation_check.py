@@ -196,6 +196,26 @@ MUTATIONS = (
          "test_a_weight_only_the_window_reaches_counts_against_spanning",),
     ),
     Mutation(
+        # every complete slice takes its certificates, so an eta that kills
+        # a harmonic vector still counts all of dim H as its summand
+        "natural-certificate-assumes-injective",
+        "src/superharm/harmonic.py",
+        "        if all(c.eta_rank == c.below for c in chain):\n",
+        "        if True:\n",
+        ("tests/test_harmonic.py::"
+         "test_a_non_injective_eta_routes_its_label_to_the_explicit_path",),
+    ),
+    Mutation(
+        # Delta∘eta taken to have full rank, so every overlap reads 0 and
+        # every natural direct sum holds
+        "natural-certificate-drops-the-delta-eta-rank",
+        "src/superharm/harmonic.py",
+        "        rank_both = image_rank([down.combine(q.items()) for q in up], n, budget)\n",
+        "        rank_both = n\n",
+        ("tests/test_harmonic.py::test_certificate_overlap_of_a_failing_hypothesis",
+         "tests/test_harmonic.py::test_certificates_match_the_eta_power_oracle"),
+    ),
+    Mutation(
         # the chain probes two steps down, so it stops one slice early
         # wherever the slice two steps below is empty
         "chain-probe-skips-a-slice",
@@ -252,7 +272,8 @@ MUTATIONS = (
     ),
     Mutation(
         # `_operator` still proves eta's atoms agree, but not that they keep
-        # weights
+        # weights: a complete slice then finds an eta image outside it, and
+        # a capped window no error at all
         "decomposition-eta-weight-guard-deleted",
         "src/superharm/harmonic.py",
         "        if any(_weight_shift(ops, scheme)):\n"
@@ -271,6 +292,7 @@ MUTATIONS = (
         ("tests/test_cli.py::test_an_uneven_delta_exits_four",),
     ),
     Mutation(
+        # the explicit path's summand kernels then group a mixed vector
         "weight-grouping-homogeneity-guard-deleted",
         "src/superharm/harmonic.py",
         "        if len(wts) != 1:\n"

@@ -3,17 +3,22 @@ vectors, irreducibility predicates, and the verification suites.
 
 Everything reduces to exact linear algebra over the rationals on the
 graded slices of the polynomial algebra and their harmonic parts
-H = ker Delta, organized along three levers:
+H = ker Delta, organized along four levers:
 
 * weight blocking — the Cartan elements act diagonally on monomials;
   Delta and eta keep weights and each positive generator shifts them
-  uniformly (proved from the atoms), so kernels split blockwise.
+  uniformly (proved from the atoms), so kernels and ranks split blockwise.
+* rank certificates — a complete slice's decomposition reads the ranks of
+  eta, Delta and Delta∘eta on integer image rows, not kernel vectors,
+  wherever eta is injective; the explicit eta powers of kernel vectors
+  decide the rest and are the certificates' oracle.
 * capped windows — a twisted slice is infinite dimensional and is checked
   inside a degree window: exact vectors violating an exact claim FAIL,
   and a claim reaching beyond the window is INCONCLUSIVE_CAP, not PASS.
 * one table per theorem suite — the slices and capped windows, their
-  kernels and each kernel's weight grouping are built once, however many
-  reports read them, like the proved operators of each scheme (`_operator`).
+  kernels with each kernel's weight grouping, and the certificates are
+  built once, however many reports read them, like the proved operators
+  of each scheme (`_operator`).
 
 Every solver output is re-verified before it is reported (operator
 application, for Delta from the images its solve read; rank re-checks),
@@ -26,7 +31,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import (
     GradedSlice,
@@ -45,7 +50,9 @@ from .algebra import (
     y,
 )
 from .linalg import (
+    _budget,
     each_owns_a_monomial,
+    image_rank,
     independent_subset,
     joint_kernel_basis_polys,
     kernel_basis_polys,
@@ -189,7 +196,7 @@ def _check_harmonic_invariants(sl: GradedSlice, vectors, delta):
 
 
 def harmonic_kernel(sl: GradedSlice) -> HarmonicBasis:
-    """Exact kernel of the scheme's Delta (the table's) on the slice span.
+    """Exact kernel of the scheme's Delta (from `_operator`) on the slice span.
 
     Delta never raises total degree in any variant, so the kernel of the
     capped slice consists of exact harmonic vectors (their images are
@@ -219,12 +226,55 @@ def _operator(scheme: GradingScheme, name: str):
     return ops
 
 
+class _Certificate(NamedTuple):
+    """The ranks that decide one level P_L = H_L + eta P_{L-step} of a
+    natural decomposition, summed over weight blocks: eta on P_{L-step},
+    Delta on P_L and Delta∘eta on P_{L-step}, with |P_L| and |P_{L-step}|.
+    Where eta is injective (eta_rank = below), dim H_L is size - delta_rank
+    and eta maps ker(Delta∘eta) onto H_L ∩ eta P_{L-step}, whose dimension
+    is below - delta_eta_rank."""
+
+    size: int
+    below: int
+    eta_rank: int
+    delta_rank: int
+    delta_eta_rank: int
+
+
+def _level_certificate(upper: GradedSlice, lower: GradedSlice) -> _Certificate:
+    """The certificate of the complete slice upper over lower, the slice one
+    step below, from integer image rows (`image_rank`), one weight block at
+    a time under one parsed budget.  eta must send lower into upper and
+    Delta upper into lower, else InternalError.  Where Delta∘eta has full
+    rank on a block so have eta and Delta (ker eta lies in ker Delta∘eta,
+    and Delta's image in the block below), so only the other blocks
+    eliminate their images under eta and Delta."""
+    scheme = upper.scheme
+    eta, delta = _operator(scheme, "ETA"), _operator(scheme, "DELTA")
+    budget = _budget()
+    ranks = [0, 0, 0]
+    for monos, sub in _group_polys_by_weight(scheme, upper.basis, lower.basis).values():
+        up, down = eta.images(sub), ImageTable(delta)
+        above, below = set(monos), set(sub)
+        if any(u not in above for q in up for u in q):
+            raise InternalError("an eta image leaves the complete slice")
+        if any(u not in below for q in down.images(monos) for u in q):
+            raise InternalError("a delta image leaves the slice below")
+        n = len(sub)
+        rank_both = image_rank([down.combine(q.items()) for q in up], n, budget)
+        block = (n, n) if rank_both == n else (
+            image_rank(up, n, budget), image_rank(down.images(monos), len(monos), budget))
+        ranks = [a + b for a, b in zip(ranks, (*block, rank_both))]
+    return _Certificate(upper.dimension(), lower.dimension(), *ranks)
+
+
 class _SliceTable:
     """What a theorem suite's reports read many times, built once and
-    dropped with the suite: every slice or capped window they ask for and
-    its checked harmonic kernel with its `by_weight` grouping.  A natural
-    grid's decompositions read every slice below each label, and a twisted
-    label's cross-check and decomposition read the same window.
+    dropped with the suite: every slice or capped window they ask for, its
+    checked harmonic kernel with its `by_weight` grouping, and each natural
+    label's `_Certificate`.  A natural grid's decompositions read the
+    certificate of every label down each chain, and a twisted label's
+    cross-check and decomposition read the same window.
 
     A miss calls the module-level builders, so every kernel has passed
     `_check_harmonic_invariants`.  A natural slice capped at or above its
@@ -234,6 +284,7 @@ class _SliceTable:
     def __init__(self):
         self._slices: Dict[tuple, GradedSlice] = {}
         self._kernels: Dict[tuple, HarmonicBasis] = {}
+        self._certificates: Dict[tuple, _Certificate] = {}
 
     @staticmethod
     def _key(scheme: GradingScheme, label: Label, cap: Optional[int]) -> tuple:
@@ -256,6 +307,16 @@ class _SliceTable:
         if hb is None:
             hb = self._kernels[key] = harmonic_kernel(self.slice(*key))
         return hb
+
+    def certificate(self, scheme: GradingScheme, label: Label) -> _Certificate:
+        """The `_level_certificate` of a natural label's complete slice."""
+        key = scheme, label
+        cert = self._certificates.get(key)
+        if cert is None:
+            cert = self._certificates[key] = _level_certificate(
+                self.slice(scheme, label, None),
+                self.slice(scheme, _step_label(scheme, label, 1), None))
+        return cert
 
 
 def has_formula_basis(scheme: GradingScheme) -> bool:
@@ -594,39 +655,61 @@ def decomposition_report(
     scheme: GradingScheme, label: Label, degree_cap: Optional[int] = None,
     table: Optional[_SliceTable] = None,
 ) -> VerificationReport:
-    """Check the eta-power direct-sum structure of one graded slice.
+    """Check the eta-power direct-sum structure P_L = ⊕ eta^i H_{L-i} of one
+    graded slice, down the chain to the last nonempty slice (`_chain_length`).
 
-    Candidates are eta^i images of the stepped harmonic bases, down the
-    chain to the last nonempty slice (`_chain_length`).  On a complete
-    slice the check is exact: the candidates lie in it (one outside is an
-    internal error), so independent ones span it when they are as many as
-    its monomials.  On a capped slice the bases come from an enlarged
-    window (cap + 2 * i_max); dependence is a definite FAIL, and a shortfall
-    in spanning the capped window is INCONCLUSIVE_CAP.
+    A complete slice reads the `_Certificate` of every label of its chain.
+    Where eta is injective at every level they decide the report exactly,
+    with no kernel vector: summands[i] = dim H_{L-i}, since no eta^i h
+    vanishes; the overlap H_L ∩ eta P_{L-step} is the kernel of Delta∘eta;
+    and the candidates are independent when every overlap down the chain
+    is 0.  A bijective Delta∘eta makes Delta onto P_{L-step}, so then
+    P_L = H_L ⊕ eta P_{L-step} at every level and the summands add up to
+    the window.  A capped window, or a chain where some eta is not
+    injective, takes the explicit eta powers (`_eta_power_decomposition`),
+    the slow oracle of the certificates.
+
+    The hypothesis is reported, never assumed: when it fails the report
+    records whether the direct sum holds anyway, and the dimension of the
+    H ∩ eta-image overlap that witnesses indecomposability when it does
+    not.  A lone call makes its own `table`.
+    """
+    table = table or _SliceTable()
+    window = table.slice(scheme, label, degree_cap)
+    if window.complete:
+        chain = [table.certificate(scheme, _step_label(scheme, label, i))
+                 for i in range(_chain_length(scheme, label, degree_cap, table) + 1)]
+        if all(c.eta_rank == c.below for c in chain):
+            summands = [c.size - c.delta_rank for c in chain]
+            return _decomposition_verdict(
+                scheme, label, degree_cap, window, summands,
+                all(c.delta_eta_rank == c.below for c in chain),
+                sum(summands) == window.dimension(),
+                chain[0].below - chain[0].delta_eta_rank)
+    return _eta_power_decomposition(scheme, label, degree_cap, table)
+
+
+def _eta_power_decomposition(
+    scheme: GradingScheme, label: Label, degree_cap: Optional[int] = None,
+    table: Optional[_SliceTable] = None,
+) -> VerificationReport:
+    """`decomposition_report` from the candidates eta^i h, for h in the
+    stepped harmonic bases.  On a complete slice the check is exact: the
+    candidates lie in it (one outside is an internal error), so independent
+    ones span it when they are as many as its monomials.  On a capped slice
+    the bases come from an enlarged window (cap + 2 * i_max); dependence is
+    a definite FAIL, and a shortfall in spanning the capped window is
+    INCONCLUSIVE_CAP.
 
     eta keeps weights, so each weight takes its part of the summand
     kernels (their `by_weight`), of a capped window's monomials and of the
     overlap witness, forms its candidates eta^i h from a table of eta's
     images that lives for that weight only, and runs one elimination; a
     weight that only window monomials reach leaves the window unspanned.
-
-    The hypothesis is reported, never assumed: when it fails the same
-    computation records whether the direct sum holds anyway, and the
-    dimension of the H ∩ eta-image overlap that witnesses
-    indecomposability when it does not.  A lone call makes its own `table`.
     """
     hyp = _decomposition_hypothesis(scheme, label)
     table = table or _SliceTable()
     window = table.slice(scheme, label, degree_cap)
-    report = VerificationReport.of(
-        "decomposition", scheme,
-        label=label,
-        cap=degree_cap,
-        dimensions={"window": window.dimension()},
-        predicate=hyp.holds,
-        clause=hyp.clause,
-    )
-
     i_max = _chain_length(scheme, label, degree_cap, table)
     # a capped summand sits in the enlarged internal window
     summand_cap = None if degree_cap is None else degree_cap + 2 * i_max
@@ -662,17 +745,35 @@ def decomposition_report(
             inter += len(hv) + rank_eta - rank_sum
     if complete:
         spanning = sum(summand_dims) == window.dimension()
-    direct_sum = independent and spanning
-    report.dimensions.update(summands=summand_dims, candidates=sum(summand_dims),
-                             direct_sum_holds=direct_sum)
+    return _decomposition_verdict(scheme, label, degree_cap, window, summand_dims,
+                                  independent, spanning, inter)
 
-    # ---- verdict ----
+
+def _decomposition_verdict(scheme: GradingScheme, label: Label,
+                           degree_cap: Optional[int], window: GradedSlice,
+                           summands: List[int], independent: bool, spanning: bool,
+                           overlap: int) -> VerificationReport:
+    """The decomposition report of either path, from its summand dimensions,
+    whether the candidates are independent and span the window, and the
+    dimension of H ∩ eta P_{L-step} (reported when the hypothesis fails)."""
+    hyp = _decomposition_hypothesis(scheme, label)
+    complete = window.complete
+    direct_sum = independent and spanning
+    report = VerificationReport.of(
+        "decomposition", scheme,
+        label=label,
+        cap=degree_cap,
+        dimensions={"window": window.dimension(), "summands": summands,
+                    "candidates": sum(summands), "direct_sum_holds": direct_sum},
+        predicate=hyp.holds,
+        clause=hyp.clause,
+    )
     if not hyp.holds:
-        report.dimensions["harmonic_eta_overlap"] = inter
+        report.dimensions["harmonic_eta_overlap"] = overlap
         report.verdict = Verdict.PASS
         report.explanation = (
             "hypothesis fails; computationally the direct sum %s"
-            % ("still holds" if direct_sum else "fails (overlap dimension %d)" % inter))
+            % ("still holds" if direct_sum else "fails (overlap dimension %d)" % overlap))
     elif not independent:
         report.verdict = Verdict.FAIL
         report.explanation = "candidate vectors are linearly dependent"
@@ -687,8 +788,8 @@ def decomposition_report(
         report.verdict = Verdict.PASS
         report.explanation = (
             "direct sum verified: %s with total %d = window %d"
-            % (" + ".join(str(d) for d in summand_dims),
-               sum(summand_dims), window.dimension())
+            % (" + ".join(str(d) for d in summands),
+               sum(summands), window.dimension())
             if complete else "window spanned by independent eta-power candidates")
     return report
 

@@ -43,7 +43,8 @@ blocks by grading label and Cartan weight.
 SUPERHARM_MAX_CELLS (environment) caps the number of cells in any single
 dense matrix; exceeding it raises MatrixBudgetError instead of truncating.
 `_forward`, `poly_matrix` and the kernel solve read it once per call, and the
-solve passes the parsed budget down to the equations of every block.
+solve passes the parsed budget down to the equations of every block, as a
+caller of `image_rank` (the rank of a map from its images) does.
 """
 
 from __future__ import annotations
@@ -272,6 +273,15 @@ def _equation_rows(
         for m, c in q.items():
             rows[index[m]][j] = c
     return rows
+
+
+def image_rank(images: Sequence[dict], ncols: int, budget: Optional[int]) -> int:
+    """Rank of the map sending the j-th of ncols monomials to images[j]:
+    the forward echelon form of its `_equation_rows` under the caller's
+    parsed budget."""
+    echelon: dict[int, Sequence[int]] = {}
+    _echelon_add(echelon, _equation_rows(images, ncols, budget))
+    return len(echelon)
 
 
 def kernel_basis_polys(

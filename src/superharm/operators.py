@@ -299,16 +299,17 @@ class ImageTable:
     """An operator with the image of each monomial it meets computed once,
     for a caller that applies it to the same monomials many times within
     one computation: the eta powers of one weight block of a
-    decomposition report, or a kernel solve and the re-verification of
-    its vectors.
+    decomposition report, Delta on a block and on its eta images, or a
+    kernel solve and the re-verification of its vectors.
 
     It stores each image as the operator's `images` gives it, a
     {monomial: coefficient} dict, and computes the missing ones of a call
     in one `images` call.  `images` returns the stored dicts, so a
-    kernel solve can read the table in place of the operator; `apply` is
-    the operator's action, the input's coefficients times the stored
-    images of its monomials.  The table only grows, so it lives as long
-    as that one computation (one weight block, for the eta powers).
+    kernel solve can read the table in place of the operator; `combine`
+    is the operator's action, the input's coefficients times the stored
+    images of its monomials, and `apply` its polynomial form.  The table
+    only grows, so it lives as long as that one computation (one weight
+    block, for the eta powers and for Delta).
     """
 
     def __init__(self, op: DiffOperator):
@@ -329,12 +330,18 @@ class ImageTable:
         return [table[m] for m in monos]
 
     def apply(self, p: SuperPolynomial) -> SuperPolynomial:
-        table = self._fill(m for m, _ in p.items())
+        return SuperPolynomial(self.combine(p.items()))
+
+    def combine(self, terms) -> dict:
+        """The image of sum c * m over the (monomial m, coefficient c) pairs
+        of terms (a dict's or a polynomial's `items()`), as a {monomial:
+        coefficient} dict that may hold zeros."""
+        table = self._fill(m for m, _ in terms)
         acc: dict[SuperMonomial, Scalar] = {}
-        for m, c in p.items():
+        for m, c in terms:
             for u, d in table[m].items():
                 acc[u] = acc.get(u, 0) + c * d
-        return SuperPolynomial(acc)
+        return acc
 
 
 # ===================================================================

@@ -5,7 +5,7 @@ import pytest
 
 from superharm.cli import JobConfig, ConfigError, build_parser, main
 from superharm.algebra import GradingScheme, SchemeKind, SuperMonomial, x
-from superharm.operators import DiffOperator, FiltrationError
+from superharm.operators import DiffOperator, FiltrationError, compose
 from superharm.report import InternalError
 
 
@@ -295,6 +295,33 @@ def test_budget_env_is_an_error_not_truncation(monkeypatch, capsys):
                         "--m", "3", "--l", "2", "--lp", "1"], capsys)
     assert code == 2
     assert "SUPERHARM_MAX_CELLS" in err
+
+
+def test_a_natural_suite_keeps_to_the_budget(monkeypatch, capsys):
+    monkeypatch.setenv("SUPERHARM_MAX_CELLS", "10")
+    code, out, err = run(["verify-theorem", "1", "--n", "2", "--m", "3",
+                          "--lmax", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "SUPERHARM_MAX_CELLS" in err
+
+
+def test_an_eta_image_outside_the_slice_exits_four(monkeypatch, capsys):
+    import superharm.harmonic as hm
+
+    # eta squared keeps weights but lands two steps up, outside the slice
+    named = hm.named_operator
+
+    def squared(name, scheme):
+        op = named(name, scheme)
+        return compose(op, op) if name == "ETA" else op
+
+    monkeypatch.setattr(hm, "named_operator", squared)
+    code, out, err = run(["verify-theorem", "1", "--n", "2", "--m", "1",
+                          "--l", "2", "--lp", "2"], capsys)
+    assert code == 4
+    assert "[PASS]" not in out and "[FAIL]" not in out
+    assert "superharm: internal error: an eta image leaves the complete slice" in err
 
 
 # ===================================================================

@@ -31,7 +31,9 @@ from superharm.harmonic import (
     theorem_suite,
     xu_basis,
 )
+import superharm.linalg as la
 from superharm.linalg import (
+    MatrixBudgetError,
     kernel_basis_polys,
     span_rank,
 )
@@ -68,12 +70,14 @@ GL11 = GradingScheme(SchemeKind.GL_NATURAL, 1, 1)
 GL21 = GradingScheme(SchemeKind.GL_NATURAL, 2, 1)
 GL22 = GradingScheme(SchemeKind.GL_NATURAL, 2, 2)
 GL23 = GradingScheme(SchemeKind.GL_NATURAL, 2, 3)
+GL32 = GradingScheme(SchemeKind.GL_NATURAL, 3, 2)
 TW4113 = GradingScheme(SchemeKind.GL_TWISTED, 4, 1, 1, 3)
 TW3113 = GradingScheme(SchemeKind.GL_TWISTED, 3, 1, 1, 3)
 EV11 = GradingScheme(SchemeKind.OSP_EVEN_NATURAL, 1, 1)
 EV21 = GradingScheme(SchemeKind.OSP_EVEN_NATURAL, 2, 1)
 EV23 = GradingScheme(SchemeKind.OSP_EVEN_NATURAL, 2, 3)
 ODD21 = GradingScheme(SchemeKind.OSP_ODD_NATURAL, 2, 1)
+ODD23 = GradingScheme(SchemeKind.OSP_ODD_NATURAL, 2, 3)
 EVTW4113 = GradingScheme(SchemeKind.OSP_EVEN_TWISTED, 4, 1, 1, 3)
 ODDTW4113 = GradingScheme(SchemeKind.OSP_ODD_TWISTED, 4, 1, 1, 3)
 
@@ -574,8 +578,8 @@ def test_decomposition_with_hypothesis():
 
 
 def test_decomposition_missing_summand_fails_on_a_complete_slice(monkeypatch):
-    import superharm.harmonic as hm
-
+    # the explicit eta-power path, which a complete slice with an injective
+    # eta reaches only as the certificates' oracle
     original = hm._eta_powers
 
     def no_eta_powers(eta, hs, sub, summand_dims):
@@ -583,15 +587,13 @@ def test_decomposition_missing_summand_fails_on_a_complete_slice(monkeypatch):
         return original(eta, hs[:1], sub, summand_dims)
 
     monkeypatch.setattr(hm, "_eta_powers", no_eta_powers)
-    rep = decomposition_report(GL23, (4, 1))
+    rep = hm._eta_power_decomposition(GL23, (4, 1))
     assert rep.verdict is Verdict.FAIL
     assert rep.dimensions["summands"] == [120, 0]
     assert rep.explanation == "candidates do not span the complete slice"
 
 
 def test_decomposition_candidate_outside_the_slice_is_an_internal_error(monkeypatch):
-    import superharm.harmonic as hm
-
     original = hm._eta_powers
 
     def times_x1(eta, hs, sub, summand_dims):
@@ -600,7 +602,7 @@ def test_decomposition_candidate_outside_the_slice_is_an_internal_error(monkeypa
 
     monkeypatch.setattr(hm, "_eta_powers", times_x1)
     with pytest.raises(InternalError, match="leaves the complete slice"):
-        decomposition_report(GL23, (4, 1))
+        hm._eta_power_decomposition(GL23, (4, 1))
 
 
 def test_decomposition_failure_witness():
@@ -631,6 +633,90 @@ def test_decomposition_twisted_capped():
     assert rep.dimensions["window"] == 43
     assert rep.dimensions["direct_sum_holds"] is True
     assert rep.explanation == "window spanned by independent eta-power candidates"
+
+
+# the certificates of complete slices against the explicit eta powers
+
+def grid(top):
+    return [(l, lp) for l in range(top + 1) for lp in range(top + 1)]
+
+
+@pytest.mark.parametrize("scheme, labels", [
+    (GL21, grid(3)), (GL23, [*grid(3), (4, 1)]), (GL32, grid(2)),
+    (EV23, list(range(5))), (ODD23, list(range(5))),
+], ids=["gl21", "gl23", "gl32", "osp-even23", "osp-odd23"])
+def test_certificates_match_the_eta_power_oracle(scheme, labels):
+    # every field and the explanation, the hypothesis failing or not; the
+    # certificate path solves no kernel, so it is the one compared
+    fast, slow = hm._SliceTable(), hm._SliceTable()
+    for label in labels:
+        assert decomposition_report(scheme, label, table=fast).to_dict() == \
+            hm._eta_power_decomposition(scheme, label, table=slow).to_dict()
+    assert fast._kernels == {} and slow._kernels
+
+
+@pytest.mark.parametrize("scheme, label, overlap", [(GL23, (2, 2), 1), (EV23, 3, 10)])
+def test_certificate_overlap_of_a_failing_hypothesis(scheme, label, overlap):
+    rep = decomposition_report(scheme, label)
+    assert rep.predicate is False
+    assert rep.dimensions["direct_sum_holds"] is False
+    assert rep.dimensions["harmonic_eta_overlap"] == overlap
+    assert rep.to_dict() == hm._eta_power_decomposition(scheme, label).to_dict()
+
+
+def moved_operator(monkeypatch, name, moved):
+    """Patch the named operator of every scheme to moved(operator)."""
+    monkeypatch.setattr(hm, "named_operator", lambda n, scheme: (
+        moved(named_operator(n, scheme)) if n == name else named_operator(n, scheme)))
+
+
+def test_a_non_injective_eta_routes_its_label_to_the_explicit_path(monkeypatch):
+    # eta after the th1 number operator keeps weights and kills every
+    # monomial without th1, so it kills H_(0,0) = span{1}
+    moved_operator(monkeypatch, "ETA", lambda e: compose(e, number_operator([theta(1)])))
+    table = hm._SliceTable()
+    cert = table.certificate(GL21, (1, 1))
+    assert cert.eta_rank < cert.below
+    rep = decomposition_report(GL21, (1, 1), table=table)
+    assert rep.to_dict() == hm._eta_power_decomposition(GL21, (1, 1)).to_dict()
+    assert rep.dimensions["summands"] == [8, 0]
+    assert table._kernels
+
+
+@pytest.mark.parametrize("name, match", [
+    ("ETA", "an eta image leaves the complete slice"),
+    ("DELTA", "a delta image leaves the slice below"),
+])
+def test_an_image_outside_its_slice_is_an_internal_error(monkeypatch, name, match):
+    # the square keeps weights but moves the label two steps
+    moved_operator(monkeypatch, name, lambda op: compose(op, op))
+    with pytest.raises(InternalError, match=match):
+        decomposition_report(GL21, (2, 2))
+
+
+def test_a_certificate_reads_the_budget_once_and_keeps_to_it(monkeypatch):
+    reads, shapes = [], []
+    budget, rows_of = hm._budget, la._equation_rows
+
+    def counted_budget():
+        reads.append(1)
+        return budget()
+
+    def recorded(images, ncols, limit, held=0):
+        rows = rows_of(images, ncols, limit, held)
+        shapes.append(len(rows) * ncols)
+        return rows
+
+    monkeypatch.setattr(hm, "_budget", counted_budget)
+    monkeypatch.setattr(la, "_equation_rows", recorded)
+    hm._SliceTable().certificate(GL23, (2, 2))
+    assert len(reads) == 1 and len(shapes) > 1
+    largest = max(shapes)
+    monkeypatch.setenv("SUPERHARM_MAX_CELLS", str(largest - 1))
+    with pytest.raises(MatrixBudgetError, match=f"SUPERHARM_MAX_CELLS={largest - 1}"):
+        hm._SliceTable().certificate(GL23, (2, 2))
+    monkeypatch.setenv("SUPERHARM_MAX_CELLS", str(largest))
+    hm._SliceTable().certificate(GL23, (2, 2))
 
 
 # the chain rule against the per-kind rules it replaced: min(l, lp) on
@@ -777,20 +863,21 @@ def test_decomposition_holds_one_eta_table_at_a_time(monkeypatch):
 
 def test_decomposition_requires_an_eta_that_keeps_weights(monkeypatch):
     # an eta whose atoms all move weights by one step (x1 times eta), and
-    # one whose atoms move them unevenly (eta + x1)
+    # one whose atoms move them unevenly (eta + x1), on a complete slice
+    # and on a capped window, which checks no image against its slice
     x1 = DiffOperator.multiplier(P(x(1)))
-    original = hm.named_operator
     for moved, match in ((lambda e: compose(x1, e), "eta moves weights"),
                          (lambda e: e + x1, "shift weights unevenly")):
-        monkeypatch.setattr(hm, "named_operator", lambda name, scheme, moved=moved: (
-            moved(original(name, scheme)) if name == "ETA" else original(name, scheme)))
-        with pytest.raises(InternalError, match=match):
-            decomposition_report(GL21, (1, 1))
+        moved_operator(monkeypatch, "ETA", moved)
+        for args in ((GL21, (1, 1)), (TW4113, (0, 0), 2)):
+            with pytest.raises(InternalError, match=match):
+                decomposition_report(*args)
 
 
 def test_decomposition_rejects_a_mixed_weight_summand_vector(monkeypatch):
-    # the summand kernel vectors carry the homogeneity check for their
-    # eta powers, so a vector with two weights is an internal error
+    # on the explicit path the summand kernel vectors carry the homogeneity
+    # check for their eta powers, so a vector with two weights is an
+    # internal error
     original = hm.harmonic_kernel
 
     def mixed(sl):
@@ -804,7 +891,7 @@ def test_decomposition_rejects_a_mixed_weight_summand_vector(monkeypatch):
 
     monkeypatch.setattr(hm, "harmonic_kernel", mixed)
     with pytest.raises(InternalError, match="expected a weight-homogeneous vector"):
-        decomposition_report(GL23, (4, 1))
+        hm._eta_power_decomposition(GL23, (4, 1))
 
 
 def test_a_weight_only_the_window_reaches_counts_against_spanning(monkeypatch):
@@ -1030,11 +1117,13 @@ def test_suite_builds_each_operator_once(monkeypatch):
     assert Counter(built) == Counter(["DELTA", "ETA", *positive_generators(GL21)])
 
 
-@pytest.mark.parametrize("report", [decomposition_report, cross_check_irreducibility],
-                         ids=["decomposition", "cross-check"])
+@pytest.mark.parametrize("report", [decomposition_report, cross_check_irreducibility,
+                                    hm._eta_power_decomposition],
+                         ids=["decomposition", "cross-check", "explicit-decomposition"])
 def test_a_lone_report_builds_delta_once(monkeypatch, report):
-    # a lone report's summand kernels share the scheme's one Delta, and a
-    # failing kernel solve reaches the caller
+    # a lone report's certificates, or the summand kernels of the explicit
+    # path, share the scheme's one Delta, and a failing kernel solve reaches
+    # the caller of the explicit path and of a capped window
     deltas = []
     named = hm.named_operator
 
@@ -1052,31 +1141,43 @@ def test_a_lone_report_builds_delta_once(monkeypatch, report):
 
     monkeypatch.setattr(hm, "harmonic_kernel", broken)
     with pytest.raises(InternalError, match="kernel solve failed"):
-        decomposition_report(GL23, (3, 3))
+        hm._eta_power_decomposition(GL23, (3, 3))
+    with pytest.raises(InternalError, match="kernel solve failed"):
+        decomposition_report(TW4113, (0, 0), 4)
 
 
-def test_suite_solves_each_slice_kernel_once(monkeypatch):
-    import superharm.harmonic as hm
+def test_natural_suite_solves_no_delta_kernel_and_certifies_each_label_once(monkeypatch):
+    bases, certified = [], []
+    kernel, certify = hm.kernel_basis_polys, hm._level_certificate
 
-    bases = []
-    original = hm.kernel_basis_polys
-
-    def counted(op, basis, **kwargs):
+    def counted_kernel(op, basis, **kwargs):
         bases.append(tuple(basis))
-        return original(op, basis, **kwargs)
+        return kernel(op, basis, **kwargs)
 
-    monkeypatch.setattr(hm, "kernel_basis_polys", counted)
+    def counted_certificate(upper, lower):
+        certified.append(upper.label)
+        return certify(upper, lower)
+
+    monkeypatch.setattr(hm, "kernel_basis_polys", counted_kernel)
+    monkeypatch.setattr(hm, "_level_certificate", counted_certificate)
     labels = [(l, lp) for l in range(4) for lp in range(4)]
     rep = theorem_suite("T1", GL23, labels)
     assert rep.verdict is Verdict.PASS
-    # every label's slice is a summand of its own decomposition, and every
-    # summand of the grid is the slice of a label in it
-    assert len(bases) == len(set(bases)) == len(labels)
-    # the table lives for one suite: the next one solves every kernel again
+    assert bases == []
+    # every label's chain runs through labels of the grid, each certified once
+    assert sorted(certified) == labels
+    # the table lives for one suite: the next one certifies every label again
     theorem_suite("T1", GL23, labels)
-    assert len(bases) == 2 * len(labels)
-    # a lone report reuses the kernel of its window for the overlap witness
-    del bases[:]
+    assert len(certified) == 2 * len(labels)
+    # a lone report certifies its chain once
+    del certified[:]
     rep = decomposition_report(GL23, (2, 2))
     assert rep.dimensions["harmonic_eta_overlap"] == 1
+    assert certified == [(2, 2), (1, 1), (0, 0)]
+    # the explicit path reuses the kernel of its window for the overlap
+    # witness, and certifies nothing
+    del certified[:]
+    rep = hm._eta_power_decomposition(GL23, (2, 2))
+    assert rep.dimensions["harmonic_eta_overlap"] == 1
     assert len(bases) == len(set(bases)) == 3
+    assert certified == []
