@@ -129,13 +129,33 @@ MUTATIONS = (
         ("tests/test_linalg.py::test_span_ranks_match_oracle_prefix_ranks",),
     ),
     Mutation(
-        # the table's action scales its stored image dicts by the input's
-        # coefficients; this drops them
+        # the eta table's step scales its stored (id, coefficient) images by
+        # the input's coefficients; this drops them
         "eta-image-table-drops-the-input-coefficient",
+        "src/superharm/operators.py",
+        "acc[k] = acc.get(k, 0) + c * d",
+        "acc[k] = acc.get(k, 0) + d",
+        ("tests/test_linalg.py::test_eta_image_table_matches_oracle_apply",),
+    ),
+    Mutation(
+        # the same on the monomial form, which Delta's tables read
+        "image-table-combine-drops-the-input-coefficient",
         "src/superharm/operators.py",
         "acc[u] = acc.get(u, 0) + c * d",
         "acc[u] = acc.get(u, 0) + d",
         ("tests/test_linalg.py::test_eta_image_table_matches_oracle_apply",),
+    ),
+    Mutation(
+        # an eta power that vanishes stays among the pending candidates and
+        # counts as one at its level
+        "eta-powers-keep-a-vanishing-candidate",
+        "src/superharm/harmonic.py",
+        "        pending = [(i, w) for (i, _), w in zip(pending, stepped) if w]\n",
+        "        pending = [(i, w) for (i, _), w in zip(pending, stepped)]\n",
+        ("tests/test_harmonic.py::"
+         "test_decomposition_missing_summand_fails_on_a_complete_slice",
+         "tests/test_harmonic.py::"
+         "test_a_non_injective_eta_matches_the_polynomial_oracle"),
     ),
     Mutation(
         # `images` passes c = 1, so only `apply` on a scaled term sees it

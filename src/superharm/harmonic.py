@@ -3,7 +3,7 @@ vectors, irreducibility predicates, and the verification suites.
 
 Everything reduces to exact linear algebra over the rationals on the
 graded slices of the polynomial algebra and their harmonic parts
-H = ker Delta, organized along four levers:
+H = ker Delta, organized along five levers:
 
 * weight blocking — the Cartan elements act diagonally on monomials;
   Delta and eta keep weights and each positive generator shifts them
@@ -12,6 +12,10 @@ H = ker Delta, organized along four levers:
   eta, Delta and Delta∘eta on integer image rows, not kernel vectors,
   wherever eta is injective; the explicit eta powers of kernel vectors
   decide the rest and are the certificates' oracle.
+* block ids — those eta powers never become polynomials: each weight
+  block numbers the monomials it meets with small ints in one eta
+  `ImageTable`, steps its candidates on them and hands them to the span
+  test as {id: coefficient} dicts, so no monomial is hashed per term.
 * capped windows — a twisted slice is infinite dimensional and is checked
   inside a degree window: exact vectors violating an exact claim FAIL,
   and a claim reaching beyond the window is INCONCLUSIVE_CAP, not PASS.
@@ -632,23 +636,32 @@ def _chain_length(scheme: GradingScheme, label: Label, degree_cap: Optional[int]
     return i_max
 
 
-def _eta_powers(eta: DiffOperator, hs, sub, summand_dims: List[int]):
-    """One weight's nonzero eta^i h for h in hs[i], i >= 1, counted with
-    hs[0] into summand_dims, and the nonzero eta images of the monomials
-    sub, from one `ImageTable` made only when the weight applies eta."""
-    summand_dims[0] += len(hs[0])
-    powers: List[SuperPolynomial] = []
-    if not sub and not any(hs[1:]):
-        return powers, []
+def _eta_power_families(eta: DiffOperator, hs, monos, sub, hv, inside):
+    """One weight's families for `_eta_power_decomposition`, as {id:
+    coefficient} dicts on the ids of one `ImageTable` of eta that lives for
+    this call only: per level i, the nonzero eta^i h for h in hs[i] (hs[0]
+    as it is); the monomials monos; the nonzero eta images of the monomials
+    sub; and the vectors hv.  The candidates short of their power take the
+    next eta step together, so each power computes the images it lacks in
+    one `images` call.  On a complete window `inside` holds its monomials,
+    and a candidate outside them is an InternalError."""
     table = ImageTable(eta)
-    for i in range(1, len(hs)):
-        images = hs[i]
-        for _ in range(i):
-            images = [table.apply(h) for h in images]
-        images = [q for q in images if not q.is_zero()]
-        summand_dims[i] += len(images)
-        powers.extend(images)
-    return powers, [SuperPolynomial(q) for q in table.images(sub) if q]
+    levels = [[table.vector(h) for h in hs[0]]]
+    pending = [(i, table.vector(h)) for i in range(1, len(hs)) for h in hs[i]]
+    for power in range(1, len(hs)):
+        stepped = table.step([v for _, v in pending])
+        # a vanishing eta^power h stays 0, so it is no candidate
+        pending = [(i, w) for (i, _), w in zip(pending, stepped) if w]
+        levels.append([w for i, w in pending if i == power])
+        pending = [(i, w) for i, w in pending if i > power]
+    # H itself is the complete window's kernel, so only powers can leave
+    if inside is not None and any(
+            table.monos[j] not in inside
+            for j in {j for level in levels[1:] for w in level for j in w}):
+        raise InternalError("an eta-power candidate leaves the complete slice")
+    ev = [w for w in table.step([{j: 1} for j in table.ids(sub)]) if w]
+    return (levels, [{j: 1} for j in table.ids(monos)], ev,
+            [table.vector(h) for h in hv])
 
 
 def decomposition_report(
@@ -703,9 +716,10 @@ def _eta_power_decomposition(
 
     eta keeps weights, so each weight takes its part of the summand
     kernels (their `by_weight`), of a capped window's monomials and of the
-    overlap witness, forms its candidates eta^i h from a table of eta's
-    images that lives for that weight only, and runs one elimination; a
-    weight that only window monomials reach leaves the window unspanned.
+    overlap witness, forms its candidates eta^i h on the ids of a table of
+    eta's images that lives for that weight only (`_eta_power_families`),
+    and runs one elimination; a weight that only window monomials reach
+    leaves the window unspanned.
     """
     hyp = _decomposition_hypothesis(scheme, label)
     table = table or _SliceTable()
@@ -724,19 +738,16 @@ def _eta_power_decomposition(
         table.kernel(scheme, label, degree_cap)]
     groups = _group_polys_by_weight(
         scheme, *kernels, [] if complete else window.basis, *witness)
-    inside = set(window.basis) if complete else ()
+    inside = set(window.basis) if complete else None
     summand_dims, independent, spanning, inter = [0] * (i_max + 1), True, True, 0
     for *hs, monos, sub, hv in groups.values():
-        powers, ev = _eta_powers(eta, hs, sub if hv else [], summand_dims)
-        # H itself is the complete window's kernel, so only powers can leave
-        if complete and powers and any(
-                u not in inside for p in powers for u, _ in p.items()):
-            raise InternalError("an eta-power candidate leaves the complete slice")
-        block = [*hs[0], *powers]
+        levels, window_ids, ev, hv = _eta_power_families(
+            eta, hs, monos, sub if hv else [], hv, inside)
+        summand_dims = [d + len(level) for d, level in zip(summand_dims, levels)]
+        block = [w for level in levels for w in level]
         # a lone nonzero candidate is independent; monomials must keep the rank
         if independent and (len(block) > 1 or monos):
-            rank_block, rank_all = span_ranks(block, [
-                SuperPolynomial.monomial(u) for u in monos] if spanning else [])
+            rank_block, rank_all = span_ranks(block, window_ids if spanning else [])
             independent = rank_block == len(block)
             spanning = spanning and rank_all == len(block)
         if ev and hv:

@@ -7,7 +7,8 @@ reads, and `rref` back-substitutes that form for `nullspace`;
 `span_rank` is the rank of the coefficient rows of some linear
 combinations (polynomials or algebra elements), `span_ranks` is the
 cumulative form of that one elimination (the ranks of span(F0),
-span(F0 + F1), ..., read as each family's rows join the echelon form),
+span(F0 + F1), ..., read as each family's rows join the echelon form,
+whose members may be any mappings with `.items()`),
 `each_owns_a_monomial` proves independence from the supports alone, and
 `independent_subset` returns the pivot columns of the matrix whose
 columns are the polynomials.  There is one kernel solve,
@@ -188,12 +189,14 @@ def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scalar]
 # ===================================================================
 
 def poly_matrix(
-    polys: Sequence[LinearCombination],
+    polys: Sequence[LinearCombination | dict],
 ) -> tuple[list[list[Scalar]], list[Hashable]]:
     """Coefficient rows over the union of keys, columns in first-seen
-    order: no caller's rank, null space or pivot set depends on it.  Any
-    `LinearCombination` will do: polynomials (keyed by monomials) or
-    algebra elements (keyed by matrix units)."""
+    order: no caller's rank, null space or pivot set depends on it.  Only
+    each member's `.items()` is read, so any such mapping will do: a
+    `LinearCombination` (polynomials keyed by monomials, algebra elements
+    by matrix units) or a dict, like the {id: coefficient} vectors of an
+    `operators.ImageTable`."""
     terms = [p.items() for p in polys]
     monos = list(dict.fromkeys(m for t in terms for m, _ in t))
     index = {m: j for j, m in enumerate(monos)}
@@ -216,10 +219,11 @@ def span_rank(polys: Sequence[LinearCombination]) -> int:
     return rank(rows)
 
 
-def span_ranks(*families: Sequence[LinearCombination]) -> list[int]:
+def span_ranks(*families: Sequence[LinearCombination | dict]) -> list[int]:
     """Ranks of span(F0), span(F0 + F1), ...: the families' rows go into
     one forward echelon form in turn, from one `poly_matrix`, and its rank
-    is read after each family."""
+    is read after each family.  A member is any mapping `poly_matrix`
+    reads."""
     rows, _ = poly_matrix([p for family in families for p in family])
     echelon: dict[int, Sequence[int]] = {}
     ranks = []

@@ -64,7 +64,8 @@ so no intermediate monomial or polynomial is built and the result stays
 exact.  An `ImageTable` keeps one operator's images of the monomials it
 meets, for a caller that reads them many times within one computation:
 a kernel solve and its re-verification, or the eta powers of one weight
-block of a decomposition report, whose table goes before the next block.
+block of a decomposition report, which it steps on small int ids of the
+block's monomials and drops before the next block.
 """
 
 from __future__ import annotations
@@ -298,23 +299,34 @@ def _add_image(acc: dict, atoms: Sequence[_Atom], m: SuperMonomial,
 class ImageTable:
     """An operator with the image of each monomial it meets computed once,
     for a caller that applies it to the same monomials many times within
-    one computation: the eta powers of one weight block of a
-    decomposition report, Delta on a block and on its eta images, or a
-    kernel solve and the re-verification of its vectors.
+    one computation: Delta on a block and on its eta images, a kernel
+    solve and the re-verification of its vectors, or the eta powers of one
+    weight block of a decomposition report.
 
-    It stores each image as the operator's `images` gives it, a
-    {monomial: coefficient} dict, and computes the missing ones of a call
-    in one `images` call.  `images` returns the stored dicts, so a
+    By monomials, it stores each image as the operator's `images` gives
+    it, a {monomial: coefficient} dict, and computes the missing ones of a
+    call in one `images` call.  `images` returns the stored dicts, so a
     kernel solve can read the table in place of the operator; `combine`
     is the operator's action, the input's coefficients times the stored
-    images of its monomials, and `apply` its polynomial form.  The table
-    only grows, so it lives as long as that one computation (one weight
+    images of its monomials, and `apply` its polynomial form.
+
+    By ids, for a caller that applies the operator again and again to the
+    few monomials of one block: `ids` gives every monomial the table meets
+    a small int the first time it appears (`monos` maps an id back, and
+    `vector` writes a polynomial on the ids), and `step` is the operator's
+    action on {id: coefficient} dicts.  It stores each image as (id,
+    coefficient) pairs and computes the missing ones of a call in one
+    `images` call, so no monomial is hashed per term.  Both forms only
+    grow, so a table lives as long as that one computation (one weight
     block, for the eta powers and for Delta).
     """
 
     def __init__(self, op: DiffOperator):
         self._op = op
         self._images: dict[SuperMonomial, dict] = {}
+        self._ids: dict[SuperMonomial, int] = {}
+        self.monos: list[SuperMonomial] = []
+        self._rows: list[Optional[tuple]] = []
 
     def _fill(self, monos: Iterable[SuperMonomial]) -> dict:
         table = self._images
@@ -342,6 +354,44 @@ class ImageTable:
             for u, d in table[m].items():
                 acc[u] = acc.get(u, 0) + c * d
         return acc
+
+    def ids(self, monos: Iterable[SuperMonomial]) -> list[int]:
+        """The id of each monomial, in order, a new one for a monomial the
+        table has not met."""
+        ids, out = self._ids, []
+        for m in monos:
+            j = ids.get(m)
+            if j is None:
+                j = ids[m] = len(self.monos)
+                self.monos.append(m)
+                self._rows.append(None)
+            out.append(j)
+        return out
+
+    def vector(self, p) -> dict:
+        """The {id: coefficient} dict of p, a polynomial or any mapping
+        with `.items()`."""
+        items = p.items()
+        return dict(zip(self.ids(m for m, _ in items), (c for _, c in items)))
+
+    def step(self, vectors: Sequence[dict]) -> list[dict]:
+        """The image of each {id: coefficient} dict, in order, in the same
+        form without zero coefficients (empty when the image is 0).  The
+        images the table lacks of all their ids are computed in one
+        `images` call."""
+        rows, monos = self._rows, self.monos
+        missing = [j for j in {j for v in vectors for j in v} if rows[j] is None]
+        if missing:
+            for j, q in zip(missing, self._op.images([monos[j] for j in missing])):
+                rows[j] = tuple(zip(self.ids(q), q.values()))
+        out = []
+        for v in vectors:
+            acc: dict[int, Scalar] = {}
+            for j, c in v.items():
+                for k, d in rows[j]:
+                    acc[k] = acc.get(k, 0) + c * d
+            out.append({k: c for k, c in acc.items() if c})
+        return out
 
 
 # ===================================================================

@@ -52,6 +52,7 @@ from .algebra import (
     SchemeKind,
     SuperPolynomial,
     VariableId,
+    exact_scalar,
     x,
 )
 from .linalg import nullspace, poly_matrix, rank, span_rank
@@ -310,11 +311,12 @@ def _cartan_operators(scheme: GradingScheme) -> Tuple[DiffOperator, ...]:
     return tuple(rep_operator(h, scheme) for h in cartan_basis(scheme))
 
 
-def _root(h: AlgebraElement, g: AlgebraElement) -> Fraction:
-    """The scalar alpha with [h, g] = alpha * g."""
+def _root(h: AlgebraElement, g: AlgebraElement) -> Scalar:
+    """The scalar alpha with [h, g] = alpha * g, in canonical coefficient
+    form (an int when integral)."""
     key, c = next(iter(g.items()))
     br = bracket(h, g)
-    alpha = Fraction(br.coefficient(key), c)
+    alpha = exact_scalar(Fraction(br.coefficient(key), c))
     if br != g.scale(alpha):
         raise InternalError(f"{g.render()} is not a root vector")
     return alpha
@@ -322,7 +324,7 @@ def _root(h: AlgebraElement, g: AlgebraElement) -> Fraction:
 
 @functools.lru_cache(maxsize=None)
 def _positive_roots(scheme: GradingScheme
-                    ) -> Tuple[Tuple[AlgebraElement, Tuple[Fraction, ...]], ...]:
+                    ) -> Tuple[Tuple[AlgebraElement, Tuple[Scalar, ...]], ...]:
     """(g, root of g) for the basis elements whose root is positive: the
     first nonzero entry of (alpha(h) for h in cartan_basis) is positive,
     which orders the roots by eps_1 > ... > eps_n > delta_1 > ... > delta_m."""

@@ -23,7 +23,9 @@ rule that shares nothing with the basis's sign),
 generator rather than the simple root vectors, and `oracle_kernel`, which
 that solve runs on, builds the kernel equations as the earlier
 per-operator coefficient matrices, transposed, and eliminates all of them
-in every block.
+in every block.  `oracle_eta_power_decomposition` is the earlier explicit
+eta-power decomposition, whose candidates eta^i h are polynomials, one
+eta power of one vector at a time.
 """
 
 from __future__ import annotations
@@ -48,8 +50,11 @@ from superharm.algebra import (
     x,
     y,
 )
+from superharm import harmonic as hm
 from superharm.harmonic import monomial_weight
-from superharm.operators import DiffOperator, OpWord, compose, named_operator
+from superharm.linalg import span_ranks
+from superharm.operators import DiffOperator, ImageTable, OpWord, compose, named_operator
+from superharm.report import InternalError
 from superharm.representations import (
     AlgebraElement,
     AlgebraFamily,
@@ -495,6 +500,72 @@ def oracle_singular_vectors(sl, generators=None, *, harmonic=True):
     found = oracle_kernel(ops, sl.basis,
                           functools.partial(monomial_weight, scheme=sl.scheme))
     return [v.scale(Fraction(1, v.terms()[0][1])) for v in found]
+
+
+def _oracle_eta_powers(eta, hs, sub, summand_dims):
+    """One weight's nonzero eta^i h for h in hs[i], i >= 1, counted with
+    hs[0] into summand_dims, and the nonzero eta images of the monomials
+    sub, from one `ImageTable` made only when the weight applies eta."""
+    summand_dims[0] += len(hs[0])
+    powers = []
+    if not sub and not any(hs[1:]):
+        return powers, []
+    table = ImageTable(eta)
+    for i in range(1, len(hs)):
+        images = hs[i]
+        for _ in range(i):
+            images = [table.apply(h) for h in images]
+        images = [q for q in images if not q.is_zero()]
+        summand_dims[i] += len(images)
+        powers.extend(images)
+    return powers, [SuperPolynomial(q) for q in table.images(sub) if q]
+
+
+def oracle_eta_power_decomposition(scheme, label, degree_cap=None, table=None):
+    """The explicit eta-power decomposition report on polynomials: each
+    weight applies eta to every summand kernel vector power by power as a
+    `SuperPolynomial`, and ranks the candidates, the window monomials and
+    the overlap witness as polynomials."""
+    hyp = hm._decomposition_hypothesis(scheme, label)
+    table = table or hm._SliceTable()
+    window = table.slice(scheme, label, degree_cap)
+    i_max = hm._chain_length(scheme, label, degree_cap, table)
+    # a capped summand sits in the enlarged internal window
+    summand_cap = None if degree_cap is None else degree_cap + 2 * i_max
+
+    # ---- one weight at a time ----
+    eta = hm._operator(scheme, "ETA")
+    complete = window.complete
+    kernels = [table.kernel(scheme, hm._step_label(scheme, label, i), summand_cap)
+               for i in range(i_max + 1)]
+    witness = [[], []] if hyp.holds else [
+        table.slice(scheme, hm._step_label(scheme, label, 1), degree_cap).basis,
+        table.kernel(scheme, label, degree_cap)]
+    groups = hm._group_polys_by_weight(
+        scheme, *kernels, [] if complete else window.basis, *witness)
+    inside = set(window.basis) if complete else ()
+    summand_dims, independent, spanning, inter = [0] * (i_max + 1), True, True, 0
+    for *hs, monos, sub, hv in groups.values():
+        powers, ev = _oracle_eta_powers(eta, hs, sub if hv else [], summand_dims)
+        # H itself is the complete window's kernel, so only powers can leave
+        if complete and powers and any(
+                u not in inside for p in powers for u, _ in p.items()):
+            raise InternalError("an eta-power candidate leaves the complete slice")
+        block = [*hs[0], *powers]
+        # a lone nonzero candidate is independent; monomials must keep the rank
+        if independent and (len(block) > 1 or monos):
+            rank_block, rank_all = span_ranks(block, [
+                SuperPolynomial.monomial(u) for u in monos] if spanning else [])
+            independent = rank_block == len(block)
+            spanning = spanning and rank_all == len(block)
+        if ev and hv:
+            # rank(H_w) = |H_w|: the kernel vectors were proved independent
+            rank_eta, rank_sum = span_ranks(ev, hv)
+            inter += len(hv) + rank_eta - rank_sum
+    if complete:
+        spanning = sum(summand_dims) == window.dimension()
+    return hm._decomposition_verdict(scheme, label, degree_cap, window, summand_dims,
+                                     independent, spanning, inter)
 
 
 # ===================================================================

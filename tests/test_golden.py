@@ -7,7 +7,10 @@ runs of the capped branch of `compare_bases` (the window intersection), and
 the two osp singular-vectors cases the only tier-1 pins of osp singular
 vectors.  The theorem-3 case is the twisted osp suite at k = 2, cap 4: its
 eta-power decomposition checks 8343 candidates in four summands, drawn
-from an internal cap of 10, which no benchmark or table job reaches.
+from an internal cap of 10, which no benchmark or table job reaches.  The
+theorem-2 case is gl-twisted (1, 0) at cap 3: its hypothesis fails and its
+eta-power candidates are dependent (`direct_sum_holds` false, overlap 1),
+the one tier-1 run that ends the independence test early.
 
 tests/golden/twisted_operators.txt pins the normal form of every twisted
 operator: one rendered line per matrix unit and per named operator, for the
@@ -79,6 +82,8 @@ CASES = {
         "--m", "1", "--k", "2", "--cap", "2"],
     "theorem3-osp-even-twisted-41-k2-cap4": [
         "verify-theorem", "3", *TWISTED_41, "--k", "2", "--cap", "4"],
+    "theorem2-gl-twisted-41-l1-lp0-cap3": [
+        "verify-theorem", "2", *TWISTED_41, "--l", "1", "--lp", "0", "--cap", "3"],
 }
 
 

@@ -57,6 +57,7 @@ from oracles import (
     im_operator,
     op_power,
     oracle_apply,
+    oracle_eta_power_decomposition,
     oracle_in_span,
     oracle_kernel,
     oracle_singular_vectors,
@@ -580,13 +581,13 @@ def test_decomposition_with_hypothesis():
 def test_decomposition_missing_summand_fails_on_a_complete_slice(monkeypatch):
     # the explicit eta-power path, which a complete slice with an injective
     # eta reaches only as the certificates' oracle
-    original = hm._eta_powers
+    original = hm._eta_power_families
 
-    def no_eta_powers(eta, hs, sub, summand_dims):
-        # every eta^i h with i >= 1 is dropped, as if it were 0
-        return original(eta, hs[:1], sub, summand_dims)
+    def zero_eta(eta, *rest):
+        # every eta^i h with i >= 1 vanishes, so it is no candidate
+        return original(DiffOperator({}), *rest)
 
-    monkeypatch.setattr(hm, "_eta_powers", no_eta_powers)
+    monkeypatch.setattr(hm, "_eta_power_families", zero_eta)
     rep = hm._eta_power_decomposition(GL23, (4, 1))
     assert rep.verdict is Verdict.FAIL
     assert rep.dimensions["summands"] == [120, 0]
@@ -594,13 +595,13 @@ def test_decomposition_missing_summand_fails_on_a_complete_slice(monkeypatch):
 
 
 def test_decomposition_candidate_outside_the_slice_is_an_internal_error(monkeypatch):
-    original = hm._eta_powers
+    original = hm._eta_power_families
+    x1 = DiffOperator.multiplier(P(x(1)))
 
-    def times_x1(eta, hs, sub, summand_dims):
-        powers, images = original(eta, hs, sub, summand_dims)
-        return [p * P(x(1)) for p in powers], images
+    def times_x1(eta, *rest):
+        return original(compose(x1, eta), *rest)
 
-    monkeypatch.setattr(hm, "_eta_powers", times_x1)
+    monkeypatch.setattr(hm, "_eta_power_families", times_x1)
     with pytest.raises(InternalError, match="leaves the complete slice"):
         hm._eta_power_decomposition(GL23, (4, 1))
 
@@ -681,6 +682,47 @@ def test_a_non_injective_eta_routes_its_label_to_the_explicit_path(monkeypatch):
     assert rep.to_dict() == hm._eta_power_decomposition(GL21, (1, 1)).to_dict()
     assert rep.dimensions["summands"] == [8, 0]
     assert table._kernels
+
+
+ODD_TW4113 = GradingScheme(SchemeKind.OSP_ODD_TWISTED, 4, 1, 1, 3)
+EV_TW4113 = GradingScheme(SchemeKind.OSP_EVEN_TWISTED, 4, 1, 1, 3)
+TW_LABELS = [(l, lp) for l in range(-2, 3) for lp in range(-2, 3) if -2 <= l + lp <= 1]
+
+
+def matches_the_polynomial_oracle(scheme, labels, cap):
+    # every field, the verdict and the explanation; both paths read the
+    # kernels of one table
+    table = hm._SliceTable()
+    for label in labels:
+        rep = hm._eta_power_decomposition(scheme, label, cap, table=table)
+        assert rep.to_dict() == \
+            oracle_eta_power_decomposition(scheme, label, cap, table=table).to_dict()
+
+
+@pytest.mark.parametrize("cap", range(2, 7))
+def test_gl_twisted_eta_powers_match_the_polynomial_oracle(cap):
+    matches_the_polynomial_oracle(TW4113, TW_LABELS, cap)
+    if cap == 3:
+        # its hypothesis fails and its candidates are dependent
+        rep = decomposition_report(TW4113, (1, 0), 3)
+        assert rep.dimensions["direct_sum_holds"] is False
+        assert rep.dimensions["harmonic_eta_overlap"] == 1
+
+
+@pytest.mark.parametrize("scheme", [EV_TW4113, ODD_TW4113],
+                         ids=["osp-even-twisted", "osp-odd-twisted"])
+@pytest.mark.parametrize("cap", range(2, 5))
+def test_osp_twisted_eta_powers_match_the_polynomial_oracle(scheme, cap):
+    matches_the_polynomial_oracle(scheme, range(-2, 2), cap)
+
+
+def test_a_non_injective_eta_matches_the_polynomial_oracle(monkeypatch):
+    # the chain of test_a_non_injective_eta_routes_its_label_to_the_explicit_path,
+    # where eta^1 of H_(0,0) vanishes
+    moved_operator(monkeypatch, "ETA", lambda e: compose(e, number_operator([theta(1)])))
+    rep = hm._eta_power_decomposition(GL21, (1, 1))
+    assert rep.dimensions["summands"] == [8, 0]
+    assert rep.to_dict() == oracle_eta_power_decomposition(GL21, (1, 1)).to_dict()
 
 
 @pytest.mark.parametrize("name, match", [

@@ -452,6 +452,17 @@ def test_eta_image_table_matches_oracle_apply(op, family):
     for p in family + family:
         assert table.apply(p) == oracle_apply(op, p)
     assert counted.calls == len({m for p in family for m, _ in p.items()})
+    # on ids: the second step reads only stored images, and an image holds
+    # no zero coefficient
+    counted = CountedOp(op)
+    table = ImageTable(counted)
+    vectors = [table.vector(p) for p in family]
+    for _ in range(2):
+        for p, w in zip(family, table.step(vectors)):
+            assert all(w.values())
+            assert SuperPolynomial({table.monos[k]: c for k, c in w.items()}) == \
+                oracle_apply(op, p)
+    assert counted.calls == len({m for p in family for m, _ in p.items()})
 
 
 @pytest.mark.parametrize("scheme,label", [

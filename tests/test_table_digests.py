@@ -1,14 +1,15 @@
-"""Eight jobs of the verification table, checked against their pinned digests.
+"""Nine jobs of the verification table, checked against their pinned digests.
 
 `scripts/run_verification.py` compares all 28 table reports with
 `scripts/table_digests.json`; it takes several seconds, so it is not part
-of the default test run.  These eight cheap jobs (three harmonic bases: a
+of the default test run.  These nine cheap jobs (three harmonic bases: a
 natural gl one, the x0 series and a capped twisted window, a
 singular-vector slice, a stabilizer check, the identity checks, one capped
 twisted theorem-2 window, which runs the twisted Delta and eta, and the
 capped twisted osp theorem-3 suite, which reads the twisted criterion
-clauses) cover the report paths a refactor of the arithmetic or of the
-criteria most easily moves, in about a second.
+clauses, and the capped theorem-4 x0 ladder, whose twisted window takes
+the explicit eta powers) cover the report paths a refactor of the
+arithmetic or of the criteria most easily moves, in about a second.
 """
 
 import json
@@ -29,7 +30,8 @@ PINNED = json.loads((SCRIPTS / "table_digests.json").read_text())
 
 
 # the capped twisted windows are INCONCLUSIVE_CAP (exit 3); the others pass
-EXIT_CODE = {"theorem2-tw4113-l-2-lp1-cap6": 3, "theorem3-tw4113-k0-k1-cap3": 3}
+EXIT_CODE = {"theorem2-tw4113-l-2-lp1-cap6": 3, "theorem3-tw4113-k0-k1-cap3": 3,
+             "theorem4-tw4113-k0-cap3": 3}
 
 
 @pytest.mark.parametrize("name", [
@@ -41,6 +43,7 @@ EXIT_CODE = {"theorem2-tw4113-l-2-lp1-cap6": 3, "theorem3-tw4113-k0-k1-cap3": 3}
     "identities-all-variants",
     "theorem2-tw4113-l-2-lp1-cap6",
     "theorem3-tw4113-k0-k1-cap3",
+    "theorem4-tw4113-k0-cap3",
 ])
 def test_table_report_matches_pinned_digest(name, tmp_path):
     out = tmp_path / f"{name}.json"
